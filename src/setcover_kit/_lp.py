@@ -1,8 +1,11 @@
 """Thin wrappers around scipy's LP solver for the kit's desk-scale programs.
 
 All programs here are dense and tiny (dimensions <= ~8, rows <= ~64):
-coordinate ranges of halfspace intersections, min-norm preimages, and
-inscribed-slack problems for polyhedral graphs.
+coordinate extents of halfspace intersections, min-norm preimages, and
+inscribed-slack problems for polyhedral graphs.  Each call solves afresh;
+callers that query one frozen object repeatedly keep the derived data on
+that object (a region's extent, a process's interior report), so each
+object pays for its LPs once.
 """
 
 from __future__ import annotations
@@ -26,37 +29,33 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
     return res
 
 
-def coordinate_range(a_mat: np.ndarray, b_vec: np.ndarray):
-    """Componentwise (lo, hi) of {y : A y <= b}; +-inf where unbounded."""
+def coordinate_extent(a_mat: np.ndarray, b_vec: np.ndarray):
+    """(lo, hi, argpoints) of {y : A y <= b} from one pass of 2*dim LPs.
+
+    lo and hi are the componentwise bounds, +-inf where unbounded;
+    argpoints holds, one per row, the attained LP optima (extreme points
+    of the region) in solve order: min then max of each coordinate.
+    Raises LPAnomalyError when the intersection is empty.  All arrays are
+    read-only, so callers may keep and share one extent per region.
+    """
     n = a_mat.shape[1]
     lo = np.full(n, -np.inf)
     hi = np.full(n, np.inf)
-    for i in range(n):
-        c = np.zeros(n)
-        c[i] = 1.0
-        res = linprog(c, A_ub=a_mat, b_ub=b_vec, bounds=[(None, None)] * n, method="highs")
-        if res.status == 0:
-            lo[i] = res.fun
-        elif res.status == 2:
-            raise LPAnomalyError("halfspace intersection is empty")
-        res = linprog(-c, A_ub=a_mat, b_ub=b_vec, bounds=[(None, None)] * n, method="highs")
-        if res.status == 0:
-            hi[i] = -res.fun
-    return lo, hi
-
-
-def coordinate_argpoints(a_mat: np.ndarray, b_vec: np.ndarray) -> list[np.ndarray]:
-    """Extreme points attaining the coordinate minima/maxima of {A y <= b}."""
-    n = a_mat.shape[1]
     pts = []
     for i in range(n):
-        for sign in (1.0, -1.0):
+        for sign, ends in ((1.0, lo), (-1.0, hi)):
             c = np.zeros(n)
             c[i] = sign
             res = linprog(c, A_ub=a_mat, b_ub=b_vec, bounds=[(None, None)] * n, method="highs")
             if res.status == 0:
-                pts.append(np.asarray(res.x, dtype=float))
-    return pts
+                ends[i] = sign * res.fun
+                pts.append(res.x)
+            elif res.status == 2:
+                raise LPAnomalyError("halfspace intersection is empty")
+    pts = np.array(pts, dtype=float).reshape(-1, n)
+    for arr in (lo, hi, pts):
+        arr.setflags(write=False)
+    return lo, hi, pts
 
 
 def min_max_norm_solution(a_eq: np.ndarray, y: np.ndarray):

@@ -27,6 +27,8 @@ from .geometry import (
     Ball,
     NormedSpace,
     SetRep,
+    _freeze,
+    _memo,
     dist_point,
     excess,
     hausdorff,
@@ -335,6 +337,9 @@ class InteriorReport:
         present = self.u0 is not None
         if present != (self.t_star > 0) or present != (self.alpha > 0):
             raise ValueError("inconsistent interior report")
+        for name in ("u0", "y_interior"):
+            if getattr(self, name) is not None:
+                _freeze(self, name, getattr(self, name))
 
     def to_jsonable(self) -> dict:
         return {
@@ -353,7 +358,13 @@ def interior_radius(proc: mp.PolyhedralProcess) -> InteriorReport:
     scalable).  If t* > 0, step 2 takes a min-norm u solving
     Cx u + Cy (-y_hat) <= 0, normalizes it into the unit ball, and
     reports the inscribed radius of the image of u at the origin.
+
+    The analysis runs once per process; later calls return the kept report.
     """
+    return _memo(proc, "_interior_report", lambda: _analyse_interior(proc))
+
+
+def _analyse_interior(proc: mp.PolyhedralProcess) -> InteriorReport:
     cy_norms = np.array([proc.space_y.dual_norm_of(row) for row in proc.cy])
     active = [i for i in range(proc.cy.shape[0]) if np.any(proc.cy[i] != 0.0)]
     m_dim = proc.space_y.dim

@@ -168,6 +168,18 @@ def _freeze(obj, name: str, value: np.ndarray) -> None:
     object.__setattr__(obj, name, value)
 
 
+def _memo(obj, name: str, compute):
+    """compute(), kept on the frozen obj under name on first use.
+
+    Derived data thus lives and dies with its object.  Two racing first
+    uses at worst compute the same value twice.
+    """
+    cache = obj.__dict__
+    if name not in cache:
+        cache[name] = compute()
+    return cache[name]
+
+
 class SetRep:
     """Base class of the closed-set catalog; all variants are nonempty and closed."""
 
@@ -283,6 +295,19 @@ class SublevelRegion(SetRep):
             for row in g.a:
                 yield row, g.b
 
+    def extent(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coordinate bounds (lo, hi) and the extreme points attaining them.
+
+        Solved by 2*dim small LPs on first use and kept on the region.
+        """
+        def solve():
+            from ._lp import coordinate_extent
+
+            rows = list(self.halfspaces())
+            return coordinate_extent(np.array([a for a, _ in rows], dtype=float),
+                                     np.array([b for _, b in rows], dtype=float))
+        return _memo(self, "_extent", solve)
+
 
 @dataclass(frozen=True, eq=False)
 class Orthant(SetRep):
@@ -324,7 +349,7 @@ def boundedness(space: NormedSpace, s: SetRep) -> BoundednessFlag:
     if isinstance(s, (Ball, Sphere)):
         return BoundednessFlag(True, space.norm_of(s.center) + s.radius)
     if isinstance(s, Box):
-        return BoundednessFlag(True, max(space.norm_of(c) for c in s.corners()))
+        return BoundednessFlag(True, _box_radius(space, s.lo, s.hi, origin))
     if isinstance(s, VPolytope):
         return BoundednessFlag(True, max(space.norm_of(v) for v in s.vertices))
     if isinstance(s, PointCloud):
@@ -335,10 +360,9 @@ def boundedness(space: NormedSpace, s: SetRep) -> BoundednessFlag:
             return BoundednessFlag(True, (inner.radius_hint or 0.0) + s.margin)
         return BoundednessFlag(False)
     if isinstance(s, SublevelRegion):
-        lo, hi = _region_box(s)
+        lo, hi, _ = s.extent()
         if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
-            hint = max(space.norm_of(c) for c in Box(lo, hi).corners(cap=1024))
-            return BoundednessFlag(True, hint)
+            return BoundednessFlag(True, _box_radius(space, lo, hi, origin))
         return BoundednessFlag(False)
     if isinstance(s, Orthant):
         return BoundednessFlag(False)
@@ -609,14 +633,13 @@ def _dykstra_halfspaces(rows, y: np.ndarray, max_sweeps: int):
     return z, True
 
 
-def _region_box(s: SublevelRegion) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate bounding box of a sublevel region via 2*dim small LPs."""
-    from ._lp import coordinate_range
+def _box_radius(space: NormedSpace, lo: np.ndarray, hi: np.ndarray, p: np.ndarray) -> float:
+    """Largest distance from p to a corner of [lo, hi], without enumerating corners.
 
-    rows = list(s.halfspaces())
-    a_mat = np.array([a for a, _ in rows], dtype=float)
-    b_vec = np.array([b for _, b in rows], dtype=float)
-    return coordinate_range(a_mat, b_vec)
+    Every norm here grows with each |y_i|, so the farthest corner takes
+    the coordinate end farther from p in each axis.
+    """
+    return space.dist(np.where(np.abs(lo - p) >= np.abs(hi - p), lo, hi), p)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +652,7 @@ def outer_radius(space: NormedSpace, s: SetRep, p) -> Distance:
     if isinstance(s, (Ball, Sphere)):
         return Distance(space.dist(s.center, p) + s.radius)
     if isinstance(s, Box):
-        return Distance(max(space.dist(c, p) for c in s.corners()))
+        return Distance(_box_radius(space, s.lo, s.hi, p))
     if isinstance(s, VPolytope):
         return Distance(max(space.dist(v, p) for v in s.vertices))
     if isinstance(s, PointCloud):
@@ -638,9 +661,9 @@ def outer_radius(space: NormedSpace, s: SetRep, p) -> Distance:
         inner = outer_radius(space, s.base, p)
         return Distance(float(inner) + s.margin, approximate=inner.approximate, error=inner.error)
     if isinstance(s, SublevelRegion):
-        lo, hi = _region_box(s)
+        lo, hi, _ = s.extent()
         if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
-            val = max(space.dist(c, p) for c in Box(lo, hi).corners(cap=1024))
+            val = _box_radius(space, lo, hi, p)
             return Distance(val, approximate=True, error=val,
                             note="box overestimate of the region's outer radius")
         return Distance(math.inf, note="unbounded region")
@@ -911,23 +934,16 @@ def _sample_region(space: NormedSpace, s: SublevelRegion, n: int,
                    rng: np.random.Generator,
                    box: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
     rows = list(s.halfspaces())
+    lo, hi, argpoints = s.extent()
     if box is None:
-        lo, hi = _region_box(s)
         scale = 1.0 + max((abs(b) for _, b in rows), default=1.0)
         lo = np.where(np.isfinite(lo), lo, -10.0 * scale)
         hi = np.where(np.isfinite(hi), hi, 10.0 * scale)
     else:
         lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)  # LP roundoff can cross degenerate bounds
-    pts: list[np.ndarray] = []
     # extreme candidates: per-coordinate LP optima are vertices of the region
-    from ._lp import coordinate_argpoints
-
-    a_mat = np.array([a for a, _ in rows], dtype=float)
-    b_vec = np.array([b for _, b in rows], dtype=float)
-    for p in coordinate_argpoints(a_mat, b_vec):
-        if len(pts) < n:
-            pts.append(p)
+    pts: list[np.ndarray] = list(argpoints[:n])
     budget = 60 * n + 600
     while len(pts) < n and budget > 0:
         cand = rng.uniform(lo, hi)

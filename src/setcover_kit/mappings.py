@@ -14,7 +14,6 @@ factor (0.99 by default) before using one.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +39,7 @@ from .geometry import (
     sample_enlargement,
     translate_set,
     _freeze,
+    _memo,
 )
 
 DEFAULT_SAFETY = 0.99
@@ -476,13 +476,16 @@ def _scaled_orthogonal_factor(mat: np.ndarray) -> float | None:
 # constants
 
 
-@functools.lru_cache(maxsize=None)
 def _epigraphical_alpha_f(m: Epigraphical) -> float:
     """1 / sup_{||y||_inf <= 1} min{||x||_inf : Ax = y}, by sign-corner enumeration.
 
     The sup of the (convex) min-norm preimage over the unit box is
-    attained at a corner.
+    attained at a corner.  Computed once per map and kept on it.
     """
+    return _memo(m, "_alpha_f", lambda: _solve_epigraphical_alpha_f(m))
+
+
+def _solve_epigraphical_alpha_f(m: Epigraphical) -> float:
     from ._lp import min_max_norm_solution
 
     worst = 0.0

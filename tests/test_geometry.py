@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import setcover_kit as sk
-from setcover_kit.geometry import rng_for, scale_set
+from setcover_kit.geometry import outer_radius, rng_for, scale_set
 
 EU2 = sk.NormedSpace(2)
 EU3 = sk.NormedSpace(3)
@@ -388,6 +388,48 @@ class TestMisc:
         assert sk.boundedness(EU2, bounded_region).bounded
         unbounded_region = sk.SublevelRegion((sk.FormGroup(np.array([[1.0, 0.0]]), 1.0),))
         assert not sk.boundedness(EU2, unbounded_region).bounded
+
+    def test_box_radius_matches_corner_enumeration(self):
+        rng = rng_for(3, 0)
+        for d in range(1, 9):
+            spaces = (sk.NormedSpace(d), sk.NormedSpace(d, "max"), sk.NormedSpace(d, "p", p=3.0))
+            for _ in range(12):
+                lo = rng.standard_normal(d)
+                hi = lo + rng.uniform(0.0, 2.0, d) * (rng.uniform(size=d) > 0.2)
+                p = rng.standard_normal(d)
+                box = sk.Box(lo, hi)
+                for sp in spaces:
+                    corners = box.corners()
+                    assert float(outer_radius(sp, box, p)) == max(sp.dist(c, p) for c in corners)
+                    assert sk.boundedness(sp, box).radius_hint == max(sp.norm_of(c) for c in corners)
+
+    def test_box_region_radius_matches_corner_enumeration(self):
+        rng = rng_for(4, 0)
+        for d in (1, 2, 5, 8):
+            lo = rng.standard_normal(d)
+            hi = lo + rng.uniform(0.1, 2.0, d)
+            region = sk.SublevelRegion(tuple(
+                sk.FormGroup(row.reshape(1, -1), b)
+                for row, b in zip(np.vstack([np.eye(d), -np.eye(d)]), np.concatenate([hi, -lo]))))
+            ext_lo, ext_hi, _ = region.extent()
+            corners = sk.Box(ext_lo, ext_hi).corners()
+            p = rng.standard_normal(d)
+            for sp in (sk.NormedSpace(d), sk.NormedSpace(d, "max"), sk.NormedSpace(d, "p", p=3.0)):
+                r = outer_radius(sp, region, p)
+                assert float(r) == max(sp.dist(c, p) for c in corners)
+                assert r.approximate and r.error == float(r)
+                assert sk.boundedness(sp, region).radius_hint == max(sp.norm_of(c) for c in corners)
+
+    def test_eleven_dimensional_box_region_is_bounded(self):
+        d = 11
+        sp = sk.NormedSpace(d)
+        region = sk.SublevelRegion((sk.FormGroup(np.vstack([np.eye(d), -np.eye(d)]), 1.0),))
+        flag = sk.boundedness(sp, region)
+        assert flag.bounded and flag.radius_hint == pytest.approx(math.sqrt(d))
+        assert float(outer_radius(sp, region, np.ones(d))) == pytest.approx(2.0 * math.sqrt(d))
+        box = sk.Box(-np.ones(d), np.ones(d))
+        assert sk.boundedness(sp, box).radius_hint == pytest.approx(math.sqrt(d))
+        assert float(outer_radius(sp, box, np.zeros(d))) == pytest.approx(math.sqrt(d))
 
     def test_json_round_trip_all_kinds(self):
         reps = [
