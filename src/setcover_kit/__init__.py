@@ -32,8 +32,6 @@ from .geometry import (
     hausdorff,
     sample,
     sample_enlargement,
-    set_from_json,
-    set_to_json,
     translate_set,
 )
 from .mappings import (
@@ -60,8 +58,13 @@ from .mappings import (
     empirical_lipschitz,
     eval_map,
     fallback_witness,
+)
+from .codec import (
+    InstanceError,
     map_from_json,
     map_to_json,
+    set_from_json,
+    set_to_json,
 )
 from .certify import (
     Certificate,

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import mappings as mp
 from ._lp import min_max_norm_feasible, solve_lp
+from .codec import map_to_json
 from .geometry import (
     Ball,
-    NormedSpace,
     SetRep,
     _freeze,
     _memo,
@@ -123,7 +123,7 @@ def _default_box(dim: int, half_width: float = 5.0):
     return -half_width * np.ones(dim), half_width * np.ones(dim)
 
 
-def _draw_trial(m: mp.MapSpec, seed: int, trial: int, x_box, r_range):
+def _draw_trial(seed: int, trial: int, x_box, r_range):
     rng = rng_for(seed, trial)
     lo, hi = x_box
     x = rng.uniform(lo, hi)
@@ -132,7 +132,7 @@ def _draw_trial(m: mp.MapSpec, seed: int, trial: int, x_box, r_range):
     return x, r, rng
 
 
-def _scale_tol(tol: float, space: NormedSpace, x, extra: float) -> float:
+def _scale_tol(tol: float, x, extra: float) -> float:
     return tol * (1.0 + float(np.max(np.abs(x))) + extra)
 
 
@@ -178,7 +178,7 @@ def check_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
     x_box = x_box or _default_box(m.space_x.dim)
     violations: list[Violation] = []
     for t in range(trials):
-        x, r, rng = _draw_trial(m, seed, t, x_box, r_range)
+        x, r, _ = _draw_trial(seed, t, x_box, r_range)
         image = mp.eval_map(m, x)
         targets = sample_enlargement(m.space_y, image, alpha * r, n_targets,
                                      seed=_sub_seed(seed, t, 1))
@@ -187,7 +187,7 @@ def check_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
             witness_u = mp.cover_witness(m, x, r)
         except (mp.WitnessUnavailableError, mp.NotSetCoveringError):
             pass
-        atol = _scale_tol(tol, m.space_x, x, alpha * r)
+        atol = _scale_tol(tol, x, alpha * r)
         for y in targets:
             responder = _covering_responder(m, x, r, y)
             if responder is not None:
@@ -209,7 +209,7 @@ def check_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
         property="covering", trials=trials, violations=violations, seed=seed,
         tolerances={"tol": tol},
         parameters={"alpha": alpha, "r_range": list(r_range), "n_targets": n_targets,
-                    "map": mp.map_to_json(m)},
+                    "map": map_to_json(m)},
     )
 
 
@@ -264,7 +264,7 @@ def check_set_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
     x_box = x_box or _default_box(m.space_x.dim)
     violations: list[Violation] = []
     for t in range(trials):
-        x, r, rng = _draw_trial(m, seed, t, x_box, r_range)
+        x, r, _ = _draw_trial(seed, t, x_box, r_range)
         image = mp.eval_map(m, x)
         try:
             u = mp.cover_witness(m, x, r)
@@ -275,7 +275,7 @@ def check_set_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
         image_u = mp.eval_map(m, u)
         targets = sample_enlargement(m.space_y, image, alpha * r, n_inclusion,
                                      seed=_sub_seed(seed, t, 4))
-        atol = _scale_tol(tol, m.space_x, x, alpha * r)
+        atol = _scale_tol(tol, x, alpha * r)
         worst_y, worst_m = None, 0.0
         for y in targets:
             d = dist_point(m.space_y, y, image_u)
@@ -289,7 +289,7 @@ def check_set_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
         property="set-covering", trials=trials, violations=violations, seed=seed,
         tolerances={"tol": tol},
         parameters={"alpha": alpha, "r_range": list(r_range),
-                    "n_inclusion": n_inclusion, "map": mp.map_to_json(m)},
+                    "n_inclusion": n_inclusion, "map": map_to_json(m)},
     )
 
 
@@ -297,7 +297,7 @@ def recheck_violation(m: mp.MapSpec, cert: Certificate, v: Violation,
                       tol: float = 1e-9) -> bool:
     """Independently re-evaluate a violation record (replay determinism)."""
     x = np.array(v.x)
-    atol = _scale_tol(tol, m.space_x, x, cert.parameters.get("alpha", 1.0) * v.r)
+    atol = _scale_tol(tol, x, cert.parameters.get("alpha", 1.0) * v.r)
     if cert.property in ("covering", "set-covering"):
         if v.witness is None or v.point is None:
             return False
@@ -464,7 +464,7 @@ def check_inverse_errorbound(m: mp.MapSpec, alpha: float, trials: int, seed: int
     x_box = x_box or _default_box(m.space_x.dim)
     violations: list[Violation] = []
     for t in range(trials):
-        x, r, rng = _draw_trial(m, seed, t, x_box, (1e-2, 1e1))
+        x, r, rng = _draw_trial(seed, t, x_box, (1e-2, 1e1))
         if test_sets is not None:
             s = test_sets[t % len(test_sets)]
         else:
@@ -473,14 +473,14 @@ def check_inverse_errorbound(m: mp.MapSpec, alpha: float, trials: int, seed: int
         lhs, rhs = _inverse_errorbound_sides(m, alpha, s, x)
         if math.isinf(rhs):
             continue
-        atol = _scale_tol(tol, m.space_x, x, rhs)
+        atol = _scale_tol(tol, x, rhs)
         if lhs > rhs + atol:
             record = tuple(np.append(s.center, s.radius)) if isinstance(s, Ball) else None
             violations.append(Violation(t, tuple(x), r, record, lhs - rhs, "violation"))
     return Certificate(
         property="inverse-errorbound", trials=trials, violations=violations, seed=seed,
         tolerances={"tol": tol},
-        parameters={"alpha": alpha, "map": mp.map_to_json(m)},
+        parameters={"alpha": alpha, "map": map_to_json(m)},
     )
 
 
@@ -506,7 +506,7 @@ def check_inverse_hausdorff(m: mp.MapSpec, alpha: float, trials: int, seed: int,
         t_b = (float(outer_radius(m.space_y, b_set, m.y0)) - m.b) / m.a
         h_inv = abs(max(0.0, t_a) - max(0.0, t_b))
         h_sets = float(hausdorff(m.space_y, a_set, b_set))
-        atol = _scale_tol(tol, m.space_y, c1, h_sets)
+        atol = _scale_tol(tol, c1, h_sets)
         if h_inv > h_sets / alpha + atol:
             violations.append(Violation(t, tuple(np.append(c1, r1)), float(r2),
                                         tuple(np.append(c2, r2)),
@@ -514,7 +514,7 @@ def check_inverse_hausdorff(m: mp.MapSpec, alpha: float, trials: int, seed: int,
     return Certificate(
         property="inverse-hausdorff", trials=trials, violations=violations, seed=seed,
         tolerances={"tol": tol},
-        parameters={"alpha": alpha, "map": mp.map_to_json(m)},
+        parameters={"alpha": alpha, "map": map_to_json(m)},
     )
 
 
@@ -559,5 +559,5 @@ def check_exc_semicontinuity(phi: mp.MapSpec, psi: mp.MapSpec, x0,
         property="excess-lower-semicontinuity", trials=n_sequences,
         violations=violations, seed=seed,
         tolerances={"tol": tol, "modulus": modulus},
-        parameters={"x0": x0.tolist(), "phi": mp.map_to_json(phi), "psi": mp.map_to_json(psi)},
+        parameters={"x0": x0.tolist(), "phi": map_to_json(phi), "psi": map_to_json(psi)},
     )

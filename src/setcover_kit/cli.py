@@ -105,10 +105,6 @@ def _run_single(args) -> int:
 _DEMO_ORDER = ["t1", "t1_penalty", "sphere_scale_covering", "sphere_scale_set_covering",
                "sublinear", "process", "sfix", "family"]
 
-_DEMO_EXPECTED_CODES = {name: EXIT_OK for name in _DEMO_ORDER}
-# the sphere-scale set-covering run is expected to falsify; its instance says so
-# via "expect", which maps the falsification to exit 0
-
 
 def _run_demo(args) -> int:
     instances = builtin_instances()
@@ -117,7 +113,8 @@ def _run_demo(args) -> int:
     for name in _DEMO_ORDER:
         decoded = decode_instance(instances[name])
         code, result = run_instance(decoded, seed=args.seed, tol=args.tol)
-        ok = code == _DEMO_EXPECTED_CODES[name]
+        # an instance expected to falsify says so via "expect", which maps that to exit 0
+        ok = code == EXIT_OK
         all_ok = all_ok and ok
         results[name] = {"exit_code": code, "as_expected": ok, "result": result}
         print(f"[{'ok' if ok else 'FAIL'}] {name}")

@@ -26,6 +26,7 @@ from typing import Iterator
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+BOX_CORNER_CAP = 256  # largest corner count a box's exact excess enumerates
 
 __all__ = [
     "DEFAULT_TOL",
@@ -55,8 +56,6 @@ __all__ = [
     "translate_set",
     "sample",
     "sample_enlargement",
-    "set_to_json",
-    "set_from_json",
     "rng_for",
 ]
 
@@ -224,11 +223,24 @@ class Box(SetRep):
             raise ValueError("box requires lo <= hi componentwise")
         object.__setattr__(self, "dim", self.lo.shape[0])
 
-    def corners(self, cap: int = 256) -> np.ndarray:
+    def corners(self, cap: int = BOX_CORNER_CAP) -> np.ndarray:
         n = self.lo.shape[0]
         if 2**n > cap:
             raise ValueError(f"box has 2^{n} corners, above cap {cap}")
-        masks = np.array(np.meshgrid(*[[0, 1]] * n)).T.reshape(-1, n)
+        return self.first_corners(2**n)
+
+    def first_corners(self, k: int) -> np.ndarray:
+        """The first min(k, 2^dim) corners in corners() order, building no others.
+
+        Row r takes hi in coordinate i when bit b_i of r is set, where
+        b = (1, 0, 2, 3, ...): the order of meshgrid's "xy" indexing.
+        """
+        n = self.lo.shape[0]
+        bits = np.arange(n)
+        if n >= 2:
+            bits[:2] = (1, 0)
+        rows = np.arange(min(k, 2**n))[:, None]
+        masks = (rows >> np.minimum(bits, 62)) & 1  # rows < 2^62: higher bits are 0
         return np.where(masks == 0, self.lo, self.hi).astype(float)
 
 
@@ -563,7 +575,7 @@ def _dist_region(space: NormedSpace, y: np.ndarray, s: SublevelRegion,
         val = _lp_dist_max_norm_region(rows, y)
         if val is not None:
             return Distance(val)
-    z, _ = _dykstra_halfspaces(rows, y, max_sweeps)
+    z = _dykstra_halfspaces(rows, y, max_sweeps)
     d2_upper = float(np.linalg.norm(z - y))
     if space.norm == "euclidean":
         # converged Dykstra iterates are near-exact; the single-halfspace
@@ -603,7 +615,7 @@ def _lp_dist_max_norm_region(rows, y: np.ndarray) -> float | None:
 
 
 def _dykstra_halfspaces(rows, y: np.ndarray, max_sweeps: int):
-    """Nearest point of a halfspace intersection (Dykstra); returns (point, feasible)."""
+    """Nearest point of a halfspace intersection (Dykstra)."""
     m = len(rows)
     a_mat = np.array([a for a, _ in rows], dtype=float)
     b_vec = np.array([b for _, b in rows], dtype=float)
@@ -630,7 +642,7 @@ def _dykstra_halfspaces(rows, y: np.ndarray, max_sweeps: int):
             break
         i = int(np.argmax(viols))
         z = z - (viols[i] / sq[i]) * a_mat[i]
-    return z, True
+    return z
 
 
 def _box_radius(space: NormedSpace, lo: np.ndarray, hi: np.ndarray, p: np.ndarray) -> float:
@@ -693,9 +705,12 @@ def excess(space: NormedSpace, a: SetRep, b: SetRep,
 
     if isinstance(a, PointCloud):
         return _max_distance(space, a.points, b)
-    if isinstance(a, (VPolytope, Box)) and is_convex(b):
-        pts = a.vertices if isinstance(a, VPolytope) else a.corners()
-        return _max_distance(space, pts, b)  # dist(., convex) is convex: vertex max is exact
+    # dist(., convex) is convex: its vertex max is exact; boxes above the corner
+    # cap fall through to the sampled supremum
+    if isinstance(a, VPolytope) and is_convex(b):
+        return _max_distance(space, a.vertices, b)
+    if isinstance(a, Box) and is_convex(b) and 2**a.dim <= BOX_CORNER_CAP:
+        return _max_distance(space, a.corners(), b)
     if isinstance(a, (Ball, Sphere)):
         if isinstance(b, Ball):
             return Distance(max(0.0, space.dist(a.center, b.center) + a.radius - b.radius))
@@ -873,7 +888,7 @@ def sample(space: NormedSpace, s: SetRep, n: int, seed: int,
             pts.append(s.center + s.radius * space.unit(g))
         return np.array(pts[:n])
     if isinstance(s, Box):
-        pts = [c for c in s.corners(cap=1024)[: min(n, 64)]]
+        pts = list(s.first_corners(min(n, 64)))
         while len(pts) < n:
             pts.append(rng.uniform(s.lo, s.hi))
         return np.array(pts[:n])
@@ -953,7 +968,7 @@ def _sample_region(space: NormedSpace, s: SublevelRegion, n: int,
     while len(pts) < n:
         # thin region: project box samples onto it instead of rejecting forever
         cand = rng.uniform(lo, hi)
-        z, _ = _dykstra_halfspaces(rows, cand, 500)
+        z = _dykstra_halfspaces(rows, cand, 500)
         if all(float(a @ z) <= b + 1e-9 * max(1.0, abs(b)) for a, b in rows):
             pts.append(z)
         else:
@@ -984,51 +999,3 @@ def sample_enlargement(space: NormedSpace, s: SetRep, rho: float, n: int, seed: 
         t = 1.0 if i % 2 == 0 else float(rng.uniform())
         out.append(p + rho * t * space.unit(g))
     return np.array(out)
-
-
-# ---------------------------------------------------------------------------
-# JSON round trip
-
-
-def set_to_json(s: SetRep) -> dict:
-    if isinstance(s, Ball):
-        return {"kind": "ball", "center": s.center.tolist(), "radius": s.radius}
-    if isinstance(s, Sphere):
-        return {"kind": "sphere", "center": s.center.tolist(), "radius": s.radius}
-    if isinstance(s, Box):
-        return {"kind": "box", "lo": s.lo.tolist(), "hi": s.hi.tolist()}
-    if isinstance(s, VPolytope):
-        return {"kind": "v_polytope", "vertices": s.vertices.tolist()}
-    if isinstance(s, PointCloud):
-        return {"kind": "point_cloud", "points": s.points.tolist()}
-    if isinstance(s, SublevelRegion):
-        return {"kind": "sublevel_region",
-                "groups": [{"a": g.a.tolist(), "b": g.b} for g in s.groups]}
-    if isinstance(s, Orthant):
-        return {"kind": "orthant", "apex": s.apex.tolist()}
-    if isinstance(s, EnlargedSet):
-        return {"kind": "enlarged", "base": set_to_json(s.base), "margin": s.margin}
-    raise TypeError(f"unknown set representation {type(s).__name__}")
-
-
-def set_from_json(d: dict) -> SetRep:
-    kind = d.get("kind")
-    if kind == "ball":
-        return Ball(np.array(d["center"], dtype=float), float(d["radius"]))
-    if kind == "sphere":
-        return Sphere(np.array(d["center"], dtype=float), float(d["radius"]))
-    if kind == "box":
-        return Box(np.array(d["lo"], dtype=float), np.array(d["hi"], dtype=float))
-    if kind == "v_polytope":
-        return VPolytope(np.array(d["vertices"], dtype=float))
-    if kind == "point_cloud":
-        return PointCloud(np.array(d["points"], dtype=float))
-    if kind == "sublevel_region":
-        groups = tuple(FormGroup(np.array(g["a"], dtype=float), float(g["b"]))
-                       for g in d["groups"])
-        return SublevelRegion(groups)
-    if kind == "orthant":
-        return Orthant(np.array(d["apex"], dtype=float))
-    if kind == "enlarged":
-        return EnlargedSet(set_from_json(d["base"]), float(d["margin"]))
-    raise ValueError(f"unknown set kind {kind!r}")

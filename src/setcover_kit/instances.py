@@ -25,6 +25,7 @@ from .certify import (
     check_set_covering,
     interior_radius,
 )
+from .codec import InstanceError, Kind, Table, _check_keys, _integer, _number, _vector, decode
 from .geometry import NormedSpace
 from .solver import InclusionInstance, solve_inclusion, strongly_fixed
 
@@ -48,180 +49,15 @@ __all__ = [
 ]
 
 
-class InstanceError(ValueError):
-    """Schema violation with the offending JSON path."""
-
-    def __init__(self, path: str, reason: str):
-        self.path = path
-        self.reason = reason
-        super().__init__(f"{path}: {reason}")
-
-
-# ---------------------------------------------------------------------------
-# strict decoding helpers
-
-
-def _check_keys(obj: dict, path: str, required: tuple, optional: tuple = ()):
-    if not isinstance(obj, dict):
-        raise InstanceError(path, f"expected an object, got {type(obj).__name__}")
-    for key in obj:
-        if key not in required and key not in optional:
-            raise InstanceError(f"{path}.{key}", "unknown field")
-    for key in required:
-        if key not in obj:
-            raise InstanceError(path, f"missing required field {key!r}")
-
-
-def _number(obj, path: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise InstanceError(path, "expected a number")
-    return float(obj)
-
-
-def _integer(obj, path: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise InstanceError(path, "expected an integer")
-    return obj
-
-
-def _vector(obj, path: str) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise InstanceError(path, "expected a nonempty array of numbers")
-    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(obj)])
-
-
-def _matrix(obj, path: str) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise InstanceError(path, "expected a nonempty array of rows")
-    rows = [_vector(r, f"{path}[{i}]") for i, r in enumerate(obj)]
-    widths = {r.shape[0] for r in rows}
-    if len(widths) != 1:
-        raise InstanceError(path, "rows have inconsistent lengths")
-    return np.array(rows)
-
-
-def _space(obj, path: str) -> NormedSpace:
-    _check_keys(obj, path, ("dim",), ("norm", "p"))
-    try:
-        return NormedSpace(_integer(obj["dim"], f"{path}.dim"),
-                           obj.get("norm", "euclidean"), obj.get("p"))
-    except ValueError as exc:
-        raise InstanceError(path, str(exc)) from exc
-
-
-_MAP_FIELDS = {
-    "dilation": (("kind", "y0", "a"), ("b", "anchor", "space_x", "space_y")),
-    "sphere_scale": (("kind",), ()),
-    "unit_ball_translate": (("kind",), ("dim",)),
-    "sublinear_system": (("kind", "groups"), ("space_y",)),
-    "epigraphical": (("kind", "matrix"), ()),
-    "polyhedral_process": (("kind", "cx", "cy"), ()),
-    "sum": (("kind", "base", "g"), ()),
-    "composed": (("kind", "g", "base"), ()),
-    "ball_valued": (("kind", "center", "c0", "space_x", "space_y"), ("c1", "xhat")),
-}
-
-_FN_FIELDS = {
-    "affine": (("kind", "matrix", "offset"), ()),
-    "scaled_norm_radial": (("kind", "scale", "direction"), ()),
-}
-
-
-def _catalog_fn(obj, path: str) -> mp.CatalogFn:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise InstanceError(path, "expected a catalog function object with a 'kind' tag")
-    kind = obj["kind"]
-    if kind not in _FN_FIELDS:
-        raise InstanceError(f"{path}.kind", f"unknown catalog function kind {kind!r}")
-    _check_keys(obj, path, *_FN_FIELDS[kind])
-    if kind == "affine":
-        return mp.Affine(_matrix(obj["matrix"], f"{path}.matrix"),
-                         _vector(obj["offset"], f"{path}.offset"))
-    return mp.ScaledNormRadial(_number(obj["scale"], f"{path}.scale"),
-                               _vector(obj["direction"], f"{path}.direction"))
-
-
-def _map_spec(obj, path: str) -> mp.MapSpec:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise InstanceError(path, "expected a map object with a 'kind' tag")
-    kind = obj["kind"]
-    if kind not in _MAP_FIELDS:
-        raise InstanceError(f"{path}.kind", f"unknown map kind {kind!r}")
-    _check_keys(obj, path, *_MAP_FIELDS[kind])
-    try:
-        if kind == "dilation":
-            return mp.Dilation(
-                _vector(obj["y0"], f"{path}.y0"),
-                _number(obj["a"], f"{path}.a"),
-                _number(obj.get("b", 0.0), f"{path}.b"),
-                _vector(obj["anchor"], f"{path}.anchor") if "anchor" in obj else None,
-                space_x=_space(obj["space_x"], f"{path}.space_x") if "space_x" in obj else None,
-                space_y=_space(obj["space_y"], f"{path}.space_y") if "space_y" in obj else None)
-        if kind == "sphere_scale":
-            return mp.SphereScale()
-        if kind == "unit_ball_translate":
-            return mp.UnitBallTranslate(_integer(obj.get("dim", 1), f"{path}.dim"))
-        if kind == "sublinear_system":
-            groups = obj["groups"]
-            if not isinstance(groups, list) or not groups:
-                raise InstanceError(f"{path}.groups", "expected a nonempty array of matrices")
-            return mp.SublinearSystem(
-                tuple(_matrix(g, f"{path}.groups[{i}]") for i, g in enumerate(groups)),
-                space_y=_space(obj["space_y"], f"{path}.space_y") if "space_y" in obj else None)
-        if kind == "epigraphical":
-            return mp.Epigraphical(_matrix(obj["matrix"], f"{path}.matrix"))
-        if kind == "polyhedral_process":
-            return mp.PolyhedralProcess(_matrix(obj["cx"], f"{path}.cx"),
-                                        _matrix(obj["cy"], f"{path}.cy"))
-        if kind == "sum":
-            return mp.Sum(_map_spec(obj["base"], f"{path}.base"),
-                          _catalog_fn(obj["g"], f"{path}.g"))
-        if kind == "composed":
-            return mp.Composed(_catalog_fn(obj["g"], f"{path}.g"),
-                               _map_spec(obj["base"], f"{path}.base"))
-        return mp.BallValued(
-            _catalog_fn(obj["center"], f"{path}.center"),
-            _number(obj["c0"], f"{path}.c0"),
-            _number(obj.get("c1", 0.0), f"{path}.c1"),
-            _vector(obj["xhat"], f"{path}.xhat") if "xhat" in obj else None,
-            space_x=_space(obj["space_x"], f"{path}.space_x"),
-            space_y=_space(obj["space_y"], f"{path}.space_y"))
-    except InstanceError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise InstanceError(path, str(exc)) from exc
-
-
-_OBJECTIVE_FIELDS = {
-    "norm_to_point": (("kind", "target"), ()),
-    "linear": (("kind", "c"), ()),
-    "abs_coord": (("kind", "i"), ()),
-    "weighted_sum": (("kind", "terms"), ()),
-}
-
-
-def _objective(obj, path: str) -> pen.ObjectiveSpec:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise InstanceError(path, "expected an objective object with a 'kind' tag")
-    kind = obj["kind"]
-    if kind not in _OBJECTIVE_FIELDS:
-        raise InstanceError(f"{path}.kind", f"unknown objective kind {kind!r}")
-    _check_keys(obj, path, *_OBJECTIVE_FIELDS[kind])
-    if kind == "norm_to_point":
-        return pen.NormToPoint(_vector(obj["target"], f"{path}.target"))
-    if kind == "linear":
-        return pen.Linear(_vector(obj["c"], f"{path}.c"))
-    if kind == "abs_coord":
-        return pen.AbsCoord(_integer(obj["i"], f"{path}.i"))
-    terms = obj["terms"]
-    if not isinstance(terms, list) or not terms:
-        raise InstanceError(f"{path}.terms", "expected a nonempty array")
-    out = []
-    for i, term in enumerate(terms):
-        _check_keys(term, f"{path}.terms[{i}]", ("weight", "objective"))
-        out.append((_number(term["weight"], f"{path}.terms[{i}].weight"),
-                    _objective(term["objective"], f"{path}.terms[{i}].objective")))
-    return pen.WeightedSum(tuple(out))
+# the objective rows live here, not in the codec: penalty imports certify,
+# which imports the codec
+Table("objective", "objective",
+      Kind("norm_to_point", pen.NormToPoint, ("target", "vector")),
+      Kind("linear", pen.Linear, ("c", "vector")),
+      Kind("abs_coord", pen.AbsCoord, ("i", "integer")),
+      Kind("weighted_sum", pen.WeightedSum,
+           ("terms", [Kind(None, lambda weight, objective: (weight, objective),
+                           ("weight", "number"), ("objective", "objective"))])))
 
 
 _KIND_BLOCKS = {
@@ -258,10 +94,9 @@ def decode_instance(data: Any, path: str = "$") -> dict:
 
     maps = data.get("maps", {})
     _check_keys(maps, f"{path}.maps", (), ("psi", "phi"))
-    if "psi" in maps:
-        out["psi"] = _map_spec(maps["psi"], f"{path}.maps.psi")
-    if "phi" in maps:
-        out["phi"] = _map_spec(maps["phi"], f"{path}.maps.phi")
+    for name in ("psi", "phi"):
+        if name in maps:
+            out[name] = decode("map", maps[name], f"{path}.maps.{name}")
 
     if kind == "certify":
         blk = data["certify"]
@@ -317,7 +152,7 @@ def decode_instance(data: Any, path: str = "$") -> dict:
                       "radius": _number(vb["radius"], f"{path}.penalty.verify.radius"),
                       "grid_n": _integer(vb["grid_n"], f"{path}.penalty.verify.grid_n")}
         out["penalty"] = {
-            "objective": _objective(blk["objective"], f"{path}.penalty.objective"),
+            "objective": decode("objective", blk["objective"], f"{path}.penalty.objective"),
             "x0": _vector(blk["x0"], f"{path}.penalty.x0"),
             "l": _number(blk["l"], f"{path}.penalty.l") if "l" in blk else None,
             "threshold_factor": _number(blk["threshold_factor"],
@@ -347,11 +182,11 @@ def decode_instance(data: Any, path: str = "$") -> dict:
             raise InstanceError(f"{path}.family.kind",
                                 f"unknown family kind {blk['kind']!r}")
         out["family"] = {
-            "psi": _map_spec(blk["psi"], f"{path}.family.psi"),
+            "psi": decode("map", blk["psi"], f"{path}.family.psi"),
             "c1": _number(blk["c1"], f"{path}.family.c1"),
             "p_bar": _vector(blk["p_bar"], f"{path}.family.p_bar"),
             "x_bar": _vector(blk["x_bar"], f"{path}.family.x_bar"),
-            "objective": _objective(blk["objective"], f"{path}.family.objective"),
+            "objective": decode("objective", blk["objective"], f"{path}.family.objective"),
             "radii": [_number(r, f"{path}.family.radii[{i}]")
                       for i, r in enumerate(blk.get("radii", [0.25, 0.5]))],
         }
@@ -437,7 +272,7 @@ def _run_penalty(decoded: dict, seed: int, tol: float) -> tuple[int, dict]:
     thresh = pen.threshold(l_phi, inst.alpha_used, inst.beta)
     l_val = blk["l"] if blk["l"] is not None else blk["threshold_factor"] * thresh
     prob = pen.PenaltyProblem(blk["objective"], inst, l_val)
-    result = pen.minimize_penalty(prob, blk["x0"], seed=seed)
+    result = pen.minimize_penalty(prob, blk["x0"])
     out = {"kind": "penalty", "l": l_val, "threshold": thresh,
            "minimizer": result.to_jsonable(), "seed": seed}
     code = EXIT_OK

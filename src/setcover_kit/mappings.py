@@ -73,8 +73,6 @@ __all__ = [
     "LipschitzEstimate",
     "empirical_lipschitz",
     "order_metric_gamma",
-    "map_to_json",
-    "map_from_json",
 ]
 
 
@@ -196,8 +194,13 @@ class MapSpec:
     space_y: NormedSpace
 
 
-def _default_space(dim: int, norm: str = "euclidean", p=None) -> NormedSpace:
-    return NormedSpace(dim, norm, p)
+def _space_of(space: NormedSpace | None, dim: int) -> NormedSpace:
+    """space, checked to be of dimension dim; euclidean R^dim when None."""
+    if space is None:
+        return NormedSpace(dim)
+    if space.dim != dim:
+        raise DimensionMismatchError(f"expected a space of dim {dim}, got dim {space.dim}")
+    return space
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,8 +222,8 @@ class Dilation(MapSpec):
             raise ValueError("dilation rate a must be > 0")
         if self.b < 0:
             raise ValueError("base radius b must be >= 0")
-        object.__setattr__(self, "space_x", self.space_x or _default_space(self.anchor.shape[0]))
-        object.__setattr__(self, "space_y", self.space_y or _default_space(self.y0.shape[0]))
+        object.__setattr__(self, "space_x", _space_of(self.space_x, self.anchor.shape[0]))
+        object.__setattr__(self, "space_y", _space_of(self.space_y, self.y0.shape[0]))
 
     def radius_at(self, x) -> float:
         return self.a * self.space_x.dist(x, self.anchor) + self.b
@@ -234,8 +237,8 @@ class SphereScale(MapSpec):
     space_y: NormedSpace = None
 
     def __post_init__(self):
-        object.__setattr__(self, "space_x", self.space_x or _default_space(1))
-        object.__setattr__(self, "space_y", self.space_y or _default_space(2))
+        object.__setattr__(self, "space_x", _space_of(self.space_x, 1))
+        object.__setattr__(self, "space_y", _space_of(self.space_y, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,8 +250,8 @@ class UnitBallTranslate(MapSpec):
     space_y: NormedSpace = None
 
     def __post_init__(self):
-        object.__setattr__(self, "space_x", self.space_x or _default_space(self.dim))
-        object.__setattr__(self, "space_y", self.space_y or _default_space(self.dim))
+        object.__setattr__(self, "space_x", _space_of(self.space_x, self.dim))
+        object.__setattr__(self, "space_y", _space_of(self.space_y, self.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,7 +274,7 @@ class SublinearSystem(MapSpec):
         dims = {g.shape[1] for g in groups}
         if len(dims) != 1:
             raise DimensionMismatchError("all sublinear forms must share the range dimension")
-        object.__setattr__(self, "space_y", self.space_y or _default_space(dims.pop()))
+        object.__setattr__(self, "space_y", _space_of(self.space_y, dims.pop()))
         object.__setattr__(self, "space_x", NormedSpace(len(groups), "max"))
 
     def dual_norm_max(self) -> float:
@@ -317,8 +320,8 @@ class PolyhedralProcess(MapSpec):
             raise DimensionMismatchError("Cx and Cy must have the same row count")
         _freeze(self, "cx", cx)
         _freeze(self, "cy", cy)
-        object.__setattr__(self, "space_x", self.space_x or _default_space(cx.shape[1]))
-        object.__setattr__(self, "space_y", self.space_y or _default_space(cy.shape[1]))
+        object.__setattr__(self, "space_x", _space_of(self.space_x, cx.shape[1]))
+        object.__setattr__(self, "space_y", _space_of(self.space_y, cy.shape[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,8 +351,7 @@ class Composed(MapSpec):
         if not isinstance(self.g, Affine):
             raise TypeError("composition requires an affine outer map")
         object.__setattr__(self, "space_x", self.base.space_x)
-        object.__setattr__(self, "space_z",
-                           self.space_z or _default_space(self.g.matrix.shape[0]))
+        object.__setattr__(self, "space_z", _space_of(self.space_z, self.g.matrix.shape[0]))
         object.__setattr__(self, "space_y", self.space_z)
 
     @property
@@ -723,92 +725,3 @@ def empirical_lipschitz(m: MapSpec, box: tuple, n_pairs: int = 64,
         e = excess(m.space_y, eval_map(m, x1), eval_map(m, x2))
         best = max(best, float(e) / d)
     return LipschitzEstimate(value=best, n_pairs=n_pairs, seed=seed, box_lo=lo, box_hi=hi)
-
-
-# ---------------------------------------------------------------------------
-# JSON round trip
-
-
-def space_to_json(s: NormedSpace) -> dict:
-    d = {"dim": s.dim, "norm": s.norm}
-    if s.p is not None:
-        d["p"] = s.p
-    return d
-
-
-def space_from_json(d: dict) -> NormedSpace:
-    return NormedSpace(int(d["dim"]), d.get("norm", "euclidean"), d.get("p"))
-
-
-def fn_to_json(f: CatalogFn) -> dict:
-    if isinstance(f, Affine):
-        return {"kind": "affine", "matrix": f.matrix.tolist(), "offset": f.offset.tolist()}
-    if isinstance(f, ScaledNormRadial):
-        return {"kind": "scaled_norm_radial", "scale": f.scale, "direction": f.direction.tolist()}
-    raise TypeError(f"unknown catalog function {type(f).__name__}")
-
-
-def fn_from_json(d: dict) -> CatalogFn:
-    kind = d.get("kind")
-    if kind == "affine":
-        return Affine(np.array(d["matrix"], dtype=float), np.array(d["offset"], dtype=float))
-    if kind == "scaled_norm_radial":
-        return ScaledNormRadial(float(d["scale"]), np.array(d["direction"], dtype=float))
-    raise ValueError(f"unknown catalog function kind {kind!r}")
-
-
-def map_to_json(m: MapSpec) -> dict:
-    if isinstance(m, Dilation):
-        return {"kind": "dilation", "y0": m.y0.tolist(), "a": m.a, "b": m.b,
-                "anchor": m.anchor.tolist(),
-                "space_x": space_to_json(m.space_x), "space_y": space_to_json(m.space_y)}
-    if isinstance(m, SphereScale):
-        return {"kind": "sphere_scale"}
-    if isinstance(m, UnitBallTranslate):
-        return {"kind": "unit_ball_translate", "dim": m.dim}
-    if isinstance(m, SublinearSystem):
-        return {"kind": "sublinear_system", "groups": [g.tolist() for g in m.groups],
-                "space_y": space_to_json(m.space_y)}
-    if isinstance(m, Epigraphical):
-        return {"kind": "epigraphical", "matrix": m.matrix.tolist()}
-    if isinstance(m, PolyhedralProcess):
-        return {"kind": "polyhedral_process", "cx": m.cx.tolist(), "cy": m.cy.tolist()}
-    if isinstance(m, Sum):
-        return {"kind": "sum", "base": map_to_json(m.base), "g": fn_to_json(m.g)}
-    if isinstance(m, Composed):
-        return {"kind": "composed", "g": fn_to_json(m.g), "base": map_to_json(m.base)}
-    if isinstance(m, BallValued):
-        return {"kind": "ball_valued", "center": fn_to_json(m.center),
-                "c0": m.c0, "c1": m.c1, "xhat": m.xhat.tolist(),
-                "space_x": space_to_json(m.space_x), "space_y": space_to_json(m.space_y)}
-    raise TypeError(f"unknown map variant {type(m).__name__}")
-
-
-def map_from_json(d: dict) -> MapSpec:
-    kind = d.get("kind")
-    if kind == "dilation":
-        return Dilation(np.array(d["y0"], dtype=float), float(d["a"]), float(d.get("b", 0.0)),
-                        np.array(d["anchor"], dtype=float),
-                        space_x=space_from_json(d["space_x"]) if "space_x" in d else None,
-                        space_y=space_from_json(d["space_y"]) if "space_y" in d else None)
-    if kind == "sphere_scale":
-        return SphereScale()
-    if kind == "unit_ball_translate":
-        return UnitBallTranslate(int(d.get("dim", 1)))
-    if kind == "sublinear_system":
-        return SublinearSystem(tuple(np.array(g, dtype=float) for g in d["groups"]),
-                               space_y=space_from_json(d["space_y"]) if "space_y" in d else None)
-    if kind == "epigraphical":
-        return Epigraphical(np.array(d["matrix"], dtype=float))
-    if kind == "polyhedral_process":
-        return PolyhedralProcess(np.array(d["cx"], dtype=float), np.array(d["cy"], dtype=float))
-    if kind == "sum":
-        return Sum(map_from_json(d["base"]), fn_from_json(d["g"]))
-    if kind == "composed":
-        return Composed(fn_from_json(d["g"]), map_from_json(d["base"]))
-    if kind == "ball_valued":
-        return BallValued(fn_from_json(d["center"]), float(d["c0"]), float(d.get("c1", 0.0)),
-                          np.array(d["xhat"], dtype=float) if "xhat" in d else None,
-                          space_x=space_from_json(d["space_x"]),
-                          space_y=space_from_json(d["space_y"]))
-    raise ValueError(f"unknown map kind {kind!r}")

@@ -48,8 +48,6 @@ __all__ = [
     "calmness_diagnostic",
     "SemiregularityEstimate",
     "semiregularity_estimate",
-    "objective_to_json",
-    "objective_from_json",
 ]
 
 
@@ -176,13 +174,13 @@ class MinimizeResult:
                 "trace": self.trace.to_jsonable()}
 
 
-def minimize_penalty(prob: PenaltyProblem, x0, seed: int = 0,
+def minimize_penalty(prob: PenaltyProblem, x0,
                      initial_step: float = 1.0, step_floor: float = 1e-7,
                      max_evals: int = 200_000) -> MinimizeResult:
     """Coordinate pattern search on the penalty functional.
 
     Hyperparameters (start step 1.0, halving, floor 1e-7) are fixed and
-    recorded in the trace; the run is deterministic given (x0, seed).
+    recorded in the trace; the run is deterministic given x0.
     """
     if prob.space.dim > 6:
         raise ValueError("pattern-search minimization is desk scale: dim <= 6")
@@ -196,11 +194,11 @@ def minimize_penalty(prob: PenaltyProblem, x0, seed: int = 0,
 def _multi_start(prob: PenaltyProblem, x0, n_starts: int, seed: int,
                  spread: float = 3.0) -> list[MinimizeResult]:
     x0 = prob.space.check_point(x0)
-    results = [minimize_penalty(prob, x0, seed=seed)]
+    results = [minimize_penalty(prob, x0)]
     for k in range(1, n_starts):
         rng = rng_for(seed, k)
         start = x0 + rng.uniform(-spread, spread, size=prob.space.dim)
-        results.append(minimize_penalty(prob, start, seed=seed))
+        results.append(minimize_penalty(prob, start))
     # schedule-independent selection
     results.sort(key=lambda res: (res.value, tuple(res.x)))
     return results
@@ -547,35 +545,3 @@ def _inverse_param_distance(fam: ParamFamily, x, p_radius: float,
         else:
             inner = mid
     return abs(outer - p_bar)
-
-
-# ---------------------------------------------------------------------------
-# JSON round trip for objectives
-
-
-def objective_to_json(obj: ObjectiveSpec) -> dict:
-    if isinstance(obj, NormToPoint):
-        return {"kind": "norm_to_point", "target": obj.target.tolist()}
-    if isinstance(obj, Linear):
-        return {"kind": "linear", "c": obj.c.tolist()}
-    if isinstance(obj, AbsCoord):
-        return {"kind": "abs_coord", "i": obj.i}
-    if isinstance(obj, WeightedSum):
-        return {"kind": "weighted_sum",
-                "terms": [{"weight": w, "objective": objective_to_json(o)}
-                          for w, o in obj.terms]}
-    raise TypeError(f"unknown objective {type(obj).__name__}")
-
-
-def objective_from_json(d: dict) -> ObjectiveSpec:
-    kind = d.get("kind")
-    if kind == "norm_to_point":
-        return NormToPoint(np.array(d["target"], dtype=float))
-    if kind == "linear":
-        return Linear(np.array(d["c"], dtype=float))
-    if kind == "abs_coord":
-        return AbsCoord(int(d["i"]))
-    if kind == "weighted_sum":
-        return WeightedSum(tuple((float(t["weight"]), objective_from_json(t["objective"]))
-                                 for t in d["terms"]))
-    raise ValueError(f"unknown objective kind {kind!r}")

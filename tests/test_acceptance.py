@@ -79,7 +79,7 @@ def criterion_3():
     inst = make_t1_instance()
     thr = sk.threshold(1.0, 0.99, 0.5)
     prob_high = sk.PenaltyProblem(sk.AbsCoord(0), inst, 2.143)
-    res = sk.minimize_penalty(prob_high, [0.0], seed=0)
+    res = sk.minimize_penalty(prob_high, [0.0])
     cert_high = sk.verify_exactness(prob_high, [2.0], radius=1.0, grid_n=101)
     prob_low = sk.PenaltyProblem(sk.AbsCoord(0), inst, 1.0)
     cert_low = sk.verify_exactness(prob_low, [2.0], radius=2.5, grid_n=101)

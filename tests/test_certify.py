@@ -207,8 +207,7 @@ class TestTrialDistribution:
     def test_radii_span_micro_and_macro(self):
         from setcover_kit.certify import _draw_trial
 
-        m = sk.SphereScale()
-        rs = [_draw_trial(m, 0, t, (-np.ones(1), np.ones(1)), (1e-3, 1e2))[1]
+        rs = [_draw_trial(0, t, (-np.ones(1), np.ones(1)), (1e-3, 1e2))[1]
               for t in range(400)]
         assert min(rs) < 1e-2 and max(rs) > 1e1
 

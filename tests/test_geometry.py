@@ -1,5 +1,6 @@
 """Geometry layer: distances, excess, Hausdorff, enlargement, sampling."""
 
+import dataclasses
 import json
 import math
 
@@ -432,6 +433,16 @@ class TestMisc:
         assert float(outer_radius(sp, box, np.zeros(d))) == pytest.approx(math.sqrt(d))
 
     def test_json_round_trip_all_kinds(self):
+        def same(a, b):
+            if isinstance(a, np.ndarray):
+                return a.shape == b.shape and np.array_equal(a, b)
+            if isinstance(a, tuple):
+                return len(a) == len(b) and all(map(same, a, b))
+            if dataclasses.is_dataclass(a):
+                return type(a) is type(b) and all(same(getattr(a, f.name), getattr(b, f.name))
+                                                  for f in dataclasses.fields(a))
+            return a == b
+
         reps = [
             sk.Ball(np.array([math.pi, -1 / 3]), 0.1 + 1e-13),
             sk.Sphere(np.array([0.0, 2.0]), 1.7),
@@ -446,6 +457,27 @@ class TestMisc:
             blob = json.dumps(sk.set_to_json(s))
             back = sk.set_from_json(json.loads(blob))
             assert json.dumps(sk.set_to_json(back)) == blob  # full-precision round trip
+            assert same(back, s)
+        with pytest.raises(sk.InstanceError) as err:
+            sk.set_from_json({"kind": "enlarged", "margin": 0.5,
+                              "base": {"kind": "ball", "center": [0.0, "x"], "radius": 1.0}})
+        assert err.value.path == "$.base.center[1]"
+        with pytest.raises(sk.InstanceError) as err:
+            sk.set_from_json({"kind": "ball", "center": [0.0], "radius": -1.0})
+        assert err.value.path == "$"
+
+    def test_box_above_corner_cap(self):
+        # excess of a 9-d box goes to the sampled supremum, flagged approximate
+        e = sk.excess(sk.NormedSpace(9), sk.Box(-np.ones(9), np.ones(9)), sk.Ball(np.zeros(9), 1.0))
+        assert e.approximate and float(e) == pytest.approx(2.0)
+        pts = sk.sample(sk.NormedSpace(11), sk.Box(-np.ones(11), np.ones(11)), 8, seed=0)
+        assert pts.shape == (8, 11) and np.all(np.abs(pts) == 1.0)
+        assert len({tuple(p) for p in pts}) == 8
+        for d in range(1, 11):  # samples below the old cap are unchanged
+            box = sk.Box(-np.arange(1.0, d + 1), np.arange(2.0, d + 2))
+            n = min(2**d, 64)
+            assert np.array_equal(sk.sample(sk.NormedSpace(d), box, n, seed=0),
+                                  box.corners(cap=1024)[:n])
 
     def test_box_invariant(self):
         with pytest.raises(ValueError):

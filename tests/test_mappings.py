@@ -1,5 +1,6 @@
 """Mapping catalog: evaluation, constants, witnesses, Lipschitz rules."""
 
+import copy
 import json
 import math
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 import setcover_kit as sk
+from setcover_kit import InstanceError, map_from_json, map_to_json
 from setcover_kit.geometry import rng_for
-from setcover_kit.mappings import map_from_json, map_to_json
+from setcover_kit.instances import builtin_instances, decode_instance
 
 EU1 = sk.NormedSpace(1)
 EU2 = sk.NormedSpace(2)
@@ -342,6 +344,44 @@ class TestMappingInvariants:
 # ---------------------------------------------------------------------------
 # serialization
 
+NORMS = {"euclidean": {}, "max": {"norm": "max"}, "p3": {"norm": "p", "p": 3.0}}
+
+
+def _dilation(space):
+    return sk.Dilation(y0=np.array([1.0, 0.5]), a=1.0, anchor=np.zeros(1),
+                       space_x=space(1), space_y=space(2))
+
+
+# every map variant whose spaces are settable, given a space factory dim -> space
+SETTABLE_SPACE_VARIANTS = {
+    "dilation": _dilation,
+    "sphere_scale": lambda space: sk.SphereScale(space_x=space(1), space_y=space(2)),
+    "unit_ball_translate": lambda space: sk.UnitBallTranslate(2, space(2), space(2)),
+    "sublinear": lambda space: sk.SublinearSystem(sublinear_abs2().groups, space_y=space(2)),
+    "process": lambda space: sk.PolyhedralProcess(cx=[[1.0], [1.0]],
+                                                  cy=[[-1.0, 0.0], [0.0, -1.0]],
+                                                  space_x=space(1), space_y=space(2)),
+    "sum": lambda space: sk.Sum(_dilation(space), sk.Affine(np.zeros((2, 1)), np.ones(2))),
+    "composed": lambda space: sk.Composed(composed_fixture().g, _dilation(space),
+                                          space_z=space(2)),
+    "ball_valued": lambda space: sk.BallValued(sk.Affine(np.zeros((2, 1)), np.zeros(2)),
+                                               c0=1.0, c1=0.5, space_x=space(1),
+                                               space_y=space(2)),
+}
+
+
+def spaces_of(m, prefix=""):
+    """(dim, norm, p) of every space of m and of the maps it is built from."""
+    out = {}
+    for attr in ("space_x", "space_y", "space_z"):
+        s = getattr(m, attr, None)
+        if s is not None:
+            out[prefix + attr] = (s.dim, s.norm, s.p)
+    if hasattr(m, "base"):
+        out.update(spaces_of(m.base, prefix + "base."))
+    return out
+
+
 
 class TestMapJson:
     @pytest.mark.parametrize("name", sorted(WITNESS_VARIANTS))
@@ -358,3 +398,31 @@ class TestMapJson:
             blob = json.dumps(map_to_json(m), sort_keys=True)
             back = map_from_json(json.loads(blob))
             assert json.dumps(map_to_json(back), sort_keys=True) == blob
+
+    @pytest.mark.parametrize("norm", sorted(NORMS))
+    @pytest.mark.parametrize("name", sorted(SETTABLE_SPACE_VARIANTS))
+    def test_round_trip_keeps_spaces(self, name, norm):
+        m = SETTABLE_SPACE_VARIANTS[name](lambda dim: sk.NormedSpace(dim, **NORMS[norm]))
+        back = map_from_json(json.loads(json.dumps(map_to_json(m))))
+        assert type(back) is type(m)
+        assert spaces_of(back) == spaces_of(m)
+
+    def test_strict_paths(self):
+        data = copy.deepcopy(builtin_instances()["process"])
+        data["maps"]["psi"]["space_y"] = {"dim": 2, "norm": "max"}
+        assert decode_instance(data)["psi"].space_y.norm == "max"
+        data["maps"]["psi"]["space_y"]["norm"] = "taxicab"
+        with pytest.raises(InstanceError) as err:
+            decode_instance(data)
+        assert err.value.path == "$.maps.psi.space_y"
+        data["maps"]["psi"]["space_y"] = {"dim": 3}
+        with pytest.raises(InstanceError) as err:
+            decode_instance(data)
+        assert err.value.path == "$.maps.psi"
+        with pytest.raises(InstanceError) as err:
+            map_from_json({"kind": "sum", "base": {"kind": "sphere_scale", "bogus": 1},
+                           "g": {"kind": "affine", "matrix": [[1.0]], "offset": [0.0]}})
+        assert err.value.path == "$.base.bogus"
+        with pytest.raises(InstanceError) as err:
+            map_from_json({"kind": "teleport"})
+        assert err.value.path == "$.kind"

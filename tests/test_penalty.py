@@ -75,12 +75,12 @@ class TestPenaltyValue:
 
 class TestMinimize:
     def test_above_threshold_finds_boundary(self, t1_problem):
-        res = sk.minimize_penalty(t1_problem(2.143), [0.0], seed=0)
+        res = sk.minimize_penalty(t1_problem(2.143), [0.0])
         assert abs(abs(res.x[0]) - 2.0) <= 1e-4
         assert res.value == pytest.approx(2.0, abs=1e-4)
 
     def test_below_threshold_stays_at_origin(self, t1_problem):
-        res = sk.minimize_penalty(t1_problem(1.0), [0.0], seed=0)
+        res = sk.minimize_penalty(t1_problem(1.0), [0.0])
         assert abs(res.x[0]) <= 1e-6
         assert res.value == pytest.approx(1.0, abs=1e-6)
 
@@ -88,20 +88,20 @@ class TestMinimize:
         # objective centered inside the feasible region: penalty never binds
         inst = make_t1_instance()
         prob = sk.PenaltyProblem(sk.NormToPoint(np.array([3.0])), inst, 0.0)
-        res0 = sk.minimize_penalty(prob, [2.5], seed=0)
+        res0 = sk.minimize_penalty(prob, [2.5])
         for l in (0.0, 1.0, 10.0):
             res = sk.minimize_penalty(sk.PenaltyProblem(prob.objective, inst, l),
-                                      [2.5], seed=0)
+                                      [2.5])
             assert res.value == pytest.approx(res0.value, abs=1e-9)
 
     def test_deterministic_bit_identical_traces(self, t1_problem):
-        a = sk.minimize_penalty(t1_problem(2.143), [0.3], seed=1)
-        b = sk.minimize_penalty(t1_problem(2.143), [0.3], seed=1)
+        a = sk.minimize_penalty(t1_problem(2.143), [0.3])
+        b = sk.minimize_penalty(t1_problem(2.143), [0.3])
         assert json.dumps(a.to_jsonable()) == json.dumps(b.to_jsonable())
         assert a.trace.initial_step == 1.0 and a.trace.step_floor == 1e-7
 
     def test_budget_exhausted_returns_best_so_far(self, t1_problem):
-        res = sk.minimize_penalty(t1_problem(2.143), [0.0], seed=0, max_evals=7)
+        res = sk.minimize_penalty(t1_problem(2.143), [0.0], max_evals=7)
         assert res.trace.budget_exhausted
         assert res.value <= sk.penalty_value(t1_problem(2.143), [0.0])
 
