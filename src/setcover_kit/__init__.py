@@ -14,6 +14,7 @@ from .geometry import (
     Box,
     DimensionMismatchError,
     Distance,
+    Distances,
     EnlargedSet,
     FormGroup,
     NormedSpace,
@@ -27,6 +28,7 @@ from .geometry import (
     boundedness,
     contains_point,
     dist_point,
+    dists,
     enlarge,
     excess,
     hausdorff,

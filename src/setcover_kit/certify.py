@@ -30,6 +30,7 @@ from .geometry import (
     _freeze,
     _memo,
     dist_point,
+    dists,
     excess,
     hausdorff,
     outer_radius,
@@ -276,15 +277,12 @@ def check_set_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
         targets = sample_enlargement(m.space_y, image, alpha * r, n_inclusion,
                                      seed=_sub_seed(seed, t, 4))
         atol = _scale_tol(tol, x, alpha * r)
-        worst_y, worst_m = None, 0.0
-        for y in targets:
-            d = dist_point(m.space_y, y, image_u)
-            margin = float(d) - d.error
-            if margin > worst_m:
-                worst_m, worst_y = margin, y
-        if worst_y is not None and worst_m > atol:
-            violations.append(Violation(t, tuple(x), r, tuple(worst_y), worst_m,
-                                        "violation", tuple(u)))
+        d = dists(m.space_y, targets, image_u)
+        margins = d.value - d.error
+        worst = int(np.argmax(margins))
+        if margins[worst] > max(atol, 0.0):
+            violations.append(Violation(t, tuple(x), r, tuple(targets[worst]),
+                                        float(margins[worst]), "violation", tuple(u)))
     return Certificate(
         property="set-covering", trials=trials, violations=violations, seed=seed,
         tolerances={"tol": tol},

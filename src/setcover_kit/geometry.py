@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "DimensionMismatchError",
     "SamplingBudgetError",
     "Distance",
+    "Distances",
     "NormedSpace",
     "SetRep",
     "Ball",
@@ -49,6 +50,7 @@ __all__ = [
     "is_convex",
     "contains_point",
     "dist_point",
+    "dists",
     "outer_radius",
     "excess",
     "hausdorff",
@@ -127,13 +129,26 @@ class NormedSpace:
             raise DimensionMismatchError(f"expected point of dim {self.dim}, got shape {y.shape}")
         return y
 
-    def norm_of(self, v) -> float:
-        v = np.asarray(v, dtype=float)
+    def norms(self, v) -> np.ndarray:
+        """Norms along the last axis: one per row of an (n, dim) array.
+
+        Each equals np.linalg.norm, max|.| or sum(|.|**p)**(1/p) of its row
+        bit for bit: vecdot runs the BLAS dot np.linalg.norm runs on one
+        row (a square-and-sum rounds differently), and the p-th root is
+        taken on Python floats, as numpy's array power may differ from the
+        scalar one in the last bit.
+        """
+        v = np.ascontiguousarray(v, dtype=float)  # strided BLAS dots may round differently
         if self.norm == "euclidean":
-            return float(np.linalg.norm(v))
+            return np.sqrt(np.vecdot(v, v))
         if self.norm == "max":
-            return float(np.max(np.abs(v))) if v.size else 0.0
-        return float(np.sum(np.abs(v) ** self.p) ** (1.0 / self.p))
+            return np.abs(v).max(axis=-1, initial=0.0)
+        # object dtype: each root is a Python float power
+        return np.asarray((np.abs(v) ** self.p).sum(axis=-1).astype(object) ** (1.0 / self.p),
+                          dtype=float)
+
+    def norm_of(self, v) -> float:
+        return float(self.norms(v))
 
     def dist(self, x, y) -> float:
         return self.norm_of(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
@@ -151,14 +166,13 @@ class NormedSpace:
         return float(np.sum(np.abs(v) ** q) ** (1.0 / q))
 
     def unit(self, v) -> np.ndarray:
-        """v scaled to norm 1; first basis vector when v = 0."""
+        """v scaled to norm 1 along the last axis; a zero vector becomes the first basis vector."""
         v = np.asarray(v, dtype=float)
-        n = self.norm_of(v)
-        if n == 0.0:
-            e = np.zeros(self.dim)
-            e[0] = 1.0
-            return e
-        return v / n
+        n = self.norms(v)[..., None]
+        if np.count_nonzero(n) == n.size:  # no zero vector: skip the masking
+            return v / n
+        zero = n == 0.0
+        return np.where(zero, np.eye(1, self.dim)[0], v / np.where(zero, 1.0, n))
 
 
 def _freeze(obj, name: str, value: np.ndarray) -> None:
@@ -363,9 +377,9 @@ def boundedness(space: NormedSpace, s: SetRep) -> BoundednessFlag:
     if isinstance(s, Box):
         return BoundednessFlag(True, _box_radius(space, s.lo, s.hi, origin))
     if isinstance(s, VPolytope):
-        return BoundednessFlag(True, max(space.norm_of(v) for v in s.vertices))
+        return BoundednessFlag(True, float(space.norms(s.vertices).max()))
     if isinstance(s, PointCloud):
-        return BoundednessFlag(True, max(space.norm_of(p) for p in s.points))
+        return BoundednessFlag(True, float(space.norms(s.points).max()))
     if isinstance(s, EnlargedSet):
         inner = boundedness(space, s.base)
         if inner.bounded:
@@ -417,7 +431,7 @@ def contains_point(space: NormedSpace, s: SetRep, y, tol: float = DEFAULT_TOL) -
                 return False
         return True
     if isinstance(s, PointCloud):
-        return any(space.dist(y, p) <= tol for p in s.points)
+        return bool((space.norms(s.points - y) <= tol).any())
     if isinstance(s, EnlargedSet):
         d = dist_point(space, y, s.base)
         return d <= s.margin + tol * max(1.0, s.margin) + d.error
@@ -427,40 +441,84 @@ def contains_point(space: NormedSpace, s: SetRep, y, tol: float = DEFAULT_TOL) -
     raise TypeError(f"unknown set representation {type(s).__name__}")
 
 
-def dist_point(space: NormedSpace, y, s: SetRep) -> Distance:
-    """Distance from a point to a set under the space norm.
+class Distances(NamedTuple):
+    """Distances of the rows of an (n, dim) point set to one set.
 
-    Closed forms: balls, spheres, boxes, orthants, finite point sets,
-    enlargements of any of these.  Polytopes and halfspace intersections
-    use budgeted convex projection; those results carry an error bracket
-    and are flagged approximate when the bracket exceeds the default
-    tolerance.
+    value[i], error[i], approximate[i] and note[i] are the fields
+    dist_point reports for row i; row(i) builds that Distance.
     """
+
+    value: np.ndarray
+    error: np.ndarray
+    approximate: np.ndarray
+    note: tuple[str, ...]
+
+    def row(self, i: int) -> Distance:
+        return Distance(float(self.value[i]), approximate=bool(self.approximate[i]),
+                        error=float(self.error[i]), note=self.note[i])
+
+
+def dist_point(space: NormedSpace, y, s: SetRep) -> Distance:
+    """Distance from a point to a set under the space norm: one row of dists."""
     y = space.check_point(y)
+    _check_set(space, s)
+    return _dists(space, y[None], s).row(0)
+
+
+def dists(space: NormedSpace, ys, s: SetRep) -> Distances:
+    """Distances from each row of an (n, dim) array to a set, in one call.
+
+    Row i is dist_point(space, ys[i], s) bit for bit.  Closed forms (balls,
+    spheres, boxes, orthants, finite point sets, enlargements of any of
+    these) are computed for all rows at once.  Polytopes and halfspace
+    intersections run a budgeted convex projection per row; those rows
+    carry an error bracket and are flagged approximate when the bracket
+    exceeds the default tolerance.
+    """
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 2 or ys.shape[1] != space.dim:
+        raise DimensionMismatchError(
+            f"expected an (n, {space.dim}) point array, got shape {ys.shape}")
+    _check_set(space, s)
+    return _dists(space, ys, s)
+
+
+def _check_set(space: NormedSpace, s: SetRep) -> None:
     if s.dim != space.dim:
         raise DimensionMismatchError(f"set lives in dim {s.dim}, space is dim {space.dim}")
 
+
+def _exact(value: np.ndarray) -> Distances:
+    n = value.shape[0]
+    return Distances(value, np.zeros(n), np.zeros(n, dtype=bool), ("",) * n)
+
+
+def _dists(space: NormedSpace, ys: np.ndarray, s: SetRep) -> Distances:
+    # np.fmax(v, 0.0) is max(0.0, v) elementwise, NaN included
     if isinstance(s, Ball):
-        return Distance(max(0.0, space.dist(y, s.center) - s.radius))
+        return _exact(np.fmax(space.norms(ys - s.center) - s.radius, 0.0))
     if isinstance(s, Sphere):
-        return Distance(abs(space.dist(y, s.center) - s.radius))
+        return _exact(np.abs(space.norms(ys - s.center) - s.radius))
     if isinstance(s, Box):
-        resid = np.clip(y, s.lo, s.hi) - y
-        return Distance(space.norm_of(resid))
+        return _exact(space.norms(np.clip(ys, s.lo, s.hi) - ys))
     if isinstance(s, Orthant):
-        resid = np.maximum(0.0, s.apex - y)
-        return Distance(space.norm_of(resid))
+        return _exact(space.norms(np.maximum(0.0, s.apex - ys)))
     if isinstance(s, PointCloud):
-        return Distance(min(space.dist(y, p) for p in s.points))
+        return _exact(space.norms(ys[:, None, :] - s.points).min(axis=1))
     if isinstance(s, EnlargedSet):
-        inner = dist_point(space, y, s.base)
-        val = max(0.0, float(inner) - s.margin)
-        return Distance(val, approximate=inner.approximate, error=inner.error, note=inner.note)
+        inner = _dists(space, ys, s.base)
+        return inner._replace(value=np.fmax(inner.value - s.margin, 0.0))
     if isinstance(s, VPolytope):
-        return _dist_polytope(space, y, s)
-    if isinstance(s, SublevelRegion):
-        return _dist_region(space, y, s)
-    raise TypeError(f"unknown set representation {type(s).__name__}")
+        rule = _dist_polytope
+    elif isinstance(s, SublevelRegion):
+        rule = _dist_region
+    else:
+        raise TypeError(f"unknown set representation {type(s).__name__}")
+    rows = [rule(space, y, s) for y in ys]
+    return Distances(np.array([float(d) for d in rows]),
+                     np.array([d.error for d in rows], dtype=float),
+                     np.array([d.approximate for d in rows], dtype=bool),
+                     tuple(d.note for d in rows))
 
 
 def _project_simplex(w: np.ndarray) -> np.ndarray:
@@ -528,7 +586,7 @@ def _dist_polytope(space: NormedSpace, y: np.ndarray, s: VPolytope) -> Distance:
         if val is not None:
             return Distance(val)
     # other p-norms: bracket from the euclidean solve plus candidate points
-    upper = min(space.norm_of(point - y), min(space.norm_of(v - y) for v in s.vertices))
+    upper = min(space.norm_of(point - y), float(space.norms(s.vertices - y).min()))
     d2_lower = max(0.0, d2 - err2)
     n = space.dim
     if space.norm == "max":
@@ -666,9 +724,9 @@ def outer_radius(space: NormedSpace, s: SetRep, p) -> Distance:
     if isinstance(s, Box):
         return Distance(_box_radius(space, s.lo, s.hi, p))
     if isinstance(s, VPolytope):
-        return Distance(max(space.dist(v, p) for v in s.vertices))
+        return Distance(float(space.norms(s.vertices - p).max()))
     if isinstance(s, PointCloud):
-        return Distance(max(space.dist(q, p) for q in s.points))
+        return Distance(float(space.norms(s.points - p).max()))
     if isinstance(s, EnlargedSet):
         inner = outer_radius(space, s.base, p)
         return Distance(float(inner) + s.margin, approximate=inner.approximate, error=inner.error)
@@ -748,29 +806,18 @@ def excess(space: NormedSpace, a: SetRep, b: SetRep,
 
 
 def _max_distance(space: NormedSpace, pts: np.ndarray, b: SetRep) -> Distance:
-    best = Distance(0.0)
-    worst_err = 0.0
-    approx = False
-    val = 0.0
-    for p in pts:
-        d = dist_point(space, p, b)
-        if float(d) > val:
-            val = float(d)
-            best = d
-        worst_err = max(worst_err, d.error)
-        approx = approx or d.approximate
-    return Distance(val, approximate=approx, error=worst_err, note=best.note)
+    d = dists(space, pts, b)
+    i = int(np.argmax(d.value))
+    far = d.value[i] > 0.0
+    return Distance(float(d.value[i]) if far else 0.0, approximate=bool(d.approximate.any()),
+                    error=float(d.error.max(initial=0.0)), note=d.note[i] if far else "")
 
 
 def _sampled_excess(space: NormedSpace, a: SetRep, b: SetRep,
                     n_samples: int, seed: int) -> Distance:
-    pts = sample(space, a, n_samples, seed)
-    val = 0.0
-    err = 0.0
-    for p in pts:
-        d = dist_point(space, p, b)
-        val = max(val, float(d))
-        err = max(err, d.error)
+    d = dists(space, sample(space, a, n_samples, seed), b)
+    val = float(d.value.max(initial=0.0))
+    err = float(d.error.max(initial=0.0))
     flag = boundedness(space, a)
     spread = (flag.radius_hint or 1.0)
     density_err = 4.0 * spread / max(1, n_samples) ** (1.0 / max(1, space.dim))
@@ -883,9 +930,9 @@ def sample(space: NormedSpace, s: SetRep, n: int, seed: int,
         return _sample_ball(space, s.center, s.radius, n, rng)
     if isinstance(s, Sphere):
         pts = _axis_points(space, s.center, s.radius)
-        while len(pts) < n:
-            g = rng.standard_normal(space.dim)
-            pts.append(s.center + s.radius * space.unit(g))
+        if len(pts) < n:
+            dirs = rng.standard_normal((n - len(pts), space.dim))
+            pts.extend(s.center + s.radius * space.unit(dirs))
         return np.array(pts[:n])
     if isinstance(s, Box):
         pts = list(s.first_corners(min(n, 64)))
@@ -912,12 +959,11 @@ def sample(space: NormedSpace, s: SetRep, n: int, seed: int,
         return _sample_region(space, s, n, rng, box)
     if isinstance(s, EnlargedSet):
         base_pts = sample(space, s.base, n, seed, box=box)
-        out = []
-        for i, p in enumerate(base_pts):
-            t = 1.0 if i % 2 == 0 else rng.uniform()
-            g = rng.standard_normal(space.dim)
-            out.append(p + s.margin * t * space.unit(g))
-        return np.array(out)
+        depth, dirs = [], []
+        for i in range(len(base_pts)):
+            depth.append(1.0 if i % 2 == 0 else rng.uniform())
+            dirs.append(rng.standard_normal(space.dim))
+        return base_pts + (s.margin * np.array(depth))[:, None] * space.unit(dirs)
     raise TypeError(f"unknown set representation {type(s).__name__}")
 
 
@@ -934,12 +980,13 @@ def _axis_points(space: NormedSpace, center: np.ndarray, radius: float) -> list:
 def _sample_ball(space: NormedSpace, center: np.ndarray, radius: float,
                  n: int, rng: np.random.Generator) -> np.ndarray:
     pts = [center.copy()] + _axis_points(space, center, radius)
-    budget = 200 * n + 1000
+    budget = 200 * n + 1000  # candidates
     while len(pts) < n and budget > 0:
-        cand = rng.uniform(-radius, radius, size=space.dim)
-        budget -= 1
-        if space.norm_of(cand) <= radius:
-            pts.append(center + cand)
+        # one chunk draws the candidates one-at-a-time draws would; they are taken in order
+        k = min(budget, 2 * (n - len(pts)) + 16)
+        cand = rng.uniform(-radius, radius, size=(k, space.dim))
+        budget -= k
+        pts.extend(center + cand[space.norms(cand) <= radius][:n - len(pts)])
     if len(pts) < n:
         raise SamplingBudgetError("rejection budget exhausted sampling a ball")
     return np.array(pts[:n])
@@ -967,13 +1014,17 @@ def _sample_region(space: NormedSpace, s: SublevelRegion, n: int,
             pts.append(cand)
     while len(pts) < n:
         # thin region: project box samples onto it instead of rejecting forever
-        cand = rng.uniform(lo, hi)
-        z = _dykstra_halfspaces(rows, cand, 500)
-        if all(float(a @ z) <= b + 1e-9 * max(1.0, abs(b)) for a, b in rows):
-            pts.append(z)
-        else:
+        z = _dykstra_halfspaces(rows, rng.uniform(lo, hi), 500)
+        if not all(float(a @ z) <= b + 1e-9 * max(1.0, abs(b)) for a, b in rows):
+            break
+        pts.append(z)
+    if len(pts) < n:
+        # the projection ends outside; the LP argpoints are members, and so are
+        # their convex combinations
+        if len(argpoints) == 0:
             raise SamplingBudgetError(
                 "could not produce region samples; supply an explicit bounding box")
+        pts.extend(rng.dirichlet(np.ones(len(argpoints)), size=n - len(pts)) @ argpoints)
     return np.array(pts[:n])
 
 
@@ -987,15 +1038,11 @@ def sample_enlargement(space: NormedSpace, s: SetRep, rho: float, n: int, seed: 
     inclusion test), mixed with random directions and depths.
     """
     base_pts = sample(space, s, n, seed, box=box)
-    centroid = np.mean(base_pts, axis=0)
+    outward = base_pts - np.mean(base_pts, axis=0)
+    pushed = (np.arange(len(base_pts)) % 4 != 3) & (space.norms(outward) > 1e-12)
     rng = rng_for(seed, 1)
-    out = []
-    for i, p in enumerate(base_pts):
-        outward = p - centroid
-        if i % 4 != 3 and space.norm_of(outward) > 1e-12:
-            out.append(p + rho * space.unit(outward))
-            continue
-        g = rng.standard_normal(space.dim)
-        t = 1.0 if i % 2 == 0 else float(rng.uniform())
-        out.append(p + rho * t * space.unit(g))
-    return np.array(out)
+    depth, dirs = np.ones(len(base_pts)), outward.copy()
+    for i in np.flatnonzero(~pushed):
+        dirs[i] = rng.standard_normal(space.dim)
+        depth[i] = 1.0 if i % 2 == 0 else rng.uniform()
+    return base_pts + (rho * depth)[:, None] * space.unit(dirs)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import setcover_kit as sk
-from setcover_kit.certify import recheck_violation
+from setcover_kit.certify import R_RANGE_DEFAULT, _default_box, _draw_trial, recheck_violation
 
 EU1 = sk.NormedSpace(1)
 EU2 = sk.NormedSpace(2)
@@ -58,6 +58,22 @@ class TestCoveringSplit:
         alpha = 0.99 * sk.alpha_of(m).alpha
         cert = sk.check_set_covering(m, alpha=alpha, trials=60, seed=4)
         assert not cert.falsified
+
+    def test_sublinear_thin_image_in_six_dimensions(self):
+        # trial 3's image is thin: projections of box samples end outside it, and the
+        # remaining samples come from convex combinations of its LP extreme points
+        d = 6
+        rng = np.random.default_rng(100)
+        groups = tuple(np.vstack([np.eye(d)[i], -np.eye(d)[i]]) + 0.3 * rng.standard_normal((2, d))
+                       for i in range(d))
+        m = sk.SublinearSystem(groups)
+        cert = sk.check_set_covering(m, 0.99 * sk.alpha_of(m).alpha, trials=4, seed=0)
+        assert cert.verdict == "no-counterexample-found"
+        x, _, _ = _draw_trial(0, 3, _default_box(d), R_RANGE_DEFAULT)
+        image = sk.eval_map(m, x)
+        pts = sk.sample(m.space_y, image, 64, seed=0)
+        assert pts.shape == (64, d)
+        assert all(sk.contains_point(m.space_y, image, p, tol=1e-6) for p in pts)
 
     def test_epigraphical_set_covering(self):
         m = sk.Epigraphical(np.array([[1.0, 0.5], [0.0, 1.0]]))

@@ -80,6 +80,26 @@ class TestEval:
         img = sk.eval_map(m, [1.0, 2.0])
         assert isinstance(img, sk.Orthant) and np.allclose(img.apex, [1.0, 2.0])
 
+    def test_fixed_max_norm_spaces_refuse_others(self):
+        mat, groups = np.eye(2), (np.array([[1.0], [-1.0]]),)
+        for bad in (sk.NormedSpace(2), sk.NormedSpace(2, "p", 3.0), sk.NormedSpace(3, "max")):
+            with pytest.raises(ValueError):
+                sk.Epigraphical(mat, space_x=bad)
+            with pytest.raises(ValueError):
+                sk.Epigraphical(mat, space_y=bad)
+        for bad in (sk.NormedSpace(1), sk.NormedSpace(1, "p", 3.0), sk.NormedSpace(2, "max")):
+            with pytest.raises(ValueError):
+                sk.SublinearSystem(groups, space_x=bad)
+        epi = sk.Epigraphical(mat, space_x=sk.NormedSpace(2, "max"),
+                              space_y=sk.NormedSpace(2, "max"))
+        sub = sk.SublinearSystem(groups, space_x=sk.NormedSpace(1, "max"),
+                                 space_y=sk.NormedSpace(1, "p", 3.0))
+        defaults = (sk.Epigraphical(mat).space_x, sk.SublinearSystem(groups).space_x)
+        for space, dim in ((epi.space_x, 2), (epi.space_y, 2), (sub.space_x, 1),
+                           (defaults[0], 2), (defaults[1], 1)):
+            assert (space.dim, space.norm) == (dim, "max")
+        assert sub.space_y.norm == "p"
+
     def test_sum_translates(self):
         m = sum_fixture()
         img = sk.eval_map(m, [4.0, 0.0])
