@@ -21,12 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
 BOX_CORNER_CAP = 256  # largest corner count a box's exact excess enumerates
+# a one-element 0.0 operand: numpy converts a Python float operand on every
+# call, which costs more than the arithmetic on a few rows
+_ZERO = np.zeros(1)
+_ZERO.setflags(write=False)
 
 __all__ = [
     "DEFAULT_TOL",
@@ -153,17 +157,25 @@ class NormedSpace:
     def dist(self, x, y) -> float:
         return self.norm_of(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
 
+    def dual_norms(self, v) -> np.ndarray:
+        """Norms of linear forms (the dual norm) along the last axis, one per row.
+
+        The dual of the max norm is the 1-norm, that of the p-norm the
+        q-norm with 1/p + 1/q = 1; rows are computed as in norms.
+        """
+        v = np.ascontiguousarray(v, dtype=float)
+        if self.norm == "euclidean":
+            return np.sqrt(np.vecdot(v, v))
+        if self.norm == "max":
+            return np.abs(v).sum(axis=-1)
+        if self.p == 1.0:
+            return np.abs(v).max(axis=-1, initial=0.0)
+        q = self.p / (self.p - 1.0)
+        return np.asarray((np.abs(v) ** q).sum(axis=-1).astype(object) ** (1.0 / q), dtype=float)
+
     def dual_norm_of(self, v) -> float:
         """Norm of a linear form, i.e. the dual norm of the space norm."""
-        v = np.asarray(v, dtype=float)
-        if self.norm == "euclidean":
-            return float(np.linalg.norm(v))
-        if self.norm == "max":
-            return float(np.sum(np.abs(v)))
-        if self.p == 1.0:
-            return float(np.max(np.abs(v))) if v.size else 0.0
-        q = self.p / (self.p - 1.0)
-        return float(np.sum(np.abs(v) ** q) ** (1.0 / q))
+        return float(self.dual_norms(v))
 
     def unit(self, v) -> np.ndarray:
         """v scaled to norm 1 along the last axis; a zero vector becomes the first basis vector."""
@@ -316,10 +328,18 @@ class SublevelRegion(SetRep):
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "dim", dims.pop())
 
-    def halfspaces(self) -> Iterator[tuple[np.ndarray, float]]:
-        for g in self.groups:
-            for row in g.a:
-                yield row, g.b
+    def forms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every form row stacked as (A, b), so that the region is {y : A y <= b}.
+
+        Built on first use and kept on the region; both arrays are read-only.
+        """
+        def stack():
+            a = np.concatenate([g.a for g in self.groups])
+            b = np.array([g.b for g in self.groups for _ in range(g.a.shape[0])], dtype=float)
+            a.setflags(write=False)
+            b.setflags(write=False)
+            return a, b
+        return _memo(self, "_forms", stack)
 
     def extent(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Coordinate bounds (lo, hi) and the extreme points attaining them.
@@ -329,9 +349,7 @@ class SublevelRegion(SetRep):
         def solve():
             from ._lp import coordinate_extent
 
-            rows = list(self.halfspaces())
-            return coordinate_extent(np.array([a for a, _ in rows], dtype=float),
-                                     np.array([b for _, b in rows], dtype=float))
+            return coordinate_extent(*self.forms())
         return _memo(self, "_extent", solve)
 
 
@@ -425,11 +443,9 @@ def contains_point(space: NormedSpace, s: SetRep, y, tol: float = DEFAULT_TOL) -
         scale = 1.0 + float(np.max(np.abs(s.apex)))
         return bool(np.all(y >= s.apex - tol * scale))
     if isinstance(s, SublevelRegion):
-        for a, b in s.halfspaces():
-            val = float(a @ y)
-            if val > b + tol * max(1.0, abs(val), abs(b)):
-                return False
-        return True
+        a, b = s.forms()
+        val = np.vecdot(a, y)
+        return not (val > b + tol * np.maximum(np.maximum(1.0, np.abs(val)), np.abs(b))).any()
     if isinstance(s, PointCloud):
         return bool((space.norms(s.points - y) <= tol).any())
     if isinstance(s, EnlargedSet):
@@ -454,8 +470,8 @@ class Distances(NamedTuple):
     note: tuple[str, ...]
 
     def row(self, i: int) -> Distance:
-        return Distance(float(self.value[i]), approximate=bool(self.approximate[i]),
-                        error=float(self.error[i]), note=self.note[i])
+        return Distance(self.value.item(i), self.approximate.item(i), self.error.item(i),
+                        self.note[i])
 
 
 def dist_point(space: NormedSpace, y, s: SetRep) -> Distance:
@@ -496,7 +512,7 @@ def _exact(value: np.ndarray) -> Distances:
 def _dists(space: NormedSpace, ys: np.ndarray, s: SetRep) -> Distances:
     # np.fmax(v, 0.0) is max(0.0, v) elementwise, NaN included
     if isinstance(s, Ball):
-        return _exact(np.fmax(space.norms(ys - s.center) - s.radius, 0.0))
+        return _exact(np.fmax(space.norms(ys - s.center) - s.radius, _ZERO))
     if isinstance(s, Sphere):
         return _exact(np.abs(space.norms(ys - s.center) - s.radius))
     if isinstance(s, Box):
@@ -507,14 +523,12 @@ def _dists(space: NormedSpace, ys: np.ndarray, s: SetRep) -> Distances:
         return _exact(space.norms(ys[:, None, :] - s.points).min(axis=1))
     if isinstance(s, EnlargedSet):
         inner = _dists(space, ys, s.base)
-        return inner._replace(value=np.fmax(inner.value - s.margin, 0.0))
-    if isinstance(s, VPolytope):
-        rule = _dist_polytope
-    elif isinstance(s, SublevelRegion):
-        rule = _dist_region
-    else:
+        return inner._replace(value=np.fmax(inner.value - s.margin, _ZERO))
+    if isinstance(s, SublevelRegion):
+        return _dists_region(space, ys, s)
+    if not isinstance(s, VPolytope):
         raise TypeError(f"unknown set representation {type(s).__name__}")
-    rows = [rule(space, y, s) for y in ys]
+    rows = [_dist_polytope(space, y, s) for y in ys]
     return Distances(np.array([float(d) for d in rows]),
                      np.array([d.error for d in rows], dtype=float),
                      np.array([d.approximate for d in rows], dtype=bool),
@@ -621,47 +635,79 @@ def _lp_dist_max_norm_polytope(vertices: np.ndarray, y: np.ndarray) -> float | N
     return None if res is None else float(res.fun)
 
 
-def _dist_region(space: NormedSpace, y: np.ndarray, s: SublevelRegion,
-                 max_sweeps: int = 2000) -> Distance:
-    rows = list(s.halfspaces())
-    viol = [float(a @ y) - b for a, b in rows]
-    if all(v <= 0.0 for v in viol):
-        return Distance(0.0)
+def _positive(v: np.ndarray) -> np.ndarray:
+    """max(0.0, v) elementwise as Python computes it: v where v > 0, else +0.0 (NaN too).
+
+    fmax drops NaN, and adding +0.0 turns a -0.0 into +0.0 and keeps any other value.
+    """
+    return np.fmax(v, _ZERO) + _ZERO
+
+
+def _bound_divisors(space: NormedSpace, a: np.ndarray) -> np.ndarray:
+    """Dual norms of the form rows, a zero row's taken as inf.
+
+    A zero form is never violated (b >= 0, as the region is nonempty), so
+    its single-halfspace bound max(0, -b) / inf adds the term 0.
+    """
+    dual = space.dual_norms(a)
+    dual[dual == 0.0] = math.inf
+    return dual
+
+
+def _dists_region(space: NormedSpace, ys: np.ndarray, s: SublevelRegion,
+                  max_sweeps: int = 2000) -> Distances:
+    a, b = s.forms()
+    n = ys.shape[0]
+    value, error, approx = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+    note = [""] * n
+    viol = np.vecdot(ys[:, None, :], a) - b  # (n, rows) of a.y - b, each a one-row dot
+    out = np.nonzero(~np.logical_and.reduce(viol <= _ZERO, axis=1))[0]
+    if out.size == 0:
+        return Distances(value, error, approx, tuple(note))
+    y_out = ys
+    if out.size < n:  # the rows outside; with none inside, that is every row as it is
+        viol, y_out = viol[out], ys[out]
     # single-halfspace distances give an exact lower bound under any norm
-    lower_any = max(max(0.0, v) / space.dual_norm_of(a) for (a, _), v in zip(rows, viol))
+    lower = np.maximum.reduce(_positive(viol) / _memo(
+        s, f"_dual_norms_{space.norm}_{space.p}", lambda: _bound_divisors(space, a)), axis=1)
     if space.norm == "max":
-        val = _lp_dist_max_norm_region(rows, y)
-        if val is not None:
-            return Distance(val)
-    z = _dykstra_halfspaces(rows, y, max_sweeps)
-    d2_upper = float(np.linalg.norm(z - y))
+        lp = [_lp_dist_max_norm_region(a, b, ys[i]) for i in out]
+        solved = np.array([v is not None for v in lp], dtype=bool)
+        value[out[solved]] = [v for v in lp if v is not None]
+        out, lower, y_out = out[~solved], lower[~solved], y_out[~solved]
+        if out.size == 0:
+            return Distances(value, error, approx, tuple(note))
+    gap = _dykstra(a, b, y_out, max_sweeps) - y_out
     if space.norm == "euclidean":
         # converged Dykstra iterates are near-exact; the single-halfspace
         # lower bound keeps the reported bracket honest regardless
-        err = max(0.0, d2_upper - lower_any)
-        approx = err > 1e-7 * max(1.0, d2_upper)
-        return Distance(d2_upper, approximate=approx, error=err,
-                        note="halfspace projection bracket" if approx else "")
-    upper = space.norm_of(z - y)
-    lower = lower_any
-    err = max(0.0, upper - lower)
-    return Distance(upper, approximate=True, error=err,
-                    note="region distance under this norm is a bracketed estimate")
+        d2_upper = np.sqrt(np.vecdot(gap, gap))  # np.linalg.norm of each row
+        err = _positive(d2_upper - lower)
+        flag = err > 1e-7 * np.fmax(d2_upper, 1.0)
+        value[out], error[out], approx[out] = d2_upper, err, flag
+        for i in out[flag]:
+            note[i] = "halfspace projection bracket"
+    else:
+        upper = space.norms(gap)
+        value[out], error[out], approx[out] = upper, _positive(upper - lower), True
+        for i in out:
+            note[i] = "region distance under this norm is a bracketed estimate"
+    return Distances(value, error, approx, tuple(note))
 
 
-def _lp_dist_max_norm_region(rows, y: np.ndarray) -> float | None:
+def _lp_dist_max_norm_region(a_mat: np.ndarray, b_vec: np.ndarray,
+                             y: np.ndarray) -> float | None:
     from ._lp import solve_lp
 
     n = y.shape[0]
-    m = len(rows)
+    m = a_mat.shape[0]
     # variables (z, t): min t  s.t.  a_k z <= b_k,  |z - y| <= t
     c = np.zeros(n + 1)
     c[-1] = 1.0
     a_ub = np.zeros((m + 2 * n, n + 1))
     b_ub = np.zeros(m + 2 * n)
-    for i, (a, b) in enumerate(rows):
-        a_ub[i, :n] = a
-        b_ub[i] = b
+    a_ub[:m, :n] = a_mat
+    b_ub[:m] = b_vec
     a_ub[m:m + n, :n] = np.eye(n)
     a_ub[m:m + n, -1] = -1.0
     b_ub[m:m + n] = y
@@ -672,35 +718,58 @@ def _lp_dist_max_norm_region(rows, y: np.ndarray) -> float | None:
     return None if res is None else float(res.fun)
 
 
-def _dykstra_halfspaces(rows, y: np.ndarray, max_sweeps: int):
-    """Nearest point of a halfspace intersection (Dykstra)."""
-    m = len(rows)
-    a_mat = np.array([a for a, _ in rows], dtype=float)
-    b_vec = np.array([b for _, b in rows], dtype=float)
-    sq = np.sum(a_mat * a_mat, axis=1)
+def _dykstra(a_mat: np.ndarray, b_vec: np.ndarray, ys: np.ndarray, max_sweeps: int) -> np.ndarray:
+    """Nearest points of {z : A z <= b} to each row of ys (Dykstra's cyclic projections).
+
+    Every row sweeps the halfspaces in one block, and each update does a
+    lone row's arithmetic elementwise (vecdot is the one-row dot), so a
+    row's result does not depend on the others.  A row leaves the block
+    after the sweep in which its own largest step falls below tolerance,
+    or after max_sweeps.
+    """
+    m = a_mat.shape[0]
+    sq = (a_mat * a_mat).sum(axis=1)
     sq[sq == 0.0] = 1.0
-    z = y.astype(float).copy()
-    corr = np.zeros((m, y.shape[0]))
-    for sweep in range(max_sweeps):
-        delta = 0.0
-        for i in range(m):
-            w = z + corr[i]
-            viol = float(a_mat[i] @ w) - b_vec[i]
-            z_new = w - (max(0.0, viol) / sq[i]) * a_mat[i]
-            corr[i] = w - z_new
-            delta = max(delta, float(np.max(np.abs(z_new - z))))
-            z = z_new
-        if delta <= 1e-13 * (1.0 + float(np.max(np.abs(z)))):
+    out = ys.astype(float)
+    live = np.arange(out.shape[0])
+    iterates = np.empty((m + 1, *out.shape))  # z before and after each halfspace's step
+    iterates[m] = out
+    corr = np.zeros((m, *out.shape))
+
+    def steps():  # views into the live rows' arrays; b and q as one-element arrays
+        return list(zip(iterates, iterates[1:], corr, a_mat, b_vec[:, None], sq[:, None]))
+
+    block = steps()
+    for _ in range(max_sweeps):
+        iterates[0] = iterates[m]
+        for z, z_new, c, a, b, q in block:
+            w = z + c
+            t = _positive(np.vecdot(w, a) - b)[:, None]
+            np.subtract(w, t / q * a, out=z_new)
+            np.subtract(w, z_new, out=c)
+        # a row's delta is the scalar loop's max(delta, step) from 0.0 over its steps
+        delta = np.fmax.reduce(np.maximum.reduce(np.abs(iterates[1:] - iterates[:-1]), axis=2),
+                               axis=0, initial=0.0)
+        z = iterates[m]
+        done = delta <= 1e-13 * (1.0 + np.maximum.reduce(np.abs(z), axis=1))
+        if done.all():
             break
-    # final feasibility polish (plain cyclic projections keep z in the set)
-    for _ in range(50):
-        viols = a_mat @ z - b_vec
-        worst = float(np.max(viols))
-        if worst <= 1e-12 * (1.0 + abs(worst)):
-            break
-        i = int(np.argmax(viols))
-        z = z - (viols[i] / sq[i]) * a_mat[i]
-    return z
+        if done.any():
+            out[live[done]] = z[done]
+            keep = ~done
+            live, iterates, corr = live[keep], iterates[:, keep], corr[:, keep]
+            block = steps()
+    out[live] = iterates[m]
+    # final feasibility polish, row by row (plain cyclic projections keep z in the set)
+    for z in out:
+        for _ in range(50):
+            viols = a_mat @ z - b_vec
+            worst = float(viols.max())
+            if worst <= 1e-12 * (1.0 + abs(worst)):
+                break
+            i = int(np.argmax(viols))
+            z -= (viols[i] / sq[i]) * a_mat[i]
+    return out
 
 
 def _box_radius(space: NormedSpace, lo: np.ndarray, hi: np.ndarray, p: np.ndarray) -> float:
@@ -995,10 +1064,10 @@ def _sample_ball(space: NormedSpace, center: np.ndarray, radius: float,
 def _sample_region(space: NormedSpace, s: SublevelRegion, n: int,
                    rng: np.random.Generator,
                    box: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
-    rows = list(s.halfspaces())
+    a, b = s.forms()
     lo, hi, argpoints = s.extent()
     if box is None:
-        scale = 1.0 + max((abs(b) for _, b in rows), default=1.0)
+        scale = 1.0 + float(np.abs(b).max())
         lo = np.where(np.isfinite(lo), lo, -10.0 * scale)
         hi = np.where(np.isfinite(hi), hi, 10.0 * scale)
     else:
@@ -1010,12 +1079,12 @@ def _sample_region(space: NormedSpace, s: SublevelRegion, n: int,
     while len(pts) < n and budget > 0:
         cand = rng.uniform(lo, hi)
         budget -= 1
-        if all(float(a @ cand) <= b + 1e-12 for a, b in rows):
+        if (np.vecdot(a, cand) <= b + 1e-12).all():
             pts.append(cand)
     while len(pts) < n:
         # thin region: project box samples onto it instead of rejecting forever
-        z = _dykstra_halfspaces(rows, rng.uniform(lo, hi), 500)
-        if not all(float(a @ z) <= b + 1e-9 * max(1.0, abs(b)) for a, b in rows):
+        z = _dykstra(a, b, rng.uniform(lo, hi)[None], 500)[0]
+        if not (np.vecdot(a, z) <= b + 1e-9 * np.maximum(1.0, np.abs(b))).all():
             break
         pts.append(z)
     if len(pts) < n:

@@ -3,7 +3,9 @@
 Every reference here is computed in-process: a committed table of values
 would pin one CPU's BLAS rounding.  The references are the per-point
 rules the kernel replaced: np.linalg.norm / max|.| / sum(|.|**p)**(1/p)
-on one point at a time, and the one-candidate-at-a-time samplers.
+on one point at a time, the one-candidate-at-a-time samplers, and the
+one-row halfspace-region rule (membership, bound, max-norm LP and a
+Dykstra projection per point).
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import setcover_kit as sk
-from setcover_kit.geometry import rng_for
+from setcover_kit.geometry import _dykstra, rng_for
 
 NORMS = (("euclidean", None), ("max", None), ("p", 3.0))
 CLOSED_KINDS = ("ball", "sphere", "box", "orthant", "point_cloud")
@@ -147,13 +149,230 @@ def test_dists_shape_checks():
         sk.dists(space, np.zeros((1, 2)), sk.Ball(np.zeros(3), 1.0))
 
 
+# ---------------------------------------------------------------------------
+# halfspace regions: the one-row rule the batched kernel replaced
+
+
+def ref_dykstra(rows, y, max_sweeps):
+    """Nearest point of a halfspace intersection, one point at a time (Dykstra).
+
+    Returns the point and the number of sweeps it took.
+    """
+    m = len(rows)
+    a_mat = np.array([a for a, _ in rows], dtype=float)
+    b_vec = np.array([b for _, b in rows], dtype=float)
+    sq = np.sum(a_mat * a_mat, axis=1)
+    sq[sq == 0.0] = 1.0
+    z = y.astype(float).copy()
+    corr = np.zeros((m, y.shape[0]))
+    for sweep in range(max_sweeps):
+        delta = 0.0
+        for i in range(m):
+            w = z + corr[i]
+            viol = float(a_mat[i] @ w) - b_vec[i]
+            z_new = w - (max(0.0, viol) / sq[i]) * a_mat[i]
+            corr[i] = w - z_new
+            delta = max(delta, float(np.max(np.abs(z_new - z))))
+            z = z_new
+        if delta <= 1e-13 * (1.0 + float(np.max(np.abs(z)))):
+            break
+    for _ in range(50):
+        viols = a_mat @ z - b_vec
+        worst = float(np.max(viols))
+        if worst <= 1e-12 * (1.0 + abs(worst)):
+            break
+        i = int(np.argmax(viols))
+        z = z - (viols[i] / sq[i]) * a_mat[i]
+    return z, sweep + 1
+
+
+def ref_lp_max_norm(rows, y):
+    from setcover_kit._lp import solve_lp
+
+    n, m = y.shape[0], len(rows)
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    a_ub = np.zeros((m + 2 * n, n + 1))
+    b_ub = np.zeros(m + 2 * n)
+    for i, (a, b) in enumerate(rows):
+        a_ub[i, :n] = a
+        b_ub[i] = b
+    a_ub[m:m + n, :n] = np.eye(n)
+    a_ub[m:m + n, -1] = -1.0
+    b_ub[m:m + n] = y
+    a_ub[m + n:, :n] = -np.eye(n)
+    a_ub[m + n:, -1] = -1.0
+    b_ub[m + n:] = -y
+    res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * n + [(0, None)])
+    return None if res is None else float(res.fun)
+
+
+def ref_dual_norm(space, v) -> float:
+    v = np.asarray(v, dtype=float)
+    if space.norm == "euclidean":
+        return float(np.linalg.norm(v))
+    if space.norm == "max":
+        return float(np.sum(np.abs(v)))
+    if space.p == 1.0:
+        return float(np.max(np.abs(v))) if v.size else 0.0
+    q = space.p / (space.p - 1.0)
+    return float(np.sum(np.abs(v) ** q) ** (1.0 / q))
+
+
+def region_rows(s):
+    return [(row, g.b) for g in s.groups for row in g.a]
+
+
+def ref_dist_region(space, y, s, max_sweeps=2000):
+    """One point's region distance, as (value, error, approximate, note, sweeps).
+
+    A zero form is skipped in the lower bound: it is never violated in a
+    nonempty region, and dividing by its dual norm 0 raised before.
+    """
+    rows = region_rows(s)
+    viol = [float(a @ y) - b for a, b in rows]
+    if all(v <= 0.0 for v in viol):
+        return 0.0, 0.0, False, "", 0
+    lower_any = max(max(0.0, v) / ref_dual_norm(space, a)
+                    for (a, _), v in zip(rows, viol) if ref_dual_norm(space, a) > 0.0)
+    if space.norm == "max":
+        val = ref_lp_max_norm(rows, y)
+        if val is not None:
+            return val, 0.0, False, "", 0
+    z, sweeps = ref_dykstra(rows, y, max_sweeps)
+    d2_upper = float(np.linalg.norm(z - y))
+    if space.norm == "euclidean":
+        err = max(0.0, d2_upper - lower_any)
+        approx = err > 1e-7 * max(1.0, d2_upper)
+        return d2_upper, err, approx, "halfspace projection bracket" if approx else "", sweeps
+    upper = ref_norm(space, z - y)
+    return (upper, max(0.0, upper - lower_any), True,
+            "region distance under this norm is a bracketed estimate", sweeps)
+
+
+def ref_contains_region(s, y, tol=1e-9):
+    for a, b in region_rows(s):
+        val = float(a @ y)
+        if val > b + tol * max(1.0, abs(val), abs(b)):
+            return False
+    return True
+
+
+def hexed(value, error, approx, note):
+    return float(value).hex(), float(error).hex(), bool(approx), note
+
+
+def assert_region_rows_match_reference(space, ys, s):
+    """Batched rows equal the one-row reference by float hex; returns the reference sweeps."""
+    d = sk.dists(space, ys, s)
+    sweeps = []
+    for i, y in enumerate(ys):
+        *want, n_sweeps = ref_dist_region(space, y, s)
+        assert hexed(d.value[i], d.error[i], d.approximate[i], d.note[i]) == hexed(*want), i
+        if i < 2:  # a one-row call is the same kernel
+            one = sk.dist_point(space, y, s)
+            assert hexed(one, one.error, one.approximate, one.note) == hexed(*want), i
+        assert sk.contains_point(space, s, y) == ref_contains_region(s, y)
+        sweeps.append(n_sweeps)
+    return sweeps
+
+
+def random_region(rng, dim, scale=1.0):
+    """Box rows, random tilted rows with b > 0, a duplicated group and a zero form."""
+    box = [sk.FormGroup(np.vstack([np.eye(dim)[i], -np.eye(dim)[i]]), scale) for i in range(dim)]
+    tilt = sk.FormGroup(rng.standard_normal((int(rng.integers(1, 4)), dim)),
+                        scale * float(rng.uniform(0.1, 1.0)))
+    groups = box + [tilt, tilt]  # the duplicate: same rows, same bound
+    if rng.uniform() < 0.5:
+        groups.append(sk.FormGroup(np.zeros((1, dim)), scale * float(rng.uniform(0.0, 1.0))))
+    return sk.SublevelRegion(tuple(groups[i] for i in rng.permutation(len(groups))))
+
+
+def region_points(rng, s, scale=1.0):
+    """Inside, on the boundary (LP vertices), just outside, near and far points."""
+    lo, hi, argpoints = s.extent()
+    dim = s.dim
+    inside = 0.1 * scale * rng.uniform(-1.0, 1.0, (3, dim))
+    outward = argpoints + 1e-9 * scale * np.sign(argpoints)
+    near = argpoints + 0.05 * scale * rng.standard_normal(argpoints.shape)
+    far = 1e3 * scale * rng.standard_normal((3, dim))
+    return np.vstack([inside, argpoints, outward, near, far])
+
+
 @pytest.mark.parametrize("norm,p", NORMS)
+def test_region_rows_equal_one_row_reference(norm, p):
+    rng = np.random.default_rng([13, NORMS.index((norm, p))])
+    sweep_counts = set()
+    for dim in range(1, 9):
+        space = sk.NormedSpace(dim, norm, p)
+        for scale in ((1e-3, 1.0, 1e3) if dim <= 2 else ((1e-3, 1.0, 1e3)[dim % 3],)):
+            s = random_region(rng, dim, scale)
+            ys = region_points(rng, s, scale)
+            ys = ys[rng.permutation(len(ys))[:8]]  # the reference takes up to 2000 sweeps a row
+            sweep_counts.update(assert_region_rows_match_reference(space, ys, s))
+    if norm != "max":
+        # rows of one batch left the Dykstra block at different sweeps
+        assert len(sweep_counts - {0}) >= 5, sorted(sweep_counts)
+
+
+def test_region_rows_of_sublinear_images_equal_reference():
+    rng = np.random.default_rng(17)
+    for dim in (2, 3, 4):
+        groups = [np.vstack([np.eye(dim)[i], -np.eye(dim)[i]]) + 0.3 * rng.standard_normal((2, dim))
+                  for i in range(dim)]
+        for norm, p in NORMS:
+            sub = sk.SublinearSystem(tuple(groups), space_y=sk.NormedSpace(dim, norm, p))
+            image = sk.eval_map(sub, rng.uniform(0.5, 2.5, dim) * rng.choice([-1.0, 1.0], dim))
+            ys = sk.sample(sub.space_y, sk.EnlargedSet(image, 0.5), 12, seed=dim)
+            assert_region_rows_match_reference(sub.space_y, ys, image)
+
+
+@pytest.mark.parametrize("norm,p", NORMS)
+def test_zero_form_row_adds_no_bound_term(norm, p):
+    space = sk.NormedSpace(2, norm, p)
+    sub = sk.SublinearSystem(([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, -1.0]]),
+                             space_y=space)
+    image = sk.eval_map(sub, np.array([1.0, 1.0]))  # |y_1| <= 1, |y_2| <= 1 and 0 <= 1
+    d = sk.dist_point(space, [3.0, 0.0], image)
+    assert float(d) == 2.0
+    assert hexed(d, d.error, d.approximate, d.note) == \
+        hexed(*ref_dist_region(space, np.array([3.0, 0.0]), image)[:4])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), norm=st.sampled_from(NORMS), dim=st.integers(1, 5),
+       n=st.integers(0, 8), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_region_rows_property(seed, norm, dim, n, scale):
+    rng = np.random.default_rng(seed)
+    space = sk.NormedSpace(dim, *norm)
+    s = random_region(rng, dim, scale)
+    ys = scale * rng.choice([0.5, 2.0, 50.0], size=(n, 1)) * rng.standard_normal((n, dim))
+    assert_region_rows_match_reference(space, ys, s)
+
+
+def test_thin_region_sampling_projects_one_row():
+    # a slab of width 1e-7: rejection fails, so the samples come from one-row Dykstra
+    # projections; every one must be a member of the slab
+    a = np.array([[1.0, 1.0], [-1.0, -1.0]])
+    s = sk.SublevelRegion((sk.FormGroup(a[:1], 1.0), sk.FormGroup(a[1:], -1.0 + 1e-7),
+                           sk.FormGroup(np.vstack([np.eye(2), -np.eye(2)]), 2.0)))
+    space = sk.NormedSpace(2)
+    pts = sk.sample(space, s, 40, seed=3)
+    assert pts.shape == (40, 2)
+    assert all(sk.contains_point(space, s, y, tol=1e-8) for y in pts)
+    z, _ = ref_dykstra(region_rows(s), np.array([5.0, -3.0]), 500)
+    assert np.array_equal(_dykstra(*s.forms(), np.array([[5.0, -3.0]]), 500)[0], z)
+
+
+@pytest.mark.parametrize("norm,p", NORMS + (("p", 1.0),))
 def test_norms_and_units_equal_per_row_reference(norm, p):
     rng = np.random.default_rng(3)
     for dim in range(1, 11):
         space = sk.NormedSpace(dim, norm, p)
         v = rng.standard_normal((200, dim)) * rng.choice([1e-8, 1.0, 1e8], size=(200, 1))
         v[0] = 0.0
+        assert np.array_equal(space.dual_norms(v), [ref_dual_norm(space, r) for r in v])
+        assert [space.dual_norm_of(r) for r in v] == [ref_dual_norm(space, r) for r in v]
         assert np.array_equal(space.norms(v), [ref_norm(space, r) for r in v])
         assert np.array_equal(space.norms(np.asfortranarray(v)), space.norms(v))  # strided rows
         assert [space.norm_of(r) for r in v] == [ref_norm(space, r) for r in v]

@@ -1,0 +1,113 @@
+"""Check that two kit source trees give the same output for every benchmark job.
+
+    python3 tools/same_outputs.py dump --seeds 1 2 [--src DIR] > outputs.txt
+    python3 tools/same_outputs.py compare OTHER_SRC [--seeds 1 2]
+
+`dump` builds the job list of each workload in perfbench/ for each seed,
+runs every job once in list order with the kit imported from --src
+(default: this checkout's src/), and writes one line per job: workload,
+seed, position, job name and its output as sorted JSON.  Every float is
+written by its hex form, so two dumps are equal only when every value is
+equal bit for bit; a job that raises is written as its exception.
+
+`compare` dumps this checkout's src/ and OTHER_SRC, each in its own
+interpreter, and reports the jobs whose lines differ.  It exits with 1
+when any does.  Both dumps use this checkout's perfbench/ unchanged.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("closed-form", "polyhedral-reuse", "polyhedral-churn")
+
+
+def canonical(obj):
+    """obj as JSON data, floats by their hex form; unknown types raise TypeError."""
+    import numpy as np
+
+    from setcover_kit.geometry import Distance
+
+    if obj is None or isinstance(obj, (bool, np.bool_)):
+        return None if obj is None else bool(obj)
+    if isinstance(obj, Distance):
+        return {"distance": float(obj).hex(), "approximate": bool(obj.approximate),
+                "error": canonical(obj.error), "note": obj.note}
+    if isinstance(obj, (float, np.floating)):
+        return float(obj).hex()
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, str):
+        return "s:" + obj  # never mistaken for a float's hex form
+    if isinstance(obj, np.ndarray):
+        return {"dtype": str(obj.dtype), "shape": list(obj.shape),
+                "data": [canonical(v) for v in obj.reshape(-1).tolist()]}
+    if isinstance(obj, dict):
+        return {"keys": [canonical(k) for k in obj], "values": [canonical(v) for v in obj.values()]}
+    if isinstance(obj, (list, tuple)):
+        return [canonical(v) for v in obj]
+    if dataclasses.is_dataclass(obj):
+        return {type(obj).__name__: {f.name: canonical(getattr(obj, f.name))
+                                     for f in dataclasses.fields(obj)}}
+    raise TypeError(f"no canonical form for {type(obj).__qualname__}")
+
+
+def dump(src: Path, seeds: list[int]) -> None:
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    import setcover_kit
+    import workloads
+
+    if Path(setcover_kit.__file__).resolve().parent != (src / "setcover_kit").resolve():
+        sys.exit(f"same_outputs: imported setcover_kit from {setcover_kit.__file__}")
+    for seed in seeds:
+        for workload in WORKLOADS:
+            for i, job in enumerate(workloads.build(workload, seed)):
+                try:
+                    out = canonical(job.run())
+                except Exception as exc:  # a failing job is an output too
+                    out = {"raised": type(exc).__name__, "message": str(exc)}
+                line = json.dumps(out, sort_keys=True, separators=(",", ":"))
+                print(f"{workload} seed={seed} {i:03d} {job.name}\t{line}", flush=True)
+
+
+def compare(other: Path, seeds: list[int]) -> int:
+    def run(src: Path) -> list[str]:
+        cmd = [sys.executable, str(Path(__file__).resolve()), "dump", "--src", str(src),
+               "--seeds", *map(str, seeds)]
+        return subprocess.run(cmd, check=True, capture_output=True, text=True).stdout.splitlines()
+
+    here, there = run(ROOT / "src"), run(other)
+    if len(here) != len(there):
+        print(f"different job counts: {len(here)} here, {len(there)} in {other}")
+        return 1
+    differ = [a.split("\t")[0] for a, b in zip(here, there) if a != b]
+    for job in differ:
+        print(f"differs: {job}")
+    print(f"{len(here) - len(differ)} of {len(here)} job outputs equal by float hex")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_dump = sub.add_parser("dump", help="write every job output of the kit in --src")
+    p_dump.add_argument("--src", type=Path, default=ROOT / "src")
+    p_cmp = sub.add_parser("compare", help="compare this checkout's src/ with OTHER_SRC")
+    p_cmp.add_argument("other", type=Path, metavar="OTHER_SRC")
+    for p in (p_dump, p_cmp):
+        p.add_argument("--seeds", type=int, nargs="+", default=[1])
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        dump(args.src.resolve(), args.seeds)
+        return 0
+    return compare(args.other.resolve(), args.seeds)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
