@@ -1,0 +1,257 @@
+"""The kit's HiGHS call against scipy's linprog(method="highs"), bit for bit.
+
+`setcover_kit._lp.linprog` hands each program to HiGHS with the options
+and result check of ``scipy.optimize.linprog(method="highs")``, so its x,
+fun and status must equal scipy's exactly.  scipy's function stays here
+as the reference.  The programs cover every LP shape the kit builds,
+both written out and recorded from the kit's own calls, plus infeasible
+and unbounded programs and a hypothesis property over random programs.
+"""
+
+import numpy as np
+import pytest
+import scipy.optimize
+from hypothesis import given, settings, strategies as st
+
+import setcover_kit as sk
+import setcover_kit._lp as lp
+
+
+def reference(c, **kwargs):
+    return scipy.optimize.linprog(c, method="highs", **kwargs)
+
+
+def hex_of(value):
+    """A float array's exact bits, or None."""
+    return None if value is None else np.asarray(value, dtype=float).tobytes().hex()
+
+
+def assert_same(c, **kwargs):
+    """The kit's solve equals scipy's in status, x and fun, bit for bit; returns it."""
+    got, want = lp.linprog(c, **kwargs), reference(c, **kwargs)
+    assert got.status == want.status, (got.message, want.message)
+    assert got.success == want.success
+    assert hex_of(got.x) == hex_of(want.x)
+    assert hex_of(got.fun) == hex_of(want.fun)
+    return got
+
+
+def extent_program(dim, i, sign):
+    """One coordinate-extent LP of a tilted box: free variables, inequality rows only."""
+    a = np.vstack([np.eye(dim), -np.eye(dim), np.full((1, dim), 0.5)])
+    c = np.zeros(dim)
+    c[i] = sign
+    return c, dict(A_ub=a, b_ub=np.concatenate([np.ones(2 * dim), [0.25]]),
+                   bounds=[(None, None)] * dim)
+
+
+def interior_slack_program():
+    """max t s.t. cy_i y + t <= 0, |y| <= 1, t <= 1: box bounds and one half-open bound."""
+    cy = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, -2.0]])
+    return np.array([0.0, 0.0, -1.0]), dict(A_ub=np.hstack([cy, np.ones((3, 1))]),
+                                           b_ub=np.zeros(3),
+                                           bounds=[(-1.0, 1.0)] * 2 + [(None, 1.0)])
+
+
+def min_max_norm_program(a_eq, y):
+    """argmin ||x||_inf s.t. A x = y, as min_max_norm_solution builds it: equality rows."""
+    m, n = a_eq.shape
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    a_ub = np.block([[np.eye(n), -np.ones((n, 1))], [-np.eye(n), -np.ones((n, 1))]])
+    return c, dict(A_ub=a_ub, b_ub=np.zeros(2 * n), A_eq=np.hstack([a_eq, np.zeros((m, 1))]),
+                   b_eq=y, bounds=[(None, None)] * n + [(0, None)])
+
+
+def polytope_program(vertices, y):
+    """The max-norm polytope distance LP: a simplex equality row and (0, None) bounds."""
+    k, n = vertices.shape
+    c = np.zeros(k + 1)
+    c[-1] = 1.0
+    a_ub = np.block([[vertices.T, -np.ones((n, 1))], [-vertices.T, -np.ones((n, 1))]])
+    a_eq = np.concatenate([np.ones(k), [0.0]])[None, :]
+    return c, dict(A_ub=a_ub, b_ub=np.concatenate([y, -y]), A_eq=a_eq, b_eq=np.array([1.0]),
+                   bounds=[(0, None)] * (k + 1))
+
+
+PROGRAMS = {
+    "extent-min": extent_program(3, 0, 1.0),
+    "extent-max": extent_program(3, 2, -1.0),
+    "extent-unbounded": (np.array([0.0, -1.0]),
+                         dict(A_ub=np.array([[1.0, 0.0], [-1.0, 0.0]]), b_ub=np.ones(2),
+                              bounds=[(None, None)] * 2)),
+    "extent-empty": (np.array([1.0, 0.0]),
+                     dict(A_ub=np.array([[1.0, 0.0], [-1.0, 0.0]]), b_ub=np.array([-1.0, -1.0]),
+                          bounds=[(None, None)] * 2)),
+    "interior-slack": interior_slack_program(),
+    "min-max-norm": min_max_norm_program(np.array([[1.0, 0.5, 0.0], [0.0, 1.0, -1.0]]),
+                                         np.array([1.0, -1.0])),
+    "min-max-norm-inconsistent": min_max_norm_program(np.array([[1.0, 1.0], [2.0, 2.0]]),
+                                                      np.array([1.0, 3.0])),
+    "polytope": polytope_program(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]),
+                                 np.array([3.0, 2.0])),
+    "bounds-none": (np.array([1.0, 2.0, -0.5]),
+                    dict(A_ub=np.array([[1.0, 1.0, 1.0]]), b_ub=np.array([4.0]))),
+    "bounds-none-no-rows": (np.array([1.0, 0.0]), {}),
+    "one-pair-for-all": (np.array([-1.0, -1.0]),
+                         dict(A_ub=np.array([[1.0, 2.0]]), b_ub=np.array([3.0]),
+                              bounds=(-2.0, 2.0))),
+    "infeasible": (np.array([1.0]), dict(A_ub=np.array([[1.0], [-1.0]]),
+                                          b_ub=np.array([0.0, -1.0]),
+                                          bounds=[(None, None)])),
+    "infeasible-equalities": (np.array([1.0, 1.0]),
+                              dict(A_eq=np.array([[1.0, 1.0], [1.0, 1.0]]),
+                                   b_eq=np.array([1.0, 2.0]))),
+    "unbounded": (np.array([-1.0, 0.0]), dict(A_ub=np.array([[0.0, 1.0]]), b_ub=np.array([1.0]),
+                                               bounds=[(0, None)] * 2)),
+}
+EXPECTED_STATUS = {"extent-unbounded": 3, "extent-empty": 2, "min-max-norm-inconsistent": 2,
+                   "infeasible": 2, "infeasible-equalities": 2, "unbounded": 3}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_every_program_shape_equals_scipy(name):
+    c, kwargs = PROGRAMS[name]
+    got = assert_same(c, **kwargs)
+    assert got.status == EXPECTED_STATUS.get(name, 0)
+    assert (got.x is None) == (got.status != 0)
+
+
+@pytest.fixture()
+def recorded(monkeypatch):
+    """Every program the kit hands to _lp.linprog, with the kit's arguments as passed."""
+    calls = []
+    real = lp.linprog
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "linprog", record)
+    return calls
+
+
+def test_programs_the_kit_builds_equal_scipy(recorded):
+    groups = (np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+              np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.5, 0.5, 0.5]]),
+              np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+    region = sk.eval_map(sk.SublinearSystem(groups=groups), np.array([1.0, -0.5, 2.0]))
+    assert sk.boundedness(sk.NormedSpace(3), region).bounded       # extents
+    sk.dist_point(sk.NormedSpace(3, "max"), np.array([4.0, 0.0, -3.0]), region)
+    sk.dist_point(sk.NormedSpace(2, "max"), np.array([3.0, 2.0]),
+                  sk.VPolytope([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
+    sk.interior_radius(sk.PolyhedralProcess(cx=[[1.0], [1.0]], cy=[[-1.0, 0.0], [0.0, -1.0]]))
+    sk.alpha_of(sk.Epigraphical(np.array([[1.0, 0.5], [0.0, 1.0]])))  # equality rows
+    programs = list(recorded)  # the comparisons below are recorded too
+    assert len(programs) >= 2 * 3 + 4
+    for args, kwargs in programs:
+        assert_same(*args, **kwargs)
+
+
+def random_program(rng, n, m, m_eq, bound_kind):
+    c = rng.standard_normal(n)
+    if rng.random() < 0.3:
+        c = np.round(c)  # ties between vertices
+    a = rng.standard_normal((m, n))
+    a[rng.random((m, n)) < 0.3] = 0.0
+    kwargs = {}
+    if m:
+        kwargs.update(A_ub=a, b_ub=rng.standard_normal(m) + 2.0 * rng.random())
+    if m_eq:
+        kwargs.update(A_eq=rng.standard_normal((m_eq, n)), b_eq=rng.standard_normal(m_eq))
+    kwargs["bounds"] = {
+        "default": None,
+        "free": [(None, None)] * n,
+        "box": [(-1.0, 1.0)] * (n - 1) + [(None, 1.0)],
+        "nonnegative": [(0, None)] * n,
+        "free-and-one-nonnegative": [(None, None)] * (n - 1) + [(0, None)],
+    }[bound_kind]
+    return c, kwargs
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(0, 10),
+       m_eq=st.integers(0, 2),
+       bound_kind=st.sampled_from(("default", "free", "box", "nonnegative",
+                                   "free-and-one-nonnegative")))
+def test_random_programs_equal_scipy(seed, n, m, m_eq, bound_kind):
+    c, kwargs = random_program(np.random.default_rng(seed), n, m, m_eq, bound_kind)
+    assert_same(c, **kwargs)
+
+
+class OffSolution:
+    """A real HiGHS solver whose reported optimum is moved by `shift` in one field."""
+
+    def __init__(self, real, field, shift):
+        self._real, self._field, self._shift = real(), field, shift
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+    def getSolution(self):
+        solution = self._real.getSolution()
+        moved = np.array(getattr(solution, self._field)) + self._shift
+        setattr(solution, self._field, moved.tolist())
+        return solution
+
+
+# min x0 - x1  s.t.  x0 - x1 <= -1/2,  x0 + x1 = 1,  1/4 <= x0 <= 1/2,  1/2 <= x1 <= 3/4:
+# the optimum (1/4, 3/4) has x0 at its lower bound, x1 at its upper one and both rows tight
+STRAY = (np.array([1.0, -1.0]),
+         dict(A_ub=np.array([[1.0, -1.0]]), b_ub=np.array([-0.5]), A_eq=np.array([[1.0, 1.0]]),
+              b_eq=np.array([1.0]), bounds=[(0.25, 0.5), (0.5, 0.75)]))
+
+
+@pytest.mark.parametrize("field, shift", [
+    ("col_value", (0.0, 1e-3)),      # x1 above its upper bound
+    ("col_value", (-1e-3, 0.0)),     # x0 below its lower bound
+    ("col_value", (np.nan, 0.0)),
+    ("row_value", (1e-3, 0.0)),      # inequality slack negative
+    ("row_value", (0.0, -1e-3)),     # equality residual nonzero
+    ("row_value", (0.0, np.nan)),
+])
+def test_post_check_turns_a_stray_optimum_into_status_4(monkeypatch, field, shift):
+    c, kwargs = STRAY
+    res = lp.linprog(c, **kwargs)
+    assert res.status == 0 and res.x.tolist() == [0.25, 0.75]
+    real = lp.highs._Highs
+    monkeypatch.setattr(lp.highs, "_Highs", lambda: OffSolution(real, field, shift))
+    res = lp.linprog(c, **kwargs)
+    assert res.status == 4 and not res.success
+    with pytest.raises(lp.LPAnomalyError, match="status=4"):
+        lp.solve_lp(c, a_ub=kwargs["A_ub"], b_ub=kwargs["b_ub"], a_eq=kwargs["A_eq"],
+                    b_eq=kwargs["b_eq"], bounds=kwargs["bounds"])
+
+
+@pytest.mark.parametrize("field", ["col_value", "row_value"])
+def test_a_shift_within_tolerance_stays_optimal(monkeypatch, field):
+    c, kwargs = STRAY
+    real = lp.highs._Highs
+    monkeypatch.setattr(lp.highs, "_Highs", lambda: OffSolution(real, field, (-1e-5, 1e-5)))
+    assert lp.linprog(c, **kwargs).status == 0
+
+
+@pytest.mark.parametrize("status", [1, 4])
+def test_extent_raises_on_a_limit_or_numerical_failure(monkeypatch, status):
+    """Only status 3 proves an unbounded coordinate; 1 and 4 prove nothing."""
+    region = sk.SublevelRegion((sk.FormGroup(np.array([[1.0, 0.0], [-1.0, 0.0]]), 1.0),
+                                sk.FormGroup(np.array([[0.0, 1.0], [0.0, -1.0]]), 1.0)))
+    monkeypatch.setattr(lp, "linprog",
+                        lambda *args, **kwargs: lp.LPResult(None, None, status, False, "stub"))
+    with pytest.raises(lp.LPAnomalyError, match=f"status={status}"):
+        sk.boundedness(sk.NormedSpace(2), region)
+
+
+def test_extent_of_a_strip_is_unbounded_along_it():
+    strip = sk.SublevelRegion((sk.FormGroup(np.array([[1.0, 0.0], [-1.0, 0.0]]), 1.0),))
+    lo, hi, pts = strip.extent()
+    assert (lo.tolist(), hi.tolist()) == ([-1.0, -np.inf], [1.0, np.inf])
+    assert pts.shape == (2, 2)
+    assert not sk.boundedness(sk.NormedSpace(2), strip).bounded
+
+
+def test_non_finite_data_is_refused():
+    with pytest.raises(ValueError, match="finite"):
+        lp.linprog(np.array([1.0]), A_ub=np.array([[np.inf]]), b_ub=np.array([1.0]))
+    with pytest.raises(ValueError, match="does not match"):
+        lp.linprog(np.array([1.0, 1.0]), A_ub=np.ones((2, 3)), b_ub=np.ones(2))
