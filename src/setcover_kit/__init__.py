@@ -42,6 +42,7 @@ from .mappings import (
     Composed,
     ConstantExhaustedError,
     Dilation,
+    DimensionCapError,
     Epigraphical,
     LipschitzEstimate,
     MapConstants,

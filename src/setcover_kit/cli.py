@@ -3,7 +3,8 @@
 Subcommands: certify, solve, penalize, sfix, demo.  Exit codes separate
 outcome classes so CI can assert the bundled counterexamples: 0 for
 success / no-counterexample, 2 for a falsified or failed certificate,
-3 for any input error.  Reports are deterministic for a fixed
+3 for any input error, including a map above a dimension cap
+(`DimensionCapError`).  Reports are deterministic for a fixed
 (instance, seed); the volatile metadata (timestamp, version) lives in a
 separate section that comparison tooling ignores.
 """
@@ -28,6 +29,7 @@ from .instances import (
     render_text,
     run_instance,
 )
+from .mappings import DimensionCapError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,7 +136,7 @@ def main(argv=None) -> int:
         if args.command == "demo":
             return _run_demo(args)
         return _run_single(args)
-    except InstanceError as exc:
+    except (InstanceError, DimensionCapError) as exc:  # a valid map above a documented cap
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1019,11 +1019,10 @@ def sample(space: NormedSpace, s: SetRep, n: int, seed: int,
         reps = int(np.ceil(n / s.points.shape[0]))
         return np.tile(s.points, (reps, 1))[:n]
     if isinstance(s, Orthant):
-        pts = [s.apex.copy()]
         scale = 1.0 + float(np.max(np.abs(s.apex)))
-        while len(pts) < n:
-            pts.append(s.apex + np.abs(rng.standard_normal(space.dim)) * scale)
-        return np.array(pts[:n])
+        # one (n - 1)-row draw takes the stream of n - 1 one-row draws
+        steps = np.abs(rng.standard_normal((n - 1, space.dim))) * scale
+        return np.vstack([s.apex, s.apex + steps])
     if isinstance(s, SublevelRegion):
         return _sample_region(space, s, n, rng, box)
     if isinstance(s, EnlargedSet):
@@ -1075,12 +1074,15 @@ def _sample_region(space: NormedSpace, s: SublevelRegion, n: int,
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)  # LP roundoff can cross degenerate bounds
     # extreme candidates: per-coordinate LP optima are vertices of the region
     pts: list[np.ndarray] = list(argpoints[:n])
-    budget = 60 * n + 600
+    budget = 60 * n + 600  # candidates
     while len(pts) < n and budget > 0:
-        cand = rng.uniform(lo, hi)
-        budget -= 1
-        if (np.vecdot(a, cand) <= b + 1e-12).all():
-            pts.append(cand)
+        # as in _sample_ball; a chunk never outruns the budget, so the fallbacks
+        # below draw from where one-at-a-time draws would have left the stream
+        k = min(budget, 2 * (n - len(pts)) + 16)
+        cand = rng.uniform(lo, hi, size=(k, lo.shape[0]))
+        budget -= k
+        inside = (np.vecdot(a, cand[:, None, :]) <= b + 1e-12).all(axis=1)
+        pts.extend(cand[inside][:n - len(pts)])
     while len(pts) < n:
         # thin region: project box samples onto it instead of rejecting forever
         z = _dykstra(a, b, rng.uniform(lo, hi)[None], 500)[0]

@@ -51,6 +51,8 @@ __all__ = [
     "ConstantExhaustedError",
     "WitnessUnavailableError",
     "LipschitzRuleError",
+    "DimensionCapError",
+    "SIGN_CORNER_CAP",
     "Affine",
     "ScaledNormRadial",
     "CatalogFn",
@@ -91,6 +93,15 @@ class WitnessUnavailableError(LookupError):
 
 class LipschitzRuleError(LookupError):
     """No closed-form Lipschitz rule; use empirical_lipschitz."""
+
+
+class DimensionCapError(ValueError):
+    """The rule enumerates 2^dim sign corners, and dim is above SIGN_CORNER_CAP."""
+
+
+# largest dimension whose sign corners are enumerated: the rows of an Epigraphical
+# matrix (its covering rate), the columns of an Affine map (its max -> euclidean norm)
+SIGN_CORNER_CAP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +174,9 @@ CatalogFn = Affine | ScaledNormRadial
 
 
 def _sign_corners(n: int):
-    if n > 16:
-        raise ValueError("sign-corner enumeration capped at dimension 16")
+    if n > SIGN_CORNER_CAP:
+        raise DimensionCapError(f"sign-corner enumeration is capped at dimension "
+                                f"{SIGN_CORNER_CAP}; this needs dimension {n}")
     for bits in range(2**n):
         yield np.array([1.0 if bits & (1 << i) else -1.0 for i in range(n)])
 

@@ -487,3 +487,116 @@ def test_ball_sampler_budget_error_matches_scalar_loop():
     # at n = 20 the center and the 20 axis points suffice
     assert np.array_equal(sk.sample(space, ball, 20, 0),
                           ref_sample_ball(space, ball.center, 1.0, 20, 0))
+
+
+def ref_sample_orthant(space, s, n, seed):
+    rng = rng_for(seed, 0)
+    pts = [s.apex.copy()]
+    scale = 1.0 + float(np.max(np.abs(s.apex)))
+    while len(pts) < n:
+        pts.append(s.apex + np.abs(rng.standard_normal(space.dim)) * scale)
+    return np.array(pts[:n])
+
+
+def ref_sample_region(space, s, n, seed, box=None):
+    """The one-candidate-at-a-time region sampler, and how many points each stage gave.
+
+    The stages are the LP argpoints, accepted candidates, Dykstra
+    projections, and Dirichlet combinations of the argpoints.
+    """
+    rng = rng_for(seed, 0)
+    a, b = s.forms()
+    lo, hi, argpoints = s.extent()
+    if box is None:
+        scale = 1.0 + float(np.abs(b).max())
+        lo = np.where(np.isfinite(lo), lo, -10.0 * scale)
+        hi = np.where(np.isfinite(hi), hi, 10.0 * scale)
+    else:
+        lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    pts = list(argpoints[:n])
+    stages = [len(pts), 0, 0, 0]
+    budget = 60 * n + 600
+    while len(pts) < n and budget > 0:
+        cand = rng.uniform(lo, hi)
+        budget -= 1
+        if (np.vecdot(a, cand) <= b + 1e-12).all():
+            pts.append(cand)
+            stages[1] += 1
+    while len(pts) < n:
+        z = _dykstra(a, b, rng.uniform(lo, hi)[None], 500)[0]
+        if not (np.vecdot(a, z) <= b + 1e-9 * np.maximum(1.0, np.abs(b))).all():
+            break
+        pts.append(z)
+        stages[2] += 1
+    if len(pts) < n:
+        stages[3] = n - len(pts)
+        pts.extend(rng.dirichlet(np.ones(len(argpoints)), size=n - len(pts)) @ argpoints)
+    return np.array(pts[:n]), stages
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_region_sample_matches(space, s, n, seed, box=None):
+    """sample() equals the scalar loop by float hex; returns the loop's stage counts."""
+    want, stages = ref_sample_region(space, s, n, seed, box)
+    assert same_bits(sk.sample(space, s, n, seed, box=box), want), (n, seed, stages)
+    return stages
+
+
+def tilted_sublinear_image(x):
+    """A 6-d sublinear image that is thin where x has coordinates near 0."""
+    rng = np.random.default_rng(100)
+    groups = tuple(np.vstack([np.eye(6)[i], -np.eye(6)[i]]) + 0.3 * rng.standard_normal((2, 6))
+                   for i in range(6))
+    return sk.eval_map(sk.SublinearSystem(groups), np.array(x))
+
+
+def test_region_sampler_equals_scalar_loop_on_random_regions():
+    rng = np.random.default_rng(23)
+    stages = np.zeros(4, dtype=int)
+    for dim in range(1, 6):
+        space = sk.NormedSpace(dim)
+        for scale in (1e-3, 1.0, 1e3):
+            s = random_region(rng, dim, scale)
+            for n, seed in ((1, 0), (2 * dim - 1, 1), (17, 2), (64, 3)):
+                stages += assert_region_sample_matches(space, s, n, seed)
+            box = (-2.0 * scale * np.ones(dim), 2.0 * scale * np.ones(dim))
+            stages += assert_region_sample_matches(space, s, 9, 4, box=box)
+    assert stages[0] > 0 and stages[1] > 0
+
+
+def test_region_sampler_below_the_argpoint_count_draws_nothing():
+    s = random_region(np.random.default_rng(4), 3)
+    assert len(s.extent()[2]) == 6
+    for n in (1, 5, 6):
+        assert assert_region_sample_matches(sk.NormedSpace(3), s, n, seed=n) == [n, 0, 0, 0]
+
+
+def test_region_sampler_fallbacks_follow_the_spent_budget():
+    # a slab of width 1e-7: no candidate is accepted, every other point is projected
+    a = np.array([[1.0, 1.0], [-1.0, -1.0]])
+    slab = sk.SublevelRegion((sk.FormGroup(a[:1], 1.0), sk.FormGroup(a[1:], -1.0 + 1e-7),
+                              sk.FormGroup(np.vstack([np.eye(2), -np.eye(2)]), 2.0)))
+    assert assert_region_sample_matches(sk.NormedSpace(2), slab, 40, 3)[1:] == [0, 36, 0]
+    # thin 6-d images: a few candidates are accepted before the budget runs out,
+    # then Dykstra projections follow, and Dirichlet combinations where they end outside
+    space = sk.NormedSpace(6, "max")
+    partial = tilted_sublinear_image([0.01, 0.114, -0.163, -1.751, 0.565, 1.411])
+    _, accepted, projected, combined = assert_region_sample_matches(space, partial, 24, 6)
+    assert accepted > 0 and projected > 0 and combined == 0
+    thin = tilted_sublinear_image([0.2, 0.23, 0.001, -0.3, 0.3, 1.87])
+    _, accepted, projected, combined = assert_region_sample_matches(space, thin, 24, 12)
+    assert accepted > 0 and projected > 0 and combined > 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_orthant_sampler_equals_scalar_loop(dim):
+    rng = np.random.default_rng(dim)
+    space = sk.NormedSpace(dim)
+    for apex in (np.zeros(dim), rng.standard_normal(dim), 1e3 * rng.standard_normal(dim)):
+        s = sk.Orthant(apex)
+        for n, seed in ((1, 0), (2, 1), (33, 2)):
+            assert same_bits(sk.sample(space, s, n, seed), ref_sample_orthant(space, s, n, seed))

@@ -18,6 +18,7 @@ from setcover_kit.instances import (
     render_text,
     run_instance,
 )
+from setcover_kit.mappings import SIGN_CORNER_CAP
 
 
 class TestDecode:
@@ -147,6 +148,27 @@ class TestCli:
         path = self.write(tmp_path, data)
         assert main(["solve", "--instance", str(path)]) == EXIT_INPUT
         assert "$.parameters.sneed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["certify", "solve"])
+    def test_map_above_the_sign_corner_cap_is_an_input_error(self, tmp_path, capsys, command):
+        wide = {"dim": SIGN_CORNER_CAP + 1, "norm": "max"}
+        if command == "certify":  # the epigraphical rate enumerates the rows' sign corners
+            data = {"version": "setcover-kit/1", "kind": "certify",
+                    "maps": {"psi": {"kind": "epigraphical",
+                                     "matrix": np.eye(wide["dim"]).tolist()}},
+                    "certify": {"property": "set-covering", "alpha": "auto", "trials": 2},
+                    "parameters": {"seed": 0, "tol": 1e-6}}
+        else:  # beta of phi: the max -> euclidean norm of its 17-column affine centre
+            data = copy.deepcopy(builtin_instances()["t1"])
+            maps = data["maps"]
+            maps["psi"].update(anchor=[0.0] * wide["dim"], space_x=wide)
+            maps["phi"].update(space_x=wide)
+            maps["phi"]["center"]["matrix"] = np.zeros((2, wide["dim"])).tolist()
+            data["solve"]["x0"] = [0.0] * wide["dim"]
+        assert main([command, "--instance", self.write(tmp_path, data)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert f"capped at dimension {SIGN_CORNER_CAP}; this needs dimension 17" in err
 
     def test_kind_mismatch(self, tmp_path, capsys):
         path = self.write(tmp_path, builtin_instances()["t1"])

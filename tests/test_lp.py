@@ -6,7 +6,13 @@ fun and status must equal scipy's exactly.  scipy's function stays here
 as the reference.  The programs cover every LP shape the kit builds,
 both written out and recorded from the kit's own calls, plus infeasible
 and unbounded programs and a hypothesis property over random programs.
+Programs that share a matrix are solved on the thread's kept HiGHS
+model; sequences of them must equal scipy too, and no answer may depend
+on the program solved before it or on the thread that solves it.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -202,6 +208,29 @@ STRAY = (np.array([1.0, -1.0]),
               b_eq=np.array([1.0]), bounds=[(0.25, 0.5), (0.5, 0.75)]))
 
 
+def own_kept_model(monkeypatch):
+    """Start this thread with no kept model; the one this test keeps goes with the test."""
+    monkeypatch.setattr(lp, "_KEPT", type(lp._KEPT)())
+
+
+def kept_solver():
+    return lp._KEPT.model.solver
+
+
+def solve_off(monkeypatch, field, shift):
+    """STRAY's result from a fresh off solver, then from the same solver kept."""
+    real = lp.highs._Highs
+    monkeypatch.setattr(lp.highs, "_Highs", lambda: OffSolution(real, field, shift))
+    own_kept_model(monkeypatch)
+    c, kwargs = STRAY
+    built = lp.linprog(c, **kwargs)
+    off = kept_solver()
+    assert isinstance(off, OffSolution)
+    kept = lp.linprog(c, **kwargs)
+    assert kept_solver() is off
+    return built, kept
+
+
 @pytest.mark.parametrize("field, shift", [
     ("col_value", (0.0, 1e-3)),      # x1 above its upper bound
     ("col_value", (-1e-3, 0.0)),     # x0 below its lower bound
@@ -212,12 +241,11 @@ STRAY = (np.array([1.0, -1.0]),
 ])
 def test_post_check_turns_a_stray_optimum_into_status_4(monkeypatch, field, shift):
     c, kwargs = STRAY
+    own_kept_model(monkeypatch)
     res = lp.linprog(c, **kwargs)
     assert res.status == 0 and res.x.tolist() == [0.25, 0.75]
-    real = lp.highs._Highs
-    monkeypatch.setattr(lp.highs, "_Highs", lambda: OffSolution(real, field, shift))
-    res = lp.linprog(c, **kwargs)
-    assert res.status == 4 and not res.success
+    for res in solve_off(monkeypatch, field, shift):  # the build path, then the kept path
+        assert res.status == 4 and not res.success
     with pytest.raises(lp.LPAnomalyError, match="status=4"):
         lp.solve_lp(c, a_ub=kwargs["A_ub"], b_ub=kwargs["b_ub"], a_eq=kwargs["A_eq"],
                     b_eq=kwargs["b_eq"], bounds=kwargs["bounds"])
@@ -225,10 +253,8 @@ def test_post_check_turns_a_stray_optimum_into_status_4(monkeypatch, field, shif
 
 @pytest.mark.parametrize("field", ["col_value", "row_value"])
 def test_a_shift_within_tolerance_stays_optimal(monkeypatch, field):
-    c, kwargs = STRAY
-    real = lp.highs._Highs
-    monkeypatch.setattr(lp.highs, "_Highs", lambda: OffSolution(real, field, (-1e-5, 1e-5)))
-    assert lp.linprog(c, **kwargs).status == 0
+    for res in solve_off(monkeypatch, field, (-1e-5, 1e-5)):
+        assert res.status == 0
 
 
 @pytest.mark.parametrize("status", [1, 4])
@@ -255,3 +281,152 @@ def test_non_finite_data_is_refused():
         lp.linprog(np.array([1.0]), A_ub=np.array([[np.inf]]), b_ub=np.array([1.0]))
     with pytest.raises(ValueError, match="does not match"):
         lp.linprog(np.array([1.0, 1.0]), A_ub=np.ones((2, 3)), b_ub=np.ones(2))
+
+
+# ---------------------------------------------------------------------------
+# the kept model: programs that share a matrix only update it
+
+
+def box_and_cut():
+    """x0 in [-b1, b0], x1 <= b2 - x0 and x2 = b_eq - x0 in [0, 2]: unbounded along -x1."""
+    return dict(A_ub=np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]),
+                b_ub=np.array([1.0, 1.0, 1.0]), A_eq=np.array([[1.0, 0.0, 1.0]]),
+                b_eq=np.array([0.5]), bounds=[(None, None), (None, None), (0.0, 2.0)])
+
+
+BOUNDED_COST = np.array([0.3, -1.0, 0.5])  # any cost with c1 < 0 has an optimum
+UNBOUNDED_COST = np.array([0.0, 1.0, 0.0])
+
+
+def same_matrix_sequence(vary):
+    """Programs of box_and_cut()'s matrix that differ from the first only in `vary`,
+    with an infeasible and an unbounded program of the same matrix between them."""
+    base = box_and_cut()
+    rng = np.random.default_rng(["c", "b_ub", "b_eq"].index(vary))
+    seq = []
+    for k in range(6):
+        c, kwargs = BOUNDED_COST, dict(base)
+        if vary == "c":
+            c = rng.uniform(-1.0, 1.0, 3) - np.array([0.0, 1.1, 0.0])
+        else:
+            kwargs[vary] = base[vary] + rng.uniform(-0.5, 0.5, base[vary].shape)
+        seq.append((c, kwargs))
+        if k == 2:
+            seq.append((BOUNDED_COST, dict(base, b_eq=np.array([5.0]))))  # x2 = 5 - x0 > 2
+        if k == 3:
+            # 1 <= x0 <= -1
+            seq.append((BOUNDED_COST, dict(base, b_ub=np.array([-1.0, -1.0, 1.0]))))
+        if k == 4:
+            seq.append((UNBOUNDED_COST, dict(base)))
+    return seq
+
+
+@pytest.mark.parametrize("vary", ["c", "b_ub", "b_eq"])
+def test_programs_sharing_a_matrix_equal_scipy(monkeypatch, vary):
+    own_kept_model(monkeypatch)
+    statuses = []
+    for k, (c, kwargs) in enumerate(same_matrix_sequence(vary)):
+        statuses.append(assert_same(c, **kwargs).status)
+        if k == 0:
+            solver = kept_solver()
+        assert kept_solver() is solver  # each later program only updated the kept model
+    assert statuses == [0, 0, 0, 2, 0, 2, 0, 3, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), m=st.integers(0, 8),
+       m_eq=st.integers(0, 2),
+       bound_kind=st.sampled_from(("default", "free", "box", "nonnegative",
+                                   "free-and-one-nonnegative")),
+       changes=st.lists(st.sampled_from(("c", "b_ub", "b_eq", "cut")), min_size=1, max_size=6))
+def test_random_same_matrix_sequences_equal_scipy(seed, n, m, m_eq, bound_kind, changes):
+    rng = np.random.default_rng(seed)
+    c, kwargs = random_program(rng, n, m, m_eq, bound_kind)
+    assert_same(c, **kwargs)
+    solver = kept_solver()
+    for change in changes:
+        kwargs = dict(kwargs)
+        if change == "c":
+            c = np.round(rng.standard_normal(n), int(rng.integers(0, 3)))
+        elif change == "cut" and m:  # one row cut off far: often infeasible
+            kwargs["b_ub"] = kwargs["b_ub"].copy()
+            kwargs["b_ub"][rng.integers(m)] -= 10.0
+        elif change in kwargs:
+            kwargs[change] = kwargs[change] + rng.standard_normal(kwargs[change].shape)
+        assert_same(c, **kwargs)
+    assert kept_solver() is solver
+
+
+def test_arrays_the_caller_changes_in_place_are_read_again(monkeypatch):
+    own_kept_model(monkeypatch)
+    c, kwargs = extent_program(3, 0, 1.0)
+    assert_same(c, **kwargs)
+    c[:] = (0.0, -1.0, 0.5)
+    kwargs["b_ub"][:2] = 0.5
+    got = assert_same(c, **kwargs)
+    assert got.fun == -1.0  # x = (-1, 1/2, -1)
+
+
+def neighbour(c, kwargs):
+    """The same matrix, row split and bounds with another cost and right-hand side."""
+    moved = {k: v + 0.125 if k in ("b_ub", "b_eq") else v for k, v in kwargs.items()}
+    return c[::-1] - 0.5, moved
+
+
+def test_an_answer_does_not_depend_on_the_last_program(monkeypatch):
+    names = sorted(PROGRAMS)
+    for name, other in zip(names, names[1:] + names[:1]):
+        c, kwargs = PROGRAMS[name]
+        own_kept_model(monkeypatch)
+        fresh = lp.linprog(c, **kwargs)
+        solver = kept_solver()
+        near_c, near_kwargs = neighbour(c, kwargs)
+        lp.linprog(near_c, **near_kwargs)
+        after_same = lp.linprog(c, **kwargs)
+        assert kept_solver() is solver, name  # both went through the kept model
+        lp.linprog(PROGRAMS[other][0], **PROGRAMS[other][1])
+        after_other = lp.linprog(c, **kwargs)
+        for res in (after_same, after_other):
+            assert (res.status, res.message) == (fresh.status, fresh.message), name
+            assert (hex_of(res.x), hex_of(res.fun)) == (hex_of(fresh.x), hex_of(fresh.fun)), name
+
+
+def test_threads_that_alternate_programs_get_the_sequential_answers(monkeypatch):
+    """More threads than cores, each on its own matrix, meet at a barrier before every
+    solve, with a short switch interval: each keeps its own model and gets the answers
+    of a sequential run."""
+    own_kept_model(monkeypatch)
+    programs = [extent_program(4, i, sign) for _ in range(3) for i in range(4)
+                for sign in (1.0, -1.0)]
+    jobs = [[(c, dict(kwargs, A_ub=(k + 1.0) * kwargs["A_ub"])) for c, kwargs in programs]
+            for k in range(4)]
+    want = [[lp.linprog(c, **kwargs) for c, kwargs in job] for job in jobs]
+    turn = threading.Barrier(len(jobs))
+    got, errors = [[] for _ in jobs], []
+
+    def run(k):
+        try:
+            for c, kwargs in jobs[k]:
+                turn.wait(timeout=30)
+                got[k].append((lp.linprog(c, **kwargs), kept_solver()))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+            turn.abort()
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    for k, job in enumerate(got):
+        assert len({id(solver) for _, solver in job}) == 1  # one kept model per thread
+        for (res, _), ref in zip(job, want[k], strict=True):
+            assert res.status == ref.status == 0
+            assert (hex_of(res.x), hex_of(res.fun)) == (hex_of(ref.x), hex_of(ref.fun))

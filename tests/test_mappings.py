@@ -11,6 +11,7 @@ import setcover_kit as sk
 from setcover_kit import InstanceError, map_from_json, map_to_json
 from setcover_kit.geometry import rng_for
 from setcover_kit.instances import builtin_instances, decode_instance
+from setcover_kit.mappings import SIGN_CORNER_CAP
 
 EU1 = sk.NormedSpace(1)
 EU2 = sk.NormedSpace(2)
@@ -208,6 +209,17 @@ class TestConstants:
         corners = [np.array([s1, s2]) for s1 in (-1, 1) for s2 in (-1, 1)]
         assert m.lipschitz(mx, EU2) == pytest.approx(
             max(np.linalg.norm(m.matrix @ s) for s in corners))
+
+    def test_sign_corner_rules_above_the_cap_raise_a_named_error(self):
+        wide = sk.NormedSpace(SIGN_CORNER_CAP + 1, "max")
+        g = sk.Affine(np.zeros((2, wide.dim)), np.zeros(2))  # max -> euclidean: sign corners
+        base = sk.Dilation(y0=np.zeros(2), a=1.0, anchor=np.zeros(wide.dim),
+                           space_x=wide, space_y=EU2)
+        for m in (sk.BallValued(g, c0=1.0, space_x=wide, space_y=EU2), sk.Sum(base, g)):
+            with pytest.raises(sk.DimensionCapError, match="capped at dimension 16"):
+                sk.beta_of(m)
+        with pytest.raises(sk.DimensionCapError, match="this needs dimension 17"):
+            sk.alpha_of(sk.Epigraphical(np.eye(SIGN_CORNER_CAP + 1)))
 
     def test_catalog_fn_constants_hold_on_sampled_pairs(self):
         fns = [sk.Affine(np.array([[1.0, 2.0], [3.0, -1.0]]), np.array([0.5, -0.5])),

@@ -1,6 +1,6 @@
 """Check that two kit source trees give the same output for every benchmark job.
 
-    python3 tools/same_outputs.py dump --seeds 1 2 [--src DIR] > outputs.txt
+    python3 tools/same_outputs.py dump --seeds 1 2 [--src DIR] [--reverse] > outputs.txt
     python3 tools/same_outputs.py compare OTHER_SRC [--seeds 1 2]
 
 `dump` builds the job list of each workload in perfbench/ for each seed,
@@ -8,7 +8,11 @@ runs every job once in list order with the kit imported from --src
 (default: this checkout's src/), and writes one line per job: workload,
 seed, position, job name and its output as sorted JSON.  Every float is
 written by its hex form, so two dumps are equal only when every value is
-equal bit for bit; a job that raises is written as its exception.
+equal bit for bit; a job that raises is written as its exception.  With
+--reverse each workload's jobs run last to first, each still written
+under its list position, so the sorted dump equals the sorted forward
+dump unless an output depends on what ran before it (a kept LP model,
+say).
 
 `compare` dumps this checkout's src/ and OTHER_SRC, each in its own
 interpreter, and reports the jobs whose lines differ.  It exits with 1
@@ -58,7 +62,7 @@ def canonical(obj):
     raise TypeError(f"no canonical form for {type(obj).__qualname__}")
 
 
-def dump(src: Path, seeds: list[int]) -> None:
+def dump(src: Path, seeds: list[int], reverse: bool = False) -> None:
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import setcover_kit
     import workloads
@@ -67,7 +71,8 @@ def dump(src: Path, seeds: list[int]) -> None:
         sys.exit(f"same_outputs: imported setcover_kit from {setcover_kit.__file__}")
     for seed in seeds:
         for workload in WORKLOADS:
-            for i, job in enumerate(workloads.build(workload, seed)):
+            jobs = list(enumerate(workloads.build(workload, seed)))
+            for i, job in reversed(jobs) if reverse else jobs:
                 try:
                     out = canonical(job.run())
                 except Exception as exc:  # a failing job is an output too
@@ -98,13 +103,15 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_dump = sub.add_parser("dump", help="write every job output of the kit in --src")
     p_dump.add_argument("--src", type=Path, default=ROOT / "src")
+    p_dump.add_argument("--reverse", action="store_true",
+                        help="run each workload's jobs last to first, each under its position")
     p_cmp = sub.add_parser("compare", help="compare this checkout's src/ with OTHER_SRC")
     p_cmp.add_argument("other", type=Path, metavar="OTHER_SRC")
     for p in (p_dump, p_cmp):
         p.add_argument("--seeds", type=int, nargs="+", default=[1])
     args = parser.parse_args(argv)
     if args.command == "dump":
-        dump(args.src.resolve(), args.seeds)
+        dump(args.src.resolve(), args.seeds, args.reverse)
         return 0
     return compare(args.other.resolve(), args.seeds)
 
