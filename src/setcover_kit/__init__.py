@@ -28,6 +28,7 @@ from .geometry import (
     boundedness,
     contains_point,
     dist_point,
+    dist_to_each,
     dists,
     enlarge,
     excess,

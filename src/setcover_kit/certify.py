@@ -30,6 +30,7 @@ from .geometry import (
     _freeze,
     _memo,
     dist_point,
+    dist_to_each,
     dists,
     excess,
     hausdorff,
@@ -37,7 +38,7 @@ from .geometry import (
     rng_for,
     sample_enlargement,
 )
-from .search import pattern_search
+from .search import pattern_searches
 
 __all__ = [
     "Violation",
@@ -221,11 +222,18 @@ def _sub_seed(seed: int, trial: int, k: int) -> int:
 def _search_cover_point(m: mp.MapSpec, x, r: float, y, seed: int, budget: int):
     space = m.space_x
 
-    def objective(u):
-        try:
-            return float(dist_point(m.space_y, y, mp.eval_map(m, u)))
-        except ValueError:
-            return math.inf
+    def objective(us):
+        """dist(y, F(u)) for each point u; inf where F(u) cannot be built."""
+        images = []
+        for u in us:
+            try:
+                images.append(mp.eval_map(m, u))
+            except ValueError:
+                images.append(None)
+        built = [i for i, image in enumerate(images) if image is not None]
+        values = np.full(len(images), math.inf)
+        values[built] = dist_to_each(m.space_y, y, [images[i] for i in built]).value
+        return values
 
     def clip(u):
         d = space.dist(u, x)
@@ -236,12 +244,11 @@ def _search_cover_point(m: mp.MapSpec, x, r: float, y, seed: int, budget: int):
     for _ in range(3):
         g = rng.standard_normal(space.dim)
         starts.append(x + r * float(rng.uniform()) * space.unit(g))
-    best_u, best_v = starts[0], objective(starts[0])
+    best_u, best_v = starts[0], float(objective(starts[:1])[0])
     per_start = max(30, budget // len(starts))
-    for s in starts:
-        u, v, _ = pattern_search(objective, s, initial_step=r / 2,
-                                 step_floor=1e-9 * max(1.0, r),
-                                 max_evals=per_start, project=clip)
+    for u, v, _ in pattern_searches(objective, starts, initial_step=r / 2,
+                                    step_floor=1e-9 * max(1.0, r),
+                                    max_evals=per_start, project=clip):
         if v < best_v:
             best_u, best_v = u, v
     return best_u, best_v

@@ -3,7 +3,7 @@
 Subcommands: certify, solve, penalize, sfix, demo.  Exit codes separate
 outcome classes so CI can assert the bundled counterexamples: 0 for
 success / no-counterexample, 2 for a falsified or failed certificate,
-3 for any input error, including a map above a dimension cap
+3 for any input error, including a valid input above a dimension cap
 (`DimensionCapError`).  Reports are deterministic for a fixed
 (instance, seed); the volatile metadata (timestamp, version) lives in a
 separate section that comparison tooling ignores.
@@ -136,7 +136,7 @@ def main(argv=None) -> int:
         if args.command == "demo":
             return _run_demo(args)
         return _run_single(args)
-    except (InstanceError, DimensionCapError) as exc:  # a valid map above a documented cap
+    except (InstanceError, DimensionCapError) as exc:  # a valid input above a documented cap
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

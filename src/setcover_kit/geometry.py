@@ -55,6 +55,7 @@ __all__ = [
     "contains_point",
     "dist_point",
     "dists",
+    "dist_to_each",
     "outer_radius",
     "excess",
     "hausdorff",
@@ -499,6 +500,38 @@ def dists(space: NormedSpace, ys, s: SetRep) -> Distances:
     return _dists(space, ys, s)
 
 
+def dist_to_each(space: NormedSpace, y, sets) -> Distances:
+    """Distances from one point to each of several sets, in one call.
+
+    Row i is dist_point(space, y, sets[i]) bit for bit.  Sublevel regions
+    whose stacked form rows are equal byte for byte are measured in one
+    region call, each with its own right-hand side; any other set is
+    measured on its own.
+    """
+    y = space.check_point(y)
+    k = len(sets)
+    value, error, approx = np.zeros(k), np.zeros(k), np.zeros(k, dtype=bool)
+    note = [""] * k
+    batches: dict = {}  # a region's form rows as bytes, or the position of any other set
+    for i, s in enumerate(sets):
+        _check_set(space, s)
+        if isinstance(s, SublevelRegion):
+            batches.setdefault(s.forms()[0].tobytes(), []).append(i)
+        else:
+            batches[i] = [i]
+    for rows in batches.values():
+        s = sets[rows[0]]
+        if len(rows) == 1:
+            d = _dists(space, y[None], s)
+        else:
+            d = _dists_region(space, np.tile(y, (len(rows), 1)), s,
+                              np.array([sets[i].forms()[1] for i in rows]))
+        value[rows], error[rows], approx[rows] = d.value, d.error, d.approximate
+        for i, text in zip(rows, d.note):
+            note[i] = text
+    return Distances(value, error, approx, tuple(note))
+
+
 def _check_set(space: NormedSpace, s: SetRep) -> None:
     if s.dim != space.dim:
         raise DimensionMismatchError(f"set lives in dim {s.dim}, space is dim {space.dim}")
@@ -525,7 +558,8 @@ def _dists(space: NormedSpace, ys: np.ndarray, s: SetRep) -> Distances:
         inner = _dists(space, ys, s.base)
         return inner._replace(value=np.fmax(inner.value - s.margin, _ZERO))
     if isinstance(s, SublevelRegion):
-        return _dists_region(space, ys, s)
+        b = s.forms()[1]
+        return _dists_region(space, ys, s, np.broadcast_to(b, (ys.shape[0], b.shape[0])))
     if not isinstance(s, VPolytope):
         raise TypeError(f"unknown set representation {type(s).__name__}")
     rows = [_dist_polytope(space, y, s) for y in ys]
@@ -654,9 +688,14 @@ def _bound_divisors(space: NormedSpace, a: np.ndarray) -> np.ndarray:
     return dual
 
 
-def _dists_region(space: NormedSpace, ys: np.ndarray, s: SublevelRegion,
+def _dists_region(space: NormedSpace, ys: np.ndarray, s: SublevelRegion, b: np.ndarray,
                   max_sweeps: int = 2000) -> Distances:
-    a, b = s.forms()
+    """Distance of each row i of ys to {y : A y <= b[i]}, A being s's stacked form rows.
+
+    b has a right-hand side per row, shape (n, rows of A); row i is the
+    one-row call's arithmetic elementwise, whatever the other rows hold.
+    """
+    a = s.forms()[0]
     n = ys.shape[0]
     value, error, approx = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
     note = [""] * n
@@ -664,20 +703,20 @@ def _dists_region(space: NormedSpace, ys: np.ndarray, s: SublevelRegion,
     out = np.nonzero(~np.logical_and.reduce(viol <= _ZERO, axis=1))[0]
     if out.size == 0:
         return Distances(value, error, approx, tuple(note))
-    y_out = ys
+    y_out, b_out = ys, b
     if out.size < n:  # the rows outside; with none inside, that is every row as it is
-        viol, y_out = viol[out], ys[out]
+        viol, y_out, b_out = viol[out], ys[out], b[out]
     # single-halfspace distances give an exact lower bound under any norm
     lower = np.maximum.reduce(_positive(viol) / _memo(
         s, f"_dual_norms_{space.norm}_{space.p}", lambda: _bound_divisors(space, a)), axis=1)
     if space.norm == "max":
-        lp = [_lp_dist_max_norm_region(a, b, ys[i]) for i in out]
+        lp = [_lp_dist_max_norm_region(a, b[i], ys[i]) for i in out]
         solved = np.array([v is not None for v in lp], dtype=bool)
         value[out[solved]] = [v for v in lp if v is not None]
-        out, lower, y_out = out[~solved], lower[~solved], y_out[~solved]
+        out, lower, y_out, b_out = out[~solved], lower[~solved], y_out[~solved], b_out[~solved]
         if out.size == 0:
             return Distances(value, error, approx, tuple(note))
-    gap = _dykstra(a, b, y_out, max_sweeps) - y_out
+    gap = _dykstra(a, b_out, y_out, max_sweeps) - y_out
     if space.norm == "euclidean":
         # converged Dykstra iterates are near-exact; the single-halfspace
         # lower bound keeps the reported bracket honest regardless
@@ -718,14 +757,15 @@ def _lp_dist_max_norm_region(a_mat: np.ndarray, b_vec: np.ndarray,
     return None if res is None else float(res.fun)
 
 
-def _dykstra(a_mat: np.ndarray, b_vec: np.ndarray, ys: np.ndarray, max_sweeps: int) -> np.ndarray:
-    """Nearest points of {z : A z <= b} to each row of ys (Dykstra's cyclic projections).
+def _dykstra(a_mat: np.ndarray, b: np.ndarray, ys: np.ndarray, max_sweeps: int) -> np.ndarray:
+    """Nearest point of {z : A z <= b[i]} to each row i of ys (Dykstra's cyclic projections).
 
-    Every row sweeps the halfspaces in one block, and each update does a
-    lone row's arithmetic elementwise (vecdot is the one-row dot), so a
-    row's result does not depend on the others.  A row leaves the block
-    after the sweep in which its own largest step falls below tolerance,
-    or after max_sweeps.
+    b holds a right-hand side per row of ys, shape (n, m), or one for
+    every row, shape (m,).  Every row sweeps the halfspaces in one block,
+    and each update does a lone row's arithmetic elementwise (vecdot is
+    the one-row dot), so a row's result does not depend on the others.  A
+    row leaves the block after the sweep in which its own largest step
+    falls below tolerance, or after max_sweeps.
     """
     m = a_mat.shape[0]
     sq = (a_mat * a_mat).sum(axis=1)
@@ -735,16 +775,18 @@ def _dykstra(a_mat: np.ndarray, b_vec: np.ndarray, ys: np.ndarray, max_sweeps: i
     iterates = np.empty((m + 1, *out.shape))  # z before and after each halfspace's step
     iterates[m] = out
     corr = np.zeros((m, *out.shape))
+    b = np.broadcast_to(b, (out.shape[0], m))
+    bounds = b.T  # (m, rows): each halfspace's right-hand side for every row
 
-    def steps():  # views into the live rows' arrays; b and q as one-element arrays
-        return list(zip(iterates, iterates[1:], corr, a_mat, b_vec[:, None], sq[:, None]))
+    def steps():  # views into the live rows' arrays; q as a one-element array
+        return list(zip(iterates, iterates[1:], corr, a_mat, bounds, sq[:, None]))
 
     block = steps()
     for _ in range(max_sweeps):
         iterates[0] = iterates[m]
-        for z, z_new, c, a, b, q in block:
+        for z, z_new, c, a, bound, q in block:
             w = z + c
-            t = _positive(np.vecdot(w, a) - b)[:, None]
+            t = _positive(np.vecdot(w, a) - bound)[:, None]
             np.subtract(w, t / q * a, out=z_new)
             np.subtract(w, z_new, out=c)
         # a row's delta is the scalar loop's max(delta, step) from 0.0 over its steps
@@ -758,10 +800,11 @@ def _dykstra(a_mat: np.ndarray, b_vec: np.ndarray, ys: np.ndarray, max_sweeps: i
             out[live[done]] = z[done]
             keep = ~done
             live, iterates, corr = live[keep], iterates[:, keep], corr[:, keep]
+            bounds = bounds[:, keep]
             block = steps()
     out[live] = iterates[m]
     # final feasibility polish, row by row (plain cyclic projections keep z in the set)
-    for z in out:
+    for z, b_vec in zip(out, b):
         for _ in range(50):
             viols = a_mat @ z - b_vec
             worst = float(viols.max())
@@ -1083,12 +1126,18 @@ def _sample_region(space: NormedSpace, s: SublevelRegion, n: int,
         budget -= k
         inside = (np.vecdot(a, cand[:, None, :]) <= b + 1e-12).all(axis=1)
         pts.extend(cand[inside][:n - len(pts)])
-    while len(pts) < n:
+    if len(pts) < n:
         # thin region: project box samples onto it instead of rejecting forever
-        z = _dykstra(a, b, rng.uniform(lo, hi)[None], 500)[0]
-        if not (np.vecdot(a, z) <= b + 1e-9 * np.maximum(1.0, np.abs(b))).all():
-            break
-        pts.append(z)
+        state = rng.bit_generator.state
+        z = _dykstra(a, b, rng.uniform(lo, hi, size=(n - len(pts), lo.shape[0])), 500)
+        inside = (np.vecdot(a, z[:, None, :]) <= b + 1e-9 * np.maximum(1.0, np.abs(b))).all(axis=1)
+        j = int(np.argmin(inside)) if not inside.all() else z.shape[0]
+        pts.extend(z[:j])
+        if j < z.shape[0]:
+            # projection j ends outside: sampling stops there, so the stream goes
+            # on from where drawing the first j + 1 box points one at a time leaves it
+            rng.bit_generator.state = state
+            rng.uniform(lo, hi, size=(j + 1, lo.shape[0]))
     if len(pts) < n:
         # the projection ends outside; the LP argpoints are members, and so are
         # their convex combinations

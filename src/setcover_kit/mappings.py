@@ -96,7 +96,9 @@ class LipschitzRuleError(LookupError):
 
 
 class DimensionCapError(ValueError):
-    """The rule enumerates 2^dim sign corners, and dim is above SIGN_CORNER_CAP."""
+    """A valid input above a documented dimension cap: SIGN_CORNER_CAP for the
+    rules that enumerate 2^dim sign corners, penalty.PENALTY_SEARCH_CAP for the
+    penalty minimization."""
 
 
 # largest dimension whose sign corners are enumerated: the rows of an Epigraphical

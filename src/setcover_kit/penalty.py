@@ -27,6 +27,9 @@ from .geometry import NormedSpace, excess, rng_for
 from .search import PatternTrace, pattern_search
 from .solver import InclusionInstance, solve_inclusion
 
+# largest dimension minimize_penalty searches: each poll round costs 2 * dim penalty values
+PENALTY_SEARCH_CAP = 6
+
 __all__ = [
     "NormToPoint",
     "Linear",
@@ -182,8 +185,10 @@ def minimize_penalty(prob: PenaltyProblem, x0,
     Hyperparameters (start step 1.0, halving, floor 1e-7) are fixed and
     recorded in the trace; the run is deterministic given x0.
     """
-    if prob.space.dim > 6:
-        raise ValueError("pattern-search minimization is desk scale: dim <= 6")
+    if prob.space.dim > PENALTY_SEARCH_CAP:
+        raise mp.DimensionCapError(f"pattern-search minimization is capped at dimension "
+                                   f"{PENALTY_SEARCH_CAP}; this needs dimension "
+                                   f"{prob.space.dim}")
     x0 = prob.space.check_point(x0)
     x, val, trace = pattern_search(lambda u: penalty_value(prob, u), x0,
                                    initial_step=initial_step, step_floor=step_floor,

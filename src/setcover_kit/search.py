@@ -4,15 +4,24 @@ Polls +/- each coordinate at the current step, takes the best improving
 poll (lexicographically smallest point on ties), and halves the step
 when no poll improves.  Fully deterministic for a fixed starting point,
 so traces replay bit-identically.
+
+The objective is batched: it maps a list of k points to k values.
+`pattern_searches` runs one search per start in lockstep, so each poll
+round makes one objective call over the 2n polls of every search still
+running; each search applies the rule above to its own polls alone, so
+its result and trace are those of a run on its own.  `pattern_search`
+is the one-start call of a scalar objective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
-__all__ = ["PatternStep", "PatternTrace", "pattern_search"]
+__all__ = ["PatternStep", "PatternTrace", "pattern_search", "pattern_searches"]
 
 
 @dataclass(frozen=True)
@@ -47,36 +56,62 @@ class PatternTrace:
 
 def pattern_search(f, x0, initial_step: float = 1.0, step_floor: float = 1e-7,
                    max_evals: int = 100_000, project=None):
-    """Minimize f from x0; returns (x, f(x), PatternTrace)."""
-    x = np.asarray(x0, dtype=float).copy()
+    """Minimize a scalar f from x0; returns (x, f(x), PatternTrace)."""
+    (result,) = pattern_searches(partial(map, f), [x0], initial_step, step_floor, max_evals,
+                                 project)
+    return result
+
+
+def pattern_searches(f, starts, initial_step: float = 1.0, step_floor: float = 1e-7,
+                     max_evals: int = 100_000, project=None) -> list:
+    """Minimize f from each start in lockstep; returns one (x, f(x), PatternTrace) per start.
+
+    f maps a list of k points (the arrays a one-start search would pass
+    it one at a time) to k values.  A search stops when its step falls
+    below step_floor or when another poll round would take it past
+    max_evals evaluations.
+    """
+    xs = [np.asarray(x0, dtype=float).copy() for x0 in starts]
     if project is not None:
-        x = np.asarray(project(x), dtype=float)
-    trace = PatternTrace(initial_step=initial_step, step_floor=step_floor)
-    fx = float(f(x))
-    trace.n_evals = 1
-    step = initial_step
-    n = x.shape[0]
-    trace.steps.append(PatternStep(tuple(x), fx, step, trace.n_evals))
-    while step >= step_floor:
-        if trace.n_evals + 2 * n > max_evals:
-            trace.budget_exhausted = True
-            break
-        best_cand, best_val = None, fx
-        for i in range(n):
-            for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[i] += sign * step
-                if project is not None:
-                    cand = np.asarray(project(cand), dtype=float)
-                val = float(f(cand))
-                trace.n_evals += 1
+        xs = [np.asarray(project(x), dtype=float) for x in xs]
+    fxs = [float(v) for v in f(xs)]
+    traces = [PatternTrace([PatternStep(tuple(x), fx, initial_step, 1)], n_evals=1,
+                           initial_step=initial_step, step_floor=step_floor)
+              for x, fx in zip(xs, fxs)]
+    steps = [initial_step] * len(xs)
+    while True:
+        polling, polls = [], []
+        for i, x in enumerate(xs):  # a search that stopped stays stopped: x, step and budget stay
+            if steps[i] < step_floor:
+                continue
+            if traces[i].n_evals + 2 * x.shape[0] > max_evals:
+                traces[i].budget_exhausted = True
+                continue
+            polling.append(i)
+            step = steps[i]
+            for j in range(x.shape[0]):
+                for sign in (1.0, -1.0):
+                    cand = x.copy()
+                    cand[j] += sign * step
+                    if project is not None:
+                        cand = np.asarray(project(cand), dtype=float)
+                    polls.append(cand)
+        if not polls:
+            return list(zip(xs, fxs, traces))
+        results = zip(polls, f(polls))
+        for i in polling:
+            trace, width = traces[i], 2 * xs[i].shape[0]
+            best_cand, best_val = None, fxs[i]
+            for cand, val in islice(results, width):  # this search's own polls, in order
+                val = float(val)
                 better = val < best_val - 0.0
                 tie = val == best_val and best_cand is not None and tuple(cand) < tuple(best_cand)
                 if better or tie:
                     best_cand, best_val = cand, val
-        if best_cand is None:
-            step /= 2.0
-        else:
-            x, fx = best_cand, best_val
-            trace.steps.append(PatternStep(tuple(x), fx, step, trace.n_evals))
-    return x, fx, trace
+            trace.n_evals += width
+            if best_cand is None:
+                steps[i] /= 2.0
+            else:
+                xs[i], fxs[i] = best_cand, best_val
+                trace.steps.append(PatternStep(tuple(best_cand), best_val, steps[i],
+                                               trace.n_evals))

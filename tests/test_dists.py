@@ -350,6 +350,85 @@ def test_region_rows_property(seed, norm, dim, n, scale):
     assert_region_rows_match_reference(space, ys, s)
 
 
+# ---------------------------------------------------------------------------
+# one point against many sets: dist_to_each
+
+
+def assert_each_set_equals_dist_point(space, y, sets):
+    """dist_to_each's rows equal dist_point per set by float hex; returns them."""
+    d = sk.dist_to_each(space, y, sets)
+    assert d.value.shape == d.error.shape == d.approximate.shape == (len(sets),)
+    for i, s in enumerate(sets):
+        one = sk.dist_point(space, y, s)
+        assert hexed(d.value[i], d.error[i], d.approximate[i], d.note[i]) == \
+            hexed(one, one.error, one.approximate, one.note), i
+    return d
+
+
+def sublinear_images(rng, dim, space, n):
+    """n images of one sublinear map: one form matrix, a zero form row in it, n right-hand sides."""
+    groups = [np.vstack([np.eye(dim)[i], -np.eye(dim)[i]]) + 0.3 * rng.standard_normal((2, dim))
+              for i in range(dim)]
+    groups[0] = np.vstack([groups[0], np.zeros(dim)])
+    sub = sk.SublinearSystem(tuple(groups), space_y=space)
+    us = rng.choice([0.0, 0.05, 1.0, 20.0], size=(n, 1)) * rng.standard_normal((n, dim))
+    return [sk.eval_map(sub, u) for u in us]
+
+
+@pytest.mark.parametrize("norm,p", NORMS)
+def test_dist_to_each_equals_dist_point_per_set(norm, p):
+    rng = np.random.default_rng([31, NORMS.index((norm, p))])
+    image_values = []
+    for dim in (1, 2, 3, 5):
+        space = sk.NormedSpace(dim, norm, p)
+        images = sublinear_images(rng, dim, space, 8)
+        others = [make_set(kind, dim, rng) for kind in CLOSED_KINDS + ITERATIVE_KINDS]
+        others += [enlarged(images[0], [0.3]), random_region(rng, dim), images[1]]
+        order = rng.permutation(len(images) + len(others))
+        sets = [(images + others)[i] for i in order]
+        for y in (np.zeros(dim), 0.5 * rng.standard_normal(dim), 5.0 * rng.standard_normal(dim)):
+            d = assert_each_set_equals_dist_point(space, y, sets)
+            image_values.extend(d.value[np.argsort(order)[:len(images)]])
+    assert min(image_values) == 0.0 < max(image_values)  # rows inside and outside
+    assert sk.dist_to_each(sk.NormedSpace(2), np.zeros(2), []).value.shape == (0,)
+
+
+def test_dist_to_each_measures_one_form_matrix_in_one_region_call(monkeypatch):
+    from setcover_kit import geometry
+
+    calls = []
+    real = geometry._dists_region
+
+    def counted(space, ys, s, b, *args, **kwargs):
+        calls.append(len(ys))
+        return real(space, ys, s, b, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_dists_region", counted)
+    rng = np.random.default_rng(41)
+    space = sk.NormedSpace(2)
+    sets = sublinear_images(rng, 2, space, 6) + [random_region(rng, 2), sk.Ball(np.zeros(2), 1.0)]
+    assert_each_set_equals_dist_point(space, np.array([3.0, -4.0]), sets)
+    calls.clear()
+    sk.dist_to_each(space, np.array([3.0, -4.0]), sets)
+    assert sorted(calls) == [1, 6]
+
+
+@pytest.mark.parametrize("norm,p", (("euclidean", None), ("p", 3.0)))
+def test_dist_to_each_rows_that_hit_the_sweep_cap(monkeypatch, norm, p):
+    from functools import partial
+
+    from setcover_kit import geometry
+
+    rng = np.random.default_rng(37)
+    space = sk.NormedSpace(3, norm, p)
+    images = sublinear_images(rng, 3, space, 12)
+    y = 5.0 * rng.standard_normal(3)
+    full = sk.dist_to_each(space, y, images)
+    monkeypatch.setattr(geometry, "_dists_region", partial(geometry._dists_region, max_sweeps=2))
+    capped = assert_each_set_equals_dist_point(space, y, images)
+    assert (capped.value != full.value).any()  # some rows stopped at the cap
+
+
 def test_thin_region_sampling_projects_one_row():
     # a slab of width 1e-7: rejection fails, so the samples come from one-row Dykstra
     # projections; every one must be a member of the slab

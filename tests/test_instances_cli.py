@@ -19,6 +19,7 @@ from setcover_kit.instances import (
     run_instance,
 )
 from setcover_kit.mappings import SIGN_CORNER_CAP
+from setcover_kit.penalty import PENALTY_SEARCH_CAP
 
 
 class TestDecode:
@@ -169,6 +170,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("input error: ")
         assert f"capped at dimension {SIGN_CORNER_CAP}; this needs dimension 17" in err
+
+    def test_penalty_above_the_search_cap_is_an_input_error(self, tmp_path, capsys):
+        dim = PENALTY_SEARCH_CAP + 1
+        data = copy.deepcopy(builtin_instances()["t1_penalty"])
+        maps = data["maps"]
+        maps["psi"].update(anchor=[0.0] * dim, space_x={"dim": dim})
+        maps["phi"].update(space_x={"dim": dim})
+        maps["phi"]["center"]["matrix"] = np.zeros((2, dim)).tolist()
+        data["penalty"]["x0"] = [0.0] * dim
+        del data["penalty"]["verify"]
+        assert main(["penalize", "--instance", self.write(tmp_path, data)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert f"capped at dimension {PENALTY_SEARCH_CAP}; this needs dimension {dim}" in err
 
     def test_kind_mismatch(self, tmp_path, capsys):
         path = self.write(tmp_path, builtin_instances()["t1"])
