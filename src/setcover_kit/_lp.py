@@ -23,20 +23,25 @@ the 2*dim LPs of a coordinate extent differ only in the cost, the
 max-norm LPs of one region distance only in the right-hand side.  So
 each thread keeps its last solver, with its model, under a key of the
 matrix, the row split and the variable bounds, compared by bytes.  A
-program with the same key only updates the kept model: the cost
-(`changeColsCost`) and the row bounds that moved (`changeRowBounds`).
-It then calls `clearSolver`, so that HiGHS solves from scratch, as a
-fresh solver does, and the answer does not depend on the program before:
-a warm start from the last basis may stop at another optimal vertex,
-and has been seen to stop in kUnknown.  A program with another key gets
-a fresh solver, which is kept in turn; a refused update, a refused model
-or a failed run leaves nothing kept.  Keeping the model skips building
-the solver, passing its options and building the model, a third to a
-half of a call: an extent LP takes 289 against 544 µs with a fresh
-solver per call, one row of a max-norm region distance 380 against 604
-µs and an epigraphical cover witness 480 against 719 µs (the fastest of
-8 alternating processes per side, on a shared 2-core x86-64 machine,
-scipy 1.17).
+program with the same key sets the cost and row bounds of the kept
+`HighsLp` and passes it again to the kept solver (`passModel`), which
+clears the solver's model and all it derived from it, so that HiGHS
+solves from scratch, as a fresh solver does, and the answer does not
+depend on the program before.  Updating the model in place
+(`changeColsCost`, `changeRowBounds`) is not enough, not even after
+`clearSolver`: the model keeps what the last run derived from it, and
+the next run has been seen to take another pivot and end a few ulps
+away from scipy's optimum; a warm start from the last basis may stop at
+another optimal vertex, and has been seen to stop in kUnknown.  A
+program with another key gets a fresh solver, which is kept in turn; a
+refused model or a failed run leaves nothing kept.  Keeping the solver
+and its model skips building the solver, passing its options and
+building the model, a third to a half of a call: an extent LP takes 289
+against 544 µs with a fresh solver per call, one row of a max-norm
+region distance 380 against 604 µs and an epigraphical cover witness
+480 against 719 µs (the fastest of 8 alternating processes per side, on
+a shared 2-core x86-64 machine, scipy 1.17; measured with in-place
+updates, which cost about what passing the kept model again does).
 """
 
 from __future__ import annotations
@@ -116,9 +121,7 @@ class _Kept(NamedTuple):
 
     key: tuple  # (n, m_ub, matrix, lower, upper bounds as bytes): what an update cannot change
     solver: highs._Highs
-    cost: bytes
-    row_lower: np.ndarray
-    row_upper: np.ndarray
+    lp: highs.HighsLp  # the model last passed to the solver; passModel copies it
 
 
 class _PerThread(threading.local):
@@ -153,18 +156,14 @@ def _highs_lp(c, a_mat, lower, upper, row_lower, row_upper) -> highs.HighsLp:
 
 
 def _update(kept: _Kept, c, row_lower, row_upper) -> bool:
-    """Give the kept model cost c and these row bounds, with a cold solver; False on refusal."""
-    solver = kept.solver
-    if c.tobytes() != kept.cost and solver.changeColsCost(
-            c.shape[0], np.arange(c.shape[0], dtype=np.int32), c) == _ERROR:
-        return False
-    moved = ((row_lower.view(np.int64) != kept.row_lower.view(np.int64))
-             | (row_upper.view(np.int64) != kept.row_upper.view(np.int64)))  # bits: 0.0 != -0.0
-    for i in np.flatnonzero(moved).tolist():
-        if solver.changeRowBounds(i, row_lower[i], row_upper[i]) == _ERROR:
-            return False
-    # a warm start from the last basis can end in another vertex, or in kUnknown
-    return solver.clearSolver() != _ERROR
+    """Pass the kept model again with cost c and these row bounds; False on refusal."""
+    lp = kept.lp
+    lp.col_cost_ = c
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    # passModel clears the solver's state and what the last run derived from
+    # the model, which changeColsCost, changeRowBounds and clearSolver keep
+    return kept.solver.passModel(lp) != _ERROR
 
 
 def _outcome(model_status, message: str, x=None, fun=None) -> LPResult:
@@ -183,9 +182,9 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LPRes
     NaN or off by more than scipy's tolerance is reported as status 4.
 
     A program with the matrix, row split and bounds of this thread's last
-    one is solved on the kept HiGHS model, with its cost and moved row
-    bounds updated and its solver state cleared, so that it is solved
-    cold and its answer is the one a fresh solver gives.
+    one is solved by the kept HiGHS solver, on the kept model passed again
+    with its cost and row bounds, so that it is solved cold and its
+    answer is the one a fresh solver gives.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.shape[0]
@@ -202,16 +201,17 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LPRes
     key = (n, m_ub, a_mat.tobytes(), lower.tobytes(), upper.tobytes())
     kept, _KEPT.model = _KEPT.model, None  # nothing is kept mid-update
     if kept is not None and kept.key == key and _update(kept, c, row_lower, rhs):
-        solver = kept.solver
+        solver, model = kept.solver, kept.lp
     else:
         solver = highs._Highs()
         if solver.passOptions(_OPTIONS) == _ERROR:
             return _outcome(solver.getModelStatus(), "HiGHS refused the solver options")
-        if solver.passModel(_highs_lp(c, a_mat, lower, upper, row_lower, rhs)) == _ERROR:
+        model = _highs_lp(c, a_mat, lower, upper, row_lower, rhs)
+        if solver.passModel(model) == _ERROR:
             return _outcome(_MODEL.kModelError, "HiGHS refused the model")
     ran = solver.run() != _ERROR
     if ran:
-        _KEPT.model = _Kept(key, solver, c.tobytes(), row_lower, rhs)
+        _KEPT.model = _Kept(key, solver, model)
     model_status = solver.getModelStatus()
     message = solver.modelStatusToString(model_status)
     if model_status != _MODEL.kOptimal:

@@ -357,6 +357,18 @@ def test_random_same_matrix_sequences_equal_scipy(seed, n, m, m_eq, bound_kind, 
     assert kept_solver() is solver
 
 
+def test_a_new_cost_on_a_solved_model_equals_scipy(monkeypatch):
+    # changeColsCost and clearSolver on this solved model took another pivot
+    # and ended a few ulps away from scipy's optimum
+    own_kept_model(monkeypatch)
+    rng = np.random.default_rng(33)
+    c, kwargs = random_program(rng, 5, 6, 0, "default")
+    assert_same(c, **kwargs)
+    solver = kept_solver()
+    assert_same(np.array([0.7, 0.1, 0.3, -0.2, -1.0]), **kwargs)
+    assert kept_solver() is solver
+
+
 def test_arrays_the_caller_changes_in_place_are_read_again(monkeypatch):
     own_kept_model(monkeypatch)
     c, kwargs = extent_program(3, 0, 1.0)
