@@ -257,6 +257,11 @@ def coordinate_extent(a_mat: np.ndarray, b_vec: np.ndarray):
     stops at a limit or fails numerically, which proves neither bound.
     All arrays are read-only, so callers may keep and share one extent
     per region.
+
+    With presolve on, HiGHS can call an unbounded extent LP infeasible (2)
+    or unknown (4).  On those statuses a zero-cost LP tells an empty region,
+    and on any other one a negative optimum of min c.d subject to A d <= 0,
+    -1 <= d <= 1 proves the end infinite.
     """
     n = a_mat.shape[1]
     lo = np.full(n, -np.inf)
@@ -267,11 +272,18 @@ def coordinate_extent(a_mat: np.ndarray, b_vec: np.ndarray):
             c = np.zeros(n)
             c[i] = sign
             res = linprog(c, A_ub=a_mat, b_ub=b_vec, bounds=[(None, None)] * n)
+            if res.status in (2, 4):
+                if linprog(np.zeros(n), A_ub=a_mat, b_ub=b_vec,
+                           bounds=[(None, None)] * n).status == 2:
+                    raise LPAnomalyError("halfspace intersection is empty")
+                ray = linprog(c, A_ub=a_mat, b_ub=np.zeros(b_vec.shape[0]), bounds=(-1.0, 1.0))
+                if ray.status == 0 and ray.fun < 0.0:
+                    continue  # a recession direction: this end is infinite
+                raise LPAnomalyError(f"LP solver failure: status={res.status} ({res.message}), "
+                                     "and no recession direction proves the end infinite")
             if res.status == 0:
                 ends[i] = sign * res.fun
                 pts.append(res.x)
-            elif res.status == 2:
-                raise LPAnomalyError("halfspace intersection is empty")
             elif res.status != 3:
                 raise LPAnomalyError(f"LP solver failure: status={res.status} ({res.message})")
     pts = np.array(pts, dtype=float).reshape(-1, n)

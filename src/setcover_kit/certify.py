@@ -34,11 +34,10 @@ from .geometry import (
     dists,
     excess,
     hausdorff,
-    outer_radius,
     rng_for,
     sample_enlargement,
 )
-from .search import pattern_searches
+from .search import ball_search
 
 __all__ = [
     "Violation",
@@ -142,30 +141,6 @@ def _scale_tol(tol: float, x, extra: float) -> float:
 # covering (ball image sweep)
 
 
-def _covering_responder(m: mp.MapSpec, x, r: float, y):
-    """Closed-form best response u for the covering search, where available.
-
-    Returns (u, certified_distance) with the exact minimum of
-    dist(y, image(u)) over the r-ball at x, or None.
-    """
-    if isinstance(m, mp.SphereScale):
-        ny = float(np.linalg.norm(y))
-        lo, hi = max(0.0, abs(float(x[0])) - r), abs(float(x[0])) + r
-        rho = min(max(ny, lo), hi)
-        sign = 1.0 if x[0] >= 0 else -1.0
-        u = np.array([sign * rho])
-        if abs(u[0] - x[0]) > r:  # sign flip fits better when the band crosses zero
-            u = np.array([-sign * rho])
-        return u, abs(ny - rho)
-    if isinstance(m, mp.UnitBallTranslate):
-        space = m.space_x
-        d = space.dist(y, x)
-        step = min(r, max(0.0, d - 1.0))
-        u = x + step * space.unit(np.asarray(y) - x)
-        return u, max(0.0, d - r - 1.0)
-    return None
-
-
 def check_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
                    x_box=None, r_range=R_RANGE_DEFAULT, n_targets: int = 4,
                    tol: float = 1e-9, search_budget: int = 600) -> Certificate:
@@ -191,7 +166,7 @@ def check_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
             pass
         atol = _scale_tol(tol, x, alpha * r)
         for y in targets:
-            responder = _covering_responder(m, x, r, y)
+            responder = m.respond(x, r, y)
             if responder is not None:
                 u, certified = responder
                 if certified > atol:
@@ -220,8 +195,6 @@ def _sub_seed(seed: int, trial: int, k: int) -> int:
 
 
 def _search_cover_point(m: mp.MapSpec, x, r: float, y, seed: int, budget: int):
-    space = m.space_x
-
     def objective(us):
         """dist(y, F(u)) for each point u; inf where F(u) cannot be built."""
         images = []
@@ -235,23 +208,8 @@ def _search_cover_point(m: mp.MapSpec, x, r: float, y, seed: int, budget: int):
         values[built] = dist_to_each(m.space_y, y, [images[i] for i in built]).value
         return values
 
-    def clip(u):
-        d = space.dist(u, x)
-        return u if d <= r else x + (r / d) * (u - x)
-
-    rng = rng_for(seed, 0)
-    starts = [np.asarray(x, dtype=float)]
-    for _ in range(3):
-        g = rng.standard_normal(space.dim)
-        starts.append(x + r * float(rng.uniform()) * space.unit(g))
-    best_u, best_v = starts[0], float(objective(starts[:1])[0])
-    per_start = max(30, budget // len(starts))
-    for u, v, _ in pattern_searches(objective, starts, initial_step=r / 2,
-                                    step_floor=1e-9 * max(1.0, r),
-                                    max_evals=per_start, project=clip):
-        if v < best_v:
-            best_u, best_v = u, v
-    return best_u, best_v
+    return ball_search(objective, m.space_x, x, r, rng_for(seed, 0), n_draws=3,
+                       max_evals=max(30, budget // 4))
 
 
 # ---------------------------------------------------------------------------
@@ -427,27 +385,7 @@ def inverse_distance(m: mp.MapSpec, s: SetRep, x) -> float:
     function) and for the two covering-only witnesses.  math.inf encodes
     an empty inclusion-inverse.
     """
-    x = m.space_x.check_point(x)
-    if isinstance(m, mp.Dilation):
-        r_s = float(outer_radius(m.space_y, s, m.y0))
-        if math.isinf(r_s):
-            return math.inf
-        threshold = (r_s - m.b) / m.a
-        return max(0.0, threshold - m.space_x.dist(x, m.anchor))
-    if isinstance(m, mp.UnitBallTranslate):
-        if isinstance(s, Ball):
-            if s.radius > 1.0:
-                return math.inf
-            return max(0.0, m.space_x.dist(x, s.center) - (1.0 - s.radius))
-        raise NotImplementedError("inclusion inverse implemented for ball test sets")
-    if isinstance(m, mp.SphereScale):
-        if isinstance(s, Ball):
-            if s.radius > 0.0:
-                return math.inf  # no sphere contains a solid ball
-            rho = float(np.linalg.norm(s.center))
-            return abs(abs(float(x[0])) - rho)
-        raise NotImplementedError("inclusion inverse implemented for ball test sets")
-    raise NotImplementedError(f"no closed-form inclusion inverse for {type(m).__name__}")
+    return m.inverse_distance(s, m.space_x.check_point(x))
 
 
 def _inverse_errorbound_sides(m: mp.MapSpec, alpha: float, s: SetRep, x):
@@ -507,9 +445,8 @@ def check_inverse_hausdorff(m: mp.MapSpec, alpha: float, trials: int, seed: int,
         c2 = rng.uniform(-5.0, 5.0, size=m.space_y.dim)
         r1, r2 = rng.uniform(0.1, 4.0, size=2)
         a_set, b_set = Ball(c1, float(r1)), Ball(c2, float(r2))
-        t_a = (float(outer_radius(m.space_y, a_set, m.y0)) - m.b) / m.a
-        t_b = (float(outer_radius(m.space_y, b_set, m.y0)) - m.b) / m.a
-        h_inv = abs(max(0.0, t_a) - max(0.0, t_b))
+        # a dilation's inverse images are shells about its anchor
+        h_inv = abs(inverse_distance(m, a_set, m.anchor) - inverse_distance(m, b_set, m.anchor))
         h_sets = float(hausdorff(m.space_y, a_set, b_set))
         atol = _scale_tol(tol, c1, h_sets)
         if h_inv > h_sets / alpha + atol:

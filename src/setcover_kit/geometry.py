@@ -207,39 +207,126 @@ def _memo(obj, name: str, compute):
 
 
 class SetRep:
-    """Base class of the closed-set catalog; all variants are nonempty and closed."""
+    """Base class of the closed-set catalog; all variants are nonempty and closed.
+
+    Each kind carries its rules, which the module functions call once they
+    have checked their arguments: convex, _dists(space, ys) for dists,
+    outer_radius(space, p), contains(space, y, tol), sample(space, n, seed,
+    rng, box) with rng = rng_for(seed, 0), translate(v), enlarge(space, r)
+    and affine_image(mat, off).  A kind without its own rule raises
+    TypeError, except that contains falls back to the distance, enlarge to
+    EnlargedSet and affine_image to a ValueError.  Only the pair rules of
+    excess stay in one table.
+    """
 
     dim: int
 
+    def _no_rule(self, *args):
+        raise TypeError(f"unknown set representation {type(self).__name__}")
+
+    _dists = outer_radius = sample = translate = _no_rule
+    convex = property(_no_rule)
+
+    def contains(self, space: NormedSpace, y: np.ndarray, tol: float) -> bool:
+        """dist <= tol, where the kind has no exact membership test."""
+        d = dist_point(space, y, self)
+        return d <= tol + d.error
+
+    def enlarge(self, space: NormedSpace, r: float) -> SetRep:
+        """The implicit wrapper, where the kind has no exact enlargement."""
+        return EnlargedSet(self, r)
+
+    def affine_image(self, mat: np.ndarray, off: np.ndarray) -> SetRep:
+        raise ValueError(f"affine image of {type(self).__name__} leaves the catalog")
+
 
 @dataclass(frozen=True, eq=False)
-class Ball(SetRep):
+class _Round(SetRep):
+    """The fields, checks and shared rules of a ball and a sphere."""
+
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
         _freeze(self, "center", self.center)
         if self.radius < 0:
-            raise ValueError("ball radius must be >= 0")
+            raise ValueError(f"{type(self).__name__.lower()} radius must be >= 0")
         object.__setattr__(self, "dim", self.center.shape[0])
+
+    def outer_radius(self, space, p):
+        return Distance(space.dist(self.center, p) + self.radius)
+
+    def translate(self, v):
+        return type(self)(self.center + v, self.radius)
+
+    def affine_image(self, mat, off):
+        lam = _scaled_orthogonal_factor(mat)
+        if lam is None:
+            raise ValueError("ball images need a scaled-orthogonal matrix to stay in the catalog")
+        return type(self)(mat @ self.center + off, lam * self.radius)
+
+    def _axis_points(self, space: NormedSpace) -> list:
+        """center + r e_1, center - r e_1, center + r e_2, ..."""
+        steps = self.radius * np.eye(space.dim)
+        pairs = np.stack([self.center + steps, self.center - steps], axis=1)
+        return list(pairs.reshape(-1, space.dim))
 
 
 @dataclass(frozen=True, eq=False)
-class Sphere(SetRep):
-    center: np.ndarray
-    radius: float
+class Ball(_Round):
+    convex = True
 
-    def __post_init__(self):
-        _freeze(self, "center", self.center)
-        if self.radius < 0:
-            raise ValueError("sphere radius must be >= 0")
-        object.__setattr__(self, "dim", self.center.shape[0])
+    def _dists(self, space, ys):
+        # np.fmax(v, 0.0) is max(0.0, v) elementwise, NaN included
+        return _exact(np.fmax(space.norms(ys - self.center) - self.radius, _ZERO))
+
+    def contains(self, space, y, tol):
+        return space.dist(y, self.center) <= self.radius + tol * max(1.0, self.radius)
+
+    def sample(self, space, n, seed, rng, box):
+        center, radius = self.center, self.radius
+        pts = [center.copy()] + self._axis_points(space)
+        budget = 200 * n + 1000  # candidates
+        while len(pts) < n and budget > 0:
+            # one chunk draws the candidates one-at-a-time draws would; they are taken in order
+            k = min(budget, 2 * (n - len(pts)) + 16)
+            cand = rng.uniform(-radius, radius, size=(k, space.dim))
+            budget -= k
+            pts.extend(center + cand[space.norms(cand) <= radius][:n - len(pts)])
+        if len(pts) < n:
+            raise SamplingBudgetError("rejection budget exhausted sampling a ball")
+        return np.array(pts[:n])
+
+    def enlarge(self, space, r):
+        return Ball(self.center, self.radius + r)
+
+
+@dataclass(frozen=True, eq=False)
+class Sphere(_Round):
+    @property
+    def convex(self):
+        return self.radius == 0.0
+
+    def _dists(self, space, ys):
+        return _exact(np.abs(space.norms(ys - self.center) - self.radius))
+
+    def contains(self, space, y, tol):
+        return abs(space.dist(y, self.center) - self.radius) <= tol * max(1.0, self.radius)
+
+    def sample(self, space, n, seed, rng, box):
+        pts = self._axis_points(space)
+        if len(pts) < n:
+            dirs = rng.standard_normal((n - len(pts), space.dim))
+            pts.extend(self.center + self.radius * space.unit(dirs))
+        return np.array(pts[:n])
 
 
 @dataclass(frozen=True, eq=False)
 class Box(SetRep):
     lo: np.ndarray
     hi: np.ndarray
+
+    convex = True
 
     def __post_init__(self):
         _freeze(self, "lo", self.lo)
@@ -270,6 +357,28 @@ class Box(SetRep):
         masks = (rows >> np.minimum(bits, 62)) & 1  # rows < 2^62: higher bits are 0
         return np.where(masks == 0, self.lo, self.hi).astype(float)
 
+    def _dists(self, space, ys):
+        return _exact(space.norms(np.clip(ys, self.lo, self.hi) - ys))
+
+    def outer_radius(self, space, p):
+        return Distance(_box_radius(space, self.lo, self.hi, p))
+
+    def contains(self, space, y, tol):
+        scale = 1.0 + float(np.max(np.abs(np.concatenate([self.lo, self.hi]))))
+        return bool(np.all(y >= self.lo - tol * scale) and np.all(y <= self.hi + tol * scale))
+
+    def sample(self, space, n, seed, rng, box):
+        pts = list(self.first_corners(min(n, 64)))
+        while len(pts) < n:
+            pts.append(rng.uniform(self.lo, self.hi))
+        return np.array(pts[:n])
+
+    def translate(self, v):
+        return Box(self.lo + v, self.hi + v)
+
+    def affine_image(self, mat, off):
+        return VPolytope(self.corners() @ mat.T + off)
+
 
 @dataclass(frozen=True, eq=False)
 class VPolytope(SetRep):
@@ -277,12 +386,38 @@ class VPolytope(SetRep):
 
     vertices: np.ndarray
 
+    convex = True
+
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError("VPolytope needs a (k, dim) vertex array with k >= 1")
         _freeze(self, "vertices", v)
         object.__setattr__(self, "dim", v.shape[1])
+
+    def _dists(self, space, ys):
+        rows = [_dist_polytope(space, y, self) for y in ys]
+        return Distances(np.array([float(d) for d in rows]),
+                         np.array([d.error for d in rows], dtype=float),
+                         np.array([d.approximate for d in rows], dtype=bool),
+                         tuple(d.note for d in rows))
+
+    def outer_radius(self, space, p):
+        return Distance(float(space.norms(self.vertices - p).max()))
+
+    def sample(self, space, n, seed, rng, box):
+        pts = list(self.vertices[:n])
+        k = self.vertices.shape[0]
+        while len(pts) < n:
+            w = rng.dirichlet(np.ones(k))
+            pts.append(w @ self.vertices)
+        return np.array(pts[:n])
+
+    def translate(self, v):
+        return VPolytope(self.vertices + v)
+
+    def affine_image(self, mat, off):
+        return VPolytope(self.vertices @ mat.T + off)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,6 +432,29 @@ class PointCloud(SetRep):
             raise ValueError("PointCloud needs a (k, dim) array with k >= 1")
         _freeze(self, "points", pts)
         object.__setattr__(self, "dim", pts.shape[1])
+
+    @property
+    def convex(self):
+        return self.points.shape[0] == 1
+
+    def _dists(self, space, ys):
+        return _exact(space.norms(ys[:, None, :] - self.points).min(axis=1))
+
+    def outer_radius(self, space, p):
+        return Distance(float(space.norms(self.points - p).max()))
+
+    def contains(self, space, y, tol):
+        return bool((space.norms(self.points - y) <= tol).any())
+
+    def sample(self, space, n, seed, rng, box):
+        reps = int(np.ceil(n / self.points.shape[0]))
+        return np.tile(self.points, (reps, 1))[:n]
+
+    def translate(self, v):
+        return PointCloud(self.points + v)
+
+    def affine_image(self, mat, off):
+        return PointCloud(self.points @ mat.T + off)
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,6 +476,8 @@ class SublevelRegion(SetRep):
     """{y : max_j <a_ij, y> <= b_i for every group i}; closed, convex, possibly unbounded."""
 
     groups: tuple[FormGroup, ...]
+
+    convex = True
 
     def __post_init__(self):
         groups = tuple(self.groups)
@@ -353,6 +513,85 @@ class SublevelRegion(SetRep):
             return coordinate_extent(*self.forms())
         return _memo(self, "_extent", solve)
 
+    def _dists(self, space, ys):
+        b = self.forms()[1]
+        return _dists_region(space, ys, self, np.broadcast_to(b, (ys.shape[0], b.shape[0])))
+
+    def outer_radius(self, space, p):
+        lo, hi, _ = self.extent()
+        if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
+            val = _box_radius(space, lo, hi, p)
+            return Distance(val, approximate=True, error=val,
+                            note="box overestimate of the region's outer radius")
+        return Distance(math.inf, note="unbounded region")
+
+    def contains(self, space, y, tol):
+        a, b = self.forms()
+        val = np.vecdot(a, y)
+        return not (val > b + tol * np.maximum(np.maximum(1.0, np.abs(val)), np.abs(b))).any()
+
+    def sample(self, space, n, seed, rng, box):
+        a, b = self.forms()
+        lo, hi, argpoints = self.extent()
+        if box is None:
+            scale = 1.0 + float(np.abs(b).max())
+            lo = np.where(np.isfinite(lo), lo, -10.0 * scale)
+            hi = np.where(np.isfinite(hi), hi, 10.0 * scale)
+        else:
+            lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)  # LP roundoff can cross degenerate bounds
+        # extreme candidates: per-coordinate LP optima are vertices of the region
+        pts: list[np.ndarray] = list(argpoints[:n])
+        budget = 60 * n + 600  # candidates
+        while len(pts) < n and budget > 0:
+            # as in Ball.sample; a chunk never outruns the budget, so the fallbacks
+            # below draw from where one-at-a-time draws would have left the stream
+            k = min(budget, 2 * (n - len(pts)) + 16)
+            cand = rng.uniform(lo, hi, size=(k, lo.shape[0]))
+            budget -= k
+            inside = (np.vecdot(a, cand[:, None, :]) <= b + 1e-12).all(axis=1)
+            pts.extend(cand[inside][:n - len(pts)])
+        if len(pts) < n:
+            # thin region: project box samples onto it instead of rejecting forever
+            state = rng.bit_generator.state
+            z = _dykstra(a, b, rng.uniform(lo, hi, size=(n - len(pts), lo.shape[0])), 500)
+            slack = 1e-9 * np.maximum(1.0, np.abs(b))
+            inside = (np.vecdot(a, z[:, None, :]) <= b + slack).all(axis=1)
+            j = int(np.argmin(inside)) if not inside.all() else z.shape[0]
+            pts.extend(z[:j])
+            if j < z.shape[0]:
+                # projection j ends outside: sampling stops there, so the stream goes
+                # on from where drawing the first j + 1 box points one at a time leaves it
+                rng.bit_generator.state = state
+                rng.uniform(lo, hi, size=(j + 1, lo.shape[0]))
+        if len(pts) < n:
+            # the projection ends outside; the LP argpoints are members, and so are
+            # their convex combinations
+            if len(argpoints) == 0:
+                raise SamplingBudgetError(
+                    "could not produce region samples; supply an explicit bounding box")
+            pts.extend(rng.dirichlet(np.ones(len(argpoints)), size=n - len(pts)) @ argpoints)
+        return np.array(pts[:n])
+
+    def translate(self, v):
+        # translation shifts each form's bound; groups split into singletons
+        groups = []
+        for g in self.groups:
+            for row in g.a:
+                groups.append(FormGroup(row.reshape(1, -1), g.b + float(row @ v)))
+        return SublevelRegion(tuple(groups))
+
+    def affine_image(self, mat, off):
+        if mat.shape[0] != mat.shape[1]:
+            raise ValueError("region images need an invertible matrix")
+        inv_t = np.linalg.inv(mat).T
+        groups = []
+        for grp in self.groups:
+            # the forms' offsets differ: one group per form row (same set, finer groups)
+            for row in grp.a @ inv_t.T:
+                groups.append(FormGroup(row.reshape(1, -1), grp.b + float(row @ off)))
+        return SublevelRegion(tuple(groups))
+
 
 @dataclass(frozen=True, eq=False)
 class Orthant(SetRep):
@@ -360,9 +599,35 @@ class Orthant(SetRep):
 
     apex: np.ndarray
 
+    convex = True
+
     def __post_init__(self):
         _freeze(self, "apex", self.apex)
         object.__setattr__(self, "dim", self.apex.shape[0])
+
+    def _dists(self, space, ys):
+        return _exact(space.norms(np.maximum(0.0, self.apex - ys)))
+
+    def outer_radius(self, space, p):
+        return Distance(math.inf, note="orthant is unbounded")
+
+    def contains(self, space, y, tol):
+        scale = 1.0 + float(np.max(np.abs(self.apex)))
+        return bool(np.all(y >= self.apex - tol * scale))
+
+    def sample(self, space, n, seed, rng, box):
+        scale = 1.0 + float(np.max(np.abs(self.apex)))
+        # one (n - 1)-row draw takes the stream of n - 1 one-row draws
+        steps = np.abs(rng.standard_normal((n - 1, space.dim))) * scale
+        return np.vstack([self.apex, self.apex + steps])
+
+    def translate(self, v):
+        return Orthant(self.apex + v)
+
+    def enlarge(self, space, r):
+        if space.norm == "max":
+            return Orthant(self.apex - r)
+        return super().enlarge(space, r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,6 +646,56 @@ class EnlargedSet(SetRep):
             raise ValueError("enlargement margin must be >= 0")
         object.__setattr__(self, "dim", self.base.dim)
 
+    @property
+    def convex(self):
+        return self.base.convex  # enlargement preserves convexity in a normed space
+
+    def _dists(self, space, ys):
+        inner = self.base._dists(space, ys)
+        return inner._replace(value=np.fmax(inner.value - self.margin, _ZERO))
+
+    def outer_radius(self, space, p):
+        inner = outer_radius(space, self.base, p)
+        return Distance(float(inner) + self.margin, approximate=inner.approximate,
+                        error=inner.error)
+
+    def contains(self, space, y, tol):
+        d = dist_point(space, y, self.base)
+        return d <= self.margin + tol * max(1.0, self.margin) + d.error
+
+    def sample(self, space, n, seed, rng, box):
+        base_pts = sample(space, self.base, n, seed, box=box)
+        depth, dirs = [], []
+        for i in range(len(base_pts)):
+            depth.append(1.0 if i % 2 == 0 else rng.uniform())
+            dirs.append(rng.standard_normal(space.dim))
+        return base_pts + (self.margin * np.array(depth))[:, None] * space.unit(dirs)
+
+    def translate(self, v):
+        return EnlargedSet(translate_set(self.base, v), self.margin)
+
+    def enlarge(self, space, r):
+        return enlarge(space, self.base, self.margin + r)
+
+    def affine_image(self, mat, off):
+        lam = _scaled_orthogonal_factor(mat)
+        if lam is None:
+            raise ValueError("enlargement images need a scaled-orthogonal matrix")
+        return EnlargedSet(self.base.affine_image(mat, off), lam * self.margin)
+
+
+def _scaled_orthogonal_factor(mat: np.ndarray) -> float | None:
+    """lam with M^T M = lam^2 I, or None."""
+    if mat.shape[0] != mat.shape[1]:
+        return None
+    gram = mat.T @ mat
+    lam2 = float(np.trace(gram)) / mat.shape[0]
+    if lam2 <= 0:
+        return None
+    if np.allclose(gram, lam2 * np.eye(mat.shape[0]), atol=1e-9 * max(1.0, lam2)):
+        return math.sqrt(lam2)
+    return None
+
 
 @dataclass(frozen=True)
 class BoundednessFlag:
@@ -390,40 +705,12 @@ class BoundednessFlag:
 
 def boundedness(space: NormedSpace, s: SetRep) -> BoundednessFlag:
     """Conservative boundedness certificate with an outer-radius hint about the origin."""
-    origin = np.zeros(space.dim)
-    if isinstance(s, (Ball, Sphere)):
-        return BoundednessFlag(True, space.norm_of(s.center) + s.radius)
-    if isinstance(s, Box):
-        return BoundednessFlag(True, _box_radius(space, s.lo, s.hi, origin))
-    if isinstance(s, VPolytope):
-        return BoundednessFlag(True, float(space.norms(s.vertices).max()))
-    if isinstance(s, PointCloud):
-        return BoundednessFlag(True, float(space.norms(s.points).max()))
-    if isinstance(s, EnlargedSet):
-        inner = boundedness(space, s.base)
-        if inner.bounded:
-            return BoundednessFlag(True, (inner.radius_hint or 0.0) + s.margin)
-        return BoundednessFlag(False)
-    if isinstance(s, SublevelRegion):
-        lo, hi, _ = s.extent()
-        if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
-            return BoundednessFlag(True, _box_radius(space, lo, hi, origin))
-        return BoundednessFlag(False)
-    if isinstance(s, Orthant):
-        return BoundednessFlag(False)
-    raise TypeError(f"unknown set representation {type(s).__name__}")
+    radius = outer_radius(space, s, np.zeros(space.dim))
+    return BoundednessFlag(False) if radius.is_infinite else BoundednessFlag(True, float(radius))
 
 
 def is_convex(s: SetRep) -> bool:
-    if isinstance(s, (Ball, Box, VPolytope, SublevelRegion, Orthant)):
-        return True
-    if isinstance(s, EnlargedSet):
-        return is_convex(s.base)  # enlargement preserves convexity in a normed space
-    if isinstance(s, Sphere):
-        return s.radius == 0.0
-    if isinstance(s, PointCloud):
-        return s.points.shape[0] == 1
-    raise TypeError(f"unknown set representation {type(s).__name__}")
+    return s.convex
 
 
 # ---------------------------------------------------------------------------
@@ -432,30 +719,7 @@ def is_convex(s: SetRep) -> bool:
 
 def contains_point(space: NormedSpace, s: SetRep, y, tol: float = DEFAULT_TOL) -> bool:
     """Exact membership test where the representation allows, else dist <= tol."""
-    y = space.check_point(y)
-    if isinstance(s, Ball):
-        return space.dist(y, s.center) <= s.radius + tol * max(1.0, s.radius)
-    if isinstance(s, Sphere):
-        return abs(space.dist(y, s.center) - s.radius) <= tol * max(1.0, s.radius)
-    if isinstance(s, Box):
-        scale = 1.0 + float(np.max(np.abs(np.concatenate([s.lo, s.hi]))))
-        return bool(np.all(y >= s.lo - tol * scale) and np.all(y <= s.hi + tol * scale))
-    if isinstance(s, Orthant):
-        scale = 1.0 + float(np.max(np.abs(s.apex)))
-        return bool(np.all(y >= s.apex - tol * scale))
-    if isinstance(s, SublevelRegion):
-        a, b = s.forms()
-        val = np.vecdot(a, y)
-        return not (val > b + tol * np.maximum(np.maximum(1.0, np.abs(val)), np.abs(b))).any()
-    if isinstance(s, PointCloud):
-        return bool((space.norms(s.points - y) <= tol).any())
-    if isinstance(s, EnlargedSet):
-        d = dist_point(space, y, s.base)
-        return d <= s.margin + tol * max(1.0, s.margin) + d.error
-    if isinstance(s, VPolytope):
-        d = dist_point(space, y, s)
-        return d <= tol + d.error
-    raise TypeError(f"unknown set representation {type(s).__name__}")
+    return s.contains(space, space.check_point(y), tol)
 
 
 class Distances(NamedTuple):
@@ -479,7 +743,7 @@ def dist_point(space: NormedSpace, y, s: SetRep) -> Distance:
     """Distance from a point to a set under the space norm: one row of dists."""
     y = space.check_point(y)
     _check_set(space, s)
-    return _dists(space, y[None], s).row(0)
+    return s._dists(space, y[None]).row(0)
 
 
 def dists(space: NormedSpace, ys, s: SetRep) -> Distances:
@@ -497,7 +761,7 @@ def dists(space: NormedSpace, ys, s: SetRep) -> Distances:
         raise DimensionMismatchError(
             f"expected an (n, {space.dim}) point array, got shape {ys.shape}")
     _check_set(space, s)
-    return _dists(space, ys, s)
+    return s._dists(space, ys)
 
 
 def dist_to_each(space: NormedSpace, y, sets) -> Distances:
@@ -522,7 +786,7 @@ def dist_to_each(space: NormedSpace, y, sets) -> Distances:
     for rows in batches.values():
         s = sets[rows[0]]
         if len(rows) == 1:
-            d = _dists(space, y[None], s)
+            d = s._dists(space, y[None])
         else:
             d = _dists_region(space, np.tile(y, (len(rows), 1)), s,
                               np.array([sets[i].forms()[1] for i in rows]))
@@ -540,33 +804,6 @@ def _check_set(space: NormedSpace, s: SetRep) -> None:
 def _exact(value: np.ndarray) -> Distances:
     n = value.shape[0]
     return Distances(value, np.zeros(n), np.zeros(n, dtype=bool), ("",) * n)
-
-
-def _dists(space: NormedSpace, ys: np.ndarray, s: SetRep) -> Distances:
-    # np.fmax(v, 0.0) is max(0.0, v) elementwise, NaN included
-    if isinstance(s, Ball):
-        return _exact(np.fmax(space.norms(ys - s.center) - s.radius, _ZERO))
-    if isinstance(s, Sphere):
-        return _exact(np.abs(space.norms(ys - s.center) - s.radius))
-    if isinstance(s, Box):
-        return _exact(space.norms(np.clip(ys, s.lo, s.hi) - ys))
-    if isinstance(s, Orthant):
-        return _exact(space.norms(np.maximum(0.0, s.apex - ys)))
-    if isinstance(s, PointCloud):
-        return _exact(space.norms(ys[:, None, :] - s.points).min(axis=1))
-    if isinstance(s, EnlargedSet):
-        inner = _dists(space, ys, s.base)
-        return inner._replace(value=np.fmax(inner.value - s.margin, _ZERO))
-    if isinstance(s, SublevelRegion):
-        b = s.forms()[1]
-        return _dists_region(space, ys, s, np.broadcast_to(b, (ys.shape[0], b.shape[0])))
-    if not isinstance(s, VPolytope):
-        raise TypeError(f"unknown set representation {type(s).__name__}")
-    rows = [_dist_polytope(space, y, s) for y in ys]
-    return Distances(np.array([float(d) for d in rows]),
-                     np.array([d.error for d in rows], dtype=float),
-                     np.array([d.approximate for d in rows], dtype=bool),
-                     tuple(d.note for d in rows))
 
 
 def _project_simplex(w: np.ndarray) -> np.ndarray:
@@ -830,28 +1067,7 @@ def _box_radius(space: NormedSpace, lo: np.ndarray, hi: np.ndarray, p: np.ndarra
 
 def outer_radius(space: NormedSpace, s: SetRep, p) -> Distance:
     """sup over the set of the distance to a fixed point p."""
-    p = space.check_point(p)
-    if isinstance(s, (Ball, Sphere)):
-        return Distance(space.dist(s.center, p) + s.radius)
-    if isinstance(s, Box):
-        return Distance(_box_radius(space, s.lo, s.hi, p))
-    if isinstance(s, VPolytope):
-        return Distance(float(space.norms(s.vertices - p).max()))
-    if isinstance(s, PointCloud):
-        return Distance(float(space.norms(s.points - p).max()))
-    if isinstance(s, EnlargedSet):
-        inner = outer_radius(space, s.base, p)
-        return Distance(float(inner) + s.margin, approximate=inner.approximate, error=inner.error)
-    if isinstance(s, SublevelRegion):
-        lo, hi, _ = s.extent()
-        if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
-            val = _box_radius(space, lo, hi, p)
-            return Distance(val, approximate=True, error=val,
-                            note="box overestimate of the region's outer radius")
-        return Distance(math.inf, note="unbounded region")
-    if isinstance(s, Orthant):
-        return Distance(math.inf, note="orthant is unbounded")
-    raise TypeError(f"unknown set representation {type(s).__name__}")
+    return s.outer_radius(space, space.check_point(p))
 
 
 def excess(space: NormedSpace, a: SetRep, b: SetRep,
@@ -877,9 +1093,9 @@ def excess(space: NormedSpace, a: SetRep, b: SetRep,
         return _max_distance(space, a.points, b)
     # dist(., convex) is convex: its vertex max is exact; boxes above the corner
     # cap fall through to the sampled supremum
-    if isinstance(a, VPolytope) and is_convex(b):
+    if isinstance(a, VPolytope) and b.convex:
         return _max_distance(space, a.vertices, b)
-    if isinstance(a, Box) and is_convex(b) and 2**a.dim <= BOX_CORNER_CAP:
+    if isinstance(a, Box) and b.convex and 2**a.dim <= BOX_CORNER_CAP:
         return _max_distance(space, a.corners(), b)
     if isinstance(a, (Ball, Sphere)):
         if isinstance(b, Ball):
@@ -958,14 +1174,7 @@ def enlarge(space: NormedSpace, s: SetRep, r: float) -> SetRep:
         raise ValueError("enlargement radius must be >= 0")
     if r == 0.0:
         return s
-    if isinstance(s, Ball):
-        return Ball(s.center, s.radius + r)
-    if isinstance(s, Orthant) and space.norm == "max":
-        return Orthant(s.apex - r)
-    if isinstance(s, EnlargedSet):
-        inner = enlarge(space, s.base, s.margin + r)
-        return inner
-    return EnlargedSet(s, r)
+    return s.enlarge(space, r)
 
 
 def translate_set(s: SetRep, v) -> SetRep:
@@ -973,52 +1182,7 @@ def translate_set(s: SetRep, v) -> SetRep:
     v = np.asarray(v, dtype=float)
     if v.shape != (s.dim,):
         raise DimensionMismatchError("translation vector dimension mismatch")
-    if isinstance(s, Ball):
-        return Ball(s.center + v, s.radius)
-    if isinstance(s, Sphere):
-        return Sphere(s.center + v, s.radius)
-    if isinstance(s, Box):
-        return Box(s.lo + v, s.hi + v)
-    if isinstance(s, VPolytope):
-        return VPolytope(s.vertices + v)
-    if isinstance(s, PointCloud):
-        return PointCloud(s.points + v)
-    if isinstance(s, Orthant):
-        return Orthant(s.apex + v)
-    if isinstance(s, SublevelRegion):
-        # translation shifts each form's bound; groups split into singletons
-        groups = []
-        for g in s.groups:
-            for row in g.a:
-                groups.append(FormGroup(row.reshape(1, -1), g.b + float(row @ v)))
-        return SublevelRegion(tuple(groups))
-    if isinstance(s, EnlargedSet):
-        return EnlargedSet(translate_set(s.base, v), s.margin)
-    raise TypeError(f"unknown set representation {type(s).__name__}")
-
-
-def scale_set(s: SetRep, lam: float) -> SetRep:
-    """Exact positive scaling lam * s about the origin (lam > 0)."""
-    if lam <= 0:
-        raise ValueError("scale factor must be > 0")
-    if isinstance(s, Ball):
-        return Ball(lam * s.center, lam * s.radius)
-    if isinstance(s, Sphere):
-        return Sphere(lam * s.center, lam * s.radius)
-    if isinstance(s, Box):
-        return Box(lam * s.lo, lam * s.hi)
-    if isinstance(s, VPolytope):
-        return VPolytope(lam * s.vertices)
-    if isinstance(s, PointCloud):
-        return PointCloud(lam * s.points)
-    if isinstance(s, Orthant):
-        return Orthant(lam * s.apex)
-    if isinstance(s, SublevelRegion):
-        groups = tuple(FormGroup(g.a, lam * g.b) for g in s.groups)
-        return SublevelRegion(groups)
-    if isinstance(s, EnlargedSet):
-        return EnlargedSet(scale_set(s.base, lam), lam * s.margin)
-    raise TypeError(f"unknown set representation {type(s).__name__}")
+    return s.translate(v)
 
 
 # ---------------------------------------------------------------------------
@@ -1037,115 +1201,7 @@ def sample(space: NormedSpace, s: SetRep, n: int, seed: int,
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    rng = rng_for(seed, 0)
-    if isinstance(s, Ball):
-        return _sample_ball(space, s.center, s.radius, n, rng)
-    if isinstance(s, Sphere):
-        pts = _axis_points(space, s.center, s.radius)
-        if len(pts) < n:
-            dirs = rng.standard_normal((n - len(pts), space.dim))
-            pts.extend(s.center + s.radius * space.unit(dirs))
-        return np.array(pts[:n])
-    if isinstance(s, Box):
-        pts = list(s.first_corners(min(n, 64)))
-        while len(pts) < n:
-            pts.append(rng.uniform(s.lo, s.hi))
-        return np.array(pts[:n])
-    if isinstance(s, VPolytope):
-        pts = list(s.vertices[:n])
-        k = s.vertices.shape[0]
-        while len(pts) < n:
-            w = rng.dirichlet(np.ones(k))
-            pts.append(w @ s.vertices)
-        return np.array(pts[:n])
-    if isinstance(s, PointCloud):
-        reps = int(np.ceil(n / s.points.shape[0]))
-        return np.tile(s.points, (reps, 1))[:n]
-    if isinstance(s, Orthant):
-        scale = 1.0 + float(np.max(np.abs(s.apex)))
-        # one (n - 1)-row draw takes the stream of n - 1 one-row draws
-        steps = np.abs(rng.standard_normal((n - 1, space.dim))) * scale
-        return np.vstack([s.apex, s.apex + steps])
-    if isinstance(s, SublevelRegion):
-        return _sample_region(space, s, n, rng, box)
-    if isinstance(s, EnlargedSet):
-        base_pts = sample(space, s.base, n, seed, box=box)
-        depth, dirs = [], []
-        for i in range(len(base_pts)):
-            depth.append(1.0 if i % 2 == 0 else rng.uniform())
-            dirs.append(rng.standard_normal(space.dim))
-        return base_pts + (s.margin * np.array(depth))[:, None] * space.unit(dirs)
-    raise TypeError(f"unknown set representation {type(s).__name__}")
-
-
-def _axis_points(space: NormedSpace, center: np.ndarray, radius: float) -> list:
-    pts = []
-    for i in range(space.dim):
-        e = np.zeros(space.dim)
-        e[i] = 1.0
-        pts.append(center + radius * e)
-        pts.append(center - radius * e)
-    return pts
-
-
-def _sample_ball(space: NormedSpace, center: np.ndarray, radius: float,
-                 n: int, rng: np.random.Generator) -> np.ndarray:
-    pts = [center.copy()] + _axis_points(space, center, radius)
-    budget = 200 * n + 1000  # candidates
-    while len(pts) < n and budget > 0:
-        # one chunk draws the candidates one-at-a-time draws would; they are taken in order
-        k = min(budget, 2 * (n - len(pts)) + 16)
-        cand = rng.uniform(-radius, radius, size=(k, space.dim))
-        budget -= k
-        pts.extend(center + cand[space.norms(cand) <= radius][:n - len(pts)])
-    if len(pts) < n:
-        raise SamplingBudgetError("rejection budget exhausted sampling a ball")
-    return np.array(pts[:n])
-
-
-def _sample_region(space: NormedSpace, s: SublevelRegion, n: int,
-                   rng: np.random.Generator,
-                   box: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
-    a, b = s.forms()
-    lo, hi, argpoints = s.extent()
-    if box is None:
-        scale = 1.0 + float(np.abs(b).max())
-        lo = np.where(np.isfinite(lo), lo, -10.0 * scale)
-        hi = np.where(np.isfinite(hi), hi, 10.0 * scale)
-    else:
-        lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)  # LP roundoff can cross degenerate bounds
-    # extreme candidates: per-coordinate LP optima are vertices of the region
-    pts: list[np.ndarray] = list(argpoints[:n])
-    budget = 60 * n + 600  # candidates
-    while len(pts) < n and budget > 0:
-        # as in _sample_ball; a chunk never outruns the budget, so the fallbacks
-        # below draw from where one-at-a-time draws would have left the stream
-        k = min(budget, 2 * (n - len(pts)) + 16)
-        cand = rng.uniform(lo, hi, size=(k, lo.shape[0]))
-        budget -= k
-        inside = (np.vecdot(a, cand[:, None, :]) <= b + 1e-12).all(axis=1)
-        pts.extend(cand[inside][:n - len(pts)])
-    if len(pts) < n:
-        # thin region: project box samples onto it instead of rejecting forever
-        state = rng.bit_generator.state
-        z = _dykstra(a, b, rng.uniform(lo, hi, size=(n - len(pts), lo.shape[0])), 500)
-        inside = (np.vecdot(a, z[:, None, :]) <= b + 1e-9 * np.maximum(1.0, np.abs(b))).all(axis=1)
-        j = int(np.argmin(inside)) if not inside.all() else z.shape[0]
-        pts.extend(z[:j])
-        if j < z.shape[0]:
-            # projection j ends outside: sampling stops there, so the stream goes
-            # on from where drawing the first j + 1 box points one at a time leaves it
-            rng.bit_generator.state = state
-            rng.uniform(lo, hi, size=(j + 1, lo.shape[0]))
-    if len(pts) < n:
-        # the projection ends outside; the LP argpoints are members, and so are
-        # their convex combinations
-        if len(argpoints) == 0:
-            raise SamplingBudgetError(
-                "could not produce region samples; supply an explicit bounding box")
-        pts.extend(rng.dirichlet(np.ones(len(argpoints)), size=n - len(pts)) @ argpoints)
-    return np.array(pts[:n])
+    return s.sample(space, n, seed, rng_for(seed, 0), box)
 
 
 def sample_enlargement(space: NormedSpace, s: SetRep, rho: float, n: int, seed: int,

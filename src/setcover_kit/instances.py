@@ -176,8 +176,7 @@ def decode_instance(data: Any, path: str = "$") -> dict:
     else:  # family
         blk = data["family"]
         _check_keys(blk, f"{path}.family",
-                    ("kind", "psi", "c1", "p_bar", "x_bar", "objective"),
-                    ("radii", "dim_y"))
+                    ("kind", "psi", "c1", "p_bar", "x_bar", "objective"), ("radii",))
         if blk["kind"] != "ball_radius_family":
             raise InstanceError(f"{path}.family.kind",
                                 f"unknown family kind {blk['kind']!r}")

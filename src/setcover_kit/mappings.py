@@ -27,21 +27,19 @@ from .geometry import (
     SetRep,
     Sphere,
     SublevelRegion,
-    VPolytope,
-    Box,
-    PointCloud,
-    EnlargedSet,
     DimensionMismatchError,
     boundedness,
     dist_point,  # noqa: F401  (perfbench/test_checks.py checks the tracer rebinds it here)
     dists,
     excess,
+    outer_radius,
     rng_for,
     sample_enlargement,
     translate_set,
     _freeze,
     _memo,
 )
+from .search import ball_search
 
 DEFAULT_SAFETY = 0.99
 
@@ -203,10 +201,38 @@ class MapConstants:
 
 
 class MapSpec:
-    """Base class; concrete variants declare their domain/range spaces."""
+    """Base class; concrete variants declare their domain/range spaces.
+
+    Each variant carries its rules: image, constants, lipschitz, witness,
+    respond and inverse_distance, which eval_map, alpha_of, beta_of,
+    cover_witness, the covering check and certify.inverse_distance call
+    on checked arguments.  A variant without a rule raises their error.
+    """
 
     space_x: NormedSpace
     space_y: NormedSpace
+
+    def image(self, x: np.ndarray) -> SetRep:
+        raise TypeError(f"unknown map variant {type(self).__name__}")
+
+    def constants(self) -> MapConstants:
+        raise NotSetCoveringError(f"no covering rule for {type(self).__name__}")
+
+    def lipschitz(self) -> float:
+        raise LipschitzRuleError(
+            f"no Lipschitz rule for {type(self).__name__}; use empirical_lipschitz")
+
+    def witness(self, x: np.ndarray, rho: float) -> np.ndarray:
+        raise WitnessUnavailableError(
+            f"no witness rule for {type(self).__name__}: fallback search required")
+
+    def respond(self, x: np.ndarray, r: float, y: np.ndarray):
+        """(u, min over the r-ball at x of dist(y, image(u)), attained at u), or None."""
+        return None
+
+    def inverse_distance(self, s: SetRep, x: np.ndarray) -> float:
+        """Distance from x to {u : s is contained in the image of u}; inf when empty."""
+        raise NotImplementedError(f"no closed-form inclusion inverse for {type(self).__name__}")
 
 
 def _space_of(space: NormedSpace | None, dim: int) -> NormedSpace:
@@ -253,9 +279,41 @@ class Dilation(MapSpec):
     def radius_at(self, x) -> float:
         return self.a * self.space_x.dist(x, self.anchor) + self.b
 
+    def image(self, x):
+        return Ball(self.y0, self.radius_at(x))
+
+    def constants(self):
+        return MapConstants(alpha=self.a, beta=self.a, gamma=1.0,
+                            rule="radial dilation rate: alpha = a")
+
+    def lipschitz(self):
+        return self.a
+
+    def witness(self, x, rho):
+        return x + rho * self.space_x.unit(x - self.anchor)
+
+    def inverse_distance(self, s, x):
+        # the images contain s once the radius reaches s's outer radius about y0
+        r_s = float(outer_radius(self.space_y, s, self.y0))
+        if math.isinf(r_s):
+            return math.inf
+        threshold = (r_s - self.b) / self.a
+        return max(0.0, threshold - self.space_x.dist(x, self.anchor))
+
+
+class _CoveringOnly(MapSpec):
+    """A covering witness that is not set-covering for any constant, with rate 1."""
+
+    def constants(self):
+        raise NotSetCoveringError(
+            f"{type(self).__name__} is a covering-only witness: not set-covering for any constant")
+
+    def lipschitz(self):
+        return 1.0
+
 
 @dataclass(frozen=True, eq=False)
-class SphereScale(MapSpec):
+class SphereScale(_CoveringOnly):
     """x -> |x| * (unit sphere of R^2): covering with rate 1, images have empty interior."""
 
     space_x: NormedSpace = None
@@ -265,9 +323,30 @@ class SphereScale(MapSpec):
         object.__setattr__(self, "space_x", _space_of(self.space_x, 1))
         object.__setattr__(self, "space_y", _space_of(self.space_y, 2))
 
+    def image(self, x):
+        return Sphere(np.zeros(2), abs(float(x[0])))
+
+    def respond(self, x, r, y):
+        ny = float(np.linalg.norm(y))
+        lo, hi = max(0.0, abs(float(x[0])) - r), abs(float(x[0])) + r
+        rho = min(max(ny, lo), hi)
+        sign = 1.0 if x[0] >= 0 else -1.0
+        u = np.array([sign * rho])
+        if abs(u[0] - x[0]) > r:  # sign flip fits better when the band crosses zero
+            u = np.array([-sign * rho])
+        return u, abs(ny - rho)
+
+    def inverse_distance(self, s, x):
+        if isinstance(s, Ball):
+            if s.radius > 0.0:
+                return math.inf  # no sphere contains a solid ball
+            rho = float(np.linalg.norm(s.center))
+            return abs(abs(float(x[0])) - rho)
+        raise NotImplementedError("inclusion inverse implemented for ball test sets")
+
 
 @dataclass(frozen=True, eq=False)
-class UnitBallTranslate(MapSpec):
+class UnitBallTranslate(_CoveringOnly):
     """x -> ball(x, 1): images have interior but no single point absorbs an enlargement."""
 
     dim: int = 1
@@ -277,6 +356,23 @@ class UnitBallTranslate(MapSpec):
     def __post_init__(self):
         object.__setattr__(self, "space_x", _space_of(self.space_x, self.dim))
         object.__setattr__(self, "space_y", _space_of(self.space_y, self.dim))
+
+    def image(self, x):
+        return Ball(x, 1.0)
+
+    def respond(self, x, r, y):
+        space = self.space_x
+        d = space.dist(y, x)
+        step = min(r, max(0.0, d - 1.0))
+        u = x + step * space.unit(np.asarray(y) - x)
+        return u, max(0.0, d - r - 1.0)
+
+    def inverse_distance(self, s, x):
+        if isinstance(s, Ball):
+            if s.radius > 1.0:
+                return math.inf
+            return max(0.0, self.space_x.dist(x, s.center) - (1.0 - s.radius))
+        raise NotImplementedError("inclusion inverse implemented for ball test sets")
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,6 +402,20 @@ class SublinearSystem(MapSpec):
         """max_{i,j} ||a_ij|| in the dual of the range norm (vertex max of each subdifferential)."""
         return max(self.space_y.dual_norm_of(row) for g in self.groups for row in g)
 
+    def image(self, x):
+        return SublevelRegion(tuple(FormGroup(g, abs(float(xi))) for g, xi in zip(self.groups, x)))
+
+    def constants(self):
+        dual = self.dual_norm_max()
+        if dual <= 0:
+            raise NotSetCoveringError("all forms vanish; constant undefined")
+        return MapConstants(alpha=1.0 / dual,
+                            rule="reciprocal of the largest dual norm over the forms")
+
+    def witness(self, x, rho):
+        # sign(0) counts as +1
+        return x + np.where(x >= 0.0, rho, -rho)
+
 
 @dataclass(frozen=True, eq=False)
 class Epigraphical(MapSpec):
@@ -328,6 +438,48 @@ class Epigraphical(MapSpec):
         object.__setattr__(self, "space_x", _max_space(self.space_x, m.shape[1]))
         object.__setattr__(self, "space_y", _max_space(self.space_y, m.shape[0]))
 
+    def alpha_f(self) -> float:
+        """1 / sup_{||y||_inf <= 1} min{||x||_inf : Ax = y}, by sign-corner enumeration.
+
+        The sup of the (convex) min-norm preimage over the unit box is
+        attained at a corner.  Computed once per map and kept on it.
+        """
+        def solve():
+            from ._lp import min_max_norm_solution
+
+            worst = 0.0
+            for s in _sign_corners(self.matrix.shape[0]):
+                sol = min_max_norm_solution(self.matrix, s)
+                if sol is None:
+                    raise NotSetCoveringError("matrix is not surjective on a corner")
+                worst = max(worst, sol[1])
+            if worst <= 0:
+                raise NotSetCoveringError("degenerate preimage operator")
+            return 1.0 / worst
+        return _memo(self, "_alpha_f", solve)
+
+    def image(self, x):
+        return Orthant(self.matrix @ x)
+
+    def constants(self):
+        alpha_f = self.alpha_f()
+        gamma = order_metric_gamma(self.space_y.dim, self.space_y.norm, self.space_y.p)
+        return MapConstants(alpha=alpha_f / gamma, gamma=gamma,
+                            rule="surjection rate of the linear part over the order constant")
+
+    def lipschitz(self):
+        return Affine(self.matrix, np.zeros(self.matrix.shape[0])).lipschitz(self.space_x,
+                                                                             self.space_y)
+
+    def witness(self, x, rho):
+        from ._lp import min_max_norm_solution
+
+        target = -self.alpha_f() * rho * np.ones(self.space_y.dim)
+        sol = min_max_norm_solution(self.matrix, target)
+        if sol is None:
+            raise NotSetCoveringError("lost surjectivity on the witness shift")
+        return x + sol[0]
+
 
 @dataclass(frozen=True, eq=False)
 class PolyhedralProcess(MapSpec):
@@ -348,6 +500,37 @@ class PolyhedralProcess(MapSpec):
         object.__setattr__(self, "space_x", _space_of(self.space_x, cx.shape[1]))
         object.__setattr__(self, "space_y", _space_of(self.space_y, cy.shape[1]))
 
+    def image(self, x):
+        rhs = -(self.cx @ x)
+        groups = []
+        for row, b in zip(self.cy, rhs):
+            if np.all(row == 0.0):
+                if b < -1e-12:
+                    raise ValueError("point lies outside the domain of the process")
+                continue
+            groups.append(FormGroup(row.reshape(1, -1), float(b)))
+        if not groups:
+            raise ValueError("process image is the whole space; not representable")
+        return SublevelRegion(tuple(groups))
+
+    def constants(self):
+        from .certify import interior_radius
+
+        report = interior_radius(self)
+        if report.alpha <= 0:
+            raise NotSetCoveringError(
+                "process image at the certified witness has no inscribed ball")
+        return MapConstants(alpha=report.alpha,
+                            rule="inscribed radius of the image of the interior witness")
+
+    def witness(self, x, rho):
+        from .certify import interior_radius
+
+        report = interior_radius(self)
+        if report.u0 is None:
+            raise NotSetCoveringError("process has no interior witness direction")
+        return x + rho * report.u0
+
 
 @dataclass(frozen=True, eq=False)
 class Sum(MapSpec):
@@ -362,6 +545,26 @@ class Sum(MapSpec):
 
     def g_lipschitz(self) -> float:
         return self.g.lipschitz(self.space_x, self.space_y)
+
+    def image(self, x):
+        return translate_set(eval_map(self.base, x), self.g.evaluate(x, self.space_x))
+
+    def constants(self):
+        base = alpha_of(self.base)
+        lip = self.g_lipschitz()
+        remaining = base.alpha - lip
+        if remaining <= 0:
+            raise ConstantExhaustedError(
+                f"perturbation Lipschitz constant {lip} exhausts base constant {base.alpha}")
+        return MapConstants(alpha=remaining, beta=None, gamma=base.gamma,
+                            exactness=base.exactness,
+                            rule=f"base constant minus perturbation Lipschitz ({base.rule})")
+
+    def lipschitz(self):
+        return beta_of(self.base) + self.g_lipschitz()
+
+    def witness(self, x, rho):
+        return cover_witness(self.base, x, rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,6 +585,22 @@ class Composed(MapSpec):
     @property
     def inner_space(self) -> NormedSpace:
         return self.base.space_y
+
+    def image(self, x):
+        return eval_map(self.base, x).affine_image(self.g.matrix, self.g.offset)
+
+    def constants(self):
+        base = alpha_of(self.base)
+        cov = self.g.covering_constant(self.inner_space, self.space_z)
+        return MapConstants(alpha=base.alpha * cov, gamma=base.gamma,
+                            exactness=base.exactness,
+                            rule=f"base constant times outer covering rate ({base.rule})")
+
+    def lipschitz(self):
+        return self.g.lipschitz(self.inner_space, self.space_z) * beta_of(self.base)
+
+    def witness(self, x, rho):
+        return cover_witness(self.base, x, rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,122 +627,20 @@ class BallValued(MapSpec):
     def radius_at(self, x) -> float:
         return self.c0 + self.c1 * self.space_x.dist(x, self.xhat)
 
+    def image(self, x):
+        return Ball(self.center.evaluate(x, self.space_x), self.radius_at(x))
+
+    def lipschitz(self):
+        return self.center.lipschitz(self.space_x, self.space_y) + self.c1
+
 
 # ---------------------------------------------------------------------------
-# evaluation
+# the rules, called through the module
 
 
 def eval_map(m: MapSpec, x) -> SetRep:
     """Image of x under the mapping, as a closed set representation."""
-    x = m.space_x.check_point(x)
-    if isinstance(m, Dilation):
-        return Ball(m.y0, m.radius_at(x))
-    if isinstance(m, SphereScale):
-        return Sphere(np.zeros(2), abs(float(x[0])))
-    if isinstance(m, UnitBallTranslate):
-        return Ball(x, 1.0)
-    if isinstance(m, SublinearSystem):
-        return SublevelRegion(tuple(FormGroup(g, abs(float(xi)))
-                                    for g, xi in zip(m.groups, x)))
-    if isinstance(m, Epigraphical):
-        return Orthant(m.matrix @ x)
-    if isinstance(m, PolyhedralProcess):
-        rhs = -(m.cx @ x)
-        groups = []
-        for row, b in zip(m.cy, rhs):
-            if np.all(row == 0.0):
-                if b < -1e-12:
-                    raise ValueError("point lies outside the domain of the process")
-                continue
-            groups.append(FormGroup(row.reshape(1, -1), float(b)))
-        if not groups:
-            raise ValueError("process image is the whole space; not representable")
-        return SublevelRegion(tuple(groups))
-    if isinstance(m, Sum):
-        return translate_set(eval_map(m.base, x), m.g.evaluate(x, m.space_x))
-    if isinstance(m, Composed):
-        return _affine_image(m.g, eval_map(m.base, x))
-    if isinstance(m, BallValued):
-        return Ball(m.center.evaluate(x, m.space_x), m.radius_at(x))
-    raise TypeError(f"unknown map variant {type(m).__name__}")
-
-
-def _affine_image(g: Affine, s: SetRep) -> SetRep:
-    """Exact image of a catalog set under g, where it stays in the catalog."""
-    mat, off = g.matrix, g.offset
-    if isinstance(s, (Ball, Sphere)):
-        lam = _scaled_orthogonal_factor(mat)
-        if lam is None:
-            raise ValueError("ball images need a scaled-orthogonal matrix to stay in the catalog")
-        cls = Ball if isinstance(s, Ball) else Sphere
-        return cls(mat @ s.center + off, lam * s.radius)
-    if isinstance(s, VPolytope):
-        return VPolytope(s.vertices @ mat.T + off)
-    if isinstance(s, Box):
-        return VPolytope(s.corners() @ mat.T + off)
-    if isinstance(s, PointCloud):
-        return PointCloud(s.points @ mat.T + off)
-    if isinstance(s, SublevelRegion):
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError("region images need an invertible matrix")
-        inv_t = np.linalg.inv(mat).T
-        groups = []
-        for grp in s.groups:
-            a_new = grp.a @ inv_t.T
-            shift = float(a_new[0] @ off) if a_new.shape[0] == 1 else None
-            if shift is None:
-                # per-form offsets differ: split the group (same set, finer groups)
-                for row in a_new:
-                    groups.append(FormGroup(row.reshape(1, -1), grp.b + float(row @ off)))
-            else:
-                groups.append(FormGroup(a_new, grp.b + shift))
-        return SublevelRegion(tuple(groups))
-    if isinstance(s, EnlargedSet):
-        lam = _scaled_orthogonal_factor(mat)
-        if lam is None:
-            raise ValueError("enlargement images need a scaled-orthogonal matrix")
-        return EnlargedSet(_affine_image(g, s.base), lam * s.margin)
-    raise ValueError(f"affine image of {type(s).__name__} leaves the catalog")
-
-
-def _scaled_orthogonal_factor(mat: np.ndarray) -> float | None:
-    """lam with M^T M = lam^2 I, or None."""
-    if mat.shape[0] != mat.shape[1]:
-        return None
-    gram = mat.T @ mat
-    lam2 = float(np.trace(gram)) / mat.shape[0]
-    if lam2 <= 0:
-        return None
-    if np.allclose(gram, lam2 * np.eye(mat.shape[0]), atol=1e-9 * max(1.0, lam2)):
-        return math.sqrt(lam2)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# constants
-
-
-def _epigraphical_alpha_f(m: Epigraphical) -> float:
-    """1 / sup_{||y||_inf <= 1} min{||x||_inf : Ax = y}, by sign-corner enumeration.
-
-    The sup of the (convex) min-norm preimage over the unit box is
-    attained at a corner.  Computed once per map and kept on it.
-    """
-    return _memo(m, "_alpha_f", lambda: _solve_epigraphical_alpha_f(m))
-
-
-def _solve_epigraphical_alpha_f(m: Epigraphical) -> float:
-    from ._lp import min_max_norm_solution
-
-    worst = 0.0
-    for s in _sign_corners(m.matrix.shape[0]):
-        sol = min_max_norm_solution(m.matrix, s)
-        if sol is None:
-            raise NotSetCoveringError("matrix is not surjective on a corner")
-        worst = max(worst, sol[1])
-    if worst <= 0:
-        raise NotSetCoveringError("degenerate preimage operator")
-    return 1.0 / worst
+    return m.image(m.space_x.check_point(x))
 
 
 def alpha_of(m: MapSpec) -> MapConstants:
@@ -532,69 +649,12 @@ def alpha_of(m: MapSpec) -> MapConstants:
     Returned constants carry open-interval semantics (scale by a safety
     factor before use).
     """
-    if isinstance(m, Dilation):
-        return MapConstants(alpha=m.a, beta=m.a, gamma=1.0,
-                            rule="radial dilation rate: alpha = a")
-    if isinstance(m, (SphereScale, UnitBallTranslate)):
-        raise NotSetCoveringError(
-            f"{type(m).__name__} is a covering-only witness: not set-covering for any constant")
-    if isinstance(m, SublinearSystem):
-        dual = m.dual_norm_max()
-        if dual <= 0:
-            raise NotSetCoveringError("all forms vanish; constant undefined")
-        return MapConstants(alpha=1.0 / dual,
-                            rule="reciprocal of the largest dual norm over the forms")
-    if isinstance(m, Epigraphical):
-        alpha_f = _epigraphical_alpha_f(m)
-        gamma = order_metric_gamma(m.space_y.dim, m.space_y.norm, m.space_y.p)
-        return MapConstants(alpha=alpha_f / gamma, gamma=gamma,
-                            rule="surjection rate of the linear part over the order constant")
-    if isinstance(m, PolyhedralProcess):
-        from .certify import interior_radius
-
-        report = interior_radius(m)
-        if report.alpha <= 0:
-            raise NotSetCoveringError(
-                "process image at the certified witness has no inscribed ball")
-        return MapConstants(alpha=report.alpha,
-                            rule="inscribed radius of the image of the interior witness")
-    if isinstance(m, Sum):
-        base = alpha_of(m.base)
-        lip = m.g_lipschitz()
-        remaining = base.alpha - lip
-        if remaining <= 0:
-            raise ConstantExhaustedError(
-                f"perturbation Lipschitz constant {lip} exhausts base constant {base.alpha}")
-        return MapConstants(alpha=remaining, beta=None, gamma=base.gamma,
-                            exactness=base.exactness,
-                            rule=f"base constant minus perturbation Lipschitz ({base.rule})")
-    if isinstance(m, Composed):
-        base = alpha_of(m.base)
-        cov = m.g.covering_constant(m.inner_space, m.space_z)
-        return MapConstants(alpha=base.alpha * cov, gamma=base.gamma,
-                            exactness=base.exactness,
-                            rule=f"base constant times outer covering rate ({base.rule})")
-    raise NotSetCoveringError(f"no covering rule for {type(m).__name__}")
+    return m.constants()
 
 
 def beta_of(m: MapSpec) -> float:
     """Lipschitz constant of the mapping (excess metric) in the bounded role."""
-    if isinstance(m, BallValued):
-        return m.center.lipschitz(m.space_x, m.space_y) + m.c1
-    if isinstance(m, Dilation):
-        return m.a
-    if isinstance(m, SphereScale):
-        return 1.0
-    if isinstance(m, UnitBallTranslate):
-        return 1.0
-    if isinstance(m, Epigraphical):
-        return Affine(m.matrix, np.zeros(m.matrix.shape[0])).lipschitz(m.space_x, m.space_y)
-    if isinstance(m, Sum):
-        return beta_of(m.base) + m.g_lipschitz()
-    if isinstance(m, Composed):
-        return m.g.lipschitz(m.inner_space, m.space_z) * beta_of(m.base)
-    raise LipschitzRuleError(
-        f"no Lipschitz rule for {type(m).__name__}; use empirical_lipschitz")
+    return m.lipschitz()
 
 
 def order_metric_gamma(dim: int, norm: str, p: float | None = None) -> float:
@@ -621,31 +681,7 @@ def cover_witness(m: MapSpec, x, rho: float) -> np.ndarray:
     """
     if rho <= 0:
         raise ValueError("witness radius rho must be > 0")
-    x = m.space_x.check_point(x)
-    if isinstance(m, Dilation):
-        return x + rho * m.space_x.unit(x - m.anchor)
-    if isinstance(m, SublinearSystem):
-        return x + np.where(x >= 0.0, rho, -rho)
-    if isinstance(m, Epigraphical):
-        from ._lp import min_max_norm_solution
-
-        alpha_f = _epigraphical_alpha_f(m)
-        target = -alpha_f * rho * np.ones(m.space_y.dim)
-        sol = min_max_norm_solution(m.matrix, target)
-        if sol is None:
-            raise NotSetCoveringError("lost surjectivity on the witness shift")
-        return x + sol[0]
-    if isinstance(m, PolyhedralProcess):
-        from .certify import interior_radius
-
-        report = interior_radius(m)
-        if report.u0 is None:
-            raise NotSetCoveringError("process has no interior witness direction")
-        return x + rho * report.u0
-    if isinstance(m, (Sum, Composed)):
-        return cover_witness(m.base, x, rho)
-    raise WitnessUnavailableError(
-        f"no witness rule for {type(m).__name__}: fallback search required")
+    return m.witness(m.space_x.check_point(x), rho)
 
 
 @dataclass(frozen=True)
@@ -668,39 +704,24 @@ def fallback_witness(m: MapSpec, x, rho: float, alpha: float,
     the returned record re-scores the winner on the full target set, so
     it never claims more than the sampled margins show.
     """
-    from .search import pattern_search
-
     x = m.space_x.check_point(x)
     image = eval_map(m, x)
     targets = sample_enlargement(m.space_y, image, alpha * rho, n_points, seed)
     probe = targets[:: max(1, n_points // search_targets)]
 
-    def worst_violation(u):
-        try:
-            img_u = eval_map(m, u)
-        except ValueError:
-            return math.inf
-        return float(dists(m.space_y, probe, img_u).value.max())
+    def worst_violation(us):
+        values = []
+        for u in us:
+            try:
+                img_u = eval_map(m, u)
+            except ValueError:
+                values.append(math.inf)
+                continue
+            values.append(float(dists(m.space_y, probe, img_u).value.max()))
+        return values
 
-    def clip_to_ball(u):
-        d = m.space_x.dist(u, x)
-        if d <= rho:
-            return u
-        return x + (rho / d) * (u - x)
-
-    rng = rng_for(seed, 2)
-    candidates = [x.copy()]
-    for _ in range(4):
-        g = rng.standard_normal(m.space_x.dim)
-        candidates.append(x + rho * float(rng.uniform()) * m.space_x.unit(g))
-    best_u, best_v = None, math.inf
-    per_start = max(25, budget // len(candidates))
-    for cand in candidates:
-        u, v, _ = pattern_search(worst_violation, cand, initial_step=rho / 2,
-                                 step_floor=1e-9 * max(1.0, rho),
-                                 max_evals=per_start, project=clip_to_ball)
-        if v < best_v:
-            best_u, best_v = u, v
+    best_u, _ = ball_search(worst_violation, m.space_x, x, rho, rng_for(seed, 2), n_draws=4,
+                            max_evals=max(25, budget // 5))
     tol = 1e-9 * (1.0 + alpha * rho)
     img_best = eval_map(m, best_u)
     margins = dists(m.space_y, targets, img_best).value

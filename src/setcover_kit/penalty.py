@@ -65,6 +65,12 @@ class NormToPoint:
     def __post_init__(self):
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float).reshape(-1))
 
+    def value(self, space: NormedSpace, x: np.ndarray) -> float:
+        return space.norm_of(x - self.target)
+
+    def lipschitz(self, space: NormedSpace) -> float:
+        return 1.0
+
 
 @dataclass(frozen=True, eq=False)
 class Linear:
@@ -73,10 +79,24 @@ class Linear:
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(-1))
 
+    def value(self, space, x):
+        return float(self.c @ x)
+
+    def lipschitz(self, space):
+        return space.dual_norm_of(self.c)
+
 
 @dataclass(frozen=True)
 class AbsCoord:
     i: int
+
+    def value(self, space, x):
+        return abs(float(x[self.i]))
+
+    def lipschitz(self, space):
+        e = np.zeros(space.dim)
+        e[self.i] = 1.0
+        return space.dual_norm_of(e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,36 +109,23 @@ class WeightedSum:
             raise ValueError("weights must be >= 0")
         object.__setattr__(self, "terms", terms)
 
+    def value(self, space, x):
+        return sum(w * objective_value(o, space, x) for w, o in self.terms)
+
+    def lipschitz(self, space):
+        return sum(w * objective_lipschitz(o, space) for w, o in self.terms)
+
 
 ObjectiveSpec = NormToPoint | Linear | AbsCoord | WeightedSum
 
 
 def objective_value(obj: ObjectiveSpec, space: NormedSpace, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if isinstance(obj, NormToPoint):
-        return space.norm_of(x - obj.target)
-    if isinstance(obj, Linear):
-        return float(obj.c @ x)
-    if isinstance(obj, AbsCoord):
-        return abs(float(x[obj.i]))
-    if isinstance(obj, WeightedSum):
-        return sum(w * objective_value(o, space, x) for w, o in obj.terms)
-    raise TypeError(f"unknown objective {type(obj).__name__}")
+    return obj.value(space, np.asarray(x, dtype=float))
 
 
 def objective_lipschitz(obj: ObjectiveSpec, space: NormedSpace) -> float:
     """Exact Lipschitz constant under the domain norm."""
-    if isinstance(obj, NormToPoint):
-        return 1.0
-    if isinstance(obj, Linear):
-        return space.dual_norm_of(obj.c)
-    if isinstance(obj, AbsCoord):
-        e = np.zeros(space.dim)
-        e[obj.i] = 1.0
-        return space.dual_norm_of(e)
-    if isinstance(obj, WeightedSum):
-        return sum(w * objective_lipschitz(o, space) for w, o in obj.terms)
-    raise TypeError(f"unknown objective {type(obj).__name__}")
+    return obj.lipschitz(space)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ The objective is batched: it maps a list of k points to k values.
 round makes one objective call over the 2n polls of every search still
 running; each search applies the rule above to its own polls alone, so
 its result and trace are those of a run on its own.  `pattern_search`
-is the one-start call of a scalar objective.
+is the one-start call of a scalar objective, and `ball_search` the
+multi-start search over a ball that the witness searches share.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import islice
 
 import numpy as np
 
-__all__ = ["PatternStep", "PatternTrace", "pattern_search", "pattern_searches"]
+__all__ = ["PatternStep", "PatternTrace", "pattern_search", "pattern_searches", "ball_search"]
 
 
 @dataclass(frozen=True)
@@ -115,3 +116,27 @@ def pattern_searches(f, starts, initial_step: float = 1.0, step_floor: float = 1
                 xs[i], fxs[i] = best_cand, best_val
                 trace.steps.append(PatternStep(tuple(best_cand), best_val, steps[i],
                                                trace.n_evals))
+
+
+def ball_search(f, space, x, r: float, rng: np.random.Generator, n_draws: int,
+                max_evals: int) -> tuple[np.ndarray, float]:
+    """The best (u, f(u)) of lockstep pattern searches kept in the r-ball at x.
+
+    The searches start at x and at n_draws points x + r * t * unit(g), g ~ N(0, I)
+    then t ~ U(0, 1) from rng; polls are pulled back onto the ball radially, and
+    each search steps from r/2 down to 1e-9 * max(1, r) in at most max_evals
+    evaluations of the batched f.  Of equal values the first search's wins.
+    """
+    starts = [np.asarray(x, dtype=float)]
+    for _ in range(n_draws):
+        g = rng.standard_normal(space.dim)
+        starts.append(x + r * float(rng.uniform()) * space.unit(g))
+
+    def clip(u):
+        d = space.dist(u, x)
+        return u if d <= r else x + (r / d) * (u - x)
+
+    results = pattern_searches(f, starts, initial_step=r / 2, step_floor=1e-9 * max(1.0, r),
+                               max_evals=max_evals, project=clip)
+    u, v, _ = min(results, key=lambda res: res[1])
+    return u, v

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import setcover_kit as sk
-from setcover_kit.geometry import outer_radius, rng_for, scale_set
+from setcover_kit.geometry import outer_radius, rng_for
 
 EU2 = sk.NormedSpace(2)
 EU3 = sk.NormedSpace(3)
@@ -318,10 +318,6 @@ class TestEnlarge:
         moved = sk.translate_set(region, np.array([2.0, 0.0]))
         assert sk.contains_point(EU2, moved, [2.9, 5.0])
         assert not sk.contains_point(EU2, moved, [3.1, 0.0])
-
-    def test_scale_set(self):
-        b = scale_set(sk.Ball(np.array([1.0, 0.0]), 2.0), 0.5)
-        assert np.allclose(b.center, [0.5, 0.0]) and b.radius == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,14 @@ class TestDecode:
             decode_instance(data)
         assert "groups[0][1][0]" in str(err.value)
 
+    def test_family_dim_y_is_an_unknown_field(self):
+        data = copy.deepcopy(builtin_instances()["family"])
+        data["family"]["dim_y"] = 1
+        with pytest.raises(InstanceError) as err:
+            decode_instance(data)
+        assert err.value.path == "$.family.dim_y"
+        assert err.value.reason == "unknown field"
+
     def test_penalty_l_exclusivity(self):
         data = copy.deepcopy(builtin_instances()["t1_penalty"])
         data["penalty"]["l"] = 2.0  # together with threshold_factor

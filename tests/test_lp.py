@@ -276,6 +276,59 @@ def test_extent_of_a_strip_is_unbounded_along_it():
     assert not sk.boundedness(sk.NormedSpace(2), strip).bounded
 
 
+def presolve_misreport_regions():
+    """The A of {y : A y <= 1} whose extent LPs HiGHS's presolve has been seen to call
+    infeasible or unknown: 11 of 1,800 draws A ~ N(0, 1) of shape (d + 2, d), 300 per d
+    for d = 1..6 in turn from default_rng(1).  The origin is inside each region."""
+    picks = {(3, 18), (3, 101), (3, 120), (3, 191), (3, 211), (3, 229), (4, 245), (4, 276),
+             (5, 107), (5, 272), (6, 90)}
+    rng = np.random.default_rng(1)
+    draws = {(d, k): rng.standard_normal((d + 2, d)) for d in range(1, 7) for k in range(300)}
+    return [draws[key] for key in sorted(picks)]
+
+
+@pytest.mark.parametrize("a", presolve_misreport_regions())
+def test_extent_of_an_unbounded_region_presolve_misreports(a):
+    """Each end is that of the LP boxed in [-B, B]^d for B = 1e6 and 1e8: +-inf where the
+    boxed optimum falls as the box grows, the boxed optimum where it does not."""
+    n = a.shape[1]
+    b = np.ones(a.shape[0])
+    lo, hi, _ = lp.coordinate_extent(a, b)
+    region = sk.SublevelRegion((sk.FormGroup(a, 1.0),))
+    assert not sk.boundedness(sk.NormedSpace(n), region).bounded
+    for i in range(n):
+        for sign, end in ((1.0, lo[i]), (-1.0, hi[i])):
+            c = np.zeros(n)
+            c[i] = sign
+            small, large = (reference(c, A_ub=a, b_ub=b, bounds=(-big, big)).fun
+                            for big in (1e6, 1e8))
+            if large < 10.0 * small:  # small <= 0, as the origin is inside
+                assert end == -sign * np.inf
+            else:
+                assert small == pytest.approx(large, rel=1e-9, abs=1e-9)
+                assert end == pytest.approx(sign * small, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("status", [2, 4])
+def test_an_extent_lp_misreported_as_infeasible_or_unknown_is_rechecked(monkeypatch, status):
+    """Stubbed extent LPs: the real feasibility and recession LPs decide each end."""
+    real = lp.linprog
+
+    def misreport(c, A_ub=None, b_ub=None, **kwargs):
+        if np.any(c) and np.any(b_ub):  # an extent LP, not the feasibility or recession LP
+            return lp.LPResult(None, None, status, False, "stub")
+        return real(c, A_ub=A_ub, b_ub=b_ub, **kwargs)
+
+    monkeypatch.setattr(lp, "linprog", misreport)
+    lo, hi, pts = lp.coordinate_extent(np.zeros((1, 2)), np.ones(1))  # the whole plane
+    assert lo.tolist() == [-np.inf] * 2 and hi.tolist() == [np.inf] * 2 and pts.shape == (0, 2)
+    strip = (np.array([[1.0, 0.0], [-1.0, 0.0]]), np.ones(2))  # bounded along y_0
+    with pytest.raises(lp.LPAnomalyError, match=f"status={status}.*no recession direction"):
+        lp.coordinate_extent(*strip)
+    with pytest.raises(lp.LPAnomalyError, match="halfspace intersection is empty"):
+        lp.coordinate_extent(strip[0], -np.ones(2))
+
+
 def test_non_finite_data_is_refused():
     with pytest.raises(ValueError, match="finite"):
         lp.linprog(np.array([1.0]), A_ub=np.array([[np.inf]]), b_ub=np.array([1.0]))

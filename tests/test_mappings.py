@@ -327,15 +327,14 @@ class TestMappingInvariants:
 
     def test_process_positive_homogeneity(self):
         """Sampled set equality of eval(lam*x) and lam*eval(x) on bounded slices."""
-        from setcover_kit.geometry import scale_set
-
         m = orthant_graph_process()
         rng = rng_for(37, 0)
         for _ in range(25):
             x = rng.uniform(-3, 3, 1)
             lam = float(rng.uniform(0.2, 4.0))
             a = sk.eval_map(m, lam * x)
-            b = scale_set(sk.eval_map(m, x), lam)
+            b = sk.SublevelRegion(tuple(sk.FormGroup(g.a, lam * g.b)
+                                        for g in sk.eval_map(m, x).groups))
             box = (-10.0 * np.ones(2), 10.0 * np.ones(2))
             for p in sk.sample(EU2, a, 16, seed=5, box=box):
                 assert float(sk.dist_point(EU2, p, b)) <= 1e-9
