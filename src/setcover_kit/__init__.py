@@ -16,10 +16,13 @@ from .geometry import (
     Distance,
     Distances,
     EnlargedSet,
+    Family,
     FormGroup,
     NormedSpace,
     Orthant,
     PointCloud,
+    Regions,
+    Rounds,
     SamplingBudgetError,
     SetRep,
     Sphere,
@@ -61,6 +64,7 @@ from .mappings import (
     cover_witness,
     empirical_lipschitz,
     eval_map,
+    eval_maps,
     fallback_witness,
 )
 from .codec import (
@@ -110,6 +114,7 @@ from .penalty import (
     objective_lipschitz,
     objective_value,
     penalty_value,
+    penalty_values,
     semiregularity_estimate,
     threshold,
     verify_exactness,

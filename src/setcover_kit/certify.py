@@ -26,11 +26,12 @@ from ._lp import min_max_norm_feasible, solve_lp
 from .codec import map_to_json
 from .geometry import (
     Ball,
+    Family,
+    Rounds,
     SetRep,
     _freeze,
     _memo,
     dist_point,
-    dist_to_each,
     dists,
     excess,
     hausdorff,
@@ -197,16 +198,7 @@ def _sub_seed(seed: int, trial: int, k: int) -> int:
 def _search_cover_point(m: mp.MapSpec, x, r: float, y, seed: int, budget: int):
     def objective(us):
         """dist(y, F(u)) for each point u; inf where F(u) cannot be built."""
-        images = []
-        for u in us:
-            try:
-                images.append(mp.eval_map(m, u))
-            except ValueError:
-                images.append(None)
-        built = [i for i, image in enumerate(images) if image is not None]
-        values = np.full(len(images), math.inf)
-        values[built] = dist_to_each(m.space_y, y, [images[i] for i in built]).value
-        return values
+        return mp.eval_maps(m, np.array(us)).dists_from(m.space_y, y[None])[:, 0]
 
     return ball_search(objective, m.space_x, x, r, rng_for(seed, 0), n_draws=3,
                        max_evals=max(30, budget // 4))
@@ -395,6 +387,13 @@ def _inverse_errorbound_sides(m: mp.MapSpec, alpha: float, s: SetRep, x):
     return lhs, rhs
 
 
+def _inverse_errorbound_rows(m: mp.MapSpec, alpha: float, tests: Rounds, xs: np.ndarray):
+    """_inverse_errorbound_sides of every trial: (lhs, rhs) arrays, one entry per row."""
+    lhs = m.inverse_distances(tests, xs)
+    exc = tests.excesses(m.space_y, mp.eval_maps(m, xs))
+    return lhs, np.where(np.isinf(exc), math.inf, exc / alpha)
+
+
 def check_inverse_errorbound(m: mp.MapSpec, alpha: float, trials: int, seed: int,
                              x_box=None, tol: float = 1e-9,
                              test_sets: list[SetRep] | None = None) -> Certificate:
@@ -403,23 +402,42 @@ def check_inverse_errorbound(m: mp.MapSpec, alpha: float, trials: int, seed: int
     Test sets are random balls in the range space unless supplied.  The
     distance on the left is evaluated in closed form, so recorded
     violations are genuine; an infinite right side passes trivially.
+    With the random balls and a map kind whose inclusion inverse has a
+    batched rule, every trial is drawn first and then evaluated in one
+    pass: the same numbers as trial by trial.
     """
     x_box = x_box or _default_box(m.space_x.dim)
     violations: list[Violation] = []
+    xs, rs, centers = [], [], []
     for t in range(trials):
         x, r, rng = _draw_trial(seed, t, x_box, (1e-2, 1e1))
-        if test_sets is not None:
-            s = test_sets[t % len(test_sets)]
-        else:
-            center = rng.uniform(-5.0, 5.0, size=m.space_y.dim)
-            s = Ball(center, r)
-        lhs, rhs = _inverse_errorbound_sides(m, alpha, s, x)
-        if math.isinf(rhs):
+        xs.append(x)
+        rs.append(r)
+        if test_sets is None:  # the trial's ball comes from its own generator, after x and r
+            centers.append(rng.uniform(-5.0, 5.0, size=m.space_y.dim))
+    xs = np.array(xs).reshape(trials, m.space_x.dim)
+    sides = None
+    if test_sets is None:
+        tests = Rounds(np.array(centers).reshape(trials, m.space_y.dim), np.array(rs))
+        try:
+            sides = _inverse_errorbound_rows(m, alpha, tests, xs)
+        except NotImplementedError:  # no batched inclusion inverse for this kind
+            pass
+    else:
+        tests = Family([test_sets[t % len(test_sets)] for t in range(trials)])
+    if sides is None:
+        sides = np.array([_inverse_errorbound_sides(m, alpha, tests.row(t), x)
+                          for t, x in enumerate(xs)]).reshape(trials, 2).T
+    lhs, rhs = sides
+    for t, (x, r) in enumerate(zip(xs, rs)):
+        if math.isinf(rhs[t]):
             continue
-        atol = _scale_tol(tol, x, rhs)
-        if lhs > rhs + atol:
+        atol = _scale_tol(tol, x, rhs[t])
+        if lhs[t] > rhs[t] + atol:
+            s = tests.row(t)
             record = tuple(np.append(s.center, s.radius)) if isinstance(s, Ball) else None
-            violations.append(Violation(t, tuple(x), r, record, lhs - rhs, "violation"))
+            violations.append(Violation(t, tuple(x), r, record, float(lhs[t] - rhs[t]),
+                                        "violation"))
     return Certificate(
         property="inverse-errorbound", trials=trials, violations=violations, seed=seed,
         tolerances={"tol": tol},
@@ -436,8 +454,7 @@ def check_inverse_hausdorff(m: mp.MapSpec, alpha: float, trials: int, seed: int,
     Implemented for the dilation family, whose inverse images are the
     closed-form super-threshold shells of the radius function.
     """
-    if not isinstance(m, mp.Dilation):
-        raise NotImplementedError("closed-form inverse Hausdorff check needs a dilation")
+    center = m.shell_center()
     violations: list[Violation] = []
     for t in range(trials):
         rng = rng_for(seed, t)
@@ -445,8 +462,8 @@ def check_inverse_hausdorff(m: mp.MapSpec, alpha: float, trials: int, seed: int,
         c2 = rng.uniform(-5.0, 5.0, size=m.space_y.dim)
         r1, r2 = rng.uniform(0.1, 4.0, size=2)
         a_set, b_set = Ball(c1, float(r1)), Ball(c2, float(r2))
-        # a dilation's inverse images are shells about its anchor
-        h_inv = abs(inverse_distance(m, a_set, m.anchor) - inverse_distance(m, b_set, m.anchor))
+        # the inverse images are shells about one center
+        h_inv = abs(inverse_distance(m, a_set, center) - inverse_distance(m, b_set, center))
         h_sets = float(hausdorff(m.space_y, a_set, b_set))
         atol = _scale_tol(tol, c1, h_sets)
         if h_inv > h_sets / alpha + atol:

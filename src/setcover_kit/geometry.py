@@ -38,6 +38,9 @@ __all__ = [
     "SamplingBudgetError",
     "Distance",
     "Distances",
+    "Family",
+    "Rounds",
+    "Regions",
     "NormedSpace",
     "SetRep",
     "Ball",
@@ -213,7 +216,7 @@ class SetRep:
     have checked their arguments: convex, _dists(space, ys) for dists,
     outer_radius(space, p), contains(space, y, tol), sample(space, n, seed,
     rng, box) with rng = rng_for(seed, 0), translate(v), enlarge(space, r)
-    and affine_image(mat, off).  A kind without its own rule raises
+    and affine_image(space_in, space_out, mat, off).  A kind without its own rule raises
     TypeError, except that contains falls back to the distance, enlarge to
     EnlargedSet and affine_image to a ValueError.  Only the pair rules of
     excess stay in one table.
@@ -236,7 +239,9 @@ class SetRep:
         """The implicit wrapper, where the kind has no exact enlargement."""
         return EnlargedSet(self, r)
 
-    def affine_image(self, mat: np.ndarray, off: np.ndarray) -> SetRep:
+    def affine_image(self, space_in: NormedSpace, space_out: NormedSpace, mat: np.ndarray,
+                     off: np.ndarray) -> SetRep:
+        """{M y + off : y in the set}, the set measured in space_in and its image in space_out."""
         raise ValueError(f"affine image of {type(self).__name__} leaves the catalog")
 
 
@@ -259,43 +264,50 @@ class _Round(SetRep):
     def translate(self, v):
         return type(self)(self.center + v, self.radius)
 
-    def affine_image(self, mat, off):
-        lam = _scaled_orthogonal_factor(mat)
-        if lam is None:
-            raise ValueError("ball images need a scaled-orthogonal matrix to stay in the catalog")
+    def _dists(self, space, ys):
+        return _exact(self._gap(space.norms(ys - self.center) - self.radius))
+
+    def affine_image(self, space_in, space_out, mat, off):
+        lam = _ball_image_factor(space_in, space_out, mat)
         return type(self)(mat @ self.center + off, lam * self.radius)
 
-    def _axis_points(self, space: NormedSpace) -> list:
-        """center + r e_1, center - r e_1, center + r e_2, ..."""
-        steps = self.radius * np.eye(space.dim)
-        pairs = np.stack([self.center + steps, self.center - steps], axis=1)
-        return list(pairs.reshape(-1, space.dim))
+    def _axis_points(self, out: np.ndarray) -> None:
+        """Write center + r e_1, center - r e_1, center + r e_2, ... into the rows of out."""
+        steps = self.radius * np.eye(self.dim)
+        out[0::2] = self.center + steps
+        out[1::2] = self.center - steps
 
 
 @dataclass(frozen=True, eq=False)
 class Ball(_Round):
     convex = True
 
-    def _dists(self, space, ys):
-        # np.fmax(v, 0.0) is max(0.0, v) elementwise, NaN included
-        return _exact(np.fmax(space.norms(ys - self.center) - self.radius, _ZERO))
+    @staticmethod
+    def _gap(v):
+        """The distance from its gap d(y, center) - radius: max(0.0, gap), NaN included."""
+        return np.fmax(v, _ZERO)
 
     def contains(self, space, y, tol):
         return space.dist(y, self.center) <= self.radius + tol * max(1.0, self.radius)
 
     def sample(self, space, n, seed, rng, box):
-        center, radius = self.center, self.radius
-        pts = [center.copy()] + self._axis_points(space)
+        center, radius, d = self.center, self.radius, space.dim
+        pts = np.empty((max(n, 2 * d + 1), d))
+        pts[0] = center
+        self._axis_points(pts[1:2 * d + 1])
+        filled = 2 * d + 1
         budget = 200 * n + 1000  # candidates
-        while len(pts) < n and budget > 0:
+        while filled < n and budget > 0:
             # one chunk draws the candidates one-at-a-time draws would; they are taken in order
-            k = min(budget, 2 * (n - len(pts)) + 16)
-            cand = rng.uniform(-radius, radius, size=(k, space.dim))
+            k = min(budget, 2 * (n - filled) + 16)
+            cand = rng.uniform(-radius, radius, size=(k, d))
             budget -= k
-            pts.extend(center + cand[space.norms(cand) <= radius][:n - len(pts)])
-        if len(pts) < n:
+            taken = cand[space.norms(cand) <= radius][:n - filled]
+            pts[filled:filled + len(taken)] = center + taken
+            filled += len(taken)
+        if filled < n:
             raise SamplingBudgetError("rejection budget exhausted sampling a ball")
-        return np.array(pts[:n])
+        return pts[:n]
 
     def enlarge(self, space, r):
         return Ball(self.center, self.radius + r)
@@ -307,18 +319,19 @@ class Sphere(_Round):
     def convex(self):
         return self.radius == 0.0
 
-    def _dists(self, space, ys):
-        return _exact(np.abs(space.norms(ys - self.center) - self.radius))
+    _gap = staticmethod(np.abs)  # the distance from its gap d(y, center) - radius
 
     def contains(self, space, y, tol):
         return abs(space.dist(y, self.center) - self.radius) <= tol * max(1.0, self.radius)
 
     def sample(self, space, n, seed, rng, box):
-        pts = self._axis_points(space)
-        if len(pts) < n:
-            dirs = rng.standard_normal((n - len(pts), space.dim))
-            pts.extend(self.center + self.radius * space.unit(dirs))
-        return np.array(pts[:n])
+        d = space.dim
+        pts = np.empty((max(n, 2 * d), d))
+        self._axis_points(pts[:2 * d])
+        if 2 * d < n:
+            dirs = rng.standard_normal((n - 2 * d, d))
+            pts[2 * d:] = self.center + self.radius * space.unit(dirs)
+        return pts[:n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,7 +389,7 @@ class Box(SetRep):
     def translate(self, v):
         return Box(self.lo + v, self.hi + v)
 
-    def affine_image(self, mat, off):
+    def affine_image(self, space_in, space_out, mat, off):
         return VPolytope(self.corners() @ mat.T + off)
 
 
@@ -416,7 +429,7 @@ class VPolytope(SetRep):
     def translate(self, v):
         return VPolytope(self.vertices + v)
 
-    def affine_image(self, mat, off):
+    def affine_image(self, space_in, space_out, mat, off):
         return VPolytope(self.vertices @ mat.T + off)
 
 
@@ -453,7 +466,7 @@ class PointCloud(SetRep):
     def translate(self, v):
         return PointCloud(self.points + v)
 
-    def affine_image(self, mat, off):
+    def affine_image(self, space_in, space_out, mat, off):
         return PointCloud(self.points @ mat.T + off)
 
 
@@ -581,7 +594,7 @@ class SublevelRegion(SetRep):
                 groups.append(FormGroup(row.reshape(1, -1), g.b + float(row @ v)))
         return SublevelRegion(tuple(groups))
 
-    def affine_image(self, mat, off):
+    def affine_image(self, space_in, space_out, mat, off):
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("region images need an invertible matrix")
         inv_t = np.linalg.inv(mat).T
@@ -677,11 +690,40 @@ class EnlargedSet(SetRep):
     def enlarge(self, space, r):
         return enlarge(space, self.base, self.margin + r)
 
-    def affine_image(self, mat, off):
-        lam = _scaled_orthogonal_factor(mat)
-        if lam is None:
-            raise ValueError("enlargement images need a scaled-orthogonal matrix")
-        return EnlargedSet(self.base.affine_image(mat, off), lam * self.margin)
+    def affine_image(self, space_in, space_out, mat, off):
+        lam = _ball_image_factor(space_in, space_out, mat)
+        return EnlargedSet(self.base.affine_image(space_in, space_out, mat, off), lam * self.margin)
+
+
+def _ball_image_factor(space_in: NormedSpace, space_out: NormedSpace, mat: np.ndarray) -> float:
+    """lam with ||M v||_out = lam ||v||_in for every v, so that M maps each ball of
+    space_in onto a ball of space_out; raises ValueError where no such lam is known.
+
+    Two cases: euclidean to euclidean with M scaled-orthogonal, and the same max or
+    p-norm on both sides with M = lam times a signed permutation.  Any other matrix
+    or norm pair maps a ball to a set that is not a ball of space_out.
+    """
+    lam = None
+    if (space_in.norm, space_in.p) == (space_out.norm, space_out.p):
+        lam = (_scaled_orthogonal_factor(mat) if space_in.norm == "euclidean"
+               else _signed_permutation_factor(mat))
+    if lam is None:
+        raise ValueError("ball images need a scaled-orthogonal matrix to stay in the catalog "
+                         "(euclidean norms), or a scaled signed permutation (the same max or "
+                         "p-norm on both sides)")
+    return lam
+
+
+def _signed_permutation_factor(mat: np.ndarray) -> float | None:
+    """lam > 0 with M = lam times a signed permutation matrix, or None."""
+    if mat.shape[0] != mat.shape[1]:
+        return None
+    nonzero = mat != 0.0
+    lam = float(np.abs(mat).max(initial=0.0))
+    if lam > 0.0 and (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all() \
+            and (np.abs(mat[nonzero]) == lam).all():
+        return lam
+    return None
 
 
 def _scaled_orthogonal_factor(mat: np.ndarray) -> float | None:
@@ -794,6 +836,133 @@ def dist_to_each(space: NormedSpace, y, sets) -> Distances:
         for i, text in zip(rows, d.note):
             note[i] = text
     return Distances(value, error, approx, tuple(note))
+
+
+class Family:
+    """k sets, one per row of a point array: a map's images at k points, say.
+
+    A row whose set could not be built holds None, and its ValueError in
+    errors: its distances are inf, and row(i) raises the error.  This base
+    family applies each set's own rules row by row.  Rounds and Regions
+    hold many balls, spheres or regions in arrays and compute every row at
+    once; each row is bit for bit the rule of its own set.
+    """
+
+    def __init__(self, sets, errors=None):
+        self.sets = list(sets)
+        self.errors = list(errors) if errors is not None else [None] * len(self.sets)
+
+    @classmethod
+    def build(cls, make, k: int) -> Family:
+        """The family of make(0), ..., make(k - 1); a row that raises ValueError is missing."""
+        sets, errors = [], []
+        for i in range(k):
+            try:
+                sets.append(make(i))
+                errors.append(None)
+            except ValueError as exc:
+                sets.append(None)
+                errors.append(exc)
+        return cls(sets, errors)
+
+    def __len__(self):
+        return len(self.sets)
+
+    def row(self, i: int) -> SetRep:
+        if self.sets[i] is None:
+            raise self.errors[i]
+        return self.sets[i]
+
+    def dists_from(self, space: NormedSpace, ys: np.ndarray) -> np.ndarray:
+        """(k, n) array: dists(space, ys, set i).value in row i, inf for a missing set."""
+        out = np.full((len(self), ys.shape[0]), math.inf)
+        built = [i for i, s in enumerate(self.sets) if s is not None]
+        if not built:
+            return out
+        if ys.shape[0] == 1:  # one point: regions sharing their form rows take one call
+            out[built, 0] = dist_to_each(space, ys[0], [self.sets[i] for i in built]).value
+        else:
+            out[built] = [dists(space, ys, self.sets[i]).value for i in built]
+        return out
+
+    def translate(self, vs: np.ndarray) -> Family:
+        """translate_set(row i, vs[i]) in row i."""
+        return Family.build(lambda i: translate_set(self.row(i), vs[i]), len(self))
+
+    def affine_image(self, space_in, space_out, mat, off) -> Family:
+        """Each row's affine_image; a row whose image leaves the catalog becomes missing."""
+        return Family.build(lambda i: self.row(i).affine_image(space_in, space_out, mat, off),
+                            len(self))
+
+    def excesses(self, space: NormedSpace, b: Family) -> np.ndarray:
+        """float(excess(space, row i, b's row i)) for each row; raises a missing row's error."""
+        return np.array([float(excess(space, self.row(i), b.row(i))) for i in range(len(self))])
+
+
+class Rounds(Family):
+    """k balls (or k spheres): row i is Ball(centers[i], radii[i])."""
+
+    def __init__(self, centers: np.ndarray, radii: np.ndarray, sphere: bool = False):
+        self.centers, self.radii, self.sphere = centers, radii, sphere
+        self.kind = Sphere if sphere else Ball
+
+    def __len__(self):
+        return self.radii.shape[0]
+
+    def row(self, i):
+        return self.kind(self.centers[i], self.radii.item(i))
+
+    def dists_from(self, space, ys):
+        gaps = space.norms(ys[None, :, :] - self.centers[:, None, :]) - self.radii[:, None]
+        return self.kind._gap(gaps)
+
+    def translate(self, vs):
+        if vs.shape != self.centers.shape:
+            raise DimensionMismatchError("translation vector dimension mismatch")
+        return Rounds(self.centers + vs, self.radii, self.sphere)
+
+    def affine_image(self, space_in, space_out, mat, off):
+        try:
+            lam = _ball_image_factor(space_in, space_out, mat)
+            # a stacked (m, n) @ (n, 1) product runs the gemv of mat @ center on each row
+            centers = np.matmul(mat, self.centers[:, :, None])[:, :, 0] + off
+        except ValueError as exc:
+            return Family([None] * len(self), [exc] * len(self))
+        return Rounds(centers, lam * self.radii, self.sphere)
+
+    def excesses(self, space, b):
+        """excess's closed forms of a ball or sphere over a ball or sphere, elementwise."""
+        if not isinstance(b, Rounds):
+            return super().excesses(space, b)
+        m = space.norms(self.centers - b.centers)
+        hi_end = m + self.radii
+        if not b.sphere:
+            return _positive(hi_end - b.radii)
+        # distances from b's center over a form a band; |t - r_b| peaks at its ends
+        lo_end = np.abs(m - self.radii) if self.sphere else _positive(m - self.radii)
+        hi, lo = np.abs(hi_end - b.radii), np.abs(lo_end - b.radii)
+        return np.where(lo > hi, lo, hi)  # Python's max(hi, lo)
+
+
+class Regions(Family):
+    """k sublevel regions sharing their form rows: row i is {y : A y <= b[i]}, where A
+    is the stacked form rows of region and b has one right-hand side per row."""
+
+    def __init__(self, region: SublevelRegion, b: np.ndarray):
+        self.region, self.b = region, b
+
+    def __len__(self):
+        return self.b.shape[0]
+
+    def row(self, i):
+        starts = np.cumsum([0] + [g.a.shape[0] for g in self.region.groups])
+        return SublevelRegion(tuple(FormGroup(g.a, self.b.item(i, j))
+                                    for g, j in zip(self.region.groups, starts)))
+
+    def dists_from(self, space, ys):
+        k = self.b.shape[0]
+        return np.stack([_dists_region(space, np.tile(y, (k, 1)), self.region, self.b).value
+                         for y in ys], axis=1)
 
 
 def _check_set(space: NormedSpace, s: SetRep) -> None:

@@ -21,9 +21,12 @@ import numpy as np
 
 from .geometry import (
     Ball,
+    Family,
     FormGroup,
     NormedSpace,
     Orthant,
+    Regions,
+    Rounds,
     SetRep,
     Sphere,
     SublevelRegion,
@@ -38,6 +41,7 @@ from .geometry import (
     translate_set,
     _freeze,
     _memo,
+    _positive,
 )
 from .search import ball_search
 
@@ -66,6 +70,7 @@ __all__ = [
     "Composed",
     "BallValued",
     "eval_map",
+    "eval_maps",
     "alpha_of",
     "beta_of",
     "cover_witness",
@@ -125,6 +130,10 @@ class Affine:
     def evaluate(self, x, space_in: NormedSpace) -> np.ndarray:
         return self.matrix @ np.asarray(x, dtype=float) + self.offset
 
+    def evaluate_rows(self, xs: np.ndarray, space_in: NormedSpace) -> np.ndarray:
+        """evaluate at each row of xs: a stacked (k, n, 1) product runs each row's gemv."""
+        return np.matmul(self.matrix, xs[:, :, None])[:, :, 0] + self.offset
+
     def lipschitz(self, space_in: NormedSpace, space_out: NormedSpace) -> float:
         """Operator norm of M for the ambient norm pair."""
         m = self.matrix
@@ -162,6 +171,9 @@ class ScaledNormRadial:
 
     def evaluate(self, x, space_in: NormedSpace) -> np.ndarray:
         return self.scale * space_in.norm_of(x) * self.direction
+
+    def evaluate_rows(self, xs: np.ndarray, space_in: NormedSpace) -> np.ndarray:
+        return (self.scale * space_in.norms(xs))[:, None] * self.direction
 
     def lipschitz(self, space_in: NormedSpace, space_out: NormedSpace) -> float:
         return abs(self.scale) * space_out.norm_of(self.direction)
@@ -203,10 +215,12 @@ class MapConstants:
 class MapSpec:
     """Base class; concrete variants declare their domain/range spaces.
 
-    Each variant carries its rules: image, constants, lipschitz, witness,
-    respond and inverse_distance, which eval_map, alpha_of, beta_of,
-    cover_witness, the covering check and certify.inverse_distance call
-    on checked arguments.  A variant without a rule raises their error.
+    Each variant carries its rules: image and images, constants, lipschitz,
+    witness, respond, inverse_distance and inverse_distances, and
+    shell_center, which eval_map, eval_maps, alpha_of, beta_of,
+    cover_witness and the certificates call on checked arguments.  A
+    variant without a rule raises their error; images and
+    inverse_distances of a kind without a batched rule go row by row.
     """
 
     space_x: NormedSpace
@@ -214,6 +228,15 @@ class MapSpec:
 
     def image(self, x: np.ndarray) -> SetRep:
         raise TypeError(f"unknown map variant {type(self).__name__}")
+
+    def images(self, xs: np.ndarray) -> Family:
+        """The image of each row of a (k, dim) array; row i is image(xs[i]).
+
+        A row whose image raises ValueError is missing from the family.
+        The ball- and sphere-valued kinds return Rounds and the sublinear
+        kind Regions, each built for all rows at once.
+        """
+        return Family.build(lambda i: self.image(xs[i]), xs.shape[0])
 
     def constants(self) -> MapConstants:
         raise NotSetCoveringError(f"no covering rule for {type(self).__name__}")
@@ -233,6 +256,15 @@ class MapSpec:
     def inverse_distance(self, s: SetRep, x: np.ndarray) -> float:
         """Distance from x to {u : s is contained in the image of u}; inf when empty."""
         raise NotImplementedError(f"no closed-form inclusion inverse for {type(self).__name__}")
+
+    def inverse_distances(self, tests: Rounds, xs: np.ndarray) -> np.ndarray:
+        """inverse_distance(tests.row(i), xs[i]) for each row, in one call."""
+        raise NotImplementedError(f"no batched inclusion inverse for {type(self).__name__}")
+
+    def shell_center(self) -> np.ndarray:
+        """The point c whose distance to every inclusion-inverse image is the
+        image's radius: each inverse image is a shell {u : d(u, c) >= t}."""
+        raise NotImplementedError("closed-form inverse Hausdorff check needs a dilation")
 
 
 def _space_of(space: NormedSpace | None, dim: int) -> NormedSpace:
@@ -282,6 +314,10 @@ class Dilation(MapSpec):
     def image(self, x):
         return Ball(self.y0, self.radius_at(x))
 
+    def images(self, xs):
+        radii = self.a * self.space_x.norms(xs - self.anchor) + self.b
+        return Rounds(np.broadcast_to(self.y0, (xs.shape[0], self.y0.shape[0])), radii)
+
     def constants(self):
         return MapConstants(alpha=self.a, beta=self.a, gamma=1.0,
                             rule="radial dilation rate: alpha = a")
@@ -299,6 +335,14 @@ class Dilation(MapSpec):
             return math.inf
         threshold = (r_s - self.b) / self.a
         return max(0.0, threshold - self.space_x.dist(x, self.anchor))
+
+    def inverse_distances(self, tests, xs):
+        r_s = self.space_y.norms(tests.centers - self.y0) + tests.radii  # each outer radius
+        gaps = (r_s - self.b) / self.a - self.space_x.norms(xs - self.anchor)
+        return np.where(np.isinf(r_s), math.inf, _positive(gaps))
+
+    def shell_center(self):
+        return self.anchor
 
 
 class _CoveringOnly(MapSpec):
@@ -326,6 +370,9 @@ class SphereScale(_CoveringOnly):
     def image(self, x):
         return Sphere(np.zeros(2), abs(float(x[0])))
 
+    def images(self, xs):
+        return Rounds(np.zeros((xs.shape[0], 2)), np.abs(xs[:, 0]), sphere=True)
+
     def respond(self, x, r, y):
         ny = float(np.linalg.norm(y))
         lo, hi = max(0.0, abs(float(x[0])) - r), abs(float(x[0])) + r
@@ -344,6 +391,12 @@ class SphereScale(_CoveringOnly):
             return abs(abs(float(x[0])) - rho)
         raise NotImplementedError("inclusion inverse implemented for ball test sets")
 
+    def inverse_distances(self, tests, xs):
+        if tests.sphere:
+            raise NotImplementedError("inclusion inverse implemented for ball test sets")
+        rho = np.sqrt(np.vecdot(tests.centers, tests.centers))  # np.linalg.norm of each row
+        return np.where(tests.radii > 0.0, math.inf, np.abs(np.abs(xs[:, 0]) - rho))
+
 
 @dataclass(frozen=True, eq=False)
 class UnitBallTranslate(_CoveringOnly):
@@ -360,6 +413,9 @@ class UnitBallTranslate(_CoveringOnly):
     def image(self, x):
         return Ball(x, 1.0)
 
+    def images(self, xs):
+        return Rounds(xs, np.ones(xs.shape[0]))
+
     def respond(self, x, r, y):
         space = self.space_x
         d = space.dist(y, x)
@@ -373,6 +429,12 @@ class UnitBallTranslate(_CoveringOnly):
                 return math.inf
             return max(0.0, self.space_x.dist(x, s.center) - (1.0 - s.radius))
         raise NotImplementedError("inclusion inverse implemented for ball test sets")
+
+    def inverse_distances(self, tests, xs):
+        if tests.sphere:
+            raise NotImplementedError("inclusion inverse implemented for ball test sets")
+        gaps = self.space_x.norms(xs - tests.centers) - (1.0 - tests.radii)
+        return np.where(tests.radii > 1.0, math.inf, _positive(gaps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,6 +466,13 @@ class SublinearSystem(MapSpec):
 
     def image(self, x):
         return SublevelRegion(tuple(FormGroup(g, abs(float(xi))) for g, xi in zip(self.groups, x)))
+
+    def images(self, xs):
+        # one region holds the stacked form rows; row i's bounds are |x_i| per group
+        forms = _memo(self, "_forms", lambda: SublevelRegion(
+            tuple(FormGroup(g, 0.0) for g in self.groups)))
+        sizes = [g.shape[0] for g in self.groups]
+        return Regions(forms, np.repeat(np.abs(xs), sizes, axis=1))
 
     def constants(self):
         dual = self.dual_norm_max()
@@ -549,6 +618,13 @@ class Sum(MapSpec):
     def image(self, x):
         return translate_set(eval_map(self.base, x), self.g.evaluate(x, self.space_x))
 
+    def images(self, xs):
+        base = self.base.images(xs)
+        try:
+            return base.translate(self.g.evaluate_rows(xs, self.space_x))
+        except ValueError:  # g does not fit the spaces: every row raises, as image does
+            return super().images(xs)
+
     def constants(self):
         base = alpha_of(self.base)
         lip = self.g_lipschitz()
@@ -587,7 +663,12 @@ class Composed(MapSpec):
         return self.base.space_y
 
     def image(self, x):
-        return eval_map(self.base, x).affine_image(self.g.matrix, self.g.offset)
+        return eval_map(self.base, x).affine_image(self.inner_space, self.space_z,
+                                                   self.g.matrix, self.g.offset)
+
+    def images(self, xs):
+        return self.base.images(xs).affine_image(self.inner_space, self.space_z,
+                                                 self.g.matrix, self.g.offset)
 
     def constants(self):
         base = alpha_of(self.base)
@@ -630,6 +711,10 @@ class BallValued(MapSpec):
     def image(self, x):
         return Ball(self.center.evaluate(x, self.space_x), self.radius_at(x))
 
+    def images(self, xs):
+        return Rounds(self.center.evaluate_rows(xs, self.space_x),
+                      self.c0 + self.c1 * self.space_x.norms(xs - self.xhat))
+
     def lipschitz(self):
         return self.center.lipschitz(self.space_x, self.space_y) + self.c1
 
@@ -641,6 +726,19 @@ class BallValued(MapSpec):
 def eval_map(m: MapSpec, x) -> SetRep:
     """Image of x under the mapping, as a closed set representation."""
     return m.image(m.space_x.check_point(x))
+
+
+def eval_maps(m: MapSpec, xs) -> Family:
+    """Images of the rows of a (k, dim) point array, in one call.
+
+    Row i is eval_map(m, xs[i]) bit for bit; a row whose image cannot be
+    built is missing (inf distances) instead of raising.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != m.space_x.dim:
+        raise DimensionMismatchError(
+            f"expected a (k, {m.space_x.dim}) point array, got shape {xs.shape}")
+    return m.images(xs)
 
 
 def alpha_of(m: MapSpec) -> MapConstants:
@@ -709,16 +807,8 @@ def fallback_witness(m: MapSpec, x, rho: float, alpha: float,
     targets = sample_enlargement(m.space_y, image, alpha * rho, n_points, seed)
     probe = targets[:: max(1, n_points // search_targets)]
 
-    def worst_violation(us):
-        values = []
-        for u in us:
-            try:
-                img_u = eval_map(m, u)
-            except ValueError:
-                values.append(math.inf)
-                continue
-            values.append(float(dists(m.space_y, probe, img_u).value.max()))
-        return values
+    def worst_violation(us):  # (k, probe) distances, inf where an image cannot be built
+        return eval_maps(m, np.array(us)).dists_from(m.space_y, probe).max(axis=1)
 
     best_u, _ = ball_search(worst_violation, m.space_x, x, rho, rng_for(seed, 2), n_draws=4,
                             max_evals=max(25, budget // 5))

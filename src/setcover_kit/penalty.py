@@ -24,7 +24,7 @@ import numpy as np
 from . import mappings as mp
 from .certify import Certificate, Violation
 from .geometry import NormedSpace, excess, rng_for
-from .search import PatternTrace, pattern_search
+from .search import PatternTrace, pattern_search, pattern_searches
 from .solver import InclusionInstance, solve_inclusion
 
 # largest dimension minimize_penalty searches: each poll round costs 2 * dim penalty values
@@ -40,6 +40,7 @@ __all__ = [
     "objective_lipschitz",
     "PenaltyProblem",
     "penalty_value",
+    "penalty_values",
     "threshold",
     "MinimizeResult",
     "minimize_penalty",
@@ -68,6 +69,9 @@ class NormToPoint:
     def value(self, space: NormedSpace, x: np.ndarray) -> float:
         return space.norm_of(x - self.target)
 
+    def values(self, space: NormedSpace, xs: np.ndarray) -> np.ndarray:
+        return space.norms(xs - self.target)
+
     def lipschitz(self, space: NormedSpace) -> float:
         return 1.0
 
@@ -82,6 +86,9 @@ class Linear:
     def value(self, space, x):
         return float(self.c @ x)
 
+    def values(self, space, xs):
+        return np.array([float(self.c @ x) for x in xs])
+
     def lipschitz(self, space):
         return space.dual_norm_of(self.c)
 
@@ -92,6 +99,9 @@ class AbsCoord:
 
     def value(self, space, x):
         return abs(float(x[self.i]))
+
+    def values(self, space, xs):
+        return np.abs(xs[:, self.i])
 
     def lipschitz(self, space):
         e = np.zeros(space.dim)
@@ -111,6 +121,9 @@ class WeightedSum:
 
     def value(self, space, x):
         return sum(w * objective_value(o, space, x) for w, o in self.terms)
+
+    def values(self, space, xs):
+        return sum((w * o.values(space, xs) for w, o in self.terms), np.zeros(xs.shape[0]))
 
     def lipschitz(self, space):
         return sum(w * objective_lipschitz(o, space) for w, o in self.terms)
@@ -160,6 +173,16 @@ def penalty_value(prob: PenaltyProblem, x) -> float:
     return prob.objective_at(x) + prob.l * resid
 
 
+def penalty_values(prob: PenaltyProblem, xs) -> np.ndarray:
+    """penalty_value at each row of a (k, dim) array, in one call (see InclusionInstance.residuals)."""
+    xs = np.asarray(xs, dtype=float)
+    resid = prob.inst.residuals(xs)
+    out = np.full(xs.shape[0], math.inf)
+    finite = ~np.isinf(resid)
+    out[finite] = prob.objective.values(prob.space, xs[finite]) + prob.l * resid[finite]
+    return out
+
+
 def threshold(l_phi: float, alpha: float, beta: float) -> float:
     """Exactness threshold l_phi / (alpha - beta)."""
     if l_phi <= 0:
@@ -192,10 +215,7 @@ def minimize_penalty(prob: PenaltyProblem, x0,
     Hyperparameters (start step 1.0, halving, floor 1e-7) are fixed and
     recorded in the trace; the run is deterministic given x0.
     """
-    if prob.space.dim > PENALTY_SEARCH_CAP:
-        raise mp.DimensionCapError(f"pattern-search minimization is capped at dimension "
-                                   f"{PENALTY_SEARCH_CAP}; this needs dimension "
-                                   f"{prob.space.dim}")
+    _check_search_cap(prob)
     x0 = prob.space.check_point(x0)
     x, val, trace = pattern_search(lambda u: penalty_value(prob, u), x0,
                                    initial_step=initial_step, step_floor=step_floor,
@@ -203,14 +223,24 @@ def minimize_penalty(prob: PenaltyProblem, x0,
     return MinimizeResult(x=x, value=val, trace=trace)
 
 
+def _check_search_cap(prob: PenaltyProblem) -> None:
+    if prob.space.dim > PENALTY_SEARCH_CAP:
+        raise mp.DimensionCapError(f"pattern-search minimization is capped at dimension "
+                                   f"{PENALTY_SEARCH_CAP}; this needs dimension "
+                                   f"{prob.space.dim}")
+
+
 def _multi_start(prob: PenaltyProblem, x0, n_starts: int, seed: int,
                  spread: float = 3.0) -> list[MinimizeResult]:
+    """minimize_penalty from x0 and from n_starts - 1 seeded starts about it, in lockstep:
+    each poll round of every search is one penalty_values call."""
+    _check_search_cap(prob)
     x0 = prob.space.check_point(x0)
-    results = [minimize_penalty(prob, x0)]
-    for k in range(1, n_starts):
-        rng = rng_for(seed, k)
-        start = x0 + rng.uniform(-spread, spread, size=prob.space.dim)
-        results.append(minimize_penalty(prob, start))
+    starts = [x0] + [x0 + rng_for(seed, k).uniform(-spread, spread, size=prob.space.dim)
+                     for k in range(1, n_starts)]
+    runs = pattern_searches(lambda xs: penalty_values(prob, np.array(xs)), starts,
+                            initial_step=1.0, step_floor=1e-7, max_evals=200_000)
+    results = [MinimizeResult(x=x, value=val, trace=trace) for x, val, trace in runs]
     # schedule-independent selection
     results.sort(key=lambda res: (res.value, tuple(res.x)))
     return results
@@ -233,14 +263,12 @@ def verify_exactness(prob: PenaltyProblem, x_bar, radius: float, grid_n: int,
                 for i in range(space.dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
-        for pt in pts:
-            if space.dist(pt, x_bar) > radius * (1.0 + 1e-12):
-                continue
-            n_grid += 1
-            val = penalty_value(prob, pt)
-            if ref > val + tol:
-                violations.append(Violation(n_grid, tuple(x_bar), radius, tuple(pt),
-                                            ref - val, "violation"))
+        pts = pts[~(space.norms(pts - x_bar) > radius * (1.0 + 1e-12))]
+        n_grid = pts.shape[0]
+        vals = penalty_values(prob, pts)
+        for i in np.flatnonzero(ref > vals + tol):
+            violations.append(Violation(int(i) + 1, tuple(x_bar), radius, tuple(pts[i]),
+                                        float(ref - vals[i]), "violation"))
     violations.sort(key=lambda v: (-v.margin, v.point))
     return Certificate(
         property="penalty-exactness", trials=max(n_grid, 1), violations=violations,
@@ -315,12 +343,9 @@ def _feasible_grid_minimum(prob: PenaltyProblem, center, halfwidth: float,
             for i in range(space.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    best = None
-    for pt in pts:
-        if prob.inst.residual(pt) <= feas_tol:
-            val = prob.objective_at(pt)
-            best = val if best is None else min(best, val)
-    return best
+    feasible = pts[prob.inst.residuals(pts) <= feas_tol]
+    # the first smallest value, as a running min keeps it
+    return min(prob.objective.values(space, feasible).tolist(), default=None)
 
 
 # ---------------------------------------------------------------------------

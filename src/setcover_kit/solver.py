@@ -100,6 +100,11 @@ class InclusionInstance:
         return float(excess(self.space_y, mp.eval_map(self.phi, x),
                             mp.eval_map(self.psi, x)))
 
+    def residuals(self, xs) -> np.ndarray:
+        """residual(x) for each row of a (k, dim) array: one closed form for all
+        rows where both maps have ball or sphere images, else row by row."""
+        return mp.eval_maps(self.phi, xs).excesses(self.space_y, mp.eval_maps(self.psi, xs))
+
 
 @dataclass(frozen=True)
 class SolveStep:

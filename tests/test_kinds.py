@@ -15,6 +15,7 @@ from setcover_kit.mappings import LipschitzRuleError
 
 EU2 = sk.NormedSpace(2)
 ROT = 2.0 * np.array([[0.6, -0.8], [0.8, 0.6]])  # scaled orthogonal: images stay in the catalog
+PERM = 2.0 * np.array([[0.0, -1.0], [1.0, 0.0]])  # a scaled signed permutation too
 
 SETS = {
     "ball": lambda: sk.Ball(np.array([1.0, -0.5]), 0.75),
@@ -31,6 +32,7 @@ SETS = {
 UNBOUNDED = {"orthant"}
 NOT_CONVEX = {"sphere", "point_cloud"}
 LEAVES_CATALOG = {"orthant"}  # affine_image raises ValueError
+ROUND = {"ball", "sphere", "enlarged"}  # images are balls: a norm-preserving matrix only
 
 
 def test_every_codec_set_kind_has_an_example():
@@ -61,10 +63,16 @@ def test_set_kind_answers_each_rule(kind, norm):
     assert all(grown.contains(space, y, 1e-7) for y in pts)
     if kind in LEAVES_CATALOG:
         with pytest.raises(ValueError, match="leaves the catalog"):
-            s.affine_image(ROT, v)
-    elif norm == "euclidean":  # a scaled rotation keeps balls balls under this norm only
-        image = s.affine_image(ROT, v)
-        assert all(image.contains(space, ROT @ y + v, 1e-7) for y in pts)
+            s.affine_image(space, space, ROT, v)
+        return
+    for mat in (ROT, PERM):
+        if kind in ROUND and norm != "euclidean" and mat is ROT:
+            # a rotation maps a max-norm ball to a tilted square, which is no ball
+            with pytest.raises(ValueError, match="scaled-orthogonal"):
+                s.affine_image(space, space, mat, v)
+            continue
+        image = s.affine_image(space, space, mat, v)
+        assert all(image.contains(space, mat @ y + v, 1e-7) for y in pts)
 
 
 def test_a_set_kind_without_rules_raises_type_error():
@@ -82,7 +90,7 @@ def test_a_set_kind_without_rules_raises_type_error():
         with pytest.raises(TypeError, match=msg):
             rule()
     with pytest.raises(ValueError, match="affine image of Bare leaves the catalog"):
-        s.affine_image(ROT, np.zeros(2))
+        s.affine_image(EU2, EU2, ROT, np.zeros(2))
     assert isinstance(sk.enlarge(EU2, s, 0.5), sk.EnlargedSet)
 
 
@@ -161,6 +169,30 @@ def test_map_kind_answers_each_rule(kind):
         else:
             with pytest.raises(error):
                 rule()
+
+
+MAX2 = sk.NormedSpace(2, "max")
+
+
+def test_affine_image_of_a_max_norm_ball_is_refused_unless_a_signed_permutation():
+    # 2R maps the max-norm unit ball onto a tilted square: (1, 1) goes to
+    # (-0.4, 2.8), 0.8 outside the max-norm ball of radius 2 once returned
+    dil = sk.Dilation(y0=np.zeros(2), a=1.0, space_y=MAX2)
+    with pytest.raises(ValueError, match="scaled-orthogonal"):
+        sk.eval_map(sk.Composed(sk.Affine(ROT, np.zeros(2)), dil, space_z=MAX2), [1.0])
+    image = sk.eval_map(sk.Composed(sk.Affine(PERM, np.zeros(2)), dil, space_z=MAX2), [1.0])
+    assert type(image) is sk.Ball and image.radius == 2.0
+    assert image.contains(MAX2, PERM @ np.array([1.0, 1.0]), 0.0)
+
+
+def test_affine_image_across_norms_is_refused():
+    # the euclidean disc of radius 2 is no max-norm ball: (2, 2) would be inside
+    dil = sk.Dilation(y0=np.zeros(2), a=1.0, space_y=EU2)
+    m = sk.Composed(sk.Affine(2.0 * np.eye(2), np.zeros(2)), dil, space_z=MAX2)
+    with pytest.raises(ValueError, match="scaled-orthogonal"):
+        sk.eval_map(m, [1.0])
+    assert sk.eval_maps(m, [[1.0], [2.0]]).dists_from(MAX2, np.zeros((1, 2))).tolist() \
+        == [[np.inf], [np.inf]]
 
 
 def test_a_map_kind_without_rules_raises_the_documented_errors():
