@@ -94,6 +94,7 @@ from .solver import (
     SolveTrace,
     StronglyFixedResult,
     solve_inclusion,
+    solve_inclusions,
     strongly_fixed,
 )
 from .penalty import (

@@ -180,11 +180,22 @@ def decode_instance(data: Any, path: str = "$") -> dict:
         if blk["kind"] != "ball_radius_family":
             raise InstanceError(f"{path}.family.kind",
                                 f"unknown family kind {blk['kind']!r}")
+        psi = decode("map", blk["psi"], f"{path}.family.psi")
+        p_bar = _vector(blk["p_bar"], f"{path}.family.p_bar")
+        if p_bar.shape != (1,):
+            raise InstanceError(f"{path}.family.p_bar",
+                                "the ball-radius family reads only p[0] and searches a 1-d "
+                                f"parameter grid: p_bar needs length 1, got {p_bar.shape[0]}")
+        x_bar = _vector(blk["x_bar"], f"{path}.family.x_bar")
+        if x_bar.shape != (psi.space_x.dim,):
+            raise InstanceError(f"{path}.family.x_bar",
+                                f"x_bar is a point of psi's domain: it needs dimension "
+                                f"{psi.space_x.dim}, got {x_bar.shape[0]}")
         out["family"] = {
-            "psi": decode("map", blk["psi"], f"{path}.family.psi"),
+            "psi": psi,
             "c1": _number(blk["c1"], f"{path}.family.c1"),
-            "p_bar": _vector(blk["p_bar"], f"{path}.family.p_bar"),
-            "x_bar": _vector(blk["x_bar"], f"{path}.family.x_bar"),
+            "p_bar": p_bar,
+            "x_bar": x_bar,
             "objective": decode("objective", blk["objective"], f"{path}.family.objective"),
             "radii": [_number(r, f"{path}.family.radii[{i}]")
                       for i, r in enumerate(blk.get("radii", [0.25, 0.5]))],

@@ -216,11 +216,11 @@ class MapSpec:
     """Base class; concrete variants declare their domain/range spaces.
 
     Each variant carries its rules: image and images, constants, lipschitz,
-    witness, respond, inverse_distance and inverse_distances, and
+    witness and witnesses, respond, inverse_distance and inverse_distances, and
     shell_center, which eval_map, eval_maps, alpha_of, beta_of,
     cover_witness and the certificates call on checked arguments.  A
-    variant without a rule raises their error; images and
-    inverse_distances of a kind without a batched rule go row by row.
+    variant without a rule raises their error; images and witnesses of a
+    kind without a batched rule go row by row.
     """
 
     space_x: NormedSpace
@@ -248,6 +248,11 @@ class MapSpec:
     def witness(self, x: np.ndarray, rho: float) -> np.ndarray:
         raise WitnessUnavailableError(
             f"no witness rule for {type(self).__name__}: fallback search required")
+
+    def witnesses(self, xs: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+        """witness(xs[i], rhos[i]) in row i of a (k, dim) array, row by row here."""
+        return np.array([self.witness(x, rho) for x, rho in zip(xs, rhos.tolist())],
+                        dtype=float).reshape(xs.shape)
 
     def respond(self, x: np.ndarray, r: float, y: np.ndarray):
         """(u, min over the r-ball at x of dist(y, image(u)), attained at u), or None."""
@@ -327,6 +332,9 @@ class Dilation(MapSpec):
 
     def witness(self, x, rho):
         return x + rho * self.space_x.unit(x - self.anchor)
+
+    def witnesses(self, xs, rhos):
+        return xs + rhos[:, None] * self.space_x.unit(xs - self.anchor)
 
     def inverse_distance(self, s, x):
         # the images contain s once the radius reaches s's outer radius about y0
@@ -485,6 +493,10 @@ class SublinearSystem(MapSpec):
         # sign(0) counts as +1
         return x + np.where(x >= 0.0, rho, -rho)
 
+    def witnesses(self, xs, rhos):
+        rhos = rhos[:, None]
+        return xs + np.where(xs >= 0.0, rhos, -rhos)
+
 
 @dataclass(frozen=True, eq=False)
 class Epigraphical(MapSpec):
@@ -642,6 +654,9 @@ class Sum(MapSpec):
     def witness(self, x, rho):
         return cover_witness(self.base, x, rho)
 
+    def witnesses(self, xs, rhos):
+        return self.base.witnesses(xs, rhos)
+
 
 @dataclass(frozen=True, eq=False)
 class Composed(MapSpec):
@@ -682,6 +697,9 @@ class Composed(MapSpec):
 
     def witness(self, x, rho):
         return cover_witness(self.base, x, rho)
+
+    def witnesses(self, xs, rhos):
+        return self.base.witnesses(xs, rhos)
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ from . import mappings as mp
 from .certify import Certificate, Violation
 from .geometry import NormedSpace, excess, rng_for
 from .search import PatternTrace, pattern_search, pattern_searches
-from .solver import InclusionInstance, solve_inclusion
+from .solver import InclusionInstance, solve_inclusions
 
 # largest dimension minimize_penalty searches: each poll round costs 2 * dim penalty values
 PENALTY_SEARCH_CAP = 6
@@ -427,18 +427,18 @@ def calmness_diagnostic(fam: ParamFamily, objective: ObjectiveSpec, x_bar,
         candidates = [x_bar + rng.uniform(-r_max, r_max, size=space_x.dim)
                       for _ in range(n_points)]
         inst = fam.instance(p, tol=1e-9)
-        for start in [x_bar] + candidates[: max(2, n_points // 8)]:
-            trace = solve_inclusion(inst, start)
-            if trace.status == "converged":
-                candidates.append(trace.x_final)
-        for x in candidates:
-            d_x = space_x.dist(x, x_bar)
-            if d_x > r_max:
+        traces = solve_inclusions(inst, [x_bar] + candidates[: max(2, n_points // 8)])
+        candidates += [trace.x_final for trace in traces if trace.status == "converged"]
+        d_xs = [space_x.dist(x, x_bar) for x in candidates]
+        near = [i for i, d_x in enumerate(d_xs) if d_x <= r_max]
+        if not near:
+            continue
+        residuals = inst.residuals(np.array([candidates[i] for i in near]))
+        for i, res in zip(near, residuals.tolist()):
+            if res > member_tol:
                 continue
-            if fam.residual(p, x) > member_tol:
-                continue
-            ratio = (objective_value(objective, space_x, x) - f_bar) / d_p
-            pairs.append((d_p, d_x, ratio))
+            ratio = (objective_value(objective, space_x, candidates[i]) - f_bar) / d_p
+            pairs.append((d_p, d_xs[i], ratio))
     per_radius = []
     for r in radii:
         sub = [ratio for d_p, d_x, ratio in pairs if d_p <= r and d_x <= r]
@@ -467,12 +467,13 @@ def _value_slope(fam: ParamFamily, objective: ObjectiveSpec, x_bar,
         best = None
         starts = [x_bar] + [x_bar + rng.uniform(-radius, radius, size=space_x.dim)
                             for _ in range(4)]
-        for start in starts:
-            trace = solve_inclusion(inst, start)
-            if trace.status != "converged":
-                continue
-            x = trace.x_final
-            if space_x.dist(x, x_bar) > radius or fam.residual(p, x) > member_tol:
+        near = [trace.x_final for trace in solve_inclusions(inst, starts)
+                if trace.status == "converged"]
+        near = [x for x in near if space_x.dist(x, x_bar) <= radius]
+        if not near:
+            continue
+        for x, res in zip(near, inst.residuals(np.array(near)).tolist()):
+            if res > member_tol:
                 continue
             val = objective_value(objective, space_x, x)
             best = val if best is None else min(best, val)
@@ -520,7 +521,7 @@ def semiregularity_estimate(fam: ParamFamily, x_bar, radius: float = 0.5,
     while produced < n_samples:
         produced += 1
         x = x_bar + rng.uniform(-radius, radius, size=space_x.dim)
-        if fam.residual(fam.p_bar, x) <= member_tol:
+        if inst_bar.residual(x) <= member_tol:
             continue  # numerator zero: excluded from the liminf sample
         num = _region_distance(fam, inst_bar, x, seed=seed)
         den = _inverse_param_distance(fam, x, p_radius, p_grid_n, member_tol)
@@ -546,8 +547,7 @@ def _region_distance(fam: ParamFamily, inst: InclusionInstance, x, seed: int) ->
     rng = rng_for(seed, 3)
     starts = [x] + [np.asarray(x) + 0.05 * rng.standard_normal(space_x.dim)
                     for _ in range(2)]
-    for start in starts:
-        trace = solve_inclusion(inst, start)
+    for trace in solve_inclusions(inst, starts):
         if trace.status == "converged":
             best = min(best, space_x.dist(trace.x_final, x))
     if math.isinf(best):
@@ -569,10 +569,11 @@ def _inverse_param_distance(fam: ParamFamily, x, p_radius: float,
 
     if member(p_bar):
         return 0.0
-    members = [p for p in grid if member(p)]
-    if not members:
+    # nearest first, ties in grid order: the first member is the nearest one
+    order = sorted(range(grid_n), key=lambda i: abs(grid[i] - p_bar))
+    nearest = next((grid[i] for i in order if member(grid[i])), None)
+    if nearest is None:
         return None
-    nearest = min(members, key=lambda p: abs(p - p_bar))
     # bisection toward p_bar tightens the upper bound while membership persists
     inner, outer = p_bar, float(nearest)
     for _ in range(60):

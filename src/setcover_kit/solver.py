@@ -41,6 +41,7 @@ __all__ = [
     "SolveTrace",
     "NotExpandingError",
     "solve_inclusion",
+    "solve_inclusions",
     "strongly_fixed",
     "StronglyFixedResult",
 ]
@@ -171,45 +172,111 @@ def solve_inclusion(inst: InclusionInstance, x0, polish: bool = True) -> SolveTr
     space = inst.space_x
     x = space.check_point(x0).copy()
     r = inst.residual(x)
-    r0 = r
     steps = [SolveStep(tuple(x), r, 0.0, "start")]
-    ratio = inst.beta / inst.alpha_used
-    status = "budget-exhausted"
     violation = None
     for _ in range(inst.max_iter):
         if r <= inst.tol:
-            status = "converged"
             break
-        rho = (r + 1e-12) / inst.alpha_used  # boundary inflation for the inclusion premise
-        u = mp.cover_witness(inst.psi, x, rho)
+        u = mp.cover_witness(inst.psi, x, _step_radius(inst, r))
         r_next = inst.residual(u)
-        step_len = space.dist(u, x)
-        if r_next > ratio * r + CONTRACTION_SLACK * (1.0 + r):
-            status = "contraction-violated"
-            violation = {
-                "x": x.tolist(), "u": u.tolist(), "residual": r,
-                "residual_next": r_next, "allowed": ratio * r,
-                "note": "declared constants are inconsistent with the mapping",
-            }
+        violation = _violation(inst, x, r, u, r_next)
+        if violation is not None:
             break
+        steps.append(SolveStep(tuple(u), r_next, space.dist(u, x), "contraction"))
         x, r = u, r_next
-        steps.append(SolveStep(tuple(x), r, step_len, "contraction"))
+    if polish and _wants_polish(inst, r, violation):
+        u = mp.cover_witness(inst.psi, x, _polish_radius(inst, r))
+        _polish(inst, steps, u, inst.residual(u), space.dist(u, x))
+    return _trace(inst, steps, violation)
+
+
+def solve_inclusions(inst: InclusionInstance, starts, polish: bool = True) -> list[SolveTrace]:
+    """solve_inclusion from each start, run in lockstep; trace i is that of starts[i].
+
+    Each step makes one batched witness call, one batched residual call
+    and one row-norm call over the solves still running; the contraction
+    test, the max_iter budget, polish and the re-check stay per solve,
+    with the rules of solve_inclusion, so every trace equals its one-start
+    run bit for bit.  On one start the one-start loop is the faster.
+    """
+    space = inst.space_x
+    xs = np.array([space.check_point(x0) for x0 in starts]).reshape(-1, space.dim)
+    if xs.shape[0] == 0:
+        return []
+    rs = inst.residuals(xs).tolist()
+    steps = [[SolveStep(tuple(x), r, 0.0, "start")] for x, r in zip(xs, rs)]
+    violations = [None] * len(rs)
+    live = list(range(len(rs)))
+    for _ in range(inst.max_iter):
+        live = [i for i in live if not rs[i] <= inst.tol]
+        if not live:
+            break
+        x_live = xs[live]
+        us = inst.psi.witnesses(x_live, _step_radius(inst, np.array([rs[i] for i in live])))
+        r_next = inst.residuals(us).tolist()
+        lengths = space.norms(us - x_live).tolist()
+        running = []
+        for j, i in enumerate(live):
+            violations[i] = _violation(inst, xs[i], rs[i], us[j], r_next[j])
+            if violations[i] is None:
+                steps[i].append(SolveStep(tuple(us[j]), r_next[j], lengths[j], "contraction"))
+                xs[i], rs[i] = us[j], r_next[j]
+                running.append(i)
+        live = running
+    polishing = [i for i in range(len(rs)) if polish and _wants_polish(inst, rs[i], violations[i])]
+    if polishing:
+        x_pol = xs[polishing]
+        us = inst.psi.witnesses(x_pol, _polish_radius(inst, np.array([rs[i] for i in polishing])))
+        for i, u, r_pol, length in zip(polishing, us, inst.residuals(us).tolist(),
+                                       space.norms(us - x_pol).tolist()):
+            _polish(inst, steps[i], u, r_pol, length)
+    return [_trace(inst, s, v) for s, v in zip(steps, violations)]
+
+
+# the per-solve rules both loops share
+
+
+def _step_radius(inst: InclusionInstance, r):
+    return (r + 1e-12) / inst.alpha_used  # boundary inflation for the inclusion premise
+
+
+def _violation(inst: InclusionInstance, x, r: float, u, r_next: float) -> dict | None:
+    """The record of a step breaking the contraction inequality, or None."""
+    ratio = inst.beta / inst.alpha_used
+    if r_next > ratio * r + CONTRACTION_SLACK * (1.0 + r):
+        return {
+            "x": x.tolist(), "u": u.tolist(), "residual": r,
+            "residual_next": r_next, "allowed": ratio * r,
+            "note": "declared constants are inconsistent with the mapping",
+        }
+    return None
+
+
+def _wants_polish(inst: InclusionInstance, r: float, violation) -> bool:
+    return violation is None and 0.0 < r <= inst.tol
+
+
+def _polish_radius(inst: InclusionInstance, r):
+    """The a-priori budget r/(alpha_used - beta) that the terminal step spends."""
+    return r / (inst.alpha_used - inst.beta)
+
+
+def _polish(inst: InclusionInstance, steps: list, u, r_pol: float, step_len: float) -> None:
+    """Keep the polish step u when it lands within the tolerance and no worse."""
+    if r_pol <= min(inst.tol, steps[-1].residual):
+        steps.append(SolveStep(tuple(u), r_pol, step_len, "polish"))
+
+
+def _trace(inst: InclusionInstance, steps: list, violation) -> SolveTrace:
+    """The trace of a finished solve: its status, displacement bound and re-check."""
+    x, r = np.array(steps[-1].x), steps[-1].residual
+    if violation is not None:
+        status = "contraction-violated"
     else:
-        status = "budget-exhausted" if r > inst.tol else "converged"
-    if r <= inst.tol and status != "contraction-violated":
-        status = "converged"
-        if polish and r > 0.0:
-            u = mp.cover_witness(inst.psi, x, r / (inst.alpha_used - inst.beta))
-            r_pol = inst.residual(u)
-            if r_pol <= min(inst.tol, r):
-                step_len = space.dist(u, x)
-                x, r = u, r_pol
-                steps.append(SolveStep(tuple(x), r, step_len, "polish"))
-    displacement = space.dist(np.array(steps[0].x), x)
-    bound = r0 / (inst.alpha_used - inst.beta)
-    recheck = None
-    if status == "converged":
-        recheck = _independent_residual(inst, x)
+        status = "converged" if r <= inst.tol else "budget-exhausted"
+    displacement = inst.space_x.dist(np.array(steps[0].x), x)
+    bound = steps[0].residual / (inst.alpha_used - inst.beta)
+    recheck = _independent_residual(inst, x) if status == "converged" else None
     return SolveTrace(steps=steps, status=status, alpha_used=inst.alpha_used,
                       beta=inst.beta, tol=inst.tol,
                       bound_check=(displacement, bound),

@@ -70,6 +70,23 @@ class TestDecode:
         assert err.value.path == "$.family.dim_y"
         assert err.value.reason == "unknown field"
 
+    def test_family_p_bar_must_be_one_dimensional(self):
+        # the ball-radius family reads only p[0]; its parameter grid is 1-d
+        data = copy.deepcopy(builtin_instances()["family"])
+        data["family"]["p_bar"] = [1.0, 0.0]
+        with pytest.raises(InstanceError) as err:
+            decode_instance(data)
+        assert err.value.path == "$.family.p_bar"
+        assert "reads only p[0]" in err.value.reason and "1-d" in err.value.reason
+
+    def test_family_x_bar_must_lie_in_the_domain(self):
+        data = copy.deepcopy(builtin_instances()["family"])
+        data["family"]["x_bar"] = [2.0, 0.0]  # psi maps from R^1
+        with pytest.raises(InstanceError) as err:
+            decode_instance(data)
+        assert err.value.path == "$.family.x_bar"
+        assert "psi's domain" in err.value.reason and "dimension 1" in err.value.reason
+
     def test_penalty_l_exclusivity(self):
         data = copy.deepcopy(builtin_instances()["t1_penalty"])
         data["penalty"]["l"] = 2.0  # together with threshold_factor

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import setcover_kit as sk
 from setcover_kit.codec import TABLES, decode, encode
-from setcover_kit.geometry import rng_for
+from setcover_kit.geometry import outer_radius, rng_for
 from setcover_kit.mappings import LipschitzRuleError
 
 EU2 = sk.NormedSpace(2)
@@ -342,3 +342,74 @@ def test_maps_round_trip_through_json(m):
     back = decode("map", json.loads(blob))
     assert_same(m, back)
     assert json.dumps(encode("map", back)) == blob
+
+
+# ---------------------------------------------------------------------------
+# the sampling, distance, radius and affine-image rules agree, kind by kind
+
+
+def random_set(kind, d, rng, depth=1):
+    """A nonempty set of this kind in R^d, of moderate scale."""
+    c = rng.standard_normal(d)
+    if kind in ("ball", "sphere"):
+        return (sk.Ball if kind == "ball" else sk.Sphere)(c, float(rng.uniform(0.0, 2.0)))
+    if kind == "box":
+        return sk.Box(c, c + rng.uniform(0.0, 2.0, size=d))
+    if kind in ("v_polytope", "point_cloud"):
+        cls = sk.VPolytope if kind == "v_polytope" else sk.PointCloud
+        return cls(c + rng.standard_normal((int(rng.integers(1, 5)), d)))
+    if kind == "sublevel_region":  # a box about c cut by a random form through a point of it
+        lo, hi = c - rng.uniform(0.1, 2.0, size=d), c + rng.uniform(0.1, 2.0, size=d)
+        a = rng.standard_normal(d)
+        groups = [sk.FormGroup(np.eye(d)[i:i + 1], float(hi[i])) for i in range(d)]
+        groups += [sk.FormGroup(-np.eye(d)[i:i + 1], float(-lo[i])) for i in range(d)]
+        groups.append(sk.FormGroup(a.reshape(1, -1), float(a @ c) + float(rng.uniform(0.0, 1.0))))
+        return sk.SublevelRegion(tuple(groups))
+    if kind == "orthant":
+        return sk.Orthant(c)
+    base_kind = ("ball", "box", "v_polytope", "sublevel_region", "enlarged")[
+        int(rng.integers(5 if depth else 4))]
+    return sk.EnlargedSet(random_set(base_kind, d, rng, depth - 1), float(rng.uniform(0.0, 1.0)))
+
+
+def preserving_matrix(rng, space) -> np.ndarray:
+    """A matrix mapping every ball of this space onto a ball: scaled orthogonal under the
+    euclidean norm, a scaled signed permutation under the others."""
+    d, lam = space.dim, float(rng.uniform(0.5, 2.0))
+    if space.norm == "euclidean":
+        return lam * np.linalg.qr(rng.standard_normal((d, d)))[0]
+    return lam * np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], size=d)
+
+
+def round_kind(s) -> bool:
+    """A ball, sphere or an enlargement: its affine image must stay a ball."""
+    return isinstance(s, (sk.Ball, sk.Sphere, sk.EnlargedSet))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(sorted(SETS)),
+       norm=st.sampled_from((("euclidean", None), ("max", None), ("p", 3.0))),
+       d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_samples_are_members_within_the_radius_and_map_into_the_image(kind, norm, d, seed):
+    rng = np.random.default_rng(seed)
+    space = sk.NormedSpace(d, norm[0], norm[1])
+    s = random_set(kind, d, rng)
+    # few points: a box's or polytope's image measures each by an iterative projection
+    pts = sk.sample(space, s, 6, int(rng.integers(1000)))
+    assert pts.shape == (6, d)
+    assert all(sk.contains_point(space, s, y, 1e-7) for y in pts)
+    dist = sk.dists(space, pts, s)
+    assert np.all(dist.value <= 1e-7 + dist.error)
+    p = rng.standard_normal(d)
+    radius = outer_radius(space, s, p)
+    assert radius.is_infinite is (kind == "orthant")
+    assert np.all(space.norms(pts - p) <= float(radius) + float(radius.error) + 1e-9)
+    if kind == "orthant":
+        with pytest.raises(ValueError, match="leaves the catalog"):
+            s.affine_image(space, space, np.eye(d), np.zeros(d))
+        return
+    mat = preserving_matrix(rng, space) if round_kind(s) else \
+        rng.standard_normal((d, d)) + 2.0 * np.eye(d)
+    off = rng.standard_normal(d)
+    image = s.affine_image(space, space, mat, off)
+    assert all(sk.contains_point(space, image, mat @ y + off, 1e-7) for y in pts)

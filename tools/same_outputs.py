@@ -6,13 +6,15 @@
 `dump` builds the job list of each workload in perfbench/ for each seed,
 runs every job once in list order with the kit imported from --src
 (default: this checkout's src/), and writes one line per job: workload,
-seed, position, job name and its output as sorted JSON.  Every float is
-written by its hex form, so two dumps are equal only when every value is
-equal bit for bit; a job that raises is written as its exception.  With
---reverse each workload's jobs run last to first, each still written
-under its list position, so the sorted dump equals the sorted forward
-dump unless an output depends on what ran before it (a kept LP model,
-say).
+seed, position, job name and its output as sorted JSON.  It then runs
+each built-in instance at seeds 1 and 2 (the workloads run them at their
+own seed 0) and writes its exit code and `result` the same way, under the
+workload name `builtin`.  Every float is written by its hex form, so two
+dumps are equal only when every value is equal bit for bit; a job that
+raises is written as its exception.  With --reverse each workload's jobs,
+and the built-ins, run last to first, each still written under its list
+position, so the sorted dump equals the sorted forward dump unless an
+output depends on what ran before it (a kept LP model, say).
 
 `compare` dumps this checkout's src/ and OTHER_SRC, each in its own
 interpreter, and reports the jobs whose lines differ.  It exits with 1
@@ -26,10 +28,12 @@ import dataclasses
 import json
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("closed-form", "polyhedral-reuse", "polyhedral-churn")
+BUILTIN_SEEDS = (1, 2)
 
 
 def canonical(obj):
@@ -66,19 +70,31 @@ def dump(src: Path, seeds: list[int], reverse: bool = False) -> None:
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import setcover_kit
     import workloads
+    from setcover_kit.instances import builtin_instances, decode_instance, run_instance
 
     if Path(setcover_kit.__file__).resolve().parent != (src / "setcover_kit").resolve():
         sys.exit(f"same_outputs: imported setcover_kit from {setcover_kit.__file__}")
+
+    def write(workload, seed, jobs):  # jobs: (name, run) pairs, written under their positions
+        jobs = list(enumerate(jobs))
+        for i, (name, run) in reversed(jobs) if reverse else jobs:
+            try:
+                out = canonical(run())
+            except Exception as exc:  # a failing job is an output too
+                out = {"raised": type(exc).__name__, "message": str(exc)}
+            line = json.dumps(out, sort_keys=True, separators=(",", ":"))
+            print(f"{workload} seed={seed} {i:03d} {name}\t{line}", flush=True)
+
+    def run_builtin(data, seed):
+        code, result = run_instance(decode_instance(data), seed=seed)
+        return {"exit_code": code, "result": result}
+
     for seed in seeds:
         for workload in WORKLOADS:
-            jobs = list(enumerate(workloads.build(workload, seed)))
-            for i, job in reversed(jobs) if reverse else jobs:
-                try:
-                    out = canonical(job.run())
-                except Exception as exc:  # a failing job is an output too
-                    out = {"raised": type(exc).__name__, "message": str(exc)}
-                line = json.dumps(out, sort_keys=True, separators=(",", ":"))
-                print(f"{workload} seed={seed} {i:03d} {job.name}\t{line}", flush=True)
+            write(workload, seed, [(job.name, job.run) for job in workloads.build(workload, seed)])
+    for seed in BUILTIN_SEEDS:
+        write("builtin", seed, [(name, partial(run_builtin, data, seed))
+                                for name, data in builtin_instances().items()])
 
 
 def compare(other: Path, seeds: list[int]) -> int:
