@@ -87,21 +87,6 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream)))
 
 
-class _LazyRng:
-    """rng_for(seed, 0), built on its first draw: a sampler that takes only
-    extreme points (a small ball or sphere, say) never pays for a generator."""
-
-    def __init__(self, seed: int):
-        self._seed, self._rng = seed, None
-
-    def __getattr__(self, name):  # called only for names not yet kept on self
-        if self._rng is None:
-            self._rng = rng_for(self._seed, 0)
-        value = getattr(self._rng, name)
-        setattr(self, name, value)  # a sampler drawing point by point looks it up directly
-        return value
-
-
 class Distance(float):
     """A nonnegative float that can carry approximation metadata.
 
@@ -230,7 +215,7 @@ class SetRep:
     Each kind carries its rules, which the module functions call once they
     have checked their arguments: convex, _dists(space, ys) for dists,
     outer_radius(space, p), contains(space, y, tol), sample(space, n, seed,
-    rng, box) with rng drawing from rng_for(seed, 0), translate(v), enlarge(space, r)
+    rng, box) with rng = rng_for(seed, 0), translate(v), enlarge(space, r)
     and affine_image(space_in, space_out, mat, off).  A kind without its own rule raises
     TypeError, except that contains falls back to the distance, enlarge to
     EnlargedSet and affine_image to a ValueError.  Only the pair rules of
@@ -1385,7 +1370,7 @@ def sample(space: NormedSpace, s: SetRep, n: int, seed: int,
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    return s.sample(space, n, seed, _LazyRng(seed), box)
+    return s.sample(space, n, seed, rng_for(seed, 0), box)
 
 
 def sample_enlargement(space: NormedSpace, s: SetRep, rho: float, n: int, seed: int,

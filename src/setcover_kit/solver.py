@@ -190,14 +190,15 @@ def solve_inclusion(inst: InclusionInstance, x0, polish: bool = True) -> SolveTr
     return _trace(inst, steps, violation)
 
 
-def solve_inclusions(inst: InclusionInstance, starts, polish: bool = True) -> list[SolveTrace]:
+def solve_inclusions(inst: InclusionInstance, starts) -> list[SolveTrace]:
     """solve_inclusion from each start, run in lockstep; trace i is that of starts[i].
 
     Each step makes one batched witness call, one batched residual call
     and one row-norm call over the solves still running; the contraction
-    test, the max_iter budget, polish and the re-check stay per solve,
-    with the rules of solve_inclusion, so every trace equals its one-start
-    run bit for bit.  On one start the one-start loop is the faster.
+    test, the max_iter budget, the polish step and the re-check stay per
+    solve, with the rules of solve_inclusion, so trace i equals
+    solve_inclusion(inst, starts[i]) bit for bit.  On one start the
+    one-start loop is the faster.
     """
     space = inst.space_x
     xs = np.array([space.check_point(x0) for x0 in starts]).reshape(-1, space.dim)
@@ -223,7 +224,7 @@ def solve_inclusions(inst: InclusionInstance, starts, polish: bool = True) -> li
                 xs[i], rs[i] = us[j], r_next[j]
                 running.append(i)
         live = running
-    polishing = [i for i in range(len(rs)) if polish and _wants_polish(inst, rs[i], violations[i])]
+    polishing = [i for i in range(len(rs)) if _wants_polish(inst, rs[i], violations[i])]
     if polishing:
         x_pol = xs[polishing]
         us = inst.psi.witnesses(x_pol, _polish_radius(inst, np.array([rs[i] for i in polishing])))

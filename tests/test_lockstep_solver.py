@@ -93,24 +93,24 @@ def starts_for(inst, k, rng) -> np.ndarray:
     return starts
 
 
-def assert_lockstep_equals_one_start(inst, starts, polish):
-    traces = sk.solve_inclusions(inst, starts, polish=polish)
+def assert_lockstep_equals_one_start(inst, starts):
+    traces = sk.solve_inclusions(inst, starts)
     assert len(traces) == len(starts)
     for trace, x0 in zip(traces, starts):
-        assert trace_key(trace) == trace_key(sk.solve_inclusion(inst, x0, polish=polish))
+        assert trace_key(trace) == trace_key(sk.solve_inclusion(inst, x0))
     return traces
 
 
 LOCKSTEP_CASES = dict(norm=st.sampled_from(NORMS), d=st.integers(1, 3), k=st.integers(1, 8),
                       alpha_factor=st.sampled_from((1.0, 1.0, 3.0)),
-                      max_iter=st.sampled_from((1, 3, 10_000)), polish=st.booleans(),
+                      max_iter=st.sampled_from((1, 3, 10_000)),
                       seed=st.integers(0, 2**32 - 1))
 
 
-def check_lockstep(kind, norm, d, k, alpha_factor, max_iter, polish, seed):
+def check_lockstep(kind, norm, d, k, alpha_factor, max_iter, seed):
     rng = np.random.default_rng(seed)
     inst = make_instance(kind, d, norm, rng, alpha_factor, max_iter)
-    assert_lockstep_equals_one_start(inst, starts_for(inst, k, rng), polish)
+    assert_lockstep_equals_one_start(inst, starts_for(inst, k, rng))
 
 
 @settings(max_examples=120, deadline=None)
@@ -131,10 +131,9 @@ def test_the_three_statuses_share_one_lockstep_run():
     for alpha_factor, max_iter in ((1.0, 10_000), (1.0, 2), (3.0, 10_000)):
         for kind in PSI_KINDS:
             inst = make_instance(kind, 2, NORMS[0], rng, alpha_factor, max_iter)
-            for polish in (True, False):
-                traces = assert_lockstep_equals_one_start(inst, starts_for(inst, 8, rng), polish)
-                seen |= {t.status for t in traces}
-                seen |= {s.kind for t in traces for s in t.steps}
+            traces = assert_lockstep_equals_one_start(inst, starts_for(inst, 8, rng))
+            seen |= {t.status for t in traces}
+            seen |= {s.kind for t in traces for s in t.steps}
     assert seen == {"converged", "budget-exhausted", "contraction-violated",
                     "start", "contraction", "polish"}
 
@@ -145,9 +144,24 @@ def test_no_starts_and_the_reference_instance():
                         space_x=sk.NormedSpace(1), space_y=sk.NormedSpace(2))
     inst = sk.InclusionInstance(psi=psi, phi=phi)
     assert sk.solve_inclusions(inst, []) == []
-    traces = assert_lockstep_equals_one_start(inst, [[0.0], [0.5], [-1.0], [3.0]], True)
+    traces = assert_lockstep_equals_one_start(inst, [[0.0], [0.5], [-1.0], [3.0]])
     assert [t.status for t in traces] == ["converged"] * 4
     assert traces[3].n_iterations == 0  # already feasible
+
+
+def test_a_residual_that_stays_nan_exhausts_the_budget(monkeypatch):
+    psi = sk.Dilation(np.zeros(1), 2.0, 0.0, np.zeros(1))
+    phi = sk.BallValued(sk.Affine(np.zeros((1, 1)), np.zeros(1)), c0=1.0, c1=0.5,
+                        space_x=sk.NormedSpace(1), space_y=sk.NormedSpace(1))
+    inst = sk.InclusionInstance(psi=psi, phi=phi, max_iter=3)
+    monkeypatch.setattr(sk.InclusionInstance, "residual", lambda self, x: float("nan"))
+    monkeypatch.setattr(sk.InclusionInstance, "residuals",
+                        lambda self, xs: np.full(len(xs), np.nan))
+    traces = [sk.solve_inclusion(inst, [1.0]), *sk.solve_inclusions(inst, [[1.0], [-2.0]])]
+    for trace in traces:
+        assert trace.status == "budget-exhausted"
+        assert trace.n_iterations == 3
+        assert trace.residual_recheck is None and trace.violation is None
 
 
 def witness_or_error(m, x, rho):
