@@ -292,39 +292,31 @@ def coordinate_extent(a_mat: np.ndarray, b_vec: np.ndarray):
     return lo, hi, pts
 
 
-def min_max_norm_solution(a_eq: np.ndarray, y: np.ndarray):
-    """argmin ||x||_inf subject to A x = y, or None if inconsistent."""
-    m, n = a_eq.shape
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((2 * n, n + 1))
-    a_ub[:n, :n] = np.eye(n)
-    a_ub[:n, -1] = -1.0
-    a_ub[n:, :n] = -np.eye(n)
-    a_ub[n:, -1] = -1.0
-    aeq = np.zeros((m, n + 1))
-    aeq[:, :n] = a_eq
-    res = solve_lp(c, a_ub=a_ub, b_ub=np.zeros(2 * n), a_eq=aeq, b_eq=y,
-                   bounds=[(None, None)] * n + [(0, None)])
-    if res is None:
-        return None
-    return np.asarray(res.x[:n], dtype=float), float(res.fun)
+def max_norm_fit(mat: np.ndarray, y=None, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
+                 bounds=(None, None)) -> LPResult | None:
+    """min t subject to |mat z - y|_inf <= t, a_ub z <= b_ub, a_eq z = b_eq, z within bounds.
 
-
-def min_max_norm_feasible(a_ub: np.ndarray, b_ub: np.ndarray):
-    """argmin ||x||_inf subject to A x <= b, or None if infeasible."""
-    m, n = a_ub.shape
-    c = np.zeros(n + 1)
+    The variables are z, then t >= 0.  The inequality rows are the a_ub
+    rows, then mat z - t <= y and -mat z - t <= -y; y None is +0.0 in
+    both.  Returns `solve_lp`'s result on (z, t): None if infeasible.
+    """
+    n, k = mat.shape
+    m = 0 if a_ub is None else a_ub.shape[0]
+    c = np.zeros(k + 1)
     c[-1] = 1.0
-    rows = np.zeros((m + 2 * n, n + 1))
+    rows = np.zeros((m + 2 * n, k + 1))
     rhs = np.zeros(m + 2 * n)
-    rows[:m, :n] = a_ub
-    rhs[:m] = b_ub
-    rows[m:m + n, :n] = np.eye(n)
-    rows[m:m + n, -1] = -1.0
-    rows[m + n:, :n] = -np.eye(n)
-    rows[m + n:, -1] = -1.0
-    res = solve_lp(c, a_ub=rows, b_ub=rhs, bounds=[(None, None)] * n + [(0, None)])
-    if res is None:
-        return None
-    return np.asarray(res.x[:n], dtype=float), float(res.fun)
+    if a_ub is not None:
+        rows[:m, :k] = a_ub
+        rhs[:m] = b_ub
+    rows[m:m + n, :k] = mat
+    rows[m + n:, :k] = -mat
+    rows[m:, -1] = -1.0
+    if y is not None:
+        rhs[m:m + n] = y
+        rhs[m + n:] = -y
+    eq = None
+    if a_eq is not None:
+        eq = np.zeros((a_eq.shape[0], k + 1))
+        eq[:, :k] = a_eq
+    return solve_lp(c, a_ub=rows, b_ub=rhs, a_eq=eq, b_eq=b_eq, bounds=[bounds] * k + [(0, None)])

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mappings as mp
-from ._lp import min_max_norm_feasible, solve_lp
+from ._lp import max_norm_fit, solve_lp
 from .codec import map_to_json
 from .geometry import (
     Ball,
@@ -346,12 +346,12 @@ def _analyse_interior(proc: mp.PolyhedralProcess) -> InteriorReport:
         return InteriorReport(t_star=0.0, u0=None, alpha=0.0)
     y_hat = np.asarray(res.x[:m_dim], dtype=float)
     # step 2: min-norm u with Cx u <= Cy y_hat
-    sol = min_max_norm_feasible(proc.cx, proc.cy @ y_hat)
+    sol = max_norm_fit(np.eye(proc.cx.shape[1]), a_ub=proc.cx, b_ub=proc.cy @ y_hat)
     if sol is None:
         raise ProcessAnomalyError(
             "interior point found but no reachable witness direction: "
             "the process is not onto, hence not set-covering")
-    u, _ = sol
+    u = sol.x[:-1]
     u0 = u / max(1.0, proc.space_x.norm_of(u))
     margins = []
     for i in range(proc.cx.shape[0]):

@@ -6,10 +6,11 @@ one back strictly: unknown fields, missing fields and malformed values
 raise InstanceError with the offending JSON path, and a constructor's
 own ValueError or TypeError is reported at the object's path.
 
-A field's type is a primitive ("vector", "matrix", "number", "integer"
-or "name"), the name of a tagged table ("set", "fn", "map" or one a
-caller adds), a record Kind (such as SPACE), or a one-element list
-[type] for a nonempty group list, decoded to a tuple.  A field is
+A field's type is a primitive ("vector", "matrix", "number", "positive",
+"integer", "count" for an integer >= 1, "bool" or "name"), a fixed
+choice (`one_of`), the name of a tagged table ("set", "fn", "map" or one
+a caller adds), a record Kind (such as SPACE), or a one-element list
+[type] for a nonempty list, decoded to a tuple.  A field is
 required ("req"), optional and always written ("opt"), or optional and
 written only when it differs from the default the decoder derives
 ("lean": a value of None, or a euclidean space whose dimension the
@@ -30,6 +31,7 @@ __all__ = [
     "Kind",
     "Table",
     "SPACE",
+    "one_of",
     "encode",
     "decode",
     "set_to_json",
@@ -65,9 +67,28 @@ def _number(obj, path: str) -> float:
     return float(obj)
 
 
+def _positive(obj, path: str) -> float:
+    value = _number(obj, path)
+    if not value > 0:
+        raise InstanceError(path, "expected a positive number")
+    return value
+
+
 def _integer(obj, path: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise InstanceError(path, "expected an integer")
+    return obj
+
+
+def _count(obj, path: str) -> int:
+    if _integer(obj, path) < 1:
+        raise InstanceError(path, "expected an integer >= 1")
+    return obj
+
+
+def _bool(obj, path: str) -> bool:
+    if not isinstance(obj, bool):
+        raise InstanceError(path, "expected true or false")
     return obj
 
 
@@ -77,24 +98,38 @@ def _name(obj, path: str) -> str:
     return obj
 
 
-def _vector(obj, path: str) -> np.ndarray:
+def _items(obj, path: str, of: str = "") -> list:
     if not isinstance(obj, list) or not obj:
-        raise InstanceError(path, "expected a nonempty array of numbers")
-    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(obj)])
+        raise InstanceError(path, f"expected a nonempty array{of}")
+    return obj
+
+
+def _vector(obj, path: str) -> np.ndarray:
+    return np.array([_number(v, f"{path}[{i}]")
+                     for i, v in enumerate(_items(obj, path, " of numbers"))])
 
 
 def _matrix(obj, path: str) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise InstanceError(path, "expected a nonempty array of rows")
-    rows = [_vector(r, f"{path}[{i}]") for i, r in enumerate(obj)]
+    rows = [_vector(r, f"{path}[{i}]") for i, r in enumerate(_items(obj, path, " of rows"))]
     widths = {r.shape[0] for r in rows}
     if len(widths) != 1:
         raise InstanceError(path, "rows have inconsistent lengths")
     return np.array(rows)
 
 
-_PRIMITIVES = {"vector": _vector, "matrix": _matrix, "number": _number,
-               "integer": _integer, "name": _name}
+_PRIMITIVES = {"vector": _vector, "matrix": _matrix, "number": _number, "positive": _positive,
+               "integer": _integer, "count": _count, "bool": _bool, "name": _name}
+
+
+def one_of(*values, other=None) -> Callable:
+    """A fixed-choice field type: one of `values`, or else a value of field type `other`."""
+    def choice(obj, path: str):
+        if obj in values:
+            return obj
+        if other is None:
+            raise InstanceError(path, f"expected {' or '.join(map(repr, values))}, got {obj!r}")
+        return decode(other, obj, path)
+    return choice
 
 
 class Field(NamedTuple):
@@ -156,10 +191,10 @@ def encode(t, value) -> Any:
 
 def decode(t, obj, path: str = "$") -> Any:
     """Strictly decode the JSON value obj of field type t; errors name their path."""
+    if callable(t):  # a fixed choice
+        return t(obj, path)
     if isinstance(t, list):
-        if not isinstance(obj, list) or not obj:
-            raise InstanceError(path, "expected a nonempty array")
-        return tuple(decode(t[0], v, f"{path}[{i}]") for i, v in enumerate(obj))
+        return tuple(decode(t[0], v, f"{path}[{i}]") for i, v in enumerate(_items(obj, path)))
     if isinstance(t, str):
         primitive = _PRIMITIVES.get(t)
         if primitive is not None:

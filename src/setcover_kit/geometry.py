@@ -1035,10 +1035,13 @@ def _dist_polytope(space: NormedSpace, y: np.ndarray, s: VPolytope) -> Distance:
         approx = err2 > DEFAULT_TOL * max(1.0, d2)
         return Distance(d2, approximate=approx, error=err2,
                         note="hull projection budget exhausted" if approx else "")
-    if space.norm == "max":
-        val = _lp_dist_max_norm_polytope(s.vertices, y)
-        if val is not None:
-            return Distance(val)
+    if space.norm == "max":  # min t subject to |V^T w - y| <= t, w in the simplex
+        from ._lp import max_norm_fit
+
+        res = max_norm_fit(s.vertices.T, y, a_eq=np.ones((1, s.vertices.shape[0])),
+                           b_eq=np.array([1.0]), bounds=(0, None))
+        if res is not None:
+            return Distance(float(res.fun))
     # other p-norms: bracket from the euclidean solve plus candidate points
     upper = min(space.norm_of(point - y), float(space.norms(s.vertices - y).min()))
     d2_lower = max(0.0, d2 - err2)
@@ -1053,26 +1056,6 @@ def _dist_polytope(space: NormedSpace, y: np.ndarray, s: VPolytope) -> Distance:
     approx = err > DEFAULT_TOL * max(1.0, upper)
     return Distance(upper, approximate=approx, error=err,
                     note="polytope distance under this norm is a bracketed estimate" if approx else "")
-
-
-def _lp_dist_max_norm_polytope(vertices: np.ndarray, y: np.ndarray) -> float | None:
-    from ._lp import solve_lp
-
-    k, n = vertices.shape
-    # variables: (w_1..w_k, t);  min t  s.t.  |V^T w - y| <= t, w in simplex
-    c = np.zeros(k + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((2 * n, k + 1))
-    a_ub[:n, :k] = vertices.T
-    a_ub[:n, -1] = -1.0
-    a_ub[n:, :k] = -vertices.T
-    a_ub[n:, -1] = -1.0
-    b_ub = np.concatenate([y, -y])
-    a_eq = np.zeros((1, k + 1))
-    a_eq[0, :k] = 1.0
-    res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.array([1.0]),
-                   bounds=[(0, None)] * k + [(0, None)])
-    return None if res is None else float(res.fun)
 
 
 def _positive(v: np.ndarray) -> np.ndarray:
@@ -1115,10 +1098,13 @@ def _dists_region(space: NormedSpace, ys: np.ndarray, s: SublevelRegion, b: np.n
     # single-halfspace distances give an exact lower bound under any norm
     lower = np.maximum.reduce(_positive(viol) / _memo(
         s, f"_dual_norms_{space.norm}_{space.p}", lambda: _bound_divisors(space, a)), axis=1)
-    if space.norm == "max":
-        lp = [_lp_dist_max_norm_region(a, b[i], ys[i]) for i in out]
-        solved = np.array([v is not None for v in lp], dtype=bool)
-        value[out[solved]] = [v for v in lp if v is not None]
+    if space.norm == "max":  # min t subject to a z <= b[i], |z - y_i| <= t
+        from ._lp import max_norm_fit
+
+        eye = np.eye(ys.shape[1])
+        lp = [max_norm_fit(eye, ys[i], a_ub=a, b_ub=b[i]) for i in out]
+        solved = np.array([res is not None for res in lp], dtype=bool)
+        value[out[solved]] = [float(res.fun) for res in lp if res is not None]
         out, lower, y_out, b_out = out[~solved], lower[~solved], y_out[~solved], b_out[~solved]
         if out.size == 0:
             return Distances(value, error, approx, tuple(note))
@@ -1138,29 +1124,6 @@ def _dists_region(space: NormedSpace, ys: np.ndarray, s: SublevelRegion, b: np.n
         for i in out:
             note[i] = "region distance under this norm is a bracketed estimate"
     return Distances(value, error, approx, tuple(note))
-
-
-def _lp_dist_max_norm_region(a_mat: np.ndarray, b_vec: np.ndarray,
-                             y: np.ndarray) -> float | None:
-    from ._lp import solve_lp
-
-    n = y.shape[0]
-    m = a_mat.shape[0]
-    # variables (z, t): min t  s.t.  a_k z <= b_k,  |z - y| <= t
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((m + 2 * n, n + 1))
-    b_ub = np.zeros(m + 2 * n)
-    a_ub[:m, :n] = a_mat
-    b_ub[:m] = b_vec
-    a_ub[m:m + n, :n] = np.eye(n)
-    a_ub[m:m + n, -1] = -1.0
-    b_ub[m:m + n] = y
-    a_ub[m + n:, :n] = -np.eye(n)
-    a_ub[m + n:, -1] = -1.0
-    b_ub[m + n:] = -y
-    res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * n + [(0, None)])
-    return None if res is None else float(res.fun)
 
 
 def _dykstra(a_mat: np.ndarray, b: np.ndarray, ys: np.ndarray, max_sweeps: int) -> np.ndarray:

@@ -2,16 +2,19 @@
 
 An instance file is a JSON object tagged "setcover-kit/1" that names one
 of the batch kinds (certify, inclusion, penalty, sfix, family) and the
-maps/parameters it needs.  Decoding is strict: unknown fields are
-rejected with the offending path, so a typo cannot silently change an
-experiment.  Execution returns (exit_code, result) where the result dict
-is fully deterministic for a fixed (instance, seed); volatile metadata
-(timestamps) lives in a separate section of the written report.
+maps/parameters it needs.  Each kind and block is a codec row, so
+decoding is strict: unknown fields, blocks the kind does not read
+included, are rejected with the offending path, so a typo cannot
+silently change an experiment.  Execution returns (exit_code, result)
+where the result dict is fully deterministic for a fixed (instance,
+seed); volatile metadata (timestamps) lives in a separate section of
+the written report.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from typing import Any
 
 import numpy as np
@@ -25,7 +28,7 @@ from .certify import (
     check_set_covering,
     interior_radius,
 )
-from .codec import InstanceError, Kind, Table, _check_keys, _integer, _number, _vector, decode
+from .codec import InstanceError, Kind, Table, decode, one_of
 from .geometry import NormedSpace
 from .solver import InclusionInstance, solve_inclusion, strongly_fixed
 
@@ -60,13 +63,83 @@ Table("objective", "objective",
                            ("weight", "number"), ("objective", "objective"))])))
 
 
-_KIND_BLOCKS = {
-    "certify": "certify",
-    "inclusion": "solve",
-    "penalty": "penalty",
-    "sfix": "sfix",
-    "family": "family",
-}
+def _block(**defaults):
+    """A block's constructor: its decoded fields over these defaults, as a dict."""
+    return lambda **fields: {**defaults, **fields}
+
+
+_parameters = _block(seed=0, tol=1e-6)
+_VERDICTS = ("no-counterexample-found", "falsified")
+_PROCESS_VERDICTS = ("set-covering", "not-set-covering")
+
+
+def _certify_block(property, alpha="auto", safety=mp.DEFAULT_SAFETY, trials=200, expect=None,
+                   x_box_halfwidth=5.0) -> dict:
+    verdicts = _PROCESS_VERDICTS if property == "interior-radius" else _VERDICTS
+    if expect is not None and expect not in verdicts:
+        raise ValueError(f"property {property!r} never returns the expected verdict "
+                         f"{expect!r}; it returns {' or '.join(map(repr, verdicts))}")
+    return {"property": property, "alpha": alpha, "safety": safety, "trials": trials,
+            "expect": expect, "x_box_halfwidth": x_box_halfwidth}
+
+
+def _penalty_block(objective, x0, l=None, threshold_factor=None, verify=None) -> dict:
+    if (l is None) == (threshold_factor is None):
+        raise ValueError("exactly one of 'l' and 'threshold_factor' is required")
+    return {"objective": objective, "x0": x0, "l": l, "threshold_factor": threshold_factor,
+            "verify": verify}
+
+
+_PARAMETERS_ROW = Kind(None, _parameters, ("seed", "integer", "opt"), ("tol", "number", "opt"))
+_PSI = Kind(None, dict, ("psi", "map"))
+_PSI_PHI = Kind(None, dict, ("psi", "map"), ("phi", "map"))
+
+
+def _instance(kind: str, *blocks: tuple) -> Kind:
+    """An instance kind's row: the version tag, its blocks and the parameters, as one dict."""
+    def build(version, maps=None, parameters=None, **block):
+        return {"kind": kind, **(parameters or _parameters()), **(maps or {}), **block}
+    return Kind(kind, build, ("version", one_of(VERSION_TAG)), *blocks,
+                ("parameters", _PARAMETERS_ROW, "opt"))
+
+
+Table("family", "family",
+      Kind("ball_radius_family", _block(radii=(0.25, 0.5)), ("psi", "map"), ("c1", "number"),
+           ("p_bar", "vector"), ("x_bar", "vector"), ("objective", "objective"),
+           ("radii", ["positive"], "opt")))
+
+Table("instance", "instance",
+      _instance("certify", ("maps", _PSI),
+                ("certify", Kind(None, _certify_block,
+                                 ("property", one_of("covering", "set-covering",
+                                                     "inverse-errorbound", "inverse-hausdorff",
+                                                     "interior-radius")),
+                                 ("alpha", one_of("auto", other="number"), "opt"),
+                                 ("safety", "positive", "opt"), ("trials", "count", "opt"),
+                                 ("expect", one_of(*_VERDICTS, *_PROCESS_VERDICTS), "opt"),
+                                 ("x_box_halfwidth", "positive", "opt")))),
+      _instance("inclusion", ("maps", _PSI_PHI),
+                ("solve", Kind(None, _block(alpha=None, beta=None, alpha_used=None,
+                                            max_iter=10_000, polish=True),
+                               ("x0", "vector"), ("alpha", "number", "opt"),
+                               ("beta", "number", "opt"), ("alpha_used", "number", "opt"),
+                               ("max_iter", "integer", "opt"), ("polish", "bool", "opt")))),
+      _instance("penalty", ("maps", _PSI_PHI),
+                ("penalty", Kind(None, _penalty_block, ("objective", "objective"),
+                                 ("x0", "vector"), ("l", "number", "opt"),
+                                 ("threshold_factor", "number", "opt"),
+                                 ("verify", Kind(None, dict, ("x_bar", "vector"),
+                                                 ("radius", "positive"), ("grid_n", "count")),
+                                  "opt")))),
+      _instance("sfix", ("maps", _PSI),
+                ("sfix", Kind(None, _block(alpha=None, alpha_used=None), ("x0", "vector"),
+                              ("r_grid", ["positive"]), ("alpha", "number", "opt"),
+                              ("alpha_used", "number", "opt")))),
+      _instance("family", ("family", "family")))
+
+# the points of psi's domain an instance names, by their keys in the decoded dict
+_DOMAIN_POINTS = (("solve", "x0"), ("penalty", "x0"), ("penalty", "verify", "x_bar"),
+                  ("sfix", "x0"), ("family", "x_bar"))
 
 
 def decode_instance(data: Any, path: str = "$") -> dict:
@@ -75,131 +148,19 @@ def decode_instance(data: Any, path: str = "$") -> dict:
     Raises InstanceError with the offending path on any schema
     violation; unknown fields are rejected.
     """
-    _check_keys(data, path, ("version", "kind"),
-                ("maps", "certify", "solve", "penalty", "sfix", "family", "parameters"))
-    if data["version"] != VERSION_TAG:
-        raise InstanceError(f"{path}.version", f"expected {VERSION_TAG!r}")
-    kind = data["kind"]
-    if kind not in _KIND_BLOCKS:
-        raise InstanceError(f"{path}.kind", f"unknown instance kind {kind!r}")
-    block_name = _KIND_BLOCKS[kind]
-    if block_name not in data:
-        raise InstanceError(path, f"instance kind {kind!r} requires the {block_name!r} block")
-    out: dict[str, Any] = {"kind": kind}
-
-    params = data.get("parameters", {})
-    _check_keys(params, f"{path}.parameters", (), ("seed", "tol"))
-    out["seed"] = _integer(params.get("seed", 0), f"{path}.parameters.seed")
-    out["tol"] = _number(params.get("tol", 1e-6), f"{path}.parameters.tol")
-
-    maps = data.get("maps", {})
-    _check_keys(maps, f"{path}.maps", (), ("psi", "phi"))
-    for name in ("psi", "phi"):
-        if name in maps:
-            out[name] = decode("map", maps[name], f"{path}.maps.{name}")
-
-    if kind == "certify":
-        blk = data["certify"]
-        _check_keys(blk, f"{path}.certify", ("property",),
-                    ("alpha", "safety", "trials", "expect", "x_box_halfwidth"))
-        prop = blk["property"]
-        known = ("covering", "set-covering", "inverse-errorbound",
-                 "inverse-hausdorff", "interior-radius")
-        if prop not in known:
-            raise InstanceError(f"{path}.certify.property", f"unknown property {prop!r}")
-        if "psi" not in out:
-            raise InstanceError(f"{path}.maps", "certify instances need maps.psi")
-        out["certify"] = {
-            "property": prop,
-            "alpha": blk.get("alpha", "auto"),
-            "safety": _number(blk.get("safety", mp.DEFAULT_SAFETY), f"{path}.certify.safety"),
-            "trials": _integer(blk.get("trials", 200), f"{path}.certify.trials"),
-            "expect": blk.get("expect"),
-            "x_box_halfwidth": _number(blk.get("x_box_halfwidth", 5.0),
-                                       f"{path}.certify.x_box_halfwidth"),
-        }
-        if out["certify"]["alpha"] != "auto":
-            out["certify"]["alpha"] = _number(blk["alpha"], f"{path}.certify.alpha")
-    elif kind == "inclusion":
-        blk = data["solve"]
-        _check_keys(blk, f"{path}.solve", ("x0",),
-                    ("alpha", "beta", "alpha_used", "max_iter", "polish"))
-        if "psi" not in out or "phi" not in out:
-            raise InstanceError(f"{path}.maps", "inclusion instances need maps.psi and maps.phi")
-        out["solve"] = {
-            "x0": _vector(blk["x0"], f"{path}.solve.x0"),
-            "alpha": _number(blk["alpha"], f"{path}.solve.alpha") if "alpha" in blk else None,
-            "beta": _number(blk["beta"], f"{path}.solve.beta") if "beta" in blk else None,
-            "alpha_used": _number(blk["alpha_used"], f"{path}.solve.alpha_used")
-            if "alpha_used" in blk else None,
-            "max_iter": _integer(blk.get("max_iter", 10_000), f"{path}.solve.max_iter"),
-            "polish": bool(blk.get("polish", True)),
-        }
-    elif kind == "penalty":
-        blk = data["penalty"]
-        _check_keys(blk, f"{path}.penalty", ("objective", "x0"),
-                    ("l", "threshold_factor", "verify"))
-        if "psi" not in out or "phi" not in out:
-            raise InstanceError(f"{path}.maps", "penalty instances need maps.psi and maps.phi")
-        if ("l" in blk) == ("threshold_factor" in blk):
-            raise InstanceError(f"{path}.penalty",
-                                "exactly one of 'l' and 'threshold_factor' is required")
-        verify = None
-        if "verify" in blk:
-            vb = blk["verify"]
-            _check_keys(vb, f"{path}.penalty.verify", ("x_bar", "radius", "grid_n"))
-            verify = {"x_bar": _vector(vb["x_bar"], f"{path}.penalty.verify.x_bar"),
-                      "radius": _number(vb["radius"], f"{path}.penalty.verify.radius"),
-                      "grid_n": _integer(vb["grid_n"], f"{path}.penalty.verify.grid_n")}
-        out["penalty"] = {
-            "objective": decode("objective", blk["objective"], f"{path}.penalty.objective"),
-            "x0": _vector(blk["x0"], f"{path}.penalty.x0"),
-            "l": _number(blk["l"], f"{path}.penalty.l") if "l" in blk else None,
-            "threshold_factor": _number(blk["threshold_factor"],
-                                        f"{path}.penalty.threshold_factor")
-            if "threshold_factor" in blk else None,
-            "verify": verify,
-        }
-    elif kind == "sfix":
-        blk = data["sfix"]
-        _check_keys(blk, f"{path}.sfix", ("x0", "r_grid"), ("alpha", "alpha_used"))
-        if "psi" not in out:
-            raise InstanceError(f"{path}.maps", "sfix instances need maps.psi")
-        out["sfix"] = {
-            "x0": _vector(blk["x0"], f"{path}.sfix.x0"),
-            "r_grid": [_number(r, f"{path}.sfix.r_grid[{i}]")
-                       for i, r in enumerate(blk["r_grid"])],
-            "alpha": _number(blk["alpha"], f"{path}.sfix.alpha") if "alpha" in blk else None,
-            "alpha_used": _number(blk["alpha_used"], f"{path}.sfix.alpha_used")
-            if "alpha_used" in blk else None,
-        }
-    else:  # family
-        blk = data["family"]
-        _check_keys(blk, f"{path}.family",
-                    ("kind", "psi", "c1", "p_bar", "x_bar", "objective"), ("radii",))
-        if blk["kind"] != "ball_radius_family":
-            raise InstanceError(f"{path}.family.kind",
-                                f"unknown family kind {blk['kind']!r}")
-        psi = decode("map", blk["psi"], f"{path}.family.psi")
-        p_bar = _vector(blk["p_bar"], f"{path}.family.p_bar")
-        if p_bar.shape != (1,):
-            raise InstanceError(f"{path}.family.p_bar",
-                                "the ball-radius family reads only p[0] and searches a 1-d "
-                                f"parameter grid: p_bar needs length 1, got {p_bar.shape[0]}")
-        x_bar = _vector(blk["x_bar"], f"{path}.family.x_bar")
-        if x_bar.shape != (psi.space_x.dim,):
-            raise InstanceError(f"{path}.family.x_bar",
-                                f"x_bar is a point of psi's domain: it needs dimension "
-                                f"{psi.space_x.dim}, got {x_bar.shape[0]}")
-        out["family"] = {
-            "psi": psi,
-            "c1": _number(blk["c1"], f"{path}.family.c1"),
-            "p_bar": p_bar,
-            "x_bar": x_bar,
-            "objective": decode("objective", blk["objective"], f"{path}.family.objective"),
-            "radii": [_number(r, f"{path}.family.radii[{i}]")
-                      for i, r in enumerate(blk.get("radii", [0.25, 0.5]))],
-        }
+    out = decode("instance", data, path)
+    family = out.get("family")
+    if family is not None and family["p_bar"].shape != (1,):
+        raise InstanceError(f"{path}.family.p_bar",
+                            "the ball-radius family reads only p[0] and searches a 1-d "
+                            f"parameter grid: p_bar needs length 1, got {family['p_bar'].shape[0]}")
+    dim = (out["psi"] if family is None else family["psi"]).space_x.dim
+    for keys in _DOMAIN_POINTS:
+        point = reduce(lambda blk, key: (blk or {}).get(key), keys, out)
+        if point is not None and point.shape != (dim,):
+            raise InstanceError(".".join((path, *keys)),
+                                f"{keys[-1]} is a point of psi's domain: it needs dimension "
+                                f"{dim}, got {point.shape[0]}")
     return out
 
 

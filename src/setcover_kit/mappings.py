@@ -526,14 +526,14 @@ class Epigraphical(MapSpec):
         attained at a corner.  Computed once per map and kept on it.
         """
         def solve():
-            from ._lp import min_max_norm_solution
+            from ._lp import max_norm_fit
 
             worst = 0.0
             for s in _sign_corners(self.matrix.shape[0]):
-                sol = min_max_norm_solution(self.matrix, s)
-                if sol is None:
+                res = max_norm_fit(np.eye(self.matrix.shape[1]), a_eq=self.matrix, b_eq=s)
+                if res is None:
                     raise NotSetCoveringError("matrix is not surjective on a corner")
-                worst = max(worst, sol[1])
+                worst = max(worst, float(res.fun))
             if worst <= 0:
                 raise NotSetCoveringError("degenerate preimage operator")
             return 1.0 / worst
@@ -553,13 +553,13 @@ class Epigraphical(MapSpec):
                                                                              self.space_y)
 
     def witness(self, x, rho):
-        from ._lp import min_max_norm_solution
+        from ._lp import max_norm_fit
 
         target = -self.alpha_f() * rho * np.ones(self.space_y.dim)
-        sol = min_max_norm_solution(self.matrix, target)
-        if sol is None:
+        res = max_norm_fit(np.eye(self.matrix.shape[1]), a_eq=self.matrix, b_eq=target)
+        if res is None:
             raise NotSetCoveringError("lost surjectivity on the witness shift")
-        return x + sol[0]
+        return x + res.x[:-1]
 
 
 @dataclass(frozen=True, eq=False)

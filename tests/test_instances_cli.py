@@ -137,6 +137,43 @@ class TestRun:
                 json.dumps(jsonify(b), sort_keys=True), name
 
 
+_PHI = builtin_instances()["t1"]["maps"]["phi"]
+# each input used to end in a traceback or run as if it were valid; the decoder
+# now refuses it at its JSON path: (built-in instance, keys of the field, value, path)
+MALFORMED = {
+    "polish-not-a-bool": ("t1", ("solve", "polish"), "no", "$.solve.polish"),
+    "solve-x0-length": ("t1", ("solve", "x0"), [0.0, 0.0], "$.solve.x0"),
+    "penalty-x0-length": ("t1_penalty", ("penalty", "x0"), [0.0, 1.0], "$.penalty.x0"),
+    "verify-x_bar-length": ("t1_penalty", ("penalty", "verify", "x_bar"), [2.0, 0.0],
+                            "$.penalty.verify.x_bar"),
+    "sfix-x0-length": ("sfix", ("sfix", "x0"), [4.0, 0.0], "$.sfix.x0"),
+    "r_grid-not-a-list": ("sfix", ("sfix", "r_grid"), 1.0, "$.sfix.r_grid"),
+    "r_grid-negative": ("sfix", ("sfix", "r_grid"), [-1], "$.sfix.r_grid[0]"),
+    "radii-empty": ("family", ("family", "radii"), [], "$.family.radii"),
+    "grid_n-negative": ("t1_penalty", ("penalty", "verify", "grid_n"), -1,
+                        "$.penalty.verify.grid_n"),
+    "trials-negative": ("sphere_scale_covering", ("certify", "trials"), -3, "$.certify.trials"),
+    "safety-negative": ("sphere_scale_covering", ("certify", "safety"), -1.0, "$.certify.safety"),
+    "x_box_halfwidth-negative": ("sphere_scale_covering", ("certify", "x_box_halfwidth"), -5.0,
+                                 "$.certify.x_box_halfwidth"),
+    "verify-radius-negative": ("t1_penalty", ("penalty", "verify", "radius"), -1.0,
+                               "$.penalty.verify.radius"),
+    "kind-a-list": ("t1", ("kind",), ["x"], "$.kind"),
+    "expect-a-number": ("sphere_scale_covering", ("certify", "expect"), 5, "$.certify.expect"),
+    "expect-misspelt": ("sphere_scale_covering", ("certify", "expect"), "falsifed",
+                        "$.certify.expect"),
+    "expect-not-a-process-verdict": ("process", ("certify", "expect"), "falsified", "$.certify"),
+    "expect-a-process-verdict": ("sphere_scale_covering", ("certify", "expect"), "set-covering",
+                                 "$.certify"),
+    "unread-block": ("t1", ("sfix",), builtin_instances()["sfix"]["sfix"], "$.sfix"),
+    "unread-map": ("sfix", ("maps", "phi"), _PHI, "$.maps.phi"),
+    "family-with-maps": ("family", ("maps",), {"psi": _PHI}, "$.maps"),
+}
+# the family kind has no subcommand of its own; its file is refused before the kind check
+_COMMAND = {"t1": "solve", "t1_penalty": "penalize", "sfix": "sfix", "family": "solve",
+            "sphere_scale_covering": "certify", "process": "certify"}
+
+
 class TestCli:
     def write(self, tmp_path, data, name="inst.json"):
         path = tmp_path / name
@@ -209,6 +246,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("input error: ")
         assert f"capped at dimension {PENALTY_SEARCH_CAP}; this needs dimension {dim}" in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_block_exits_three_at_its_path(self, tmp_path, capsys, case):
+        name, keys, value, path = MALFORMED[case]
+        data = copy.deepcopy(builtin_instances()[name])
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        assert main([_COMMAND[name], "--instance", self.write(tmp_path, data)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"input error: {path}: ")
 
     def test_kind_mismatch(self, tmp_path, capsys):
         path = self.write(tmp_path, builtin_instances()["t1"])

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import setcover_kit as sk
 import setcover_kit._lp as lp
+import setcover_kit.certify as certify
 
 
 def reference(c, **kwargs):
@@ -495,3 +496,137 @@ def test_threads_that_alternate_programs_get_the_sequential_answers(monkeypatch)
         for (res, _), ref in zip(job, want[k], strict=True):
             assert res.status == ref.status == 0
             assert (hex_of(res.x), hex_of(res.fun)) == (hex_of(ref.x), hex_of(ref.fun))
+
+
+# The four max-norm builders the kit had before `_lp.max_norm_fit`, kept as the
+# reference: each returns the arguments it handed to `solve_lp`.
+
+
+def solution_program(a_eq, y):
+    """argmin ||x||_inf s.t. A x = y (the covering rate and witness of `epigraphical`)."""
+    m, n = a_eq.shape
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    a_ub = np.zeros((2 * n, n + 1))
+    a_ub[:n, :n] = np.eye(n)
+    a_ub[:n, -1] = -1.0
+    a_ub[n:, :n] = -np.eye(n)
+    a_ub[n:, -1] = -1.0
+    aeq = np.zeros((m, n + 1))
+    aeq[:, :n] = a_eq
+    return dict(c=c, a_ub=a_ub, b_ub=np.zeros(2 * n), a_eq=aeq, b_eq=y,
+                bounds=[(None, None)] * n + [(0, None)])
+
+
+def feasible_program(a_ub, b_ub):
+    """argmin ||x||_inf s.t. A x <= b (the witness direction of `interior_radius`)."""
+    m, n = a_ub.shape
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    rows = np.zeros((m + 2 * n, n + 1))
+    rhs = np.zeros(m + 2 * n)
+    rows[:m, :n] = a_ub
+    rhs[:m] = b_ub
+    rows[m:m + n, :n] = np.eye(n)
+    rows[m:m + n, -1] = -1.0
+    rows[m + n:, :n] = -np.eye(n)
+    rows[m + n:, -1] = -1.0
+    return dict(c=c, a_ub=rows, b_ub=rhs, a_eq=None, b_eq=None,
+                bounds=[(None, None)] * n + [(0, None)])
+
+
+def polytope_distance_program(vertices, y):
+    """The max-norm distance of y to the hull of the vertices."""
+    k, n = vertices.shape
+    c = np.zeros(k + 1)
+    c[-1] = 1.0
+    a_ub = np.zeros((2 * n, k + 1))
+    a_ub[:n, :k] = vertices.T
+    a_ub[:n, -1] = -1.0
+    a_ub[n:, :k] = -vertices.T
+    a_ub[n:, -1] = -1.0
+    a_eq = np.zeros((1, k + 1))
+    a_eq[0, :k] = 1.0
+    return dict(c=c, a_ub=a_ub, b_ub=np.concatenate([y, -y]), a_eq=a_eq, b_eq=np.array([1.0]),
+                bounds=[(0, None)] * k + [(0, None)])
+
+
+def region_distance_program(a_mat, b_vec, y):
+    """The max-norm distance of y to {z : A z <= b}."""
+    n, m = y.shape[0], a_mat.shape[0]
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    a_ub = np.zeros((m + 2 * n, n + 1))
+    b_ub = np.zeros(m + 2 * n)
+    a_ub[:m, :n] = a_mat
+    b_ub[:m] = b_vec
+    a_ub[m:m + n, :n] = np.eye(n)
+    a_ub[m:m + n, -1] = -1.0
+    b_ub[m:m + n] = y
+    a_ub[m + n:, :n] = -np.eye(n)
+    a_ub[m + n:, -1] = -1.0
+    b_ub[m + n:] = -y
+    return dict(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=None, b_eq=None,
+                bounds=[(None, None)] * n + [(0, None)])
+
+
+def exact(value):
+    """An LP argument as comparable data: arrays by dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return value
+
+
+def max_norm_callers():
+    """Each caller of `max_norm_fit`: (run it, the parent's programs for that run)."""
+    matrix = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, -1.0]])
+    epi = sk.Epigraphical(matrix)
+    yield "epigraphical-rate", (lambda: sk.alpha_of(sk.Epigraphical(matrix)),
+                                lambda calls: [solution_program(matrix, s)
+                                               for s in sk.mappings._sign_corners(2)])
+    epi.alpha_f()  # kept on the map, so the witness runs one LP
+    x, rho = np.array([0.5, -0.0, 2.0]), 0.75
+    yield "epigraphical-witness", (
+        lambda: epi.witness(x, rho),
+        lambda calls: [solution_program(matrix, -epi.alpha_f() * rho * np.ones(2))])
+    proc = sk.PolyhedralProcess(cx=[[1.0, 0.0], [1.0, -1.0], [0.0, 2.0]],
+                                cy=[[-1.0, 0.0], [0.0, -1.0], [-0.5, -0.5]])
+
+    def interior_programs(calls):  # the first LP finds y_hat; the second is the builder's
+        y_hat = calls[0][1].x[:2]
+        return [calls[0][0], feasible_program(proc.cx, proc.cy @ y_hat)]
+    yield "interior-radius", (lambda: sk.interior_radius(proc), interior_programs)
+    vertices = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+    y = np.array([3.0, 0.0])  # a zero and its negation: -0.0 in the -y rows
+    yield "polytope-distance", (
+        lambda: sk.dist_point(sk.NormedSpace(2, "max"), y, sk.VPolytope(vertices)),
+        lambda calls: [polytope_distance_program(vertices, y)])
+    groups = (np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+              np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.5, 0.5, 0.5]]),
+              np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+    region = sk.eval_map(sk.SublinearSystem(groups=groups), np.array([1.0, -0.5, 2.0]))
+    y3 = np.array([4.0, 0.0, -0.0])
+    yield "region-distance", (
+        lambda: sk.dist_point(sk.NormedSpace(3, "max"), y3, region),
+        lambda calls: [region_distance_program(*region.forms(), y3)])
+
+
+@pytest.mark.parametrize("name", [name for name, _ in max_norm_callers()])
+def test_max_norm_callers_build_the_parents_programs_byte_for_byte(monkeypatch, name):
+    # the kept-model key is the matrix bytes, and a changed matrix can move HiGHS's pivots
+    run, parent_programs = dict(max_norm_callers())[name]
+    calls, real = [], lp.solve_lp
+
+    def record(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
+        res = real(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds)
+        calls.append((dict(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds), res))
+        return res
+
+    monkeypatch.setattr(lp, "solve_lp", record)
+    monkeypatch.setattr(certify, "solve_lp", record)  # interior_radius's own slack LP
+    run()
+    want = parent_programs(calls)
+    assert len(calls) == len(want)
+    for (got, res), ref in zip(calls, want):
+        assert res is not None
+        assert {k: exact(v) for k, v in got.items()} == {k: exact(v) for k, v in ref.items()}
