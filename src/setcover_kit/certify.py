@@ -31,6 +31,10 @@ from .geometry import (
     SetRep,
     _freeze,
     _memo,
+    _rng,
+    _sample_enlargement,
+    _sampling_words,
+    _seed_words,
     dist_point,
     dists,
     excess,
@@ -125,13 +129,56 @@ def _default_box(dim: int, half_width: float = 5.0):
     return -half_width * np.ones(dim), half_width * np.ones(dim)
 
 
-def _draw_trial(seed: int, trial: int, x_box, r_range):
-    rng = rng_for(seed, trial)
+# From this many trials on a certificate derives its trial seeds in one batch.
+# Below it, one NumPy SeedSequence per key costs less than the batch's fixed
+# cost: timed in-process per closed-form set-covering job, batching cost
+# 80-150 us more at 1 trial, 35-200 us more at 2, about the same at 3, and
+# saved 80 us at 4 trials and 320-450 us at 9.
+_BATCH_FROM = 4
+
+
+class _TrialSeeds:
+    """The generators of one certificate's trials: trial t draws from
+    rng_for(seed, t), and with `sub` it samples an enlargement under the
+    sub-seed _sub_seed(seed, t, sub).
+
+    From _BATCH_FROM trials on, every key is derived before the first trial
+    runs, in two kernel calls at most (the trial draws with the sub-seeds,
+    then each sub-seed's two sampling streams), and only the seed words are
+    held; a trial's generators are built when it runs.  Fewer trials derive
+    each key when it is needed, as rng_for does.  Both give the same generators.
+    """
+
+    def __init__(self, seed: int, trials: int, sub: int | None = None):
+        self.seed, self.sub, self.draws = seed, sub, None
+        if trials < _BATCH_FROM:
+            return
+        keys = [(t,) for t in range(trials)]
+        if sub is not None:
+            keys += [(t, sub) for t in range(trials)]
+        words = _seed_words(seed, keys)
+        self.draws = words[:trials]
+        if sub is not None:
+            # _sub_seed is generate_state(1)[0]: the low half of the first word
+            self.subs = words[trials:, 0] & 0xFFFFFFFF
+            self.sampling = _sampling_words(self.subs)
+
+    def rng(self, t: int) -> np.random.Generator:
+        return rng_for(self.seed, t) if self.draws is None else _rng(self.draws[t])
+
+    def enlargement(self, t: int, space, s: SetRep, rho: float, n: int) -> np.ndarray:
+        if self.draws is None:
+            return sample_enlargement(space, s, rho, n, seed=_sub_seed(self.seed, t, self.sub))
+        return _sample_enlargement(space, s, rho, n, int(self.subs[t]),
+                                   *map(_rng, self.sampling[t]))
+
+
+def _draw_trial(rng: np.random.Generator, x_box, r_range):
     lo, hi = x_box
     x = rng.uniform(lo, hi)
     log_lo, log_hi = math.log(r_range[0]), math.log(r_range[1])
     r = math.exp(rng.uniform(log_lo, log_hi))
-    return x, r, rng
+    return x, r
 
 
 def _scale_tol(tol: float, x, extra: float) -> float:
@@ -155,11 +202,11 @@ def check_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
     """
     x_box = x_box or _default_box(m.space_x.dim)
     violations: list[Violation] = []
+    seeds = _TrialSeeds(seed, trials, sub=1)
     for t in range(trials):
-        x, r, _ = _draw_trial(seed, t, x_box, r_range)
+        x, r = _draw_trial(seeds.rng(t), x_box, r_range)
         image = mp.eval_map(m, x)
-        targets = sample_enlargement(m.space_y, image, alpha * r, n_targets,
-                                     seed=_sub_seed(seed, t, 1))
+        targets = seeds.enlargement(t, m.space_y, image, alpha * r, n_targets)
         witness_u = None
         try:
             witness_u = mp.cover_witness(m, x, r)
@@ -221,8 +268,9 @@ def check_set_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
     """
     x_box = x_box or _default_box(m.space_x.dim)
     violations: list[Violation] = []
+    seeds = _TrialSeeds(seed, trials, sub=4)
     for t in range(trials):
-        x, r, _ = _draw_trial(seed, t, x_box, r_range)
+        x, r = _draw_trial(seeds.rng(t), x_box, r_range)
         image = mp.eval_map(m, x)
         try:
             u = mp.cover_witness(m, x, r)
@@ -231,8 +279,7 @@ def check_set_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
                                       seed=_sub_seed(seed, t, 3))
             u = rec.u
         image_u = mp.eval_map(m, u)
-        targets = sample_enlargement(m.space_y, image, alpha * r, n_inclusion,
-                                     seed=_sub_seed(seed, t, 4))
+        targets = seeds.enlargement(t, m.space_y, image, alpha * r, n_inclusion)
         atol = _scale_tol(tol, x, alpha * r)
         d = dists(m.space_y, targets, image_u)
         margins = d.value - d.error
@@ -409,8 +456,10 @@ def check_inverse_errorbound(m: mp.MapSpec, alpha: float, trials: int, seed: int
     x_box = x_box or _default_box(m.space_x.dim)
     violations: list[Violation] = []
     xs, rs, centers = [], [], []
+    seeds = _TrialSeeds(seed, trials)
     for t in range(trials):
-        x, r, rng = _draw_trial(seed, t, x_box, (1e-2, 1e1))
+        rng = seeds.rng(t)
+        x, r = _draw_trial(rng, x_box, (1e-2, 1e1))
         xs.append(x)
         rs.append(r)
         if test_sets is None:  # the trial's ball comes from its own generator, after x and r
@@ -456,8 +505,9 @@ def check_inverse_hausdorff(m: mp.MapSpec, alpha: float, trials: int, seed: int,
     """
     center = m.shell_center()
     violations: list[Violation] = []
+    seeds = _TrialSeeds(seed, trials)
     for t in range(trials):
-        rng = rng_for(seed, t)
+        rng = seeds.rng(t)
         c1 = rng.uniform(-5.0, 5.0, size=m.space_y.dim)
         c2 = rng.uniform(-5.0, 5.0, size=m.space_y.dim)
         r1, r2 = rng.uniform(0.1, 4.0, size=2)
@@ -500,8 +550,9 @@ def check_exc_semicontinuity(phi: mp.MapSpec, psi: mp.MapSpec, x0,
 
     base = exc_at(x0)
     violations: list[Violation] = []
+    seeds = _TrialSeeds(seed, n_sequences)
     for s_idx in range(n_sequences):
-        rng = rng_for(seed, s_idx)
+        rng = seeds.rng(s_idx)
         direction = phi.space_x.unit(rng.standard_normal(phi.space_x.dim))
         delta0 = float(rng.uniform(0.5, 2.0))
         xs = [x0 + direction * delta0 * 0.5**k for k in range(n_terms)]

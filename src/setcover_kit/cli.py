@@ -1,6 +1,6 @@
 """Batch command line front-end.
 
-Subcommands: certify, solve, penalize, sfix, demo.  Exit codes separate
+Subcommands: certify, solve, penalize, sfix, family, demo.  Exit codes separate
 outcome classes so CI can assert the bundled counterexamples: 0 for
 success / no-counterexample, 2 for a falsified or failed certificate,
 3 for any input error, including a valid input above a dimension cap
@@ -47,6 +47,7 @@ def _build_parser() -> _Parser:
         ("solve", "solve a set-inclusion instance"),
         ("penalize", "minimize a penalty instance and verify exactness"),
         ("sfix", "search for a strongly fixed point"),
+        ("family", "run the calmness and semiregularity diagnostics of a parameter family"),
     ]:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--instance", required=True, help="path to an instance JSON file")
@@ -65,7 +66,7 @@ def _common_flags(cmd):
 
 
 _EXPECTED_KIND = {"certify": "certify", "solve": "inclusion",
-                  "penalize": "penalty", "sfix": "sfix"}
+                  "penalize": "penalty", "sfix": "sfix", "family": "family"}
 
 
 def _render_report(result: dict, fmt: str) -> str:
@@ -130,7 +131,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise InstanceError("argv", "a subcommand is required "
-                                        "(certify, solve, penalize, sfix, demo)")
+                                        "(certify, solve, penalize, sfix, family, demo)")
         if args.seed < 0:
             raise InstanceError("argv", "--seed must be a nonnegative integer")
         if args.command == "demo":

@@ -7,7 +7,8 @@ raise InstanceError with the offending JSON path, and a constructor's
 own ValueError or TypeError is reported at the object's path.
 
 A field's type is a primitive ("vector", "matrix", "number", "positive",
-"integer", "count" for an integer >= 1, "bool" or "name"), a fixed
+"integer", "natural" for an integer >= 0, "count" for an integer >= 1,
+"bool" or "name"), a fixed
 choice (`one_of`), the name of a tagged table ("set", "fn", "map" or one
 a caller adds), a record Kind (such as SPACE), or a one-element list
 [type] for a nonempty list, decoded to a tuple.  A field is
@@ -80,6 +81,12 @@ def _integer(obj, path: str) -> int:
     return obj
 
 
+def _natural(obj, path: str) -> int:
+    if _integer(obj, path) < 0:
+        raise InstanceError(path, "expected an integer >= 0")
+    return obj
+
+
 def _count(obj, path: str) -> int:
     if _integer(obj, path) < 1:
         raise InstanceError(path, "expected an integer >= 1")
@@ -118,7 +125,8 @@ def _matrix(obj, path: str) -> np.ndarray:
 
 
 _PRIMITIVES = {"vector": _vector, "matrix": _matrix, "number": _number, "positive": _positive,
-               "integer": _integer, "count": _count, "bool": _bool, "name": _name}
+               "integer": _integer, "natural": _natural, "count": _count, "bool": _bool,
+               "name": _name}
 
 
 def one_of(*values, other=None) -> Callable:

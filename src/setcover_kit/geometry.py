@@ -20,10 +20,12 @@ bounded target can absorb.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 DEFAULT_TOL = 1e-9
 BOX_CORNER_CAP = 256  # largest corner count a box's exact excess enumerates
@@ -85,6 +87,124 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
     index, so certificates do not depend on evaluation order.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream)))
+
+
+# ---------------------------------------------------------------------------
+# batched seeding: NumPy's SeedSequence hash (NEP 19, after O'Neill's seed_seq
+# for PCG) run for many (seed, stream) keys at once, so that a certificate
+# derives its trials' generator states together; rng_for stays the one-key
+# path, and the reference
+
+_M32 = 0xFFFFFFFF
+_POOL_HASH = (0x43B0D7E5, 0x931E8875)  # (init, multiplier): entropy into the pool
+_STATE_HASH = (0x8B51F9DD, 0x58F38DED)  # the pool out into the state words
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_steps(hash_pair: tuple[int, int], start: int, n: int):
+    """Columns (xor, mult) of n hash steps from step `start`: step j xors
+    init * mult**j and multiplies by init * mult**(j + 1), mod 2**32."""
+    init, mult = hash_pair
+    c = np.array([init * pow(mult, j, 1 << 32) & _M32 for j in range(start, start + n + 1)],
+                 dtype=np.uint32)[:, None]
+    return c[:-1], c[1:]
+
+
+def _hashmix(v, xor, mult):
+    v = (v ^ xor) * mult
+    return v ^ (v >> 16)
+
+
+def _mix(x, y):
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+_FIRST = _hash_steps(_POOL_HASH, 0, 4)
+# the pool's cross mixing: for source lane s, the other lanes take steps
+# 4 + 3s.. in order; lane s itself is left as it was (its constant is unused)
+_CROSS = [[np.insert(c, s, 0, axis=0) for c in _hash_steps(_POOL_HASH, 4 + 3 * s, 3)]
+          for s in range(4)]
+_STATE = _hash_steps(_STATE_HASH, 0, 8)
+
+
+def _u32_words(*ints) -> list[int]:
+    """SeedSequence's entropy words of nonnegative ints: each one's 32-bit words, low first."""
+    out = []
+    for n in map(operator.index, ints):  # numpy integers too, as SeedSequence reads them
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        out.append(n & _M32)
+        while n > _M32:
+            n >>= 32
+            out.append(n & _M32)
+    return out
+
+
+def _mixed_words(pool: np.ndarray, words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Mix each key's entropy past its first four words into its first-phase
+    pool, (4, 1) shared or (4, k), and read out its four uint64 PCG64 seed
+    words: (k, 4).  Key i takes the first lengths[i] rows of words (width, k),
+    one round of array operations over the stacked (4, k) lanes per row."""
+    width, k = words.shape
+    pool = np.broadcast_to(pool, (4, k))
+    xor, mult = (c.reshape(width, 4, 1) for c in _hash_steps(_POOL_HASH, 16, 4 * width))
+    hashed = _hashmix(words[:, None, :], xor, mult)  # each word into every lane
+    every = lengths.min(initial=width)  # rows that every key takes
+    for i in range(width):
+        mixed = _mix(pool, hashed[i])
+        pool = mixed if i < every else np.where(i < lengths, mixed, pool)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_STATE)
+    # generate_state(4, np.uint64): each pair of uint32 words as one little-endian word
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+def _seed_words(seed: int, streams) -> np.ndarray:
+    """(k, 4) uint64: row i holds SeedSequence(entropy=seed, spawn_key=streams[i])
+    .generate_state(4, np.uint64), the words PCG64 seeds rng_for(seed, *streams[i])
+    from; the low 32 bits of its word 0 are generate_state(1)[0].  The keys
+    share the seed, so its first-phase pool is hashed once, by NumPy."""
+    seed = operator.index(seed)
+    run = _u32_words(seed)
+    tails = [run[4:] + _u32_words(*stream) for stream in streams]  # entropy past the pool
+    lengths = np.array([len(tail) for tail in tails], dtype=int)
+    width = int(lengths.max(initial=0))
+    words = np.array([tail + [0] * (width - len(tail)) for tail in tails], dtype=np.uint32)
+    pool = np.random.SeedSequence(seed & (1 << 128) - 1).pool[:, None]
+    return _mixed_words(pool, words.reshape(len(streams), width).T, lengths)
+
+
+def _sampling_words(seeds) -> np.ndarray:
+    """(k, 2, 4): the seed words of rng_for(seed, 0) and rng_for(seed, 1), the two
+    generators of sample_enlargement(..., seed), for each uint32 seed.  Each
+    seed's first-phase pool is hashed once, as uint32 array operations over
+    the seeds' stacked (4, k) lanes, one round per source lane."""
+    k = len(seeds)
+    pool = np.zeros((4, k), dtype=np.uint32)
+    pool[0] = seeds  # a one-word seed, padded with zeros to the pool size
+    pool = _hashmix(pool, *_FIRST)
+    for s, (xor, mult) in enumerate(_CROSS):
+        mixed = _mix(pool, _hashmix(pool[s], xor, mult))
+        mixed[s] = pool[s]
+        pool = mixed
+    streams = (np.arange(2 * k, dtype=np.uint32) % 2)[None]  # streams 0 and 1 of each seed
+    return _mixed_words(np.repeat(pool, 2, axis=1), streams,
+                        np.ones(2 * k, dtype=int)).reshape(k, 2, 4)
+
+
+class _SeedWords(ISeedSequence):
+    """A seed that hands PCG64 the four words _seed_words derived for it."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words  # PCG64 asks for its four uint64 seed words
+
+
+def _rng(words: np.ndarray) -> np.random.Generator:
+    """The generator of one _seed_words row: rng_for's generator for that key, state for state."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 class Distance(float):
@@ -1345,10 +1465,19 @@ def sample_enlargement(space: NormedSpace, s: SetRep, rho: float, n: int, seed: 
     outward direction from the sample centroid (the hardest points for an
     inclusion test), mixed with random directions and depths.
     """
-    base_pts = sample(space, s, n, seed, box=box)
+    return _sample_enlargement(space, s, rho, n, seed, rng_for(seed, 0), rng_for(seed, 1), box)
+
+
+def _sample_enlargement(space: NormedSpace, s: SetRep, rho: float, n: int, seed: int,
+                        base_rng: np.random.Generator, rng: np.random.Generator,
+                        box=None) -> np.ndarray:
+    """sample_enlargement with its generators given: base_rng = rng_for(seed, 0)
+    samples s, and rng = rng_for(seed, 1) draws the random pushes."""
+    if n < 1:
+        raise ValueError("need n >= 1 samples")
+    base_pts = s.sample(space, n, seed, base_rng, box)
     outward = base_pts - np.mean(base_pts, axis=0)
     pushed = (np.arange(len(base_pts)) % 4 != 3) & (space.norms(outward) > 1e-12)
-    rng = rng_for(seed, 1)
     depth, dirs = np.ones(len(base_pts)), outward.copy()
     for i in np.flatnonzero(~pushed):
         dirs[i] = rng.standard_normal(space.dim)

@@ -14,6 +14,7 @@ the written report.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from functools import reduce
 from typing import Any
 
@@ -30,7 +31,7 @@ from .certify import (
 )
 from .codec import InstanceError, Kind, Table, decode, one_of
 from .geometry import NormedSpace
-from .solver import InclusionInstance, solve_inclusion, strongly_fixed
+from .solver import InclusionInstance, NotExpandingError, solve_inclusion, strongly_fixed
 
 VERSION_TAG = "setcover-kit/1"
 
@@ -90,7 +91,7 @@ def _penalty_block(objective, x0, l=None, threshold_factor=None, verify=None) ->
             "verify": verify}
 
 
-_PARAMETERS_ROW = Kind(None, _parameters, ("seed", "integer", "opt"), ("tol", "number", "opt"))
+_PARAMETERS_ROW = Kind(None, _parameters, ("seed", "natural", "opt"), ("tol", "positive", "opt"))
 _PSI = Kind(None, dict, ("psi", "map"))
 _PSI_PHI = Kind(None, dict, ("psi", "map"), ("phi", "map"))
 
@@ -184,6 +185,17 @@ def run_instance(decoded: dict, seed: int | None = None, tol: float | None = Non
     return _run_family(decoded, seed, tol)
 
 
+@contextmanager
+def _refused_at(path: str, error: type = ValueError):
+    """A kit constructor's refusal of a block's values, as an input error at the block's path."""
+    try:
+        yield
+    except mp.DimensionCapError:
+        raise  # an input above a documented cap keeps its own message
+    except error as exc:
+        raise InstanceError(path, str(exc)) from exc
+
+
 def _resolve_alpha(psi: mp.MapSpec, spec_alpha, safety: float) -> float:
     if spec_alpha == "auto":
         return safety * mp.alpha_of(psi).alpha
@@ -227,10 +239,11 @@ def _run_certify(decoded: dict, seed: int, tol: float) -> tuple[int, dict]:
 
 def _run_inclusion(decoded: dict, seed: int, tol: float) -> tuple[int, dict]:
     blk = decoded["solve"]
-    inst = InclusionInstance(psi=decoded["psi"], phi=decoded["phi"],
-                             alpha=blk["alpha"], beta=blk["beta"],
-                             alpha_used=blk["alpha_used"], tol=tol,
-                             max_iter=blk["max_iter"])
+    with _refused_at("$.solve"):
+        inst = InclusionInstance(psi=decoded["psi"], phi=decoded["phi"],
+                                 alpha=blk["alpha"], beta=blk["beta"],
+                                 alpha_used=blk["alpha_used"], tol=tol,
+                                 max_iter=blk["max_iter"])
     trace = solve_inclusion(inst, blk["x0"], polish=blk["polish"])
     code = EXIT_OK if trace.status == "converged" else EXIT_FALSIFIED
     return code, {"kind": "inclusion", "trace": trace.to_jsonable(), "seed": seed}
@@ -238,11 +251,12 @@ def _run_inclusion(decoded: dict, seed: int, tol: float) -> tuple[int, dict]:
 
 def _run_penalty(decoded: dict, seed: int, tol: float) -> tuple[int, dict]:
     blk = decoded["penalty"]
-    inst = InclusionInstance(psi=decoded["psi"], phi=decoded["phi"], tol=min(tol, 1e-9))
-    l_phi = pen.objective_lipschitz(blk["objective"], inst.space_x)
-    thresh = pen.threshold(l_phi, inst.alpha_used, inst.beta)
-    l_val = blk["l"] if blk["l"] is not None else blk["threshold_factor"] * thresh
-    prob = pen.PenaltyProblem(blk["objective"], inst, l_val)
+    with _refused_at("$.penalty"):
+        inst = InclusionInstance(psi=decoded["psi"], phi=decoded["phi"], tol=min(tol, 1e-9))
+        l_phi = pen.objective_lipschitz(blk["objective"], inst.space_x)
+        thresh = pen.threshold(l_phi, inst.alpha_used, inst.beta)
+        l_val = blk["l"] if blk["l"] is not None else blk["threshold_factor"] * thresh
+        prob = pen.PenaltyProblem(blk["objective"], inst, l_val)
     result = pen.minimize_penalty(prob, blk["x0"])
     out = {"kind": "penalty", "l": l_val, "threshold": thresh,
            "minimizer": result.to_jsonable(), "seed": seed}
@@ -259,9 +273,10 @@ def _run_penalty(decoded: dict, seed: int, tol: float) -> tuple[int, dict]:
 def _run_sfix(decoded: dict, seed: int, tol: float) -> tuple[int, dict]:
     blk = decoded["sfix"]
     try:
-        res = strongly_fixed(decoded["psi"], blk["x0"], blk["r_grid"],
-                             alpha=blk["alpha"], alpha_used=blk["alpha_used"],
-                             tol=tol, seed=seed)
+        with _refused_at("$.sfix", NotExpandingError):  # checked before any solve runs
+            res = strongly_fixed(decoded["psi"], blk["x0"], blk["r_grid"],
+                                 alpha=blk["alpha"], alpha_used=blk["alpha_used"],
+                                 tol=tol, seed=seed)
     except RuntimeError as exc:
         return EXIT_FALSIFIED, {"kind": "sfix", "status": "exhausted",
                                 "reason": str(exc), "seed": seed}

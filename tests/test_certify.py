@@ -7,6 +7,7 @@ import pytest
 
 import setcover_kit as sk
 from setcover_kit.certify import R_RANGE_DEFAULT, _default_box, _draw_trial, recheck_violation
+from setcover_kit.geometry import rng_for
 
 EU1 = sk.NormedSpace(1)
 EU2 = sk.NormedSpace(2)
@@ -69,7 +70,7 @@ class TestCoveringSplit:
         m = sk.SublinearSystem(groups)
         cert = sk.check_set_covering(m, 0.99 * sk.alpha_of(m).alpha, trials=4, seed=0)
         assert cert.verdict == "no-counterexample-found"
-        x, _, _ = _draw_trial(0, 3, _default_box(d), R_RANGE_DEFAULT)
+        x, _ = _draw_trial(rng_for(0, 3), _default_box(d), R_RANGE_DEFAULT)
         image = sk.eval_map(m, x)
         pts = sk.sample(m.space_y, image, 64, seed=0)
         assert pts.shape == (64, d)
@@ -223,7 +224,7 @@ class TestTrialDistribution:
     def test_radii_span_micro_and_macro(self):
         from setcover_kit.certify import _draw_trial
 
-        rs = [_draw_trial(0, t, (-np.ones(1), np.ones(1)), (1e-3, 1e2))[1]
+        rs = [_draw_trial(rng_for(0, t), (-np.ones(1), np.ones(1)), (1e-3, 1e2))[1]
               for t in range(400)]
         assert min(rs) < 1e-2 and max(rs) > 1e1
 

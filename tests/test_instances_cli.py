@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,8 +139,11 @@ class TestRun:
 
 
 _PHI = builtin_instances()["t1"]["maps"]["phi"]
-# each input used to end in a traceback or run as if it were valid; the decoder
-# now refuses it at its JSON path: (built-in instance, keys of the field, value, path)
+# each input used to end in a traceback or run as if it were valid; the kit now
+# refuses it at its JSON path: (built-in instance, keys of the field, value, path).
+# The decoder refuses a malformed field; a value that a kit constructor refuses
+# (alpha, beta and the penalty weight are checked against each other) is
+# refused at its block.
 MALFORMED = {
     "polish-not-a-bool": ("t1", ("solve", "polish"), "no", "$.solve.polish"),
     "solve-x0-length": ("t1", ("solve", "x0"), [0.0, 0.0], "$.solve.x0"),
@@ -168,9 +172,14 @@ MALFORMED = {
     "unread-block": ("t1", ("sfix",), builtin_instances()["sfix"]["sfix"], "$.sfix"),
     "unread-map": ("sfix", ("maps", "phi"), _PHI, "$.maps.phi"),
     "family-with-maps": ("family", ("maps",), {"psi": _PHI}, "$.maps"),
+    "seed-negative": ("t1", ("parameters", "seed"), -1, "$.parameters.seed"),
+    "tol-negative": ("t1", ("parameters", "tol"), -1, "$.parameters.tol"),
+    "tol-zero": ("t1", ("parameters", "tol"), 0, "$.parameters.tol"),
+    "solve-alpha-negative": ("t1", ("solve", "alpha"), -1, "$.solve"),
+    "sfix-alpha-zero": ("sfix", ("sfix", "alpha"), 0, "$.sfix"),
+    "threshold_factor-negative": ("t1_penalty", ("penalty", "threshold_factor"), -2, "$.penalty"),
 }
-# the family kind has no subcommand of its own; its file is refused before the kind check
-_COMMAND = {"t1": "solve", "t1_penalty": "penalize", "sfix": "sfix", "family": "solve",
+_COMMAND = {"t1": "solve", "t1_penalty": "penalize", "sfix": "sfix", "family": "family",
             "sphere_scale_covering": "certify", "process": "certify"}
 
 
@@ -280,6 +289,16 @@ class TestCli:
         assert main(["solve", "--instance", path, "--format", "text"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "status: converged" in out
+
+    def test_family_subcommand_gives_the_demo_result(self, tmp_path, capsys):
+        path = self.write(tmp_path, builtin_instances()["family"])
+        assert main(["family", "--instance", path]) == EXIT_OK
+        family = json.loads(capsys.readouterr().out)["result"]
+        demo_out = tmp_path / "demo.json"
+        assert main(["demo", "--out", str(demo_out)]) == EXIT_OK
+        assert family == json.loads(demo_out.read_text())["result"]["runs"]["family"]["result"]
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        assert "setcover-kit family" in readme
 
     def test_demo_runs_clean(self, capsys):
         assert main(["demo"]) == EXIT_OK
