@@ -58,7 +58,7 @@ def _build_parser() -> _Parser:
 
 
 def _common_flags(cmd):
-    cmd.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
+    cmd.add_argument("--seed", type=int, default=None, help="root seed (default: parameters.seed)")
     cmd.add_argument("--tol", type=float, default=None, help="override tolerance")
     cmd.add_argument("--out", default=None, help="write the report to this path")
     cmd.add_argument("--format", choices=("json", "text"), default="json",
@@ -132,7 +132,7 @@ def main(argv=None) -> int:
         if args.command is None:
             raise InstanceError("argv", "a subcommand is required "
                                         "(certify, solve, penalize, sfix, family, demo)")
-        if args.seed < 0:
+        if args.seed is not None and args.seed < 0:
             raise InstanceError("argv", "--seed must be a nonnegative integer")
         if args.command == "demo":
             return _run_demo(args)

@@ -1150,11 +1150,6 @@ def _hull_project_euclidean(vertices: np.ndarray, y: np.ndarray,
 
 
 def _dist_polytope(space: NormedSpace, y: np.ndarray, s: VPolytope) -> Distance:
-    point, d2, err2 = _hull_project_euclidean(s.vertices, y)
-    if space.norm == "euclidean":
-        approx = err2 > DEFAULT_TOL * max(1.0, d2)
-        return Distance(d2, approximate=approx, error=err2,
-                        note="hull projection budget exhausted" if approx else "")
     if space.norm == "max":  # min t subject to |V^T w - y| <= t, w in the simplex
         from ._lp import max_norm_fit
 
@@ -1162,7 +1157,12 @@ def _dist_polytope(space: NormedSpace, y: np.ndarray, s: VPolytope) -> Distance:
                            b_eq=np.array([1.0]), bounds=(0, None))
         if res is not None:
             return Distance(float(res.fun))
-    # other p-norms: bracket from the euclidean solve plus candidate points
+    point, d2, err2 = _hull_project_euclidean(s.vertices, y)
+    if space.norm == "euclidean":
+        approx = err2 > DEFAULT_TOL * max(1.0, d2)
+        return Distance(d2, approximate=approx, error=err2,
+                        note="hull projection budget exhausted" if approx else "")
+    # other p-norms (or no max-norm LP answer): bracket from the euclidean solve plus candidates
     upper = min(space.norm_of(point - y), float(space.norms(s.vertices - y).min()))
     d2_lower = max(0.0, d2 - err2)
     n = space.dim

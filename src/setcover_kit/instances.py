@@ -30,7 +30,7 @@ from .certify import (
     interior_radius,
 )
 from .codec import InstanceError, Kind, Table, decode, one_of
-from .geometry import NormedSpace
+from .geometry import DimensionMismatchError, NormedSpace
 from .solver import InclusionInstance, NotExpandingError, solve_inclusion, strongly_fixed
 
 VERSION_TAG = "setcover-kit/1"
@@ -273,7 +273,8 @@ def _run_penalty(decoded: dict, seed: int, tol: float) -> tuple[int, dict]:
 def _run_sfix(decoded: dict, seed: int, tol: float) -> tuple[int, dict]:
     blk = decoded["sfix"]
     try:
-        with _refused_at("$.sfix", NotExpandingError):  # checked before any solve runs
+        with _refused_at("$.maps.psi", DimensionMismatchError), \
+                _refused_at("$.sfix", NotExpandingError):  # both checked before any solve runs
             res = strongly_fixed(decoded["psi"], blk["x0"], blk["r_grid"],
                                  alpha=blk["alpha"], alpha_used=blk["alpha_used"],
                                  tol=tol, seed=seed)

@@ -27,6 +27,7 @@ import numpy as np
 from . import mappings as mp
 from .geometry import (
     Ball,
+    DimensionMismatchError,
     NormedSpace,
     boundedness,
     dist_point,  # noqa: F401  (perfbench/test_checks.py checks the tracer rebinds it here)
@@ -169,103 +170,65 @@ def solve_inclusion(inst: InclusionInstance, x0, polish: bool = True) -> SolveTr
     displacement bound is recorded and the final residual re-verified by
     an independent sampled excess evaluation.
     """
-    space = inst.space_x
-    x = space.check_point(x0).copy()
-    r = inst.residual(x)
-    steps = [SolveStep(tuple(x), r, 0.0, "start")]
-    violation = None
-    for _ in range(inst.max_iter):
-        if r <= inst.tol:
-            break
-        u = mp.cover_witness(inst.psi, x, _step_radius(inst, r))
-        r_next = inst.residual(u)
-        violation = _violation(inst, x, r, u, r_next)
-        if violation is not None:
-            break
-        steps.append(SolveStep(tuple(u), r_next, space.dist(u, x), "contraction"))
-        x, r = u, r_next
-    if polish and _wants_polish(inst, r, violation):
-        u = mp.cover_witness(inst.psi, x, _polish_radius(inst, r))
-        _polish(inst, steps, u, inst.residual(u), space.dist(u, x))
-    return _trace(inst, steps, violation)
+    return _solves(inst, [x0], polish)[0]
 
 
-def solve_inclusions(inst: InclusionInstance, starts) -> list[SolveTrace]:
+def solve_inclusions(inst: InclusionInstance, starts, polish: bool = True) -> list[SolveTrace]:
     """solve_inclusion from each start, run in lockstep; trace i is that of starts[i].
 
-    Each step makes one batched witness call, one batched residual call
-    and one row-norm call over the solves still running; the contraction
-    test, the max_iter budget, the polish step and the re-check stay per
-    solve, with the rules of solve_inclusion, so trace i equals
-    solve_inclusion(inst, starts[i]) bit for bit.  On one start the
-    one-start loop is the faster.
+    Each step makes one witness, residual and step-length call over the
+    solves still running: batched, or scalar once only one runs.  The
+    contraction test, budget, polish step and re-check stay per solve, so
+    trace i equals solve_inclusion(inst, starts[i], polish) bit for bit.
     """
-    space = inst.space_x
-    xs = np.array([space.check_point(x0) for x0 in starts]).reshape(-1, space.dim)
-    if xs.shape[0] == 0:
-        return []
-    rs = inst.residuals(xs).tolist()
+    return _solves(inst, starts, polish)
+
+
+def _solves(inst: InclusionInstance, starts, polish: bool) -> list[SolveTrace]:
+    """The solve loop of both public names (each of which is then one traced span)."""
+    xs = [inst.space_x.check_point(x0) for x0 in starts]  # each solve's current iterate
+    rs = [inst.residual(x) for x in xs] if len(xs) < 2 else inst.residuals(np.array(xs)).tolist()
     steps = [[SolveStep(tuple(x), r, 0.0, "start")] for x, r in zip(xs, rs)]
     violations = [None] * len(rs)
-    live = list(range(len(rs)))
+    ratio = inst.beta / inst.alpha_used
+    live = [i for i, r in enumerate(rs) if not r <= inst.tol]
     for _ in range(inst.max_iter):
-        live = [i for i in live if not rs[i] <= inst.tol]
         if not live:
             break
-        x_live = xs[live]
-        us = inst.psi.witnesses(x_live, _step_radius(inst, np.array([rs[i] for i in live])))
-        r_next = inst.residuals(us).tolist()
-        lengths = space.norms(us - x_live).tolist()
+        radii = [(rs[i] + 1e-12) / inst.alpha_used for i in live]  # boundary inflation of the premise
         running = []
-        for j, i in enumerate(live):
-            violations[i] = _violation(inst, xs[i], rs[i], us[j], r_next[j])
-            if violations[i] is None:
-                steps[i].append(SolveStep(tuple(us[j]), r_next[j], lengths[j], "contraction"))
-                xs[i], rs[i] = us[j], r_next[j]
+        for i, (u, r_next, length) in zip(live, _witness_steps(inst, [xs[i] for i in live], radii)):
+            if r_next > ratio * rs[i] + CONTRACTION_SLACK * (1.0 + rs[i]):
+                violations[i] = {"x": xs[i].tolist(), "u": u.tolist(), "residual": rs[i],
+                                 "residual_next": r_next, "allowed": ratio * rs[i],
+                                 "note": "declared constants are inconsistent with the mapping"}
+                continue
+            steps[i].append(SolveStep(tuple(u), r_next, length, "contraction"))
+            xs[i], rs[i] = u, r_next
+            if not r_next <= inst.tol:
                 running.append(i)
         live = running
-    polishing = [i for i in range(len(rs)) if _wants_polish(inst, rs[i], violations[i])]
+    # a terminal step spends the budget r/(alpha_used - beta), kept if within tol and no worse
+    polishing = [i for i, (r, v) in enumerate(zip(rs, violations))
+                 if polish and v is None and 0.0 < r <= inst.tol]
     if polishing:
-        x_pol = xs[polishing]
-        us = inst.psi.witnesses(x_pol, _polish_radius(inst, np.array([rs[i] for i in polishing])))
-        for i, u, r_pol, length in zip(polishing, us, inst.residuals(us).tolist(),
-                                       space.norms(us - x_pol).tolist()):
-            _polish(inst, steps[i], u, r_pol, length)
+        radii = [rs[i] / (inst.alpha_used - inst.beta) for i in polishing]
+        for i, (u, r_pol, length) in zip(polishing,
+                                         _witness_steps(inst, [xs[i] for i in polishing], radii)):
+            if r_pol <= min(inst.tol, rs[i]):
+                steps[i].append(SolveStep(tuple(u), r_pol, length, "polish"))
     return [_trace(inst, s, v) for s, v in zip(steps, violations)]
 
 
-# the per-solve rules both loops share
-
-
-def _step_radius(inst: InclusionInstance, r):
-    return (r + 1e-12) / inst.alpha_used  # boundary inflation for the inclusion premise
-
-
-def _violation(inst: InclusionInstance, x, r: float, u, r_next: float) -> dict | None:
-    """The record of a step breaking the contraction inequality, or None."""
-    ratio = inst.beta / inst.alpha_used
-    if r_next > ratio * r + CONTRACTION_SLACK * (1.0 + r):
-        return {
-            "x": x.tolist(), "u": u.tolist(), "residual": r,
-            "residual_next": r_next, "allowed": ratio * r,
-            "note": "declared constants are inconsistent with the mapping",
-        }
-    return None
-
-
-def _wants_polish(inst: InclusionInstance, r: float, violation) -> bool:
-    return violation is None and 0.0 < r <= inst.tol
-
-
-def _polish_radius(inst: InclusionInstance, r):
-    """The a-priori budget r/(alpha_used - beta) that the terminal step spends."""
-    return r / (inst.alpha_used - inst.beta)
-
-
-def _polish(inst: InclusionInstance, steps: list, u, r_pol: float, step_len: float) -> None:
-    """Keep the polish step u when it lands within the tolerance and no worse."""
-    if r_pol <= min(inst.tol, steps[-1].residual):
-        steps.append(SolveStep(tuple(u), r_pol, step_len, "polish"))
+def _witness_steps(inst: InclusionInstance, xs: list, radii: list[float]):
+    """(witness, its residual, step length) from each point of xs at its radius:
+    the scalar rules when one solve is running, the batched rules for more."""
+    if len(xs) == 1:
+        u = mp.cover_witness(inst.psi, xs[0], radii[0])
+        return ((u, inst.residual(u), inst.space_x.dist(u, xs[0])),)
+    points = np.array(xs)
+    us = inst.psi.witnesses(points, np.array(radii))
+    return zip(us, inst.residuals(us).tolist(), inst.space_x.norms(us - points).tolist())
 
 
 def _trace(inst: InclusionInstance, steps: list, violation) -> SolveTrace:
@@ -277,19 +240,15 @@ def _trace(inst: InclusionInstance, steps: list, violation) -> SolveTrace:
         status = "converged" if r <= inst.tol else "budget-exhausted"
     displacement = inst.space_x.dist(np.array(steps[0].x), x)
     bound = steps[0].residual / (inst.alpha_used - inst.beta)
-    recheck = _independent_residual(inst, x) if status == "converged" else None
+    recheck = None
+    if status == "converged":  # sampled excess at x: max over 64 points of phi(x) of d(., psi(x))
+        phi_img, psi_img = mp.eval_map(inst.phi, x), mp.eval_map(inst.psi, x)
+        pts = sample(inst.space_y, phi_img, 64, 17)
+        recheck = float(dists(inst.space_y, pts, psi_img).value.max())
     return SolveTrace(steps=steps, status=status, alpha_used=inst.alpha_used,
                       beta=inst.beta, tol=inst.tol,
                       bound_check=(displacement, bound),
                       residual_recheck=recheck, violation=violation)
-
-
-def _independent_residual(inst: InclusionInstance, x, n: int = 64, seed: int = 17) -> float:
-    """Sampled excess at x: max over sampled points of phi(x) of the distance to psi(x)."""
-    phi_img = mp.eval_map(inst.phi, x)
-    psi_img = mp.eval_map(inst.psi, x)
-    pts = sample(inst.space_y, phi_img, n, seed)
-    return float(dists(inst.space_y, pts, psi_img).value.max())
 
 
 @dataclass(frozen=True)
@@ -313,7 +272,7 @@ def strongly_fixed(psi: mp.MapSpec, x0, r_grid, alpha: float | None = None,
     by boundary sampling.
     """
     if psi.space_x.dim != psi.space_y.dim:
-        raise ValueError("strongly fixed points need a self-mapping")
+        raise DimensionMismatchError("strongly fixed points need a self-mapping")
     declared = alpha if alpha is not None else mp.alpha_of(psi).alpha
     used = alpha_used if alpha_used is not None else mp.DEFAULT_SAFETY * declared
     if used <= 1.0:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import setcover_kit as sk
+from setcover_kit import geometry
 from setcover_kit.geometry import _dykstra, rng_for
 
 NORMS = (("euclidean", None), ("max", None), ("p", 3.0))
@@ -130,6 +131,46 @@ def test_iterative_kinds_one_row_is_dist_point(kind, norm, p):
                 for got in (one, batch.row(i)):
                     assert (float(got), got.error, got.approximate, got.note) == \
                         (float(single), single.error, single.approximate, single.note)
+
+
+def ref_lp_max_norm_polytope(vertices, y) -> float:
+    """min t subject to |V^T w - y|_inf <= t, w in the simplex, built row by row."""
+    from setcover_kit._lp import solve_lp
+
+    k, n = vertices.shape
+    c = np.zeros(k + 1)
+    c[-1] = 1.0
+    a_ub = np.zeros((2 * n, k + 1))
+    a_ub[:n, :k] = vertices.T
+    a_ub[n:, :k] = -vertices.T
+    a_ub[:, -1] = -1.0
+    a_eq = np.zeros((1, k + 1))
+    a_eq[0, :k] = 1.0
+    res = solve_lp(c, a_ub=a_ub, b_ub=np.concatenate([y, -y]), a_eq=a_eq, b_eq=np.array([1.0]),
+                   bounds=[(0, None)] * (k + 1))
+    return float(res.fun)
+
+
+def test_max_norm_polytope_distance_is_its_lp_alone(monkeypatch):
+    """Under the max norm the simplex-weight LP gives a V-polytope distance; the
+    euclidean hull projection, whose answer the LP makes unnecessary, does not run."""
+    def no_projection(vertices, y):
+        raise AssertionError("the hull projection ran under the max norm")
+
+    rng = np.random.default_rng(29)
+    cases = []
+    for dim, k in ((1, 2), (2, 5), (4, 16)):
+        s = sk.VPolytope(rng.standard_normal((k, dim)))
+        ys = np.vstack([2.0 * rng.standard_normal((5, dim)), s.vertices.mean(axis=0),
+                        s.vertices[0]])  # outside, inside and at a vertex
+        cases.append((sk.NormedSpace(dim, "max"), s, ys,
+                      [(ref_lp_max_norm_polytope(s.vertices, y).hex(), 0.0, False) for y in ys]))
+    monkeypatch.setattr(geometry, "_hull_project_euclidean", no_projection)
+    for space, s, ys, want in cases:
+        batch = sk.dists(space, ys, s)
+        for i, y in enumerate(ys):
+            for got in (sk.dist_point(space, y, s), batch.row(i)):
+                assert (float(got).hex(), got.error, got.approximate) == want[i]
 
 
 def test_closed_form_dist_point_is_exact_row():

@@ -177,6 +177,9 @@ MALFORMED = {
     "tol-zero": ("t1", ("parameters", "tol"), 0, "$.parameters.tol"),
     "solve-alpha-negative": ("t1", ("solve", "alpha"), -1, "$.solve"),
     "sfix-alpha-zero": ("sfix", ("sfix", "alpha"), 0, "$.sfix"),
+    "sfix-not-a-self-mapping": ("sfix", ("maps", "psi"),
+                                {"kind": "dilation", "y0": [0.0, 0.0], "a": 3.0, "b": 1.0,
+                                 "anchor": [0.0], "space_y": {"dim": 2}}, "$.maps.psi"),
     "threshold_factor-negative": ("t1_penalty", ("penalty", "threshold_factor"), -2, "$.penalty"),
 }
 _COMMAND = {"t1": "solve", "t1_penalty": "penalize", "sfix": "sfix", "family": "family",
@@ -266,6 +269,20 @@ class TestCli:
         node[keys[-1]] = value
         assert main([_COMMAND[name], "--instance", self.write(tmp_path, data)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"input error: {path}: ")
+
+    def test_the_file_seed_applies_unless_the_flag_is_given(self, tmp_path, capsys):
+        data = copy.deepcopy(builtin_instances()["sphere_scale_set_covering"])
+        seed0 = self.write(tmp_path, data, "seed0.json")
+        data["parameters"]["seed"] = 7
+        seed7 = self.write(tmp_path, data, "seed7.json")
+        results = []
+        for argv in ([seed7], [seed7, "--seed", "7"], [seed7, "--seed", "0"], [seed0]):
+            assert main(["certify", "--instance", *argv]) == EXIT_OK
+            results.append(json.loads(capsys.readouterr().out)["result"])
+        assert [r["seed"] for r in results] == [7, 7, 0, 0]
+        assert results[0] == results[1]
+        assert results[2] == results[3]
+        assert results[0]["certificate"] != results[3]["certificate"]
 
     def test_kind_mismatch(self, tmp_path, capsys):
         path = self.write(tmp_path, builtin_instances()["t1"])

@@ -1,10 +1,14 @@
-"""Lockstep inclusion solves: `solve_inclusions` against `solve_inclusion`, by float hex.
+"""Inclusion solves against the one-start loop they replaced, by float hex.
 
-Every trace of a lockstep run must equal the one-start run from the same
-start: status, every step, the displacement bound, the re-check and the
-violation record.  The batched witness rule of each map kind is checked
-row by row against its scalar `witness`, and the family diagnostics'
-nearest-first parameter scan against the scan it replaced.
+`ref_solve_inclusion` is the one-start solve loop as it was before
+`solve_inclusion` became the one-start call of the lockstep loop, kept
+as the reference: one scalar witness, residual and distance call per
+step.  Every trace of `solve_inclusion` and of `solve_inclusions` must
+equal the reference's from the same start: status, every step, the
+displacement bound, the re-check and the violation record.  The batched
+witness rule of each map kind is checked row by row against its scalar
+`witness`, and the family diagnostics' nearest-first parameter scan
+against the scan it replaced.
 """
 
 import numpy as np
@@ -13,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import setcover_kit as sk
 from setcover_kit.penalty import _inverse_param_distance
+from setcover_kit.solver import CONTRACTION_SLACK, SolveStep, SolveTrace
 
 NORMS = (("euclidean", None), ("max", None), ("p", 3.0))
 PSI_KINDS = ("dilation", "sublinear_system", "sum", "composed", "epigraphical")
@@ -93,24 +98,65 @@ def starts_for(inst, k, rng) -> np.ndarray:
     return starts
 
 
-def assert_lockstep_equals_one_start(inst, starts):
-    traces = sk.solve_inclusions(inst, starts)
-    assert len(traces) == len(starts)
-    for trace, x0 in zip(traces, starts):
-        assert trace_key(trace) == trace_key(sk.solve_inclusion(inst, x0))
+def ref_solve_inclusion(inst, x0, polish=True):
+    """The one-start solve loop, with the step, polish and trace rules written out."""
+    space = inst.space_x
+    x = space.check_point(x0).copy()
+    r = inst.residual(x)
+    steps = [SolveStep(tuple(x), r, 0.0, "start")]
+    violation = None
+    ratio = inst.beta / inst.alpha_used
+    for _ in range(inst.max_iter):
+        if r <= inst.tol:
+            break
+        u = sk.cover_witness(inst.psi, x, (r + 1e-12) / inst.alpha_used)
+        r_next = inst.residual(u)
+        if r_next > ratio * r + CONTRACTION_SLACK * (1.0 + r):
+            violation = {"x": x.tolist(), "u": u.tolist(), "residual": r,
+                         "residual_next": r_next, "allowed": ratio * r,
+                         "note": "declared constants are inconsistent with the mapping"}
+            break
+        steps.append(SolveStep(tuple(u), r_next, space.dist(u, x), "contraction"))
+        x, r = u, r_next
+    if polish and violation is None and 0.0 < r <= inst.tol:
+        u = sk.cover_witness(inst.psi, x, r / (inst.alpha_used - inst.beta))
+        r_pol = inst.residual(u)
+        if r_pol <= min(inst.tol, steps[-1].residual):
+            steps.append(SolveStep(tuple(u), r_pol, space.dist(u, x), "polish"))
+    x, r = np.array(steps[-1].x), steps[-1].residual
+    if violation is not None:
+        status = "contraction-violated"
+    else:
+        status = "converged" if r <= inst.tol else "budget-exhausted"
+    recheck = None
+    if status == "converged":  # the sampled re-check: 64 points of phi(x), seed 17
+        pts = sk.sample(inst.space_y, sk.eval_map(inst.phi, x), 64, 17)
+        recheck = float(sk.dists(inst.space_y, pts, sk.eval_map(inst.psi, x)).value.max())
+    return SolveTrace(steps=steps, status=status, alpha_used=inst.alpha_used, beta=inst.beta,
+                      tol=inst.tol,
+                      bound_check=(space.dist(np.array(steps[0].x), x),
+                                   steps[0].residual / (inst.alpha_used - inst.beta)),
+                      residual_recheck=recheck, violation=violation)
+
+
+def assert_lockstep_equals_one_start(inst, starts, polish=True):
+    want = [trace_key(ref_solve_inclusion(inst, x0, polish)) for x0 in starts]
+    traces = sk.solve_inclusions(inst, starts, polish=polish)
+    assert [trace_key(trace) for trace in traces] == want
+    assert [trace_key(sk.solve_inclusion(inst, x0, polish)) for x0 in starts] == want
     return traces
 
 
 LOCKSTEP_CASES = dict(norm=st.sampled_from(NORMS), d=st.integers(1, 3), k=st.integers(1, 8),
                       alpha_factor=st.sampled_from((1.0, 1.0, 3.0)),
-                      max_iter=st.sampled_from((1, 3, 10_000)),
+                      max_iter=st.sampled_from((1, 3, 10_000)), polish=st.booleans(),
                       seed=st.integers(0, 2**32 - 1))
 
 
-def check_lockstep(kind, norm, d, k, alpha_factor, max_iter, seed):
+def check_lockstep(kind, norm, d, k, alpha_factor, max_iter, polish, seed):
     rng = np.random.default_rng(seed)
     inst = make_instance(kind, d, norm, rng, alpha_factor, max_iter)
-    assert_lockstep_equals_one_start(inst, starts_for(inst, k, rng))
+    assert_lockstep_equals_one_start(inst, starts_for(inst, k, rng), polish)
 
 
 @settings(max_examples=120, deadline=None)
