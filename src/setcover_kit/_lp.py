@@ -1,4 +1,4 @@
-"""The kit's LP solver: one direct HiGHS call per program, on a kept model.
+"""The kit's LP solver: one direct HiGHS call per program, on one solver per thread.
 
 All programs here are dense and tiny (dimensions <= ~8, rows <= ~64):
 coordinate extents of halfspace intersections, min-norm preimages, and
@@ -14,38 +14,37 @@ and later), with the options and result check of scipy's
 bit for bit.  It skips scipy's front end because, at this size, the front
 end costs several times the solve: per call it validates each option
 through a fresh options manager, builds a sparse matrix, cleans its inputs
-and checks the result in general form.  One 4-d, 8-row extent LP takes
-about a quarter of the time here that it takes through scipy's `linprog`
-(425 against 1,625 µs on a shared 2-core x86-64 machine, scipy 1.17).
+and checks the result in general form.
 
-Most programs share their constraint matrix with the one just before:
-the 2*dim LPs of a coordinate extent differ only in the cost, the
-max-norm LPs of one region distance only in the right-hand side.  So
-each thread keeps its last solver, with its model, under a key of the
-matrix, the row split and the variable bounds, compared by bytes.  A
-program with the same key sets the cost and row bounds of the kept
-`HighsLp` and passes it again to the kept solver (`passModel`), which
-clears the solver's model and all it derived from it, so that HiGHS
-solves from scratch, as a fresh solver does, and the answer does not
-depend on the program before.  Updating the model in place
-(`changeColsCost`, `changeRowBounds`) is not enough, not even after
-`clearSolver`: the model keeps what the last run derived from it, and
-the next run has been seen to take another pivot and end a few ulps
-away from scipy's optimum; a warm start from the last basis may stop at
-another optimal vertex, and has been seen to stop in kUnknown.  A
-program with another key gets a fresh solver, which is kept in turn; a
-refused model or a failed run leaves nothing kept.  Keeping the solver
-and its model skips building the solver, passing its options and
-building the model, a third to a half of a call: an extent LP takes 289
-against 544 µs with a fresh solver per call, one row of a max-norm
-region distance 380 against 604 µs and an epigraphical cover witness
-480 against 719 µs (the fastest of 8 alternating processes per side, on
-a shared 2-core x86-64 machine, scipy 1.17; measured with in-place
-updates, which cost about what passing the kept model again does).
+Each thread keeps one HiGHS solver, which gets its options once, and the
+last model passed to it, under a key of the constraint matrix, the row
+split and the variable bounds, compared by bytes.  Most programs share
+that key with the one just before: the 2*dim LPs of a coordinate extent
+differ only in the cost, the max-norm LPs of one region distance only in
+the right-hand side.  Such a program sets the cost and row bounds of the
+kept `HighsLp`; any other program builds a new one.  Either way the model
+goes to the thread's solver through `passModel`, which clears the
+solver's model and all it derived from it, so that HiGHS solves from
+scratch, as a fresh solver does, and the answer does not depend on the
+program before.  Updating the model in place (`changeColsCost`,
+`changeRowBounds`) is not enough, not even after `clearSolver`: the model
+keeps what the last run derived from it, and the next run has been seen
+to take another pivot and end a few ulps away from scipy's optimum; a
+warm start from the last basis may stop at another optimal vertex, and
+has been seen to stop in kUnknown.  A refused model or a failed run
+leaves nothing kept, not even the solver.  The variable bounds are parsed
+once per distinct spec, and the result check is two comparisons over the
+solution and its row residuals and one on the objective.  What is left
+per call is mostly the HiGHS run itself: one LP of a 4-d, 8-row extent
+takes about 120 µs when it shares the last program's key and 170 µs when
+it does not, against 290 µs with a fresh solver per call and 1,400 µs
+through scipy's `linprog` (the fastest of 4 alternating processes, on a
+shared 2-core x86-64 machine, scipy 1.17).
 """
 
 from __future__ import annotations
 
+import pickle
 import threading
 from typing import NamedTuple
 
@@ -80,6 +79,7 @@ def _highs_options() -> highs.HighsOptions:
 
 
 _OPTIONS = _highs_options()  # read-only: passOptions copies it into each solver
+_BOUNDS_KEPT = 64  # parsed bounds specs a thread keeps; a polyhedral benchmark round uses 8-11
 
 
 class LPAnomalyError(RuntimeError):
@@ -108,26 +108,64 @@ def _rows(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _column_bounds(bounds, n: int) -> tuple[np.ndarray, np.ndarray]:
+class _Columns(NamedTuple):
+    """Parsed variable bounds, read-only, so that calls may share them."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    key: bytes  # the bytes of lower, then of upper
+
+
+def _parse_bounds(bounds, n: int) -> _Columns:
     """(lower, upper) per variable; None is (0, inf), and a None end is unbounded."""
     pairs = np.array((0.0, np.inf) if bounds is None else bounds, dtype=float).reshape(-1, 2)
     pairs = np.where(np.isnan(pairs), (-_INF, _INF), np.clip(pairs, -_INF, _INF))
-    lower, upper = np.broadcast_to(pairs, (n, 2)).T
-    return lower, upper
+    lower, upper = np.ascontiguousarray(np.broadcast_to(pairs, (n, 2)).T)
+    lower.setflags(write=False)
+    upper.setflags(write=False)
+    return _Columns(lower, upper, lower.tobytes() + upper.tobytes())
+
+
+def _column_bounds(bounds, n: int) -> _Columns:
+    """`_parse_bounds`, run once per distinct spec in each thread.
+
+    A spec is known by its pickle, which keeps every bit of its numbers
+    (-0.0 apart from 0.0) and the type of each; a spec that pickle cannot
+    write is parsed on every call.
+    """
+    try:
+        spec = (n, pickle.dumps(bounds, pickle.HIGHEST_PROTOCOL))
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return _parse_bounds(bounds, n)
+    parsed = _KEPT.bounds
+    cols = parsed.get(spec)
+    if cols is None:
+        cols = _parse_bounds(bounds, n)
+        if len(parsed) >= _BOUNDS_KEPT:
+            parsed.clear()
+        parsed[spec] = cols
+    return cols
 
 
 class _Kept(NamedTuple):
-    """A thread's last solver, with the data its model holds now."""
+    """A thread's solver, with the last model passed to it and that model's key."""
 
-    key: tuple  # (n, m_ub, matrix, lower, upper bounds as bytes): what an update cannot change
+    # (matrix shape, m_ub, matrix bytes, `_Columns.key`): what setting the cost and
+    # row bounds cannot change
+    key: tuple
     solver: highs._Highs
     lp: highs.HighsLp  # the model last passed to the solver; passModel copies it
+    low: np.ndarray  # `_limits` of the model
+    high: np.ndarray
 
 
 class _PerThread(threading.local):
-    """Each thread's own kept model, so no two threads share a solver."""
+    """Each thread's own solver, model and parsed bounds: threads share none of them."""
 
     model: _Kept | None = None
+
+    def __init__(self):
+        self.bounds: dict[tuple[int, bytes], _Columns] = {}  # (n, pickled spec) -> parse
 
 
 _KEPT = _PerThread()
@@ -155,15 +193,16 @@ def _highs_lp(c, a_mat, lower, upper, row_lower, row_upper) -> highs.HighsLp:
     return lp
 
 
-def _update(kept: _Kept, c, row_lower, row_upper) -> bool:
-    """Pass the kept model again with cost c and these row bounds; False on refusal."""
-    lp = kept.lp
-    lp.col_cost_ = c
-    lp.row_lower_ = row_lower
-    lp.row_upper_ = row_upper
-    # passModel clears the solver's state and what the last run derived from
-    # the model, which changeColsCost, changeRowBounds and clearSolver keep
-    return kept.solver.passModel(lp) != _ERROR
+def _limits(cols: _Columns, m_ub: int, m_eq: int) -> tuple[np.ndarray, np.ndarray]:
+    """The post-check's (low, high) for (x, rhs - row values).
+
+    x must lie within its bounds widened by _TOL, an inequality row's
+    slack must be at least -_TOL and an equality row's residual within
+    +-_TOL; a NaN fails both comparisons.
+    """
+    low = np.concatenate((cols.lower - _TOL, np.full(m_ub + m_eq, -_TOL)))
+    high = np.concatenate((cols.upper + _TOL, np.full(m_ub, np.inf), np.full(m_eq, _TOL)))
+    return low, high
 
 
 def _outcome(model_status, message: str, x=None, fun=None) -> LPResult:
@@ -181,10 +220,11 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LPRes
     whose x, objective, bounds, inequality slack or equality residual is
     NaN or off by more than scipy's tolerance is reported as status 4.
 
-    A program with the matrix, row split and bounds of this thread's last
-    one is solved by the kept HiGHS solver, on the kept model passed again
-    with its cost and row bounds, so that it is solved cold and its
-    answer is the one a fresh solver gives.
+    The program goes to this thread's HiGHS solver.  One with the matrix,
+    row split and bounds of the thread's last program sets the cost and
+    row bounds of the kept model; either way the solver gets the model
+    anew and solves it cold, so its answer is the one a fresh solver
+    gives.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.shape[0]
@@ -194,24 +234,31 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LPRes
     rhs = np.concatenate((b_ub, b_eq))
     if not (np.isfinite(c).all() and np.isfinite(a_mat).all() and np.isfinite(rhs).all()):
         raise ValueError("LP data must be finite")
-    lower, upper = _column_bounds(bounds, n)
+    cols = _column_bounds(bounds, n)
     m_ub = b_ub.shape[0]
 
     row_lower = np.concatenate((np.full(m_ub, -_INF), b_eq))
-    key = (n, m_ub, a_mat.tobytes(), lower.tobytes(), upper.tobytes())
-    kept, _KEPT.model = _KEPT.model, None  # nothing is kept mid-update
-    if kept is not None and kept.key == key and _update(kept, c, row_lower, rhs):
-        solver, model = kept.solver, kept.lp
+    key = (a_mat.shape, m_ub, a_mat.tobytes(), cols.key)
+    kept, _KEPT.model = _KEPT.model, None  # nothing is kept mid-solve
+    if kept is not None and kept.key == key:
+        model, low, high = kept.lp, kept.low, kept.high
+        model.col_cost_ = c
+        model.row_lower_ = row_lower
+        model.row_upper_ = rhs
     else:
+        model = _highs_lp(c, a_mat, cols.lower, cols.upper, row_lower, rhs)
+        low, high = _limits(cols, m_ub, b_eq.shape[0])
+    if kept is None:
         solver = highs._Highs()
         if solver.passOptions(_OPTIONS) == _ERROR:
             return _outcome(solver.getModelStatus(), "HiGHS refused the solver options")
-        model = _highs_lp(c, a_mat, lower, upper, row_lower, rhs)
-        if solver.passModel(model) == _ERROR:
-            return _outcome(_MODEL.kModelError, "HiGHS refused the model")
+    else:
+        solver = kept.solver
+    if solver.passModel(model) == _ERROR:
+        return _outcome(_MODEL.kModelError, "HiGHS refused the model")
     ran = solver.run() != _ERROR
     if ran:
-        _KEPT.model = _Kept(key, solver, model)
+        _KEPT.model = _Kept(key, solver, model, low, high)
     model_status = solver.getModelStatus()
     message = solver.modelStatusToString(model_status)
     if model_status != _MODEL.kOptimal:
@@ -221,13 +268,9 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LPRes
 
     solution = solver.getSolution()
     x = np.array(solution.col_value)
-    fun = solver.getInfo().objective_function_value
-    residual = rhs - np.array(solution.row_value)
-    slack, con = residual[:m_ub], residual[m_ub:]
-    feasible = (not (np.isnan(x).any() or np.isnan(fun) or np.isnan(residual).any())
-                and bool(np.all((x >= lower - _TOL) & (x <= upper + _TOL)))
-                and not (slack < -_TOL).any() and not (np.abs(con) > _TOL).any())
-    if not feasible:
+    fun = solver.getObjectiveValue()
+    checked = np.concatenate((x, rhs - np.array(solution.row_value)))
+    if not (((low <= checked) & (checked <= high)).all() and fun == fun):  # NaN != NaN
         return LPResult(x, fun, 4, False, "the reported optimum is NaN or misses its "
                                           f"constraints by more than {_TOL:.2E}")
     return _outcome(model_status, message, x, fun)

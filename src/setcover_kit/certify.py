@@ -173,12 +173,25 @@ class _TrialSeeds:
                                    *map(_rng, self.sampling[t]))
 
 
-def _draw_trial(rng: np.random.Generator, x_box, r_range):
+def _draw_trial(rng: np.random.Generator, x_box, r_range, dy: int = 0):
+    """A trial's point x, uniform in the box, its radius r, log-uniform in
+    r_range, and with dy > 0 a ball centre, uniform in [-5, 5]^dy (else None).
+
+    The numbers are those of rng.uniform(lo, hi), then rng.uniform(log r_range)
+    and rng.uniform(-5, 5, dy), bit for bit, with the generator left in the
+    same state: one rng.random call and numpy's lo + (hi - lo) * u.
+    """
     lo, hi = x_box
-    x = rng.uniform(lo, hi)
+    lo = np.asarray(lo, dtype=float)
+    span = np.asarray(hi, dtype=float) - lo
     log_lo, log_hi = math.log(r_range[0]), math.log(r_range[1])
-    r = math.exp(rng.uniform(log_lo, log_hi))
-    return x, r
+    if not (np.isfinite(span).all() and math.isfinite(log_hi - log_lo)):
+        raise OverflowError("Range exceeds valid bounds")  # as rng.uniform raises
+    dx = span.size
+    u = rng.random(dx + 1 + dy)
+    x = lo + span * u[:dx].reshape(span.shape)
+    r = math.exp(log_lo + (log_hi - log_lo) * float(u[dx]))
+    return x, r, (-5.0 + 10.0 * u[dx + 1:] if dy else None)
 
 
 def _scale_tol(tol: float, x, extra: float) -> float:
@@ -204,7 +217,7 @@ def check_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
     violations: list[Violation] = []
     seeds = _TrialSeeds(seed, trials, sub=1)
     for t in range(trials):
-        x, r = _draw_trial(seeds.rng(t), x_box, r_range)
+        x, r, _ = _draw_trial(seeds.rng(t), x_box, r_range)
         image = mp.eval_map(m, x)
         targets = seeds.enlargement(t, m.space_y, image, alpha * r, n_targets)
         witness_u = None
@@ -270,7 +283,7 @@ def check_set_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
     violations: list[Violation] = []
     seeds = _TrialSeeds(seed, trials, sub=4)
     for t in range(trials):
-        x, r = _draw_trial(seeds.rng(t), x_box, r_range)
+        x, r, _ = _draw_trial(seeds.rng(t), x_box, r_range)
         image = mp.eval_map(m, x)
         try:
             u = mp.cover_witness(m, x, r)
@@ -457,13 +470,13 @@ def check_inverse_errorbound(m: mp.MapSpec, alpha: float, trials: int, seed: int
     violations: list[Violation] = []
     xs, rs, centers = [], [], []
     seeds = _TrialSeeds(seed, trials)
+    dy = m.space_y.dim if test_sets is None else 0
     for t in range(trials):
-        rng = seeds.rng(t)
-        x, r = _draw_trial(rng, x_box, (1e-2, 1e1))
+        # the trial's ball comes from its own generator, after x and r
+        x, r, center = _draw_trial(seeds.rng(t), x_box, (1e-2, 1e1), dy)
         xs.append(x)
         rs.append(r)
-        if test_sets is None:  # the trial's ball comes from its own generator, after x and r
-            centers.append(rng.uniform(-5.0, 5.0, size=m.space_y.dim))
+        centers.append(center)
     xs = np.array(xs).reshape(trials, m.space_x.dim)
     sides = None
     if test_sets is None:

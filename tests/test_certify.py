@@ -70,7 +70,7 @@ class TestCoveringSplit:
         m = sk.SublinearSystem(groups)
         cert = sk.check_set_covering(m, 0.99 * sk.alpha_of(m).alpha, trials=4, seed=0)
         assert cert.verdict == "no-counterexample-found"
-        x, _ = _draw_trial(rng_for(0, 3), _default_box(d), R_RANGE_DEFAULT)
+        x, _, _ = _draw_trial(rng_for(0, 3), _default_box(d), R_RANGE_DEFAULT)
         image = sk.eval_map(m, x)
         pts = sk.sample(m.space_y, image, 64, seed=0)
         assert pts.shape == (64, d)
@@ -227,6 +227,41 @@ class TestTrialDistribution:
         rs = [_draw_trial(rng_for(0, t), (-np.ones(1), np.ones(1)), (1e-3, 1e2))[1]
               for t in range(400)]
         assert min(rs) < 1e-2 and max(rs) > 1e1
+
+    @staticmethod
+    def per_number_draws(rng, x_box, r_range, dy=0):
+        """The trial draws before they came from one call: x, then r, then the ball
+        centre check_inverse_errorbound drew after them."""
+        lo, hi = x_box
+        x = rng.uniform(lo, hi)
+        log_lo, log_hi = math.log(r_range[0]), math.log(r_range[1])
+        r = math.exp(rng.uniform(log_lo, log_hi))
+        return x, r, (rng.uniform(-5.0, 5.0, size=dy) if dy else None)
+
+    def test_one_draw_equals_the_per_number_draws(self):
+        """Bit for bit, and with the generator left in the same state."""
+        def hexes(value):
+            return None if value is None else np.asarray(value, dtype=float).tobytes().hex()
+
+        cases = np.random.default_rng(16)
+        for k in range(400):
+            dx, dy = int(cases.integers(1, 7)), int(cases.integers(0, 4))
+            lo = cases.uniform(-10.0, 10.0, dx) * cases.choice((1e-8, 1.0, 1e8))
+            x_box = (lo, lo + cases.uniform(0.0, 20.0, dx))
+            r_range = tuple(sorted(10.0 ** cases.uniform(-6.0, 6.0, 2)))
+            got_rng, want_rng = rng_for(k, 3), rng_for(k, 3)
+            got = _draw_trial(got_rng, x_box, r_range, dy)
+            want = self.per_number_draws(want_rng, x_box, r_range, dy)
+            assert [hexes(v) for v in got] == [hexes(v) for v in want], k
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, k
+            assert got[0].shape == (dx,) and type(got[1]) is float
+
+    def test_an_infinite_range_is_refused_as_by_uniform(self):
+        for x_box, r_range in [((np.zeros(2), np.array([1.0, np.inf])), (1.0, 2.0)),
+                               ((np.zeros(2), np.ones(2)), (1.0, np.inf))]:
+            for draw in (_draw_trial, self.per_number_draws):
+                with pytest.raises(OverflowError):
+                    draw(rng_for(0, 0), x_box, r_range)
 
     def test_schedule_independence(self):
         m = sk.SphereScale()

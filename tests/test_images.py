@@ -294,7 +294,7 @@ def ref_inverse_errorbound(m, alpha, trials, seed, tol=1e-9):
     out = []
     for t in range(trials):
         rng = rng_for(seed, t)
-        x, r = _draw_trial(rng, x_box, (1e-2, 1e1))
+        x, r, _ = _draw_trial(rng, x_box, (1e-2, 1e1))
         s = sk.Ball(rng.uniform(-5.0, 5.0, size=m.space_y.dim), r)
         lhs, rhs = _inverse_errorbound_sides(m, alpha, s, x)
         if math.isinf(rhs):

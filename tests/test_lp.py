@@ -6,11 +6,14 @@ fun and status must equal scipy's exactly.  scipy's function stays here
 as the reference.  The programs cover every LP shape the kit builds,
 both written out and recorded from the kit's own calls, plus infeasible
 and unbounded programs and a hypothesis property over random programs.
-Programs that share a matrix are solved on the thread's kept HiGHS
-model; sequences of them must equal scipy too, and no answer may depend
-on the program solved before it or on the thread that solves it.
+Each thread solves every program on its one HiGHS solver, and programs
+that share a matrix on its kept model; sequences of them must equal
+scipy and a fresh solver per program too, and no answer may depend on
+the program solved before it or on the thread that solves it.
 """
 
+import inspect
+import re
 import sys
 import threading
 
@@ -186,8 +189,19 @@ def test_random_programs_equal_scipy(seed, n, m, m_eq, bound_kind):
     assert_same(c, **kwargs)
 
 
+def test_the_installed_binding_has_every_solver_method_the_kit_calls():
+    """scipy's HiGHS binding is private, so a supported scipy that lacks a method fails
+    here by name (getObjectiveValue, say) instead of mid-solve."""
+    called = set(re.findall(r"\bsolver\.(\w+)\(", inspect.getsource(lp)))
+    assert called >= {"passOptions", "passModel", "run", "getModelStatus",
+                      "modelStatusToString", "getSolution", "getObjectiveValue"}
+    missing = sorted(name for name in called if not hasattr(lp.highs._Highs, name))
+    assert not missing, f"scipy.optimize._highspy._core._Highs lacks {missing}"
+
+
 class OffSolution:
-    """A real HiGHS solver whose reported optimum is moved by `shift` in one field."""
+    """A real HiGHS solver whose reported optimum is moved by `shift` in one field
+    of its solution, or in its objective value."""
 
     def __init__(self, real, field, shift):
         self._real, self._field, self._shift = real(), field, shift
@@ -197,9 +211,14 @@ class OffSolution:
 
     def getSolution(self):
         solution = self._real.getSolution()
-        moved = np.array(getattr(solution, self._field)) + self._shift
-        setattr(solution, self._field, moved.tolist())
+        if self._field != "objective":
+            moved = np.array(getattr(solution, self._field)) + self._shift
+            setattr(solution, self._field, moved.tolist())
         return solution
+
+    def getObjectiveValue(self):
+        fun = self._real.getObjectiveValue()
+        return fun + self._shift if self._field == "objective" else fun
 
 
 # min x0 - x1  s.t.  x0 - x1 <= -1/2,  x0 + x1 = 1,  1/4 <= x0 <= 1/2,  1/2 <= x1 <= 3/4:
@@ -239,6 +258,8 @@ def solve_off(monkeypatch, field, shift):
     ("row_value", (1e-3, 0.0)),      # inequality slack negative
     ("row_value", (0.0, -1e-3)),     # equality residual nonzero
     ("row_value", (0.0, np.nan)),
+    ("row_value", (np.nan, 0.0)),    # inequality row NaN
+    ("objective", np.nan),
 ])
 def test_post_check_turns_a_stray_optimum_into_status_4(monkeypatch, field, shift):
     c, kwargs = STRAY
@@ -433,6 +454,20 @@ def test_arrays_the_caller_changes_in_place_are_read_again(monkeypatch):
     assert got.fun == -1.0  # x = (-1, 1/2, -1)
 
 
+def test_bounds_specs_equal_as_numbers_but_not_as_bits_stay_apart(monkeypatch):
+    """Bounds are parsed once per spec: 0.0 and -0.0 (equal as numbers) and a bounds
+    array changed in place are each parsed anew, so x at such a bound keeps the bits
+    scipy gives it."""
+    own_kept_model(monkeypatch)
+    c, kwargs = np.array([1.0, 1.0]), dict(A_ub=np.array([[1.0, -1.0]]), b_ub=np.array([1.0]))
+    table = np.array([[0.0, 1.0], [0.0, 1.0]])
+    for bounds in ([(0.0, 1.0)] * 2, [(-0.0, 1.0)] * 2, [(0, 1)] * 2, (-0.0, 1.0), (0.0, 1.0),
+                   (np.float64(-0.0), 1.0), table):
+        assert_same(c, bounds=bounds, **kwargs)
+    table[:, 0] = -0.0
+    assert np.signbit(assert_same(c, bounds=table, **kwargs).x).all()
+
+
 def neighbour(c, kwargs):
     """The same matrix, row split and bounds with another cost and right-hand side."""
     moved = {k: v + 0.125 if k in ("b_ub", "b_eq") else v for k, v in kwargs.items()}
@@ -496,6 +531,80 @@ def test_threads_that_alternate_programs_get_the_sequential_answers(monkeypatch)
         for (res, _), ref in zip(job, want[k], strict=True):
             assert res.status == ref.status == 0
             assert (hex_of(res.x), hex_of(res.fun)) == (hex_of(ref.x), hex_of(ref.fun))
+
+
+def twisted_program(rng, n, m, m_eq, bound_kind, twist):
+    """A random program, made infeasible by two opposed rows or unbounded by a free
+    variable that no row holds and whose cost is negative, or left plain."""
+    c, kwargs = random_program(rng, n, m, m_eq, bound_kind)
+    if twist == "infeasible":  # a x <= b and -a x <= -b - 1
+        a, b = rng.standard_normal((1, n)), rng.standard_normal(1)
+        kwargs["A_ub"] = np.vstack([kwargs.get("A_ub", np.zeros((0, n))), a, -a])
+        kwargs["b_ub"] = np.concatenate([kwargs.get("b_ub", np.zeros(0)), b, -b - 1.0])
+    elif twist == "unbounded":
+        for name in ("A_ub", "A_eq"):
+            if name in kwargs:
+                kwargs[name] = kwargs[name].copy()
+                kwargs[name][:, -1] = 0.0
+        c[-1] = -1.0
+        pairs = [(0, None)] * n if kwargs["bounds"] is None else list(kwargs["bounds"])
+        kwargs["bounds"] = pairs[:-1] + [(None, None)]
+    return c, kwargs
+
+
+def with_rows(c, kwargs):
+    """linprog's result, and the row values HiGHS reported for an optimum (else None)."""
+    res = lp.linprog(c, **kwargs)
+    rows = None if res.status != 0 else np.array(kept_solver().getSolution().row_value)
+    return res, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(programs=st.lists(
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 8),
+              st.integers(0, 2),
+              st.sampled_from(("default", "free", "box", "nonnegative",
+                               "free-and-one-nonnegative")),
+              st.sampled_from(("plain", "infeasible", "unbounded", "new cost"))),
+    min_size=2, max_size=8))
+def test_one_solver_per_thread_equals_a_fresh_solver_and_scipy(programs):
+    """Programs of any shape, matrix and bounds, feasible or not, solved in turn on
+    this thread's one solver: each answer equals, by bytes, that of a fresh solver
+    for the program alone and that of scipy's linprog."""
+    seq = []
+    for seed, n, m, m_eq, bound_kind, twist in programs:
+        rng = np.random.default_rng(seed)
+        if twist == "new cost" and seq:  # the last program's model, with another cost
+            c, kwargs = seq[-1]
+            seq.append((np.round(rng.standard_normal(c.shape[0]), 1), kwargs))
+        else:
+            seq.append(twisted_program(rng, n, m, m_eq, bound_kind, twist))
+    saved = lp._KEPT
+    try:
+        lp._KEPT = type(saved)()
+        shared, solvers = [], set()
+        for c, kwargs in seq:
+            shared.append(with_rows(c, kwargs))
+            solvers.add(kept_solver())
+        assert len(solvers) == 1  # every program ran on the one solver
+        solver = solvers.pop()
+        fresh = []
+        for c, kwargs in seq:
+            lp._KEPT = type(saved)()
+            fresh.append(with_rows(c, kwargs))
+            assert kept_solver() is not solver
+    finally:
+        lp._KEPT = saved
+    for (c, kwargs), (got, rows), (alone, alone_rows) in zip(seq, shared, fresh):
+        want = reference(c, **kwargs)
+        assert got.status == alone.status == want.status, (got.message, want.message)
+        assert (got.message, got.success) == (alone.message, alone.success)
+        assert hex_of(got.x) == hex_of(alone.x) == hex_of(want.x)
+        assert hex_of(got.fun) == hex_of(alone.fun) == hex_of(want.fun)
+        assert hex_of(rows) == hex_of(alone_rows)
+        if rows is not None:  # scipy reports the rows as rhs - row values
+            rhs = np.concatenate([kwargs.get("b_ub", []), kwargs.get("b_eq", [])])
+            assert hex_of(rhs - rows) == hex_of(np.concatenate([want.slack, want.con]))
 
 
 # The four max-norm builders the kit had before `_lp.max_norm_fit`, kept as the
