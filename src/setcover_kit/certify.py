@@ -38,7 +38,6 @@ from .geometry import (
     dist_point,
     dists,
     excess,
-    hausdorff,
     rng_for,
     sample_enlargement,
 )
@@ -319,15 +318,11 @@ def recheck_violation(m: mp.MapSpec, cert: Certificate, v: Violation,
         d = dist_point(m.space_y, np.array(v.point), mp.eval_map(m, np.array(v.witness)))
         return float(d) - d.error > atol
     if cert.property == "inverse-errorbound":
-        s = _ball_from_record(v)
-        lhs, rhs = _inverse_errorbound_sides(m, cert.parameters["alpha"], s, x)
-        return lhs > rhs + atol
+        ball = np.array(v.point)  # the test ball's center, then its radius
+        lhs, rhs = _inverse_errorbound_rows(m, cert.parameters["alpha"],
+                                            Rounds(ball[None, :-1], ball[-1:]), x[None])
+        return bool(lhs[0] > rhs[0] + atol)
     raise ValueError(f"no replay rule for property {cert.property!r}")
-
-
-def _ball_from_record(v: Violation) -> Ball:
-    data = np.array(v.point)
-    return Ball(data[:-1], float(data[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -434,21 +429,15 @@ def inverse_distance(m: mp.MapSpec, s: SetRep, x) -> float:
     """Exact distance from x to {u : s is contained in the image of u}.
 
     Closed forms exist for the dilation family (threshold on the radius
-    function) and for the two covering-only witnesses.  math.inf encodes
-    an empty inclusion-inverse.
+    function) and, for ball test sets, for the two covering-only
+    witnesses.  math.inf encodes an empty inclusion-inverse.
     """
-    return m.inverse_distance(s, m.space_x.check_point(x))
+    return float(m.inverse_distances(Family.of([s]), m.space_x.check_point(x)[None])[0])
 
 
-def _inverse_errorbound_sides(m: mp.MapSpec, alpha: float, s: SetRep, x):
-    lhs = inverse_distance(m, s, x)
-    rhs_exc = excess(m.space_y, s, mp.eval_map(m, x))
-    rhs = math.inf if rhs_exc.is_infinite else float(rhs_exc) / alpha
-    return lhs, rhs
-
-
-def _inverse_errorbound_rows(m: mp.MapSpec, alpha: float, tests: Rounds, xs: np.ndarray):
-    """_inverse_errorbound_sides of every trial: (lhs, rhs) arrays, one entry per row."""
+def _inverse_errorbound_rows(m: mp.MapSpec, alpha: float, tests: Family, xs: np.ndarray):
+    """The two sides of the error bound at each row: dist(xs[i], inverse of test i),
+    and excess(test i, image(xs[i])) / alpha, inf where the excess is."""
     lhs = m.inverse_distances(tests, xs)
     exc = tests.excesses(m.space_y, mp.eval_maps(m, xs))
     return lhs, np.where(np.isinf(exc), math.inf, exc / alpha)
@@ -462,9 +451,8 @@ def check_inverse_errorbound(m: mp.MapSpec, alpha: float, trials: int, seed: int
     Test sets are random balls in the range space unless supplied.  The
     distance on the left is evaluated in closed form, so recorded
     violations are genuine; an infinite right side passes trivially.
-    With the random balls and a map kind whose inclusion inverse has a
-    batched rule, every trial is drawn first and then evaluated in one
-    pass: the same numbers as trial by trial.
+    Every trial is drawn first, from its own generator, and then all are
+    evaluated in one pass.
     """
     x_box = x_box or _default_box(m.space_x.dim)
     violations: list[Violation] = []
@@ -478,19 +466,11 @@ def check_inverse_errorbound(m: mp.MapSpec, alpha: float, trials: int, seed: int
         rs.append(r)
         centers.append(center)
     xs = np.array(xs).reshape(trials, m.space_x.dim)
-    sides = None
     if test_sets is None:
         tests = Rounds(np.array(centers).reshape(trials, m.space_y.dim), np.array(rs))
-        try:
-            sides = _inverse_errorbound_rows(m, alpha, tests, xs)
-        except NotImplementedError:  # no batched inclusion inverse for this kind
-            pass
     else:
-        tests = Family([test_sets[t % len(test_sets)] for t in range(trials)])
-    if sides is None:
-        sides = np.array([_inverse_errorbound_sides(m, alpha, tests.row(t), x)
-                          for t, x in enumerate(xs)]).reshape(trials, 2).T
-    lhs, rhs = sides
+        tests = Family.of([test_sets[t % len(test_sets)] for t in range(trials)])
+    lhs, rhs = _inverse_errorbound_rows(m, alpha, tests, xs)
     for t, (x, r) in enumerate(zip(xs, rs)):
         if math.isinf(rhs[t]):
             continue
@@ -517,22 +497,27 @@ def check_inverse_hausdorff(m: mp.MapSpec, alpha: float, trials: int, seed: int,
     closed-form super-threshold shells of the radius function.
     """
     center = m.shell_center()
-    violations: list[Violation] = []
+    dy = m.space_y.dim
     seeds = _TrialSeeds(seed, trials)
-    for t in range(trials):
-        rng = seeds.rng(t)
-        c1 = rng.uniform(-5.0, 5.0, size=m.space_y.dim)
-        c2 = rng.uniform(-5.0, 5.0, size=m.space_y.dim)
-        r1, r2 = rng.uniform(0.1, 4.0, size=2)
-        a_set, b_set = Ball(c1, float(r1)), Ball(c2, float(r2))
-        # the inverse images are shells about one center
-        h_inv = abs(inverse_distance(m, a_set, center) - inverse_distance(m, b_set, center))
-        h_sets = float(hausdorff(m.space_y, a_set, b_set))
-        atol = _scale_tol(tol, c1, h_sets)
-        if h_inv > h_sets / alpha + atol:
-            violations.append(Violation(t, tuple(np.append(c1, r1)), float(r2),
-                                        tuple(np.append(c2, r2)),
-                                        h_inv - h_sets / alpha, "violation"))
+
+    def balls(rng):  # a trial's two centers, then its two radii
+        return np.append(rng.uniform(-5.0, 5.0, size=2 * dy), rng.uniform(0.1, 4.0, size=2))
+
+    draws = np.array([balls(seeds.rng(t)) for t in range(trials)]).reshape(trials, 2 * dy + 2)
+    c1, c2, r1, r2 = draws[:, :dy], draws[:, dy:-2], draws[:, -2], draws[:, -1]
+    a_sets, b_sets = Rounds(c1, r1), Rounds(c2, r2)
+    # the inverse images are shells about one center
+    at = np.broadcast_to(center, (trials, center.shape[0]))
+    h_inv = np.abs(m.inverse_distances(a_sets, at) - m.inverse_distances(b_sets, at))
+    # the hausdorff distance of two balls: the larger of their closed-form excesses
+    h_sets = np.maximum(a_sets.excesses(m.space_y, b_sets), b_sets.excesses(m.space_y, a_sets))
+    violations: list[Violation] = []
+    for t, (h_i, h_s) in enumerate(zip(h_inv.tolist(), h_sets.tolist())):
+        atol = _scale_tol(tol, c1[t], h_s)
+        if h_i > h_s / alpha + atol:
+            violations.append(Violation(t, tuple(np.append(c1[t], r1[t])), float(r2[t]),
+                                        tuple(np.append(c2[t], r2[t])),
+                                        h_i - h_s / alpha, "violation"))
     return Certificate(
         property="inverse-hausdorff", trials=trials, violations=violations, seed=seed,
         tolerances={"tol": tol},

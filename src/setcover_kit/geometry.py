@@ -985,6 +985,15 @@ class Family:
                 errors.append(exc)
         return cls(sets, errors)
 
+    @staticmethod
+    def of(sets) -> Family:
+        """The family of the given sets: Rounds when all are balls, or all spheres."""
+        kinds = {type(s) for s in sets}
+        if kinds in ({Ball}, {Sphere}):
+            return Rounds(np.array([s.center for s in sets], dtype=float),
+                          np.array([s.radius for s in sets], dtype=float), kinds == {Sphere})
+        return Family(sets)
+
     def __len__(self):
         return len(self.sets)
 
@@ -1004,6 +1013,10 @@ class Family:
         else:
             out[built] = [dists(space, ys, self.sets[i]).value for i in built]
         return out
+
+    def outer_radii(self, space: NormedSpace, p: np.ndarray) -> np.ndarray:
+        """float(outer_radius(space, row i, p)) for each row; raises a missing row's error."""
+        return np.array([float(outer_radius(space, self.row(i), p)) for i in range(len(self))])
 
     def translate(self, vs: np.ndarray) -> Family:
         """translate_set(row i, vs[i]) in row i."""
@@ -1035,6 +1048,9 @@ class Rounds(Family):
     def dists_from(self, space, ys):
         gaps = space.norms(ys[None, :, :] - self.centers[:, None, :]) - self.radii[:, None]
         return self.kind._gap(gaps)
+
+    def outer_radii(self, space, p):
+        return space.norms(self.centers - p) + self.radii
 
     def translate(self, vs):
         if vs.shape != self.centers.shape:

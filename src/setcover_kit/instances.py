@@ -227,10 +227,12 @@ def _run_certify(decoded: dict, seed: int, tol: float) -> tuple[int, dict]:
         cert = check_covering(psi, alpha, blk["trials"], seed, x_box=x_box)
     elif prop == "set-covering":
         cert = check_set_covering(psi, alpha, blk["trials"], seed, x_box=x_box)
-    elif prop == "inverse-errorbound":
-        cert = check_inverse_errorbound(psi, alpha, blk["trials"], seed, x_box=x_box)
     else:
-        cert = check_inverse_hausdorff(psi, alpha, blk["trials"], seed)
+        with _refused_at("$.certify.property", NotImplementedError):  # a kind without an inverse
+            if prop == "inverse-errorbound":
+                cert = check_inverse_errorbound(psi, alpha, blk["trials"], seed, x_box=x_box)
+            else:
+                cert = check_inverse_hausdorff(psi, alpha, blk["trials"], seed)
     code = EXIT_FALSIFIED if cert.falsified else EXIT_OK
     if blk["expect"] is not None:
         code = EXIT_OK if cert.verdict == blk["expect"] else EXIT_FALSIFIED

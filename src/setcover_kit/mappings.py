@@ -35,7 +35,6 @@ from .geometry import (
     dist_point,  # noqa: F401  (perfbench/test_checks.py checks the tracer rebinds it here)
     dists,
     excess,
-    outer_radius,
     rng_for,
     sample_enlargement,
     translate_set,
@@ -128,11 +127,13 @@ class Affine:
             raise DimensionMismatchError("affine matrix/offset shape mismatch")
 
     def evaluate(self, x, space_in: NormedSpace) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=float) + self.offset
+        """g along the last axis: a stacked (..., n, 1) product runs each point's gemv."""
+        return np.matmul(self.matrix, np.asarray(x, dtype=float)[..., None])[..., 0] + self.offset
 
-    def evaluate_rows(self, xs: np.ndarray, space_in: NormedSpace) -> np.ndarray:
-        """evaluate at each row of xs: a stacked (k, n, 1) product runs each row's gemv."""
-        return np.matmul(self.matrix, xs[:, :, None])[:, :, 0] + self.offset
+    def check_spaces(self, space_in: NormedSpace, space_out: NormedSpace) -> None:
+        if self.matrix.shape != (space_out.dim, space_in.dim):
+            raise DimensionMismatchError(f"affine matrix of shape {self.matrix.shape} does not "
+                                         f"map R^{space_in.dim} to R^{space_out.dim}")
 
     def lipschitz(self, space_in: NormedSpace, space_out: NormedSpace) -> float:
         """Operator norm of M for the ambient norm pair."""
@@ -170,10 +171,12 @@ class ScaledNormRadial:
         _freeze(self, "direction", np.asarray(self.direction, dtype=float).reshape(-1))
 
     def evaluate(self, x, space_in: NormedSpace) -> np.ndarray:
-        return self.scale * space_in.norm_of(x) * self.direction
+        """g along the last axis."""
+        return (self.scale * space_in.norms(x))[..., None] * self.direction
 
-    def evaluate_rows(self, xs: np.ndarray, space_in: NormedSpace) -> np.ndarray:
-        return (self.scale * space_in.norms(xs))[:, None] * self.direction
+    def check_spaces(self, space_in: NormedSpace, space_out: NormedSpace) -> None:
+        if self.direction.shape[0] != space_out.dim:
+            raise DimensionMismatchError(f"radial direction is not in R^{space_out.dim}")
 
     def lipschitz(self, space_in: NormedSpace, space_out: NormedSpace) -> float:
         return abs(self.scale) * space_out.norm_of(self.direction)
@@ -216,11 +219,13 @@ class MapSpec:
     """Base class; concrete variants declare their domain/range spaces.
 
     Each variant carries its rules: image and images, constants, lipschitz,
-    witness and witnesses, respond, inverse_distance and inverse_distances, and
-    shell_center, which eval_map, eval_maps, alpha_of, beta_of,
-    cover_witness and the certificates call on checked arguments.  A
-    variant without a rule raises their error; images and witnesses of a
-    kind without a batched rule go row by row.
+    witness, respond, inverse_distances and shell_center, which eval_map,
+    eval_maps, alpha_of, beta_of, cover_witness and the certificates call
+    on checked arguments.  witness computes along the last axis: a point
+    with a float radius, or a (k, dim) stack with (k, 1) radii.
+    inverse_distances takes a family of test sets, one per point.  A
+    variant without a rule raises their error; the images of a kind
+    without a batched rule go row by row.
     """
 
     space_x: NormedSpace
@@ -245,26 +250,19 @@ class MapSpec:
         raise LipschitzRuleError(
             f"no Lipschitz rule for {type(self).__name__}; use empirical_lipschitz")
 
-    def witness(self, x: np.ndarray, rho: float) -> np.ndarray:
+    def witness(self, x: np.ndarray, rho) -> np.ndarray:
+        """The cover witness of x at radius rho; of each row of a (k, dim) x at (k, 1) rho."""
         raise WitnessUnavailableError(
             f"no witness rule for {type(self).__name__}: fallback search required")
-
-    def witnesses(self, xs: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-        """witness(xs[i], rhos[i]) in row i of a (k, dim) array, row by row here."""
-        return np.array([self.witness(x, rho) for x, rho in zip(xs, rhos.tolist())],
-                        dtype=float).reshape(xs.shape)
 
     def respond(self, x: np.ndarray, r: float, y: np.ndarray):
         """(u, min over the r-ball at x of dist(y, image(u)), attained at u), or None."""
         return None
 
-    def inverse_distance(self, s: SetRep, x: np.ndarray) -> float:
-        """Distance from x to {u : s is contained in the image of u}; inf when empty."""
+    def inverse_distances(self, tests: Family, xs: np.ndarray) -> np.ndarray:
+        """Distance from xs[i] to {u : tests.row(i) is contained in the image of u}
+        for each row; inf where that set is empty."""
         raise NotImplementedError(f"no closed-form inclusion inverse for {type(self).__name__}")
-
-    def inverse_distances(self, tests: Rounds, xs: np.ndarray) -> np.ndarray:
-        """inverse_distance(tests.row(i), xs[i]) for each row, in one call."""
-        raise NotImplementedError(f"no batched inclusion inverse for {type(self).__name__}")
 
     def shell_center(self) -> np.ndarray:
         """The point c whose distance to every inclusion-inverse image is the
@@ -333,19 +331,9 @@ class Dilation(MapSpec):
     def witness(self, x, rho):
         return x + rho * self.space_x.unit(x - self.anchor)
 
-    def witnesses(self, xs, rhos):
-        return xs + rhos[:, None] * self.space_x.unit(xs - self.anchor)
-
-    def inverse_distance(self, s, x):
-        # the images contain s once the radius reaches s's outer radius about y0
-        r_s = float(outer_radius(self.space_y, s, self.y0))
-        if math.isinf(r_s):
-            return math.inf
-        threshold = (r_s - self.b) / self.a
-        return max(0.0, threshold - self.space_x.dist(x, self.anchor))
-
     def inverse_distances(self, tests, xs):
-        r_s = self.space_y.norms(tests.centers - self.y0) + tests.radii  # each outer radius
+        # the images contain a test set once the radius reaches its outer radius about y0
+        r_s = tests.outer_radii(self.space_y, self.y0)
         gaps = (r_s - self.b) / self.a - self.space_x.norms(xs - self.anchor)
         return np.where(np.isinf(r_s), math.inf, _positive(gaps))
 
@@ -391,18 +379,11 @@ class SphereScale(_CoveringOnly):
             u = np.array([-sign * rho])
         return u, abs(ny - rho)
 
-    def inverse_distance(self, s, x):
-        if isinstance(s, Ball):
-            if s.radius > 0.0:
-                return math.inf  # no sphere contains a solid ball
-            rho = float(np.linalg.norm(s.center))
-            return abs(abs(float(x[0])) - rho)
-        raise NotImplementedError("inclusion inverse implemented for ball test sets")
-
     def inverse_distances(self, tests, xs):
-        if tests.sphere:
+        if not isinstance(tests, Rounds) or tests.sphere:
             raise NotImplementedError("inclusion inverse implemented for ball test sets")
         rho = np.sqrt(np.vecdot(tests.centers, tests.centers))  # np.linalg.norm of each row
+        # no sphere contains a solid ball
         return np.where(tests.radii > 0.0, math.inf, np.abs(np.abs(xs[:, 0]) - rho))
 
 
@@ -431,15 +412,8 @@ class UnitBallTranslate(_CoveringOnly):
         u = x + step * space.unit(np.asarray(y) - x)
         return u, max(0.0, d - r - 1.0)
 
-    def inverse_distance(self, s, x):
-        if isinstance(s, Ball):
-            if s.radius > 1.0:
-                return math.inf
-            return max(0.0, self.space_x.dist(x, s.center) - (1.0 - s.radius))
-        raise NotImplementedError("inclusion inverse implemented for ball test sets")
-
     def inverse_distances(self, tests, xs):
-        if tests.sphere:
+        if not isinstance(tests, Rounds) or tests.sphere:
             raise NotImplementedError("inclusion inverse implemented for ball test sets")
         gaps = self.space_x.norms(xs - tests.centers) - (1.0 - tests.radii)
         return np.where(tests.radii > 1.0, math.inf, _positive(gaps))
@@ -492,10 +466,6 @@ class SublinearSystem(MapSpec):
     def witness(self, x, rho):
         # sign(0) counts as +1
         return x + np.where(x >= 0.0, rho, -rho)
-
-    def witnesses(self, xs, rhos):
-        rhos = rhos[:, None]
-        return xs + np.where(xs >= 0.0, rhos, -rhos)
 
 
 @dataclass(frozen=True, eq=False)
@@ -555,6 +525,9 @@ class Epigraphical(MapSpec):
     def witness(self, x, rho):
         from ._lp import max_norm_fit
 
+        if x.ndim == 2:  # one LP per radius
+            return np.array([self.witness(xi, ri) for xi, ri in zip(x, rho[:, 0].tolist())],
+                            dtype=float).reshape(x.shape)
         target = -self.alpha_f() * rho * np.ones(self.space_y.dim)
         res = max_norm_fit(np.eye(self.matrix.shape[1]), a_eq=self.matrix, b_eq=target)
         if res is None:
@@ -623,6 +596,7 @@ class Sum(MapSpec):
     def __post_init__(self):
         object.__setattr__(self, "space_x", self.base.space_x)
         object.__setattr__(self, "space_y", self.base.space_y)
+        self.g.check_spaces(self.space_x, self.space_y)
 
     def g_lipschitz(self) -> float:
         return self.g.lipschitz(self.space_x, self.space_y)
@@ -631,11 +605,7 @@ class Sum(MapSpec):
         return translate_set(eval_map(self.base, x), self.g.evaluate(x, self.space_x))
 
     def images(self, xs):
-        base = self.base.images(xs)
-        try:
-            return base.translate(self.g.evaluate_rows(xs, self.space_x))
-        except ValueError:  # g does not fit the spaces: every row raises, as image does
-            return super().images(xs)
+        return self.base.images(xs).translate(self.g.evaluate(xs, self.space_x))
 
     def constants(self):
         base = alpha_of(self.base)
@@ -652,10 +622,7 @@ class Sum(MapSpec):
         return beta_of(self.base) + self.g_lipschitz()
 
     def witness(self, x, rho):
-        return cover_witness(self.base, x, rho)
-
-    def witnesses(self, xs, rhos):
-        return self.base.witnesses(xs, rhos)
+        return self.base.witness(x, rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -672,6 +639,7 @@ class Composed(MapSpec):
         object.__setattr__(self, "space_x", self.base.space_x)
         object.__setattr__(self, "space_z", _space_of(self.space_z, self.g.matrix.shape[0]))
         object.__setattr__(self, "space_y", self.space_z)
+        self.g.check_spaces(self.inner_space, self.space_z)
 
     @property
     def inner_space(self) -> NormedSpace:
@@ -696,10 +664,7 @@ class Composed(MapSpec):
         return self.g.lipschitz(self.inner_space, self.space_z) * beta_of(self.base)
 
     def witness(self, x, rho):
-        return cover_witness(self.base, x, rho)
-
-    def witnesses(self, xs, rhos):
-        return self.base.witnesses(xs, rhos)
+        return self.base.witness(x, rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -730,7 +695,7 @@ class BallValued(MapSpec):
         return Ball(self.center.evaluate(x, self.space_x), self.radius_at(x))
 
     def images(self, xs):
-        return Rounds(self.center.evaluate_rows(xs, self.space_x),
+        return Rounds(self.center.evaluate(xs, self.space_x),
                       self.c0 + self.c1 * self.space_x.norms(xs - self.xhat))
 
     def lipschitz(self):

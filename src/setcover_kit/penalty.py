@@ -66,10 +66,8 @@ class NormToPoint:
     def __post_init__(self):
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float).reshape(-1))
 
-    def value(self, space: NormedSpace, x: np.ndarray) -> float:
-        return space.norm_of(x - self.target)
-
     def values(self, space: NormedSpace, xs: np.ndarray) -> np.ndarray:
+        """The objective along the last axis: at a point, or at each row of a stack."""
         return space.norms(xs - self.target)
 
     def lipschitz(self, space: NormedSpace) -> float:
@@ -83,11 +81,8 @@ class Linear:
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(-1))
 
-    def value(self, space, x):
-        return float(self.c @ x)
-
     def values(self, space, xs):
-        return np.array([float(self.c @ x) for x in xs])
+        return np.vecdot(xs, self.c)  # the BLAS dot of c @ x on each row
 
     def lipschitz(self, space):
         return space.dual_norm_of(self.c)
@@ -97,11 +92,8 @@ class Linear:
 class AbsCoord:
     i: int
 
-    def value(self, space, x):
-        return abs(float(x[self.i]))
-
     def values(self, space, xs):
-        return np.abs(xs[:, self.i])
+        return np.abs(xs[..., self.i])
 
     def lipschitz(self, space):
         e = np.zeros(space.dim)
@@ -119,11 +111,8 @@ class WeightedSum:
             raise ValueError("weights must be >= 0")
         object.__setattr__(self, "terms", terms)
 
-    def value(self, space, x):
-        return sum(w * objective_value(o, space, x) for w, o in self.terms)
-
     def values(self, space, xs):
-        return sum((w * o.values(space, xs) for w, o in self.terms), np.zeros(xs.shape[0]))
+        return sum((w * o.values(space, xs) for w, o in self.terms), np.zeros(xs.shape[:-1]))
 
     def lipschitz(self, space):
         return sum(w * objective_lipschitz(o, space) for w, o in self.terms)
@@ -133,7 +122,7 @@ ObjectiveSpec = NormToPoint | Linear | AbsCoord | WeightedSum
 
 
 def objective_value(obj: ObjectiveSpec, space: NormedSpace, x) -> float:
-    return obj.value(space, np.asarray(x, dtype=float))
+    return float(obj.values(space, np.asarray(x, dtype=float)))
 
 
 def objective_lipschitz(obj: ObjectiveSpec, space: NormedSpace) -> float:

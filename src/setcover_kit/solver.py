@@ -227,7 +227,7 @@ def _witness_steps(inst: InclusionInstance, xs: list, radii: list[float]):
         u = mp.cover_witness(inst.psi, xs[0], radii[0])
         return ((u, inst.residual(u), inst.space_x.dist(u, xs[0])),)
     points = np.array(xs)
-    us = inst.psi.witnesses(points, np.array(radii))
+    us = inst.psi.witness(points, np.array(radii)[:, None])
     return zip(us, inst.residuals(us).tolist(), inst.space_x.norms(us - points).tolist())
 
 

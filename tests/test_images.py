@@ -1,8 +1,11 @@
 """Batched map images: every batched rule against its scalar call, by float hex.
 
 `eval_maps` (the per-kind `images` rule), the families' distances and
-excesses, the batched inclusion inverses and `penalty_values` are checked
-row by row against the scalar rules they batch.  The certificate and
+excesses, the inclusion inverses and `penalty_values` are checked row by
+row against the scalar rules they batch.  The inclusion inverses, the
+catalog functions and the objectives each have one rule, computed along
+the last axis; it is checked on one point and on a stack against the
+scalar twin it replaced, kept here as a reference.  The certificate and
 witness callers that switched to the batch are checked against the
 scalar loops they replaced, kept here as references.
 """
@@ -14,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import setcover_kit as sk
-from setcover_kit.certify import _draw_trial, _inverse_errorbound_sides, _scale_tol
-from setcover_kit.geometry import rng_for
+from setcover_kit.certify import _draw_trial, _scale_tol
+from setcover_kit.geometry import outer_radius, rng_for
 from setcover_kit.penalty import _feasible_grid_minimum, _multi_start
 from setcover_kit.search import ball_search
 
@@ -127,6 +130,22 @@ def test_images_equal_their_scalar_calls(kind, norm, dx, dy, k, n, seed):
         assert hexes(dist_rows[i]) == hexes(sk.dists(m.space_y, ys, image).value)
 
 
+def old_evaluate(g, x, space_in):
+    """The scalar evaluate of each catalog function before evaluate took stacks."""
+    if isinstance(g, sk.Affine):
+        return g.matrix @ np.asarray(x, dtype=float) + g.offset
+    return g.scale * space_in.norm_of(x) * g.direction
+
+
+def assert_catalog_functions_equal_their_old_rule(gs, sp, xs):
+    for g in gs:
+        stack = g.evaluate(xs, sp)
+        assert stack.shape == (xs.shape[0], g.evaluate(xs[0], sp).shape[0])
+        for i, x in enumerate(xs):
+            old = hexes(old_evaluate(g, x, sp))
+            assert hexes(g.evaluate(x, sp)) == old and hexes(stack[i]) == old
+
+
 @pytest.mark.parametrize("d", [3, 5, 8])
 def test_affine_rows_each_run_the_one_point_product(d):
     # in these dimensions a plain xs @ M.T rounds differently from M @ x on some rows
@@ -143,16 +162,37 @@ def test_affine_rows_each_run_the_one_point_product(d):
         family = sk.eval_maps(m, xs)
         for i, x in enumerate(xs):
             same_set(family.row(i), sk.eval_map(m, x))
+    assert_catalog_functions_equal_their_old_rule(
+        [sk.Affine(rng.standard_normal((d, d)), rng.standard_normal(d)), sk.Affine(q, np.zeros(d)),
+         sk.ScaledNormRadial(float(rng.normal()), rng.standard_normal(d))], eu, xs)
 
 
-def test_a_sum_whose_perturbation_does_not_fit_has_only_missing_rows():
-    m = sk.Sum(sk.Dilation(np.zeros(2), 1.0), sk.Affine(np.ones((3, 1)), np.zeros(3)))
-    with pytest.raises(ValueError):
-        sk.eval_map(m, [1.0])
-    family = sk.eval_maps(m, [[1.0], [2.0]])
-    assert np.isinf(family.dists_from(m.space_y, np.zeros((1, 2)))).all()
+@settings(max_examples=150, deadline=None)
+@given(norm=st.sampled_from(NORMS), dx=st.sampled_from((1, 2, 3, 5, 8)),
+       dy=st.sampled_from((1, 2, 3, 5, 8)), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_catalog_functions_equal_their_deleted_scalar_rule(norm, dx, dy, k, seed):
+    rng = np.random.default_rng(seed)
+    xs = 2.0 * rng.standard_normal((k, dx))
+    xs[rng.uniform(size=xs.shape) < 0.1] = 0.0
+    gs = [sk.Affine(rng.standard_normal((dy, dx)), rng.standard_normal(dy)),
+          sk.ScaledNormRadial(float(rng.normal()), rng.standard_normal(dy))]
+    assert_catalog_functions_equal_their_old_rule(gs, space(dx, norm), xs)
+
+
+def test_composite_maps_refuse_an_outer_function_that_does_not_fit():
+    dil = sk.Dilation(np.zeros(2), 1.0)  # R^1 -> R^2
+    for shape in ((3, 1), (1, 3), (2, 2), (2, 3)):
+        g = sk.Affine(np.ones(shape), np.zeros(shape[0]))
+        with pytest.raises(sk.DimensionMismatchError):
+            sk.Sum(dil, g)
+        if shape[1] != 2:  # Composed maps R^2 on: only its columns must fit
+            with pytest.raises(sk.DimensionMismatchError):
+                sk.Composed(g, dil)
     with pytest.raises(sk.DimensionMismatchError):
-        family.row(1)
+        sk.Sum(dil, sk.ScaledNormRadial(1.0, np.ones(3)))
+    fits = sk.Sum(dil, sk.Affine(np.ones((2, 1)), np.zeros(2)))
+    assert hexes(sk.eval_map(fits, [1.0]).center) == hexes([1.0, 1.0])
+    assert sk.Composed(sk.Affine(np.ones((3, 2)), np.zeros(3)), dil).space_y.dim == 3
 
 
 def rounds(rng, k, d, sphere, scale=2.0):
@@ -190,9 +230,88 @@ def test_batched_inverse_distances_equal_the_scalar_rule(norm, d, k, kind, seed)
         if sphere and kind != "dilation":  # these rules take ball test sets only
             with pytest.raises(NotImplementedError):
                 m.inverse_distances(tests, xs)
+            with pytest.raises(NotImplementedError):
+                sk.inverse_distance(m, tests.row(0), xs[0])
+            with pytest.raises(NotImplementedError):
+                old_inverse_distance(m, tests.row(0), xs[0])
             continue
-        scalar = [sk.inverse_distance(m, tests.row(i), x) for i, x in enumerate(xs)]
-        assert hexes(m.inverse_distances(tests, xs)) == hexes(scalar)
+        old = hexes([old_inverse_distance(m, tests.row(i), x) for i, x in enumerate(xs)])
+        assert hexes(m.inverse_distances(tests, xs)) == old
+        assert hexes([sk.inverse_distance(m, tests.row(i), x) for i, x in enumerate(xs)]) == old
+
+
+def other_test_sets(rng, d, k):
+    """k test sets that are not balls: orthants, boxes and enlargements of either."""
+    out = []
+    for _ in range(k):
+        lo = 2.0 * rng.standard_normal(d)
+        box = sk.Box(lo, lo + np.abs(rng.standard_normal(d)))
+        pick = rng.integers(4)
+        if pick == 0:
+            out.append(sk.Orthant(lo))
+        elif pick == 1:
+            out.append(box)
+        else:
+            base = box if pick == 2 else sk.Ball(lo, float(rng.uniform(0.0, 1.0)))
+            out.append(sk.EnlargedSet(base, float(rng.uniform(0.0, 1.0))))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(norm=st.sampled_from(NORMS), d=st.integers(1, 4), k=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_dilation_inverse_over_other_test_sets_equals_the_scalar_rule(norm, d, k, seed):
+    rng = np.random.default_rng(seed)
+    m = make_map("dilation", d, d, norm, rng)
+    xs = 2.0 * rng.standard_normal((k, d))
+    xs[0] = m.anchor
+    sets = other_test_sets(rng, d, k)
+    old = hexes([old_inverse_distance(m, s, x) for s, x in zip(sets, xs)])
+    assert hexes(m.inverse_distances(sk.Family(sets), xs)) == old
+    assert hexes([sk.inverse_distance(m, s, x) for s, x in zip(sets, xs)]) == old
+    for other in ("sphere_scale", "unit_ball_translate"):  # balls only
+        with pytest.raises(NotImplementedError):
+            make_map(other, 1, 2, norm, rng).inverse_distances(sk.Family(sets), xs)
+
+
+def old_value(obj, space, x):
+    """Each objective's scalar value rule, before values took points."""
+    if isinstance(obj, sk.NormToPoint):
+        return space.norm_of(x - obj.target)
+    if isinstance(obj, sk.Linear):
+        return float(obj.c @ x)
+    if isinstance(obj, sk.AbsCoord):
+        return abs(float(x[obj.i]))
+    return sum(w * old_value(o, space, x) for w, o in obj.terms)
+
+
+def random_objective(rng, d, depth=0):
+    pick = int(rng.integers(4 if depth < 2 else 3))
+    if pick == 0:
+        return sk.AbsCoord(int(rng.integers(d)))
+    if pick == 1:
+        return sk.NormToPoint(rng.standard_normal(d))
+    if pick == 2:
+        return sk.Linear(rng.standard_normal(d))
+    return sk.WeightedSum(tuple((float(rng.uniform(0.0, 3.0)), random_objective(rng, d, depth + 1))
+                                for _ in range(int(rng.integers(0, 4)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(norm=st.sampled_from(NORMS), d=st.integers(1, 8), k=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_objective_values_equal_the_deleted_scalar_value(norm, d, k, seed):
+    rng = np.random.default_rng(seed)
+    sp = space(d, norm)
+    xs = 2.0 * rng.standard_normal((k, d))
+    xs[rng.uniform(size=xs.shape) < 0.1] = 0.0
+    for obj in (random_objective(rng, d), sk.Linear(rng.standard_normal(d)),
+                sk.WeightedSum(((0.5, sk.Linear(rng.standard_normal(d))),
+                                (2.0, sk.NormToPoint(np.zeros(d)))))):
+        old = hexes([old_value(obj, sp, x) for x in xs])
+        assert hexes(obj.values(sp, xs)) == old
+        assert hexes([sk.objective_value(obj, sp, x) for x in xs]) == old
+        assert hexes([obj.values(sp, x) for x in xs]) == old
 
 
 OBJECTIVES = {
@@ -289,19 +408,51 @@ def test_feasible_grid_minimum_and_multi_start_equal_the_scalar_loops(t1_problem
         [(hexes(r.x), hexes(r.value), r.trace.to_jsonable()) for r in solo]
 
 
-def ref_inverse_errorbound(m, alpha, trials, seed, tol=1e-9):
+def old_inverse_distance(m, s, x):
+    """The scalar inclusion-inverse rule of each kind, before inverse_distances took
+    families of test sets."""
+    if isinstance(m, sk.Dilation):
+        # the images contain s once the radius reaches s's outer radius about y0
+        r_s = float(outer_radius(m.space_y, s, m.y0))
+        if math.isinf(r_s):
+            return math.inf
+        threshold = (r_s - m.b) / m.a
+        return max(0.0, threshold - m.space_x.dist(x, m.anchor))
+    if not isinstance(s, sk.Ball):
+        raise NotImplementedError("inclusion inverse implemented for ball test sets")
+    if isinstance(m, sk.SphereScale):
+        if s.radius > 0.0:
+            return math.inf  # no sphere contains a solid ball
+        rho = float(np.linalg.norm(s.center))
+        return abs(abs(float(x[0])) - rho)
+    if s.radius > 1.0:  # the unit ball translate
+        return math.inf
+    return max(0.0, m.space_x.dist(x, s.center) - (1.0 - s.radius))
+
+
+def old_inverse_errorbound_sides(m, alpha, s, x):
+    lhs = old_inverse_distance(m, s, x)
+    rhs_exc = sk.excess(m.space_y, s, sk.eval_map(m, x))
+    rhs = math.inf if rhs_exc.is_infinite else float(rhs_exc) / alpha
+    return lhs, rhs
+
+
+def ref_inverse_errorbound(m, alpha, trials, seed, tol=1e-9, test_sets=None):
     x_box = (-5.0 * np.ones(m.space_x.dim), 5.0 * np.ones(m.space_x.dim))
     out = []
     for t in range(trials):
         rng = rng_for(seed, t)
         x, r, _ = _draw_trial(rng, x_box, (1e-2, 1e1))
-        s = sk.Ball(rng.uniform(-5.0, 5.0, size=m.space_y.dim), r)
-        lhs, rhs = _inverse_errorbound_sides(m, alpha, s, x)
+        if test_sets is None:
+            s = sk.Ball(rng.uniform(-5.0, 5.0, size=m.space_y.dim), r)
+        else:
+            s = test_sets[t % len(test_sets)]
+        lhs, rhs = old_inverse_errorbound_sides(m, alpha, s, x)
         if math.isinf(rhs):
             continue
         if lhs > rhs + _scale_tol(tol, x, rhs):
-            out.append((t, hexes(x), hexes(r), hexes(np.append(s.center, s.radius)),
-                        hexes(lhs - rhs), "violation"))
+            record = hexes(np.append(s.center, s.radius)) if isinstance(s, sk.Ball) else None
+            out.append((t, hexes(x), hexes(r), record, hexes(lhs - rhs), "violation"))
     return out
 
 
@@ -315,6 +466,62 @@ def test_inverse_errorbound_equals_the_scalar_loop(kind, norm, alpha, forced):
     cert = sk.check_inverse_errorbound(m, alpha, trials=60, seed=7)
     assert (cert.verdict == "falsified") is forced
     assert violations_hex(cert) == ref_inverse_errorbound(m, alpha, 60, seed=7)
+    for v in cert.violations:
+        assert sk.recheck_violation(m, cert, v)
+
+
+@pytest.mark.parametrize("kind, norm, alpha, balls, forced", [
+    ("dilation", ("euclidean", None), 40.0, False, True),
+    ("dilation", ("max", None), 40.0, True, True), ("dilation", ("p", 3.0), None, False, False),
+    ("sphere_scale", ("euclidean", None), 1.0, True, True),
+    ("unit_ball_translate", ("max", None), 1.0, True, True)])
+def test_inverse_errorbound_over_supplied_test_sets_equals_the_scalar_loop(kind, norm, alpha,
+                                                                            balls, forced):
+    rng = np.random.default_rng(13)
+    m = make_map(kind, 2, 3, norm, rng)
+    alpha = alpha or 0.99 * sk.alpha_of(m).alpha
+    dy = m.space_y.dim
+    if balls:  # some radii 0 or above 1: the covering-only kinds' edge cases
+        sets = [sk.Ball(rng.standard_normal(dy), r) for r in (0.0, 0.5, 1.0, 2.0)]
+    else:
+        sets = other_test_sets(rng, dy, 5)
+    cert = sk.check_inverse_errorbound(m, alpha, trials=40, seed=3, test_sets=sets)
+    assert (cert.verdict == "falsified") is forced
+    assert violations_hex(cert) == ref_inverse_errorbound(m, alpha, 40, seed=3, test_sets=sets)
+
+
+def ref_inverse_hausdorff(m, alpha, trials, seed, tol=1e-9):
+    """check_inverse_hausdorff's trial loop before it became one batched pass."""
+    center = m.shell_center()
+    out = []
+    for t in range(trials):
+        rng = rng_for(seed, t)
+        c1 = rng.uniform(-5.0, 5.0, size=m.space_y.dim)
+        c2 = rng.uniform(-5.0, 5.0, size=m.space_y.dim)
+        r1, r2 = rng.uniform(0.1, 4.0, size=2)
+        a_set, b_set = sk.Ball(c1, float(r1)), sk.Ball(c2, float(r2))
+        h_inv = abs(old_inverse_distance(m, a_set, center)
+                    - old_inverse_distance(m, b_set, center))
+        h_sets = float(sk.hausdorff(m.space_y, a_set, b_set))
+        if h_inv > h_sets / alpha + _scale_tol(tol, c1, h_sets):
+            out.append((t, hexes(np.append(c1, r1)), hexes(r2), hexes(np.append(c2, r2)),
+                        hexes(h_inv - h_sets / alpha), "violation"))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(norm=st.sampled_from(NORMS), dx=st.integers(1, 3), dy=st.integers(1, 3),
+       scale=st.sampled_from((0.5, 0.99, 1.0, 3.0)), trials=st.integers(0, 30),
+       seed=st.integers(0, 2**32 - 1))
+def test_inverse_hausdorff_equals_the_per_trial_loop(norm, dx, dy, scale, trials, seed):
+    m = make_map("dilation", dx, dy, norm, np.random.default_rng(seed))
+    alpha = scale * m.a  # above the map's constant: violations
+    cert = sk.check_inverse_hausdorff(m, alpha, trials, seed)
+    assert cert.trials == trials
+    assert violations_hex(cert) == ref_inverse_hausdorff(m, alpha, trials, seed)
+    with pytest.raises(NotImplementedError):  # no shells about one center
+        sk.check_inverse_hausdorff(make_map("unit_ball_translate", dx, dx, norm,
+                                            np.random.default_rng(seed)), 1.0, trials, seed)
 
 
 def ref_fallback_witness(m, x, rho, alpha, n_points=64, seed=0, budget=150, search_targets=8):

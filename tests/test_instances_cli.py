@@ -139,6 +139,7 @@ class TestRun:
 
 
 _PHI = builtin_instances()["t1"]["maps"]["phi"]
+_PSI = builtin_instances()["t1"]["maps"]["psi"]  # a dilation from R^1 to R^2
 # each input used to end in a traceback or run as if it were valid; the kit now
 # refuses it at its JSON path: (built-in instance, keys of the field, value, path).
 # The decoder refuses a malformed field; a value that a kit constructor refuses
@@ -181,9 +182,17 @@ MALFORMED = {
                                 {"kind": "dilation", "y0": [0.0, 0.0], "a": 3.0, "b": 1.0,
                                  "anchor": [0.0], "space_y": {"dim": 2}}, "$.maps.psi"),
     "threshold_factor-negative": ("t1_penalty", ("penalty", "threshold_factor"), -2, "$.penalty"),
+    "sum-g-does-not-fit": ("t1", ("maps", "psi"),
+                           {"kind": "sum", "base": _PSI,
+                            "g": {"kind": "affine", "matrix": [[1.0, 1.0, 1.0]],
+                                  "offset": [0.0]}}, "$.maps.psi"),
+    "inverse-errorbound-without-an-inverse": ("sublinear", ("certify", "property"),
+                                              "inverse-errorbound", "$.certify.property"),
+    "inverse-hausdorff-without-an-inverse": ("sublinear", ("certify", "property"),
+                                             "inverse-hausdorff", "$.certify.property"),
 }
 _COMMAND = {"t1": "solve", "t1_penalty": "penalize", "sfix": "sfix", "family": "family",
-            "sphere_scale_covering": "certify", "process": "certify"}
+            "sphere_scale_covering": "certify", "process": "certify", "sublinear": "certify"}
 
 
 class TestCli:

@@ -124,14 +124,14 @@ MAP_ERRORS = {
     "unit_ball_translate": {"constants": sk.NotSetCoveringError,
                             "witness": sk.WitnessUnavailableError},
     "sublinear_system": {"lipschitz": LipschitzRuleError, "respond": None,
-                         "inverse_distance": NotImplementedError},
-    "epigraphical": {"respond": None, "inverse_distance": NotImplementedError},
+                         "inverse_distances": NotImplementedError},
+    "epigraphical": {"respond": None, "inverse_distances": NotImplementedError},
     "polyhedral_process": {"lipschitz": LipschitzRuleError, "respond": None,
-                           "inverse_distance": NotImplementedError},
-    "sum": {"respond": None, "inverse_distance": NotImplementedError},
-    "composed": {"respond": None, "inverse_distance": NotImplementedError},
+                           "inverse_distances": NotImplementedError},
+    "sum": {"respond": None, "inverse_distances": NotImplementedError},
+    "composed": {"respond": None, "inverse_distances": NotImplementedError},
     "ball_valued": {"constants": sk.NotSetCoveringError, "witness": sk.WitnessUnavailableError,
-                    "respond": None, "inverse_distance": NotImplementedError},
+                    "respond": None, "inverse_distances": NotImplementedError},
 }
 
 
@@ -150,9 +150,11 @@ def test_map_kind_answers_each_rule(kind):
     rules = {
         "constants": lambda: m.constants().alpha > 0,
         "lipschitz": lambda: m.lipschitz() >= 0,
-        "witness": lambda: m.witness(x, 0.5).shape == x.shape,
+        "witness": lambda: m.witness(x, 0.5).shape == x.shape
+        and m.witness(np.stack([x, -x]), np.array([[0.5], [0.25]])).shape == (2, x.shape[0]),
         "respond": lambda: m.respond(x, 0.5, y),
-        "inverse_distance": lambda: m.inverse_distance(test_set, x) >= 0,
+        "inverse_distances": lambda: bool(m.inverse_distances(sk.Family.of([test_set]),
+                                                              x[None])[0] >= 0),
     }
     for name, rule in rules.items():
         error = MAP_ERRORS[kind].get(name, "answers")
@@ -210,6 +212,8 @@ def test_a_map_kind_without_rules_raises_the_documented_errors():
         sk.cover_witness(m, x, 1.0)
     with pytest.raises(NotImplementedError, match="no closed-form inclusion inverse for Bare"):
         sk.inverse_distance(m, sk.Ball(x, 1.0), x)
+    with pytest.raises(NotImplementedError, match="no closed-form inclusion inverse for Bare"):
+        m.inverse_distances(sk.Family.of([sk.Ball(x, 1.0)]), x[None])
     assert m.respond(x, 1.0, x) is None
 
 

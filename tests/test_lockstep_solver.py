@@ -5,10 +5,11 @@
 as the reference: one scalar witness, residual and distance call per
 step.  Every trace of `solve_inclusion` and of `solve_inclusions` must
 equal the reference's from the same start: status, every step, the
-displacement bound, the re-check and the violation record.  The batched
-witness rule of each map kind is checked row by row against its scalar
-`witness`, and the family diagnostics' nearest-first parameter scan
-against the scan it replaced.
+displacement bound, the re-check and the violation record.  The witness
+rule of each map kind, on one point and on a stack, is checked against
+the scalar and batched twins it replaced, kept here as references, and
+the family diagnostics' nearest-first parameter scan against the scan it
+replaced.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import setcover_kit as sk
+from setcover_kit._lp import max_norm_fit
 from setcover_kit.penalty import _inverse_param_distance
 from setcover_kit.solver import CONTRACTION_SLACK, SolveStep, SolveTrace
 
@@ -57,7 +59,7 @@ def make_psi(kind, d, norm, rng):
         return psi, sk.alpha_of(psi).alpha
     matrix = rng.standard_normal((d, d + int(rng.integers(2))))
     matrix[:, :d] += 3.0 * np.eye(d)  # full row rank
-    psi = sk.Epigraphical(matrix)  # an LP witness: the row-by-row default
+    psi = sk.Epigraphical(matrix)  # an LP witness: one LP per row
     return psi, sk.alpha_of(psi).alpha
 
 
@@ -210,11 +212,39 @@ def test_a_residual_that_stays_nan_exhausts_the_budget(monkeypatch):
         assert trace.residual_recheck is None and trace.violation is None
 
 
-def witness_or_error(m, x, rho):
+def witness_or_error(witness, m, x, rho):
     try:
-        return m.witness(x, rho)
+        return witness(m, x, rho)
     except (LookupError, ValueError) as exc:
         return type(exc)
+
+
+def old_witness(m, x, rho):
+    """The one-point witness rules that changed when witness took stacks: Sum and
+    Composed called cover_witness of their base; the epigraphical LP is copied.
+    Every other kind's one-point rule is the kind's own."""
+    if isinstance(m, (sk.Sum, sk.Composed)):
+        return sk.cover_witness(m.base, x, rho)
+    if isinstance(m, sk.Epigraphical):
+        target = -m.alpha_f() * rho * np.ones(m.space_y.dim)
+        res = max_norm_fit(np.eye(m.matrix.shape[1]), a_eq=m.matrix, b_eq=target)
+        if res is None:
+            raise sk.NotSetCoveringError("lost surjectivity on the witness shift")
+        return x + res.x[:-1]
+    return m.witness(x, rho)
+
+
+def old_witnesses(m, xs, rhos):
+    """MapSpec.witnesses, the batched twin of witness until witness took stacks."""
+    if isinstance(m, (sk.Sum, sk.Composed)):
+        return old_witnesses(m.base, xs, rhos)
+    if isinstance(m, sk.Dilation):
+        return xs + rhos[:, None] * m.space_x.unit(xs - m.anchor)
+    if isinstance(m, sk.SublinearSystem):
+        rhos = rhos[:, None]
+        return xs + np.where(xs >= 0.0, rhos, -rhos)
+    return np.array([old_witness(m, x, rho) for x, rho in zip(xs, rhos.tolist())],
+                    dtype=float).reshape(xs.shape)
 
 
 @settings(max_examples=150, deadline=None)
@@ -237,15 +267,21 @@ def test_witnesses_equal_the_scalar_witness_row_by_row(kind, norm, d, k, seed):
     if getattr(psi, "anchor", None) is not None:
         xs[0] = psi.anchor
     rhos = rng.uniform(1e-6, 2.0, size=k)
-    scalar = [witness_or_error(psi, x, rho) for x, rho in zip(xs, rhos.tolist())]
-    if isinstance(scalar[0], type):  # the first row's error is the batch's
+    pairs = list(zip(xs, rhos.tolist()))
+    scalar = [witness_or_error(old_witness, psi, x, rho) for x, rho in pairs]
+    points = [witness_or_error(type(psi).witness, psi, x, rho) for x, rho in pairs]
+    if isinstance(scalar[0], type):  # the first row's error is the stack's
+        assert points[0] is scalar[0]
         with pytest.raises(scalar[0]):
-            psi.witnesses(xs, rhos)
+            psi.witness(xs, rhos[:, None])
+        with pytest.raises(scalar[0]):
+            old_witnesses(psi, xs, rhos)
         return
-    batched = psi.witnesses(xs, rhos)
-    assert batched.shape == xs.shape
-    for row, ref in zip(batched, scalar):
-        assert hexes(row) == hexes(ref)
+    stack = psi.witness(xs, rhos[:, None])
+    assert stack.shape == xs.shape
+    assert hexes(stack) == hexes(old_witnesses(psi, xs, rhos))
+    for row, point, ref in zip(stack, points, scalar):
+        assert hexes(row) == hexes(point) == hexes(ref)
 
 
 def old_inverse_param_distance(fam, x, p_radius, grid_n, member_tol):

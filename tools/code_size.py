@@ -1,17 +1,29 @@
-"""Print the size of the kit's sources: lines, and lines that hold `isinstance`.
+"""Print the size of the kit's sources: lines, lines that hold `isinstance`,
+and the definitions of each rule that has a scalar and a batched twin.
 
     python3 tools/code_size.py
 
 Counts every line of every .py file under src/, blank lines and comments
 included (what `wc -l` counts), and the lines among them that contain
 the word `isinstance`: the two figures ROADMAP.md tracks for the design.
+The third figure counts, for each rule below, the `def` lines of its
+scalar name against those of its batched twin (`image` against
+`images`, say), methods and module functions alike: a rule written once
+along the last axis shows 0 on one side.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# each scalar rule name and the name of its batched twin
+TWINS = (("image", "images"), ("witness", "witnesses"),
+         ("inverse_distance", "inverse_distances"), ("value", "values"),
+         ("evaluate", "evaluate_rows"), ("residual", "residuals"),
+         ("penalty_value", "penalty_values"), ("excess", "excesses"))
 
 
 def main() -> None:
@@ -19,6 +31,9 @@ def main() -> None:
              for line in path.read_text().splitlines()]
     print(f"src/ lines: {len(lines)}")
     print(f"src/ lines with isinstance: {sum('isinstance' in line for line in lines)}")
+    defs = [m.group(1) for line in lines if (m := re.match(r"\s*def (\w+)\(", line))]
+    counts = ", ".join(f"{one} {defs.count(one)}/{defs.count(many)}" for one, many in TWINS)
+    print(f"src/ scalar/batched twin definitions: {counts}")
 
 
 if __name__ == "__main__":
