@@ -34,12 +34,10 @@ from .geometry import (
     _rng,
     _sample_enlargement,
     _sampling_words,
-    _seed_words,
+    _trial_seed_words,
     dist_point,
-    dists,
     excess,
     rng_for,
-    sample_enlargement,
 )
 from .search import ball_search
 
@@ -130,71 +128,106 @@ def _default_box(dim: int, half_width: float = 5.0):
 
 # From this many trials on a certificate derives its trial seeds in one batch.
 # Below it, one NumPy SeedSequence per key costs less than the batch's fixed
-# cost: timed in-process per closed-form set-covering job, batching cost
-# 80-150 us more at 1 trial, 35-200 us more at 2, about the same at 3, and
-# saved 80 us at 4 trials and 320-450 us at 9.
+# cost, keys assembled as arrays included: timed in-process on a 2-core x86-64
+# machine (each trial's draw, and with sub-seeds its enlargement sample),
+# batching cost 13-34 us more without sub-seeds and 97-180 us more with them
+# at 1 to 3 trials, about the same at 4, and saved 65-130 us at 9.
 _BATCH_FROM = 4
 
 
 class _TrialSeeds:
     """The generators of one certificate's trials: trial t draws from
     rng_for(seed, t), and with `sub` it samples an enlargement under the
-    sub-seed _sub_seed(seed, t, sub).
+    sub-seed _sub_seed(seed, t, sub), with the generators rng_for(sub-seed, 0)
+    and rng_for(sub-seed, 1).
 
     From _BATCH_FROM trials on, every key is derived before the first trial
     runs, in two kernel calls at most (the trial draws with the sub-seeds,
     then each sub-seed's two sampling streams), and only the seed words are
-    held; a trial's generators are built when it runs.  Fewer trials derive
-    each key when it is needed, as rng_for does.  Both give the same generators.
+    held.  Fewer trials derive each key when it is needed, as rng_for does.
+    Both give the same generators, each built when it is first drawn from.
     """
 
     def __init__(self, seed: int, trials: int, sub: int | None = None):
-        self.seed, self.sub, self.draws = seed, sub, None
+        self.seed, self.trials, self.sub, self.draws = seed, trials, sub, None
         if trials < _BATCH_FROM:
             return
-        keys = [(t,) for t in range(trials)]
-        if sub is not None:
-            keys += [(t, sub) for t in range(trials)]
-        words = _seed_words(seed, keys)
+        words = _trial_seed_words(seed, trials, sub)
         self.draws = words[:trials]
         if sub is not None:
             # _sub_seed is generate_state(1)[0]: the low half of the first word
-            self.subs = words[trials:, 0] & 0xFFFFFFFF
-            self.sampling = _sampling_words(self.subs)
+            self.subs = (words[trials:, 0] & 0xFFFFFFFF).tolist()
+            self.sampling = _sampling_words(np.array(self.subs, dtype=np.uint64))
 
-    def rng(self, t: int) -> np.random.Generator:
-        return rng_for(self.seed, t) if self.draws is None else _rng(self.draws[t])
-
-    def enlargement(self, t: int, space, s: SetRep, rho: float, n: int) -> np.ndarray:
+    def rngs(self):
+        """The trials' generators, in trial order, each built when it is reached."""
         if self.draws is None:
-            return sample_enlargement(space, s, rho, n, seed=_sub_seed(self.seed, t, self.sub))
-        return _sample_enlargement(space, s, rho, n, int(self.subs[t]),
-                                   *map(_rng, self.sampling[t]))
+            return (rng_for(self.seed, t) for t in range(self.trials))
+        return map(_rng, self.draws)
+
+    def enlargements(self, space, sets: Family, rhos: np.ndarray, n: int) -> np.ndarray:
+        """(trials, n, dim): trial t's n points of the rhos[t]-enlargement of sets.row(t)."""
+        if self.draws is None:
+            subs = [_sub_seed(self.seed, t, self.sub) for t in range(self.trials)]
+            return _sample_enlargement(space, sets, rhos, n, subs,
+                                       lambda t, stream: rng_for(subs[t], stream))
+        return _sample_enlargement(space, sets, rhos, n, self.subs,
+                                   lambda t, stream: _rng(self.sampling[t, stream]))
 
 
-def _draw_trial(rng: np.random.Generator, x_box, r_range, dy: int = 0):
-    """A trial's point x, uniform in the box, its radius r, log-uniform in
-    r_range, and with dy > 0 a ball centre, uniform in [-5, 5]^dy (else None).
+def _draw_trials(rngs, x_box, r_range, dy: int = 0):
+    """Each trial's point x, uniform in the box, its radius r, log-uniform in
+    r_range, and a ball centre, uniform in [-5, 5]^dy: a (k, dim) array, a list
+    of k floats and a (k, dy) array, one row per generator.
 
     The numbers are those of rng.uniform(lo, hi), then rng.uniform(log r_range)
-    and rng.uniform(-5, 5, dy), bit for bit, with the generator left in the
-    same state: one rng.random call and numpy's lo + (hi - lo) * u.
+    and rng.uniform(-5, 5, dy), bit for bit, with each generator left in the
+    same state: one rng.random call per trial, then numpy's lo + (hi - lo) * u
+    on every row at once.  Each radius is exponentiated on a Python float, as
+    numpy's vector exp may round differently from libm's.
     """
     lo, hi = x_box
     lo = np.asarray(lo, dtype=float)
     span = np.asarray(hi, dtype=float) - lo
     log_lo, log_hi = math.log(r_range[0]), math.log(r_range[1])
-    if not (np.isfinite(span).all() and math.isfinite(log_hi - log_lo)):
-        raise OverflowError("Range exceeds valid bounds")  # as rng.uniform raises
     dx = span.size
-    u = rng.random(dx + 1 + dy)
-    x = lo + span * u[:dx].reshape(span.shape)
-    r = math.exp(log_lo + (log_hi - log_lo) * float(u[dx]))
-    return x, r, (-5.0 + 10.0 * u[dx + 1:] if dy else None)
+    u = np.array([rng.random(dx + 1 + dy) for rng in rngs], dtype=float).reshape(-1, dx + 1 + dy)
+    k = u.shape[0]
+    if k and not (np.isfinite(span).all() and math.isfinite(log_hi - log_lo)):
+        raise OverflowError("Range exceeds valid bounds")  # as rng.uniform raises
+    xs = lo + span * u[:, :dx].reshape((k, *span.shape))
+    rs = [math.exp(v) for v in (log_lo + (log_hi - log_lo) * u[:, dx]).tolist()]
+    return xs, rs, -5.0 + 10.0 * u[:, dx + 1:]
 
 
-def _scale_tol(tol: float, x, extra: float) -> float:
-    return tol * (1.0 + float(np.max(np.abs(x))) + extra)
+def _scale_tol(tol: float, x, extra):
+    """tol scaled by 1 + max|x| + extra, along the last axis of x."""
+    return tol * (1.0 + np.abs(x).max(axis=-1) + extra)
+
+
+def _trial_points(m: mp.MapSpec, xs: np.ndarray) -> np.ndarray:
+    """The trials' points, checked as eval_map checks the first of them."""
+    if len(xs) and xs.shape[1:] != (m.space_x.dim,):
+        m.space_x.check_point(xs[0])
+    return xs.reshape(-1, m.space_x.dim)
+
+
+def _witnesses(m: mp.MapSpec, xs: np.ndarray, rs: list, fallback) -> list:
+    """Each trial's witness: one stacked witness call, or, where that raises for
+    want of a witness, cover_witness trial by trial, with fallback(t) for each
+    trial that has none."""
+    if all(r > 0.0 for r in rs):  # else cover_witness refuses the radius
+        try:
+            return list(m.witness(xs, np.array(rs)[:, None]))
+        except (mp.WitnessUnavailableError, mp.NotSetCoveringError):
+            pass
+    out = []
+    for t, (x, r) in enumerate(zip(xs, rs)):
+        try:
+            out.append(mp.cover_witness(m, x, r))
+        except (mp.WitnessUnavailableError, mp.NotSetCoveringError):
+            out.append(fallback(t))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -210,44 +243,55 @@ def check_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
     Per trial, target points of the alpha*r-enlargement of the image are
     drawn and a response u inside the r-ball is sought: by closed form
     where the variant has one, by the set-covering witness when it
-    exists, and by budgeted pattern search otherwise.
+    exists, and by budgeted pattern search otherwise.  The trials run as
+    rows of stacked calls; only the searches go one target at a time.
     """
     x_box = x_box or _default_box(m.space_x.dim)
     violations: list[Violation] = []
     seeds = _TrialSeeds(seed, trials, sub=1)
-    for t in range(trials):
-        x, r, _ = _draw_trial(seeds.rng(t), x_box, r_range)
-        image = mp.eval_map(m, x)
-        targets = seeds.enlargement(t, m.space_y, image, alpha * r, n_targets)
-        witness_u = None
-        try:
-            witness_u = mp.cover_witness(m, x, r)
-        except (mp.WitnessUnavailableError, mp.NotSetCoveringError):
-            pass
-        atol = _scale_tol(tol, x, alpha * r)
-        for y in targets:
-            responder = m.respond(x, r, y)
-            if responder is not None:
-                u, certified = responder
-                if certified > atol:
-                    violations.append(Violation(t, tuple(x), r, tuple(y), certified,
-                                                "violation", tuple(u)))
-                continue
-            if witness_u is not None:
-                d = float(dist_point(m.space_y, y, mp.eval_map(m, witness_u)))
-                if d <= atol:
-                    continue
-            u, val = _search_cover_point(m, x, r, y, seed=_sub_seed(seed, t, 2),
-                                         budget=search_budget)
-            if val > atol:
-                violations.append(Violation(t, tuple(x), r, tuple(y), val,
-                                            "inconclusive", tuple(u)))
+    xs, rs, _ = _draw_trials(seeds.rngs(), x_box, r_range)
+    xs = _trial_points(m, xs)
+    if trials:
+        images = mp.eval_maps(m, xs).built()
+        rhos = alpha * np.array(rs)
+        targets = seeds.enlargements(m.space_y, images, rhos, n_targets)
+        atol = _scale_tol(tol, xs, rhos)
+        responder = m.respond(xs[:, None, :], np.array(rs)[:, None], targets)
+        if responder is not None:
+            us, certified = responder
+            for t, j in np.argwhere(certified > atol[:, None]).tolist():
+                violations.append(Violation(t, tuple(xs[t]), rs[t], tuple(targets[t, j]),
+                                            float(certified[t, j]), "violation",
+                                            tuple(us[t, j])))
+        else:
+            violations = _searched_violations(m, xs, rs, targets, atol, seed, search_budget)
     return Certificate(
         property="covering", trials=trials, violations=violations, seed=seed,
         tolerances={"tol": tol},
         parameters={"alpha": alpha, "r_range": list(r_range), "n_targets": n_targets,
                     "map": map_to_json(m)},
     )
+
+
+def _searched_violations(m: mp.MapSpec, xs, rs, targets, atol, seed: int, budget: int):
+    """The covering records of a map without a responder: a target within atol of
+    its trial's witness image is covered; each other target, in trial order, is
+    searched for, and a failed search is an inconclusive record."""
+    covered = np.zeros(targets.shape[:2], dtype=bool)
+    witnesses = _witnesses(m, xs, rs, lambda t: None)
+    have = [t for t, u in enumerate(witnesses) if u is not None]
+    if have:
+        image_u = mp.eval_maps(m, np.array([witnesses[t] for t in have])).built()
+        d = image_u.row_dists(m.space_y, targets[have]).value
+        covered[have] = d <= atol[have, None]
+    violations = []
+    for t, j in np.argwhere(~covered).tolist():
+        u, val = _search_cover_point(m, xs[t], rs[t], targets[t, j], seed=_sub_seed(seed, t, 2),
+                                     budget=budget)
+        if val > atol[t]:
+            violations.append(Violation(t, tuple(xs[t]), rs[t], tuple(targets[t, j]), val,
+                                        "inconclusive", tuple(u)))
+    return violations
 
 
 def _sub_seed(seed: int, trial: int, k: int) -> int:
@@ -276,29 +320,33 @@ def check_set_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
     u is the constructive witness when the variant has one, otherwise the
     best candidate of a budgeted search; the inclusion is tested on
     construction-guaranteed members of the enlargement, so failures are
-    genuine counterexamples for that u.
+    genuine counterexamples for that u.  The trials run as rows of stacked
+    calls; only the witness searches go trial by trial.
     """
     x_box = x_box or _default_box(m.space_x.dim)
     violations: list[Violation] = []
     seeds = _TrialSeeds(seed, trials, sub=4)
-    for t in range(trials):
-        x, r, _ = _draw_trial(seeds.rng(t), x_box, r_range)
-        image = mp.eval_map(m, x)
-        try:
-            u = mp.cover_witness(m, x, r)
-        except (mp.WitnessUnavailableError, mp.NotSetCoveringError):
-            rec = mp.fallback_witness(m, x, r, alpha, n_points=min(n_inclusion, 32),
-                                      seed=_sub_seed(seed, t, 3))
-            u = rec.u
-        image_u = mp.eval_map(m, u)
-        targets = seeds.enlargement(t, m.space_y, image, alpha * r, n_inclusion)
-        atol = _scale_tol(tol, x, alpha * r)
-        d = dists(m.space_y, targets, image_u)
+    xs, rs, _ = _draw_trials(seeds.rngs(), x_box, r_range)
+    xs = _trial_points(m, xs)
+    if trials:
+        images = mp.eval_maps(m, xs).built()
+
+        def searched(t):
+            return mp.fallback_witness(m, xs[t], rs[t], alpha, n_points=min(n_inclusion, 32),
+                                       seed=_sub_seed(seed, t, 3)).u
+
+        us = np.array(_witnesses(m, xs, rs, searched)).reshape(xs.shape)
+        image_u = mp.eval_maps(m, us).built()
+        rhos = alpha * np.array(rs)
+        targets = seeds.enlargements(m.space_y, images, rhos, n_inclusion)
+        atol = _scale_tol(tol, xs, rhos)
+        d = image_u.row_dists(m.space_y, targets)
         margins = d.value - d.error
-        worst = int(np.argmax(margins))
-        if margins[worst] > max(atol, 0.0):
-            violations.append(Violation(t, tuple(x), r, tuple(targets[worst]),
-                                        float(margins[worst]), "violation", tuple(u)))
+        worst = np.argmax(margins, axis=1)
+        worst_margin = margins[np.arange(trials), worst]
+        for t in np.flatnonzero(worst_margin > np.maximum(atol, 0.0)).tolist():
+            violations.append(Violation(t, tuple(xs[t]), rs[t], tuple(targets[t, worst[t]]),
+                                        float(worst_margin[t]), "violation", tuple(us[t])))
     return Certificate(
         property="set-covering", trials=trials, violations=violations, seed=seed,
         tolerances={"tol": tol},
@@ -455,31 +503,22 @@ def check_inverse_errorbound(m: mp.MapSpec, alpha: float, trials: int, seed: int
     evaluated in one pass.
     """
     x_box = x_box or _default_box(m.space_x.dim)
-    violations: list[Violation] = []
-    xs, rs, centers = [], [], []
-    seeds = _TrialSeeds(seed, trials)
     dy = m.space_y.dim if test_sets is None else 0
-    for t in range(trials):
-        # the trial's ball comes from its own generator, after x and r
-        x, r, center = _draw_trial(seeds.rng(t), x_box, (1e-2, 1e1), dy)
-        xs.append(x)
-        rs.append(r)
-        centers.append(center)
-    xs = np.array(xs).reshape(trials, m.space_x.dim)
+    xs, rs, centers = _draw_trials(_TrialSeeds(seed, trials).rngs(), x_box, (1e-2, 1e1), dy)
+    xs = xs.reshape(trials, m.space_x.dim)
     if test_sets is None:
-        tests = Rounds(np.array(centers).reshape(trials, m.space_y.dim), np.array(rs))
+        tests = Rounds(centers, np.array(rs))
     else:
         tests = Family.of([test_sets[t % len(test_sets)] for t in range(trials)])
     lhs, rhs = _inverse_errorbound_rows(m, alpha, tests, xs)
-    for t, (x, r) in enumerate(zip(xs, rs)):
-        if math.isinf(rhs[t]):
-            continue
-        atol = _scale_tol(tol, x, rhs[t])
-        if lhs[t] > rhs[t] + atol:
-            s = tests.row(t)
-            record = tuple(np.append(s.center, s.radius)) if isinstance(s, Ball) else None
-            violations.append(Violation(t, tuple(x), r, record, float(lhs[t] - rhs[t]),
-                                        "violation"))
+    finite = ~np.isinf(rhs)
+    atol = _scale_tol(tol, xs, np.where(finite, rhs, 0.0))
+    violations: list[Violation] = []
+    for t in np.flatnonzero(finite & (lhs > rhs + atol)).tolist():
+        s = tests.row(t)
+        record = tuple(np.append(s.center, s.radius)) if isinstance(s, Ball) else None
+        violations.append(Violation(t, tuple(xs[t]), rs[t], record, float(lhs[t] - rhs[t]),
+                                    "violation"))
     return Certificate(
         property="inverse-errorbound", trials=trials, violations=violations, seed=seed,
         tolerances={"tol": tol},
@@ -498,12 +537,12 @@ def check_inverse_hausdorff(m: mp.MapSpec, alpha: float, trials: int, seed: int,
     """
     center = m.shell_center()
     dy = m.space_y.dim
-    seeds = _TrialSeeds(seed, trials)
 
     def balls(rng):  # a trial's two centers, then its two radii
         return np.append(rng.uniform(-5.0, 5.0, size=2 * dy), rng.uniform(0.1, 4.0, size=2))
 
-    draws = np.array([balls(seeds.rng(t)) for t in range(trials)]).reshape(trials, 2 * dy + 2)
+    draws = np.array([balls(rng) for rng in _TrialSeeds(seed, trials).rngs()]).reshape(
+        trials, 2 * dy + 2)
     c1, c2, r1, r2 = draws[:, :dy], draws[:, dy:-2], draws[:, -2], draws[:, -1]
     a_sets, b_sets = Rounds(c1, r1), Rounds(c2, r2)
     # the inverse images are shells about one center
@@ -512,12 +551,11 @@ def check_inverse_hausdorff(m: mp.MapSpec, alpha: float, trials: int, seed: int,
     # the hausdorff distance of two balls: the larger of their closed-form excesses
     h_sets = np.maximum(a_sets.excesses(m.space_y, b_sets), b_sets.excesses(m.space_y, a_sets))
     violations: list[Violation] = []
-    for t, (h_i, h_s) in enumerate(zip(h_inv.tolist(), h_sets.tolist())):
-        atol = _scale_tol(tol, c1[t], h_s)
-        if h_i > h_s / alpha + atol:
-            violations.append(Violation(t, tuple(np.append(c1[t], r1[t])), float(r2[t]),
-                                        tuple(np.append(c2[t], r2[t])),
-                                        h_i - h_s / alpha, "violation"))
+    bound = h_sets / alpha
+    for t in np.flatnonzero(h_inv > bound + _scale_tol(tol, c1, h_sets)).tolist():
+        violations.append(Violation(t, tuple(np.append(c1[t], r1[t])), float(r2[t]),
+                                    tuple(np.append(c2[t], r2[t])),
+                                    float(h_inv[t] - bound[t]), "violation"))
     return Certificate(
         property="inverse-hausdorff", trials=trials, violations=violations, seed=seed,
         tolerances={"tol": tol},
@@ -548,9 +586,7 @@ def check_exc_semicontinuity(phi: mp.MapSpec, psi: mp.MapSpec, x0,
 
     base = exc_at(x0)
     violations: list[Violation] = []
-    seeds = _TrialSeeds(seed, n_sequences)
-    for s_idx in range(n_sequences):
-        rng = seeds.rng(s_idx)
+    for s_idx, rng in enumerate(_TrialSeeds(seed, n_sequences).rngs()):
         direction = phi.space_x.unit(rng.standard_normal(phi.space_x.dim))
         delta0 = float(rng.uniform(0.5, 2.0))
         xs = [x0 + direction * delta0 * 0.5**k for k in range(n_terms)]

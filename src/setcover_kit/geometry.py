@@ -162,16 +162,35 @@ def _mixed_words(pool: np.ndarray, words: np.ndarray, lengths: np.ndarray) -> np
 def _seed_words(seed: int, streams) -> np.ndarray:
     """(k, 4) uint64: row i holds SeedSequence(entropy=seed, spawn_key=streams[i])
     .generate_state(4, np.uint64), the words PCG64 seeds rng_for(seed, *streams[i])
-    from; the low 32 bits of its word 0 are generate_state(1)[0].  The keys
-    share the seed, so its first-phase pool is hashed once, by NumPy."""
-    seed = operator.index(seed)
-    run = _u32_words(seed)
-    tails = [run[4:] + _u32_words(*stream) for stream in streams]  # entropy past the pool
+    from; the low 32 bits of its word 0 are generate_state(1)[0]."""
+    tails = [_u32_words(*stream) for stream in streams]
     lengths = np.array([len(tail) for tail in tails], dtype=int)
     width = int(lengths.max(initial=0))
     words = np.array([tail + [0] * (width - len(tail)) for tail in tails], dtype=np.uint32)
+    return _key_words(seed, words.reshape(len(streams), width).T, lengths)
+
+
+def _trial_seed_words(seed: int, trials: int, sub: int | None = None) -> np.ndarray:
+    """_seed_words(seed, keys) for the trial keys (0,), ..., (trials - 1,), followed
+    with sub by (0, sub), ..., (trials - 1, sub): the keys assembled as arrays."""
+    t = np.arange(trials, dtype=np.uint32)
+    if sub is None:
+        return _key_words(seed, t[None], np.ones(trials, dtype=int))
+    words = np.zeros((2, 2 * trials), dtype=np.uint32)
+    words[0] = np.tile(t, 2)
+    words[1, trials:] = sub
+    return _key_words(seed, words, np.repeat([1, 2], trials))
+
+
+def _key_words(seed: int, words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """_seed_words of the keys whose entropy words are the columns of words (width, k),
+    key i taking the first lengths[i] rows.  The keys share the seed, so its
+    first-phase pool is hashed once, by NumPy."""
+    seed = operator.index(seed)
+    run = np.array(_u32_words(seed)[4:], dtype=np.uint32)  # the seed's entropy past the pool
+    words = np.concatenate([np.broadcast_to(run[:, None], (run.size, words.shape[1])), words])
     pool = np.random.SeedSequence(seed & (1 << 128) - 1).pool[:, None]
-    return _mixed_words(pool, words.reshape(len(streams), width).T, lengths)
+    return _mixed_words(pool, words, lengths + run.size)
 
 
 def _sampling_words(seeds) -> np.ndarray:
@@ -391,11 +410,13 @@ class _Round(SetRep):
         lam = _ball_image_factor(space_in, space_out, mat)
         return type(self)(mat @ self.center + off, lam * self.radius)
 
-    def _axis_points(self, out: np.ndarray) -> None:
-        """Write center + r e_1, center - r e_1, center + r e_2, ... into the rows of out."""
-        steps = self.radius * np.eye(self.dim)
-        out[0::2] = self.center + steps
-        out[1::2] = self.center - steps
+
+def _axis_points(centers: np.ndarray, radii, out: np.ndarray) -> None:
+    """Write center + r e_1, center - r e_1, center + r e_2, ... into the last two axes of
+    out, (..., 2 dim, dim), for each center (..., dim) and radius (...)."""
+    steps = np.asarray(radii)[..., None, None] * np.eye(centers.shape[-1])
+    out[..., 0::2, :] = centers[..., None, :] + steps
+    out[..., 1::2, :] = centers[..., None, :] - steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,7 +435,7 @@ class Ball(_Round):
         center, radius, d = self.center, self.radius, space.dim
         pts = np.empty((max(n, 2 * d + 1), d))
         pts[0] = center
-        self._axis_points(pts[1:2 * d + 1])
+        _axis_points(center, radius, pts[1:2 * d + 1])
         filled = 2 * d + 1
         budget = 200 * n + 1000  # candidates
         while filled < n and budget > 0:
@@ -447,7 +468,7 @@ class Sphere(_Round):
     def sample(self, space, n, seed, rng, box):
         d = space.dim
         pts = np.empty((max(n, 2 * d), d))
-        self._axis_points(pts[:2 * d])
+        _axis_points(self.center, self.radius, pts[:2 * d])
         if 2 * d < n:
             dirs = rng.standard_normal((n - 2 * d, d))
             pts[2 * d:] = self.center + self.radius * space.unit(dirs)
@@ -968,6 +989,8 @@ class Family:
     once; each row is bit for bit the rule of its own set.
     """
 
+    errors = ()  # the array families (Rounds, Regions) build every row
+
     def __init__(self, sets, errors=None):
         self.sets = list(sets)
         self.errors = list(errors) if errors is not None else [None] * len(self.sets)
@@ -1001,6 +1024,31 @@ class Family:
         if self.sets[i] is None:
             raise self.errors[i]
         return self.sets[i]
+
+    def built(self) -> Family:
+        """This family, once no row is missing: raises the first missing row's error."""
+        for exc in self.errors:
+            if exc is not None:
+                raise exc
+        return self
+
+    def sample(self, space: NormedSpace, n: int, seeds, rng, box=None) -> np.ndarray:
+        """(k, n, dim): row i's own sample(space, n, seeds[i], rng(i, 0), box), where
+        rng(i, 0) is rng_for(seeds[i], 0)."""
+        out = np.empty((len(self), n, space.dim))
+        for i in range(len(self)):
+            out[i] = self.row(i).sample(space, n, seeds[i], rng(i, 0), box)
+        return out
+
+    def row_dists(self, space: NormedSpace, ys: np.ndarray) -> Distances:
+        """The distances of each row's own points, ys of shape (k, n, dim): value[i],
+        error[i] and approximate[i] are those of dists(space, ys[i], row i), shape (k, n),
+        and note runs over the rows in turn."""
+        rows = [dists(space, ys[i], self.row(i)) for i in range(len(self))]
+        shape = ys.shape[:2]
+        return Distances(*(np.array([getattr(d, f) for d in rows]).reshape(shape)
+                           for f in ("value", "error", "approximate")),
+                         tuple(text for d in rows for text in d.note))
 
     def dists_from(self, space: NormedSpace, ys: np.ndarray) -> np.ndarray:
         """(k, n) array: dists(space, ys, set i).value in row i, inf for a missing set."""
@@ -1045,9 +1093,24 @@ class Rounds(Family):
     def row(self, i):
         return self.kind(self.centers[i], self.radii.item(i))
 
+    def sample(self, space, n, seeds, rng, box=None):
+        # a ball's centre, then the axis points of every row; a row draws only past them
+        first, d = int(not self.sphere), space.dim
+        if n > first + 2 * d:
+            return super().sample(space, n, seeds, rng, box)
+        pts = np.empty((len(self), first + 2 * d, d))
+        if first:
+            pts[:, 0] = self.centers
+        _axis_points(self.centers, self.radii, pts[:, first:])
+        return pts[:, :n]
+
     def dists_from(self, space, ys):
         gaps = space.norms(ys[None, :, :] - self.centers[:, None, :]) - self.radii[:, None]
         return self.kind._gap(gaps)
+
+    def row_dists(self, space, ys):
+        return _exact(self.kind._gap(space.norms(ys - self.centers[:, None, :])
+                                     - self.radii[:, None]))
 
     def outer_radii(self, space, p):
         return space.norms(self.centers - p) + self.radii
@@ -1100,6 +1163,13 @@ class Regions(Family):
         return np.stack([_dists_region(space, np.tile(y, (k, 1)), self.region, self.b).value
                          for y in ys], axis=1)
 
+    def row_dists(self, space, ys):
+        k, n, d = ys.shape
+        flat = _dists_region(space, ys.reshape(k * n, d), self.region,
+                             np.repeat(self.b, n, axis=0))
+        return flat._replace(value=flat.value.reshape(k, n), error=flat.error.reshape(k, n),
+                             approximate=flat.approximate.reshape(k, n))
+
 
 def _check_set(space: NormedSpace, s: SetRep) -> None:
     if s.dim != space.dim:
@@ -1107,8 +1177,8 @@ def _check_set(space: NormedSpace, s: SetRep) -> None:
 
 
 def _exact(value: np.ndarray) -> Distances:
-    n = value.shape[0]
-    return Distances(value, np.zeros(n), np.zeros(n, dtype=bool), ("",) * n)
+    return Distances(value, np.zeros(value.shape), np.zeros(value.shape, dtype=bool),
+                     ("",) * value.size)
 
 
 def _project_simplex(w: np.ndarray) -> np.ndarray:
@@ -1481,21 +1551,31 @@ def sample_enlargement(space: NormedSpace, s: SetRep, rho: float, n: int, seed: 
     outward direction from the sample centroid (the hardest points for an
     inclusion test), mixed with random directions and depths.
     """
-    return _sample_enlargement(space, s, rho, n, seed, rng_for(seed, 0), rng_for(seed, 1), box)
+    rngs = (rng_for(seed, 0), rng_for(seed, 1))  # built here, so that a bad seed raises
+    return _sample_enlargement(space, Family.of([s]), np.array([rho], dtype=float), n, [seed],
+                               lambda i, stream: rngs[stream], box)[0]
 
 
-def _sample_enlargement(space: NormedSpace, s: SetRep, rho: float, n: int, seed: int,
-                        base_rng: np.random.Generator, rng: np.random.Generator,
-                        box=None) -> np.ndarray:
-    """sample_enlargement with its generators given: base_rng = rng_for(seed, 0)
-    samples s, and rng = rng_for(seed, 1) draws the random pushes."""
+def _sample_enlargement(space: NormedSpace, sets: Family, rhos: np.ndarray, n: int, seeds,
+                        rng, box=None) -> np.ndarray:
+    """(k, n, dim): row i is sample_enlargement(space, sets.row(i), rhos[i], n, seeds[i], box).
+
+    rng(i, stream) gives row i's generator rng_for(seeds[i], stream): stream 0
+    samples the set and stream 1 draws the random pushes, and a row asks for
+    each only when it draws from it.  The outward pushes of every row are
+    computed at once; the random ones are drawn point by point, in order.
+    """
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    base_pts = s.sample(space, n, seed, base_rng, box)
-    outward = base_pts - np.mean(base_pts, axis=0)
-    pushed = (np.arange(len(base_pts)) % 4 != 3) & (space.norms(outward) > 1e-12)
-    depth, dirs = np.ones(len(base_pts)), outward.copy()
-    for i in np.flatnonzero(~pushed):
-        dirs[i] = rng.standard_normal(space.dim)
-        depth[i] = 1.0 if i % 2 == 0 else rng.uniform()
-    return base_pts + (rho * depth)[:, None] * space.unit(dirs)
+    base_pts = sets.sample(space, n, seeds, rng, box)
+    outward = base_pts - np.mean(base_pts, axis=1, keepdims=True)
+    pushed = (np.arange(n) % 4 != 3) & (space.norms(outward) > 1e-12)
+    depth, dirs = np.ones(pushed.shape), outward.copy()
+    row, draws = -1, None
+    for i, j in np.argwhere(~pushed).tolist():  # row by row, each row's points in order
+        if i != row:
+            row, draws = i, rng(i, 1)
+        draws.standard_normal(space.dim, out=dirs[i, j])
+        if j % 2:  # an odd point's depth is uniform in [0, 1), as rng.uniform() draws it
+            depth[i, j] = draws.random()
+    return base_pts + (rhos[:, None] * depth)[..., None] * space.unit(dirs)

@@ -190,8 +190,8 @@ def _refused_at(path: str, error: type = ValueError):
     """A kit constructor's refusal of a block's values, as an input error at the block's path."""
     try:
         yield
-    except mp.DimensionCapError:
-        raise  # an input above a documented cap keeps its own message
+    except (mp.DimensionCapError, InstanceError):
+        raise  # an input above a documented cap keeps its own message, an inner block its path
     except error as exc:
         raise InstanceError(path, str(exc)) from exc
 
@@ -223,16 +223,19 @@ def _run_certify(decoded: dict, seed: int, tol: float) -> tuple[int, dict]:
     except mp.NotSetCoveringError as exc:
         raise InstanceError("$.certify.alpha",
                             f"alpha 'auto' unavailable: {exc}") from exc
-    if prop == "covering":
-        cert = check_covering(psi, alpha, blk["trials"], seed, x_box=x_box)
-    elif prop == "set-covering":
-        cert = check_set_covering(psi, alpha, blk["trials"], seed, x_box=x_box)
-    else:
-        with _refused_at("$.certify.property", NotImplementedError):  # a kind without an inverse
-            if prop == "inverse-errorbound":
-                cert = check_inverse_errorbound(psi, alpha, blk["trials"], seed, x_box=x_box)
-            else:
-                cert = check_inverse_hausdorff(psi, alpha, blk["trials"], seed)
+    # on decoded input a certificate raises ValueError only where an image of psi
+    # cannot be built (it leaves the catalog, or a point lies outside the domain)
+    with _refused_at("$.maps.psi"):
+        if prop == "covering":
+            cert = check_covering(psi, alpha, blk["trials"], seed, x_box=x_box)
+        elif prop == "set-covering":
+            cert = check_set_covering(psi, alpha, blk["trials"], seed, x_box=x_box)
+        else:
+            with _refused_at("$.certify.property", NotImplementedError):  # no inverse rule
+                if prop == "inverse-errorbound":
+                    cert = check_inverse_errorbound(psi, alpha, blk["trials"], seed, x_box=x_box)
+                else:
+                    cert = check_inverse_hausdorff(psi, alpha, blk["trials"], seed)
     code = EXIT_FALSIFIED if cert.falsified else EXIT_OK
     if blk["expect"] is not None:
         code = EXIT_OK if cert.verdict == blk["expect"] else EXIT_FALSIFIED

@@ -222,10 +222,13 @@ class MapSpec:
     witness, respond, inverse_distances and shell_center, which eval_map,
     eval_maps, alpha_of, beta_of, cover_witness and the certificates call
     on checked arguments.  witness computes along the last axis: a point
-    with a float radius, or a (k, dim) stack with (k, 1) radii.
-    inverse_distances takes a family of test sets, one per point.  A
-    variant without a rule raises their error; the images of a kind
-    without a batched rule go row by row.
+    with a float radius, or a (k, dim) stack with (k, 1) radii.  So does
+    respond: points x (..., dim_x) with radii r (...) and targets y
+    (..., dim_y), broadcast against each other, as check_covering asks it
+    for every target of every trial at once.  inverse_distances takes a
+    family of test sets, one per point.  A variant without a rule raises
+    their error (respond returns None); the images of a kind without a
+    batched rule go row by row.
     """
 
     space_x: NormedSpace
@@ -255,8 +258,9 @@ class MapSpec:
         raise WitnessUnavailableError(
             f"no witness rule for {type(self).__name__}: fallback search required")
 
-    def respond(self, x: np.ndarray, r: float, y: np.ndarray):
-        """(u, min over the r-ball at x of dist(y, image(u)), attained at u), or None."""
+    def respond(self, x: np.ndarray, r, y: np.ndarray):
+        """(u, min over the r-ball at x of dist(y, image(u)), attained at u) along the
+        last axis, or None where the kind has no closed form."""
         return None
 
     def inverse_distances(self, tests: Family, xs: np.ndarray) -> np.ndarray:
@@ -370,14 +374,19 @@ class SphereScale(_CoveringOnly):
         return Rounds(np.zeros((xs.shape[0], 2)), np.abs(xs[:, 0]), sphere=True)
 
     def respond(self, x, r, y):
-        ny = float(np.linalg.norm(y))
-        lo, hi = max(0.0, abs(float(x[0])) - r), abs(float(x[0])) + r
-        rho = min(max(ny, lo), hi)
-        sign = 1.0 if x[0] >= 0 else -1.0
-        u = np.array([sign * rho])
-        if abs(u[0] - x[0]) > r:  # sign flip fits better when the band crosses zero
-            u = np.array([-sign * rho])
-        return u, abs(ny - rho)
+        # the radius nearest |y| within the band of |u| over the r-ball, as Python's
+        # max and min pick: the first argument unless the second is strictly beyond it
+        y = np.ascontiguousarray(y, dtype=float)
+        ny = np.sqrt(np.vecdot(y, y))  # np.linalg.norm of each target
+        x0 = np.asarray(x, dtype=float)[..., 0]
+        low = np.abs(x0) - r
+        lo, hi = np.where(low > 0.0, low, 0.0), np.abs(x0) + r
+        rho = np.where(lo > ny, lo, ny)
+        rho = np.where(hi < rho, hi, rho)
+        sign = np.where(x0 >= 0, 1.0, -1.0)
+        u = sign * rho
+        u = np.where(np.abs(u - x0) > r, -sign * rho, u)  # the flip fits where the band crosses 0
+        return u[..., None], np.abs(ny - rho)
 
     def inverse_distances(self, tests, xs):
         if not isinstance(tests, Rounds) or tests.sphere:
@@ -406,11 +415,14 @@ class UnitBallTranslate(_CoveringOnly):
         return Rounds(xs, np.ones(xs.shape[0]))
 
     def respond(self, x, r, y):
-        space = self.space_x
-        d = space.dist(y, x)
-        step = min(r, max(0.0, d - 1.0))
-        u = x + step * space.unit(np.asarray(y) - x)
-        return u, max(0.0, d - r - 1.0)
+        # step toward y until its unit ball reaches y, at most r; as Python's max(0.0, t)
+        # and min(r, t) pick
+        v = np.asarray(y, dtype=float) - x
+        d = self.space_x.norms(v)
+        step = np.where(d - 1.0 > 0.0, d - 1.0, 0.0)
+        step = np.where(step < r, step, r)
+        gap = d - r - 1.0
+        return x + step[..., None] * self.space_x.unit(v), np.where(gap > 0.0, gap, 0.0)
 
     def inverse_distances(self, tests, xs):
         if not isinstance(tests, Rounds) or tests.sphere:
@@ -687,6 +699,7 @@ class BallValued(MapSpec):
             raise ValueError("BallValued needs explicit domain and range spaces")
         xhat = np.zeros(self.space_x.dim) if self.xhat is None else np.asarray(self.xhat, dtype=float)
         _freeze(self, "xhat", xhat)
+        self.center.check_spaces(self.space_x, self.space_y)
 
     def radius_at(self, x) -> float:
         return self.c0 + self.c1 * self.space_x.dist(x, self.xhat)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import setcover_kit as sk
-from setcover_kit.certify import R_RANGE_DEFAULT, _default_box, _draw_trial, recheck_violation
+from setcover_kit.certify import R_RANGE_DEFAULT, _default_box, _draw_trials, recheck_violation
 from setcover_kit.geometry import rng_for
 
 EU1 = sk.NormedSpace(1)
@@ -70,8 +70,8 @@ class TestCoveringSplit:
         m = sk.SublinearSystem(groups)
         cert = sk.check_set_covering(m, 0.99 * sk.alpha_of(m).alpha, trials=4, seed=0)
         assert cert.verdict == "no-counterexample-found"
-        x, _, _ = _draw_trial(rng_for(0, 3), _default_box(d), R_RANGE_DEFAULT)
-        image = sk.eval_map(m, x)
+        xs, _, _ = _draw_trials([rng_for(0, 3)], _default_box(d), R_RANGE_DEFAULT)
+        image = sk.eval_map(m, xs[0])
         pts = sk.sample(m.space_y, image, 64, seed=0)
         assert pts.shape == (64, d)
         assert all(sk.contains_point(m.space_y, image, p, tol=1e-6) for p in pts)
@@ -222,10 +222,8 @@ class TestSemicontinuity:
 
 class TestTrialDistribution:
     def test_radii_span_micro_and_macro(self):
-        from setcover_kit.certify import _draw_trial
-
-        rs = [_draw_trial(rng_for(0, t), (-np.ones(1), np.ones(1)), (1e-3, 1e2))[1]
-              for t in range(400)]
+        rs = _draw_trials([rng_for(0, t) for t in range(400)], (-np.ones(1), np.ones(1)),
+                          (1e-3, 1e2))[1]
         assert min(rs) < 1e-2 and max(rs) > 1e1
 
     @staticmethod
@@ -237,6 +235,12 @@ class TestTrialDistribution:
         log_lo, log_hi = math.log(r_range[0]), math.log(r_range[1])
         r = math.exp(rng.uniform(log_lo, log_hi))
         return x, r, (rng.uniform(-5.0, 5.0, size=dy) if dy else None)
+
+    @staticmethod
+    def one_row(rng, x_box, r_range, dy=0):
+        """_draw_trials for one generator: its x, r and centre (None without dy)."""
+        xs, rs, centers = _draw_trials([rng], x_box, r_range, dy)
+        return xs[0], rs[0], (centers[0] if dy else None)
 
     def test_one_draw_equals_the_per_number_draws(self):
         """Bit for bit, and with the generator left in the same state."""
@@ -250,7 +254,7 @@ class TestTrialDistribution:
             x_box = (lo, lo + cases.uniform(0.0, 20.0, dx))
             r_range = tuple(sorted(10.0 ** cases.uniform(-6.0, 6.0, 2)))
             got_rng, want_rng = rng_for(k, 3), rng_for(k, 3)
-            got = _draw_trial(got_rng, x_box, r_range, dy)
+            got = self.one_row(got_rng, x_box, r_range, dy)
             want = self.per_number_draws(want_rng, x_box, r_range, dy)
             assert [hexes(v) for v in got] == [hexes(v) for v in want], k
             assert got_rng.bit_generator.state == want_rng.bit_generator.state, k
@@ -259,7 +263,7 @@ class TestTrialDistribution:
     def test_an_infinite_range_is_refused_as_by_uniform(self):
         for x_box, r_range in [((np.zeros(2), np.array([1.0, np.inf])), (1.0, 2.0)),
                                ((np.zeros(2), np.ones(2)), (1.0, np.inf))]:
-            for draw in (_draw_trial, self.per_number_draws):
+            for draw in (self.one_row, self.per_number_draws):
                 with pytest.raises(OverflowError):
                     draw(rng_for(0, 0), x_box, r_range)
 

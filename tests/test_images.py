@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import setcover_kit as sk
-from setcover_kit.certify import _draw_trial, _scale_tol
+from setcover_kit.certify import _draw_trials, _scale_tol
 from setcover_kit.geometry import outer_radius, rng_for
 from setcover_kit.penalty import _feasible_grid_minimum, _multi_start
 from setcover_kit.search import ball_search
@@ -442,7 +442,8 @@ def ref_inverse_errorbound(m, alpha, trials, seed, tol=1e-9, test_sets=None):
     out = []
     for t in range(trials):
         rng = rng_for(seed, t)
-        x, r, _ = _draw_trial(rng, x_box, (1e-2, 1e1))
+        xs, rs, _ = _draw_trials([rng], x_box, (1e-2, 1e1))
+        x, r = xs[0], rs[0]
         if test_sets is None:
             s = sk.Ball(rng.uniform(-5.0, 5.0, size=m.space_y.dim), r)
         else:

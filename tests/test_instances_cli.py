@@ -186,6 +186,8 @@ MALFORMED = {
                            {"kind": "sum", "base": _PSI,
                             "g": {"kind": "affine", "matrix": [[1.0, 1.0, 1.0]],
                                   "offset": [0.0]}}, "$.maps.psi"),
+    "ball-valued-centre-does-not-fit": ("t1", ("maps", "phi", "center", "matrix"),
+                                        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "$.maps.phi"),
     "inverse-errorbound-without-an-inverse": ("sublinear", ("certify", "property"),
                                               "inverse-errorbound", "$.certify.property"),
     "inverse-hausdorff-without-an-inverse": ("sublinear", ("certify", "property"),
@@ -278,6 +280,22 @@ class TestCli:
         node[keys[-1]] = value
         assert main([_COMMAND[name], "--instance", self.write(tmp_path, data)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"input error: {path}: ")
+
+    def test_a_psi_image_that_leaves_the_catalog_is_an_input_error(self, tmp_path, capsys):
+        # a rotation takes the max-norm ball images of the dilation out of the catalog;
+        # the map decodes, and its first image at a trial point is refused
+        data = copy.deepcopy(builtin_instances()["sphere_scale_covering"])
+        data["maps"]["psi"] = {
+            "kind": "composed",
+            "g": {"kind": "affine", "matrix": [[0.6, -0.8], [0.8, 0.6]], "offset": [0.0, 0.0]},
+            "base": {"kind": "dilation", "y0": [0.0, 0.0], "a": 1.0, "anchor": [0.0],
+                     "space_y": {"dim": 2, "norm": "max"}},
+            "space_z": {"dim": 2, "norm": "max"}}
+        data["certify"]["alpha"] = 0.5
+        del data["certify"]["expect"]
+        assert main(["certify", "--instance", self.write(tmp_path, data)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: $.maps.psi: ball images need a scaled-orthogonal")
 
     def test_the_file_seed_applies_unless_the_flag_is_given(self, tmp_path, capsys):
         data = copy.deepcopy(builtin_instances()["sphere_scale_set_covering"])

@@ -16,7 +16,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import setcover_kit as sk
 from setcover_kit import certify
-from setcover_kit.geometry import _rng, _sampling_words, _seed_words, rng_for
+from setcover_kit.geometry import (
+    _rng,
+    _sampling_words,
+    _seed_words,
+    _trial_seed_words,
+    rng_for,
+)
 from test_images import NORMS, make_map
 
 # the seed's word count crosses 1, 2, 3, 4 and 5 words: five or more run
@@ -56,6 +62,15 @@ def test_sampling_rows_equal_numpys(seeds):
             assert_row_is_numpys(seed, (stream,), row)
 
 
+@pytest.mark.parametrize("seed", BOUNDARY_SEEDS)
+@pytest.mark.parametrize("trials", (0, 1, 5))
+def test_trial_keys_as_arrays_equal_the_key_tuples(seed, trials):
+    keys = [(t,) for t in range(trials)]
+    assert np.array_equal(_trial_seed_words(seed, trials), _seed_words(seed, keys))
+    keys += [(t, 4) for t in range(trials)]
+    assert np.array_equal(_trial_seed_words(seed, trials, 4), _seed_words(seed, keys))
+
+
 def test_numpy_integer_keys_read_as_their_values():
     row = _seed_words(np.int64(3), [(np.uint32(2), 7)])[0]
     assert_row_is_numpys(3, (2, 7), row)
@@ -76,14 +91,18 @@ class PerTrial:
     """The per-trial derivation the batched seeds replaced: one NumPy hash per key."""
 
     def __init__(self, seed, trials, sub=None):
-        self.seed, self.sub = seed, sub
+        self.seed, self.trials, self.sub = seed, trials, sub
 
-    def rng(self, t):
-        return rng_for(self.seed, t)
+    def rngs(self):
+        return [rng_for(self.seed, t) for t in range(self.trials)]
 
-    def enlargement(self, t, space, s, rho, n):
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(t, self.sub))
-        return sk.sample_enlargement(space, s, rho, n, seed=int(ss.generate_state(1)[0]))
+    def enlargements(self, space, sets, rhos, n):
+        out = np.empty((self.trials, n, space.dim))
+        for t in range(self.trials):
+            ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(t, self.sub))
+            out[t] = sk.sample_enlargement(space, sets.row(t), float(rhos[t]), n,
+                                           seed=int(ss.generate_state(1)[0]))
+        return out
 
 
 def _outcome(run):

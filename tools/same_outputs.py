@@ -9,7 +9,10 @@ runs every job once in list order with the kit imported from --src
 seed, position, job name and its output as sorted JSON.  It then runs
 each built-in instance at seeds 1 and 2 (the workloads run them at their
 own seed 0) and writes its exit code and `result` the same way, under the
-workload name `builtin`.  Every float is written by its hex form, so two
+workload name `builtin`.  Last, for each seed, it writes the `forced`
+certificates: rates above what the maps have, so that covering,
+set-covering and inverse-errorbound violation records get compared too
+(every such job of the workloads finds none).  Every float is written by its hex form, so two
 dumps are equal only when every value is equal bit for bit; a job that
 raises is written as its exception.  With --reverse each workload's jobs,
 and the built-ins, run last to first, each still written under its list
@@ -95,6 +98,30 @@ def dump(src: Path, seeds: list[int], reverse: bool = False) -> None:
     for seed in BUILTIN_SEEDS:
         write("builtin", seed, [(name, partial(run_builtin, data, seed))
                                 for name, data in builtin_instances().items()])
+    for seed in seeds:
+        write("forced", seed, forced_jobs(seed))
+
+
+def forced_jobs(seed: int) -> list:
+    """Certificates run at rates their maps do not have, so that each records violations:
+    covering at alpha 2 on the four covering-only maps (rate 1), inverse-errorbound at
+    three times the rate of a euclidean and a max-norm dilation, set-covering of the
+    sphere scaling (no rate at all)."""
+    import numpy as np
+    import setcover_kit as sk
+
+    cover_only = {"sphere_scale": sk.SphereScale(), **{
+        f"unit_ball_translate_{d}": sk.UnitBallTranslate(d) for d in (1, 2, 3)}}
+    jobs = [(f"covering-2-{name}", partial(sk.check_covering, m, 2.0, 40, seed))
+            for name, m in cover_only.items()]
+    for norm in ("euclidean", "max"):
+        space = sk.NormedSpace(2, norm)
+        m = sk.Dilation(np.array([0.5, -0.25]), 1.5, 0.25, np.array([0.1, 0.0]), space, space)
+        jobs.append((f"inverse-errorbound-3a-dilation-{norm}",
+                     partial(sk.check_inverse_errorbound, m, 4.5, 40, seed)))
+    jobs.append(("set-covering-sphere_scale",
+                 partial(sk.check_set_covering, cover_only["sphere_scale"], 0.5, 40, seed)))
+    return jobs
 
 
 def compare(other: Path, seeds: list[int]) -> int:
