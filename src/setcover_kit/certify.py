@@ -36,7 +36,6 @@ from .geometry import (
     _sampling_words,
     _trial_seed_words,
     dist_point,
-    excess,
     rng_for,
 )
 from .search import ball_search
@@ -130,8 +129,8 @@ def _default_box(dim: int, half_width: float = 5.0):
 # Below it, one NumPy SeedSequence per key costs less than the batch's fixed
 # cost, keys assembled as arrays included: timed in-process on a 2-core x86-64
 # machine (each trial's draw, and with sub-seeds its enlargement sample),
-# batching cost 13-34 us more without sub-seeds and 97-180 us more with them
-# at 1 to 3 trials, about the same at 4, and saved 65-130 us at 9.
+# batching cost 4-20 us more without sub-seeds and 51-98 us more with them
+# at 1 to 3 trials, about the same at 4, and saved 89-235 us at 9.
 _BATCH_FROM = 4
 
 
@@ -581,16 +580,13 @@ def check_exc_semicontinuity(phi: mp.MapSpec, psi: mp.MapSpec, x0,
     if modulus is None:
         modulus = mp.beta_of(phi) + mp.beta_of(psi)
 
-    def exc_at(x):
-        return float(excess(phi.space_y, mp.eval_map(phi, x), mp.eval_map(psi, x)))
-
-    base = exc_at(x0)
+    base = mp.image_excesses(phi, psi, phi.space_x.check_point(x0)[None]).item(0)
     violations: list[Violation] = []
     for s_idx, rng in enumerate(_TrialSeeds(seed, n_sequences).rngs()):
         direction = phi.space_x.unit(rng.standard_normal(phi.space_x.dim))
         delta0 = float(rng.uniform(0.5, 2.0))
         xs = [x0 + direction * delta0 * 0.5**k for k in range(n_terms)]
-        values = [exc_at(x) for x in xs]
+        values = mp.image_excesses(phi, psi, np.array(xs)).tolist()
         for k in range(n_terms):
             tail_min = min(values[k:])
             tail_radius = delta0 * 0.5**k

@@ -19,6 +19,7 @@ bounded target can absorb.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -33,6 +34,9 @@ BOX_CORNER_CAP = 256  # largest corner count a box's exact excess enumerates
 # call, which costs more than the arithmetic on a few rows
 _ZERO = np.zeros(1)
 _ZERO.setflags(write=False)
+# the error, approximate flag and note of one exact row, shared read-only
+_EXACT_ROW = (_ZERO, np.zeros(1, dtype=bool), ("",))
+_EXACT_ROW[1].setflags(write=False)
 
 __all__ = [
     "DEFAULT_TOL",
@@ -128,6 +132,17 @@ _CROSS = [[np.insert(c, s, 0, axis=0) for c in _hash_steps(_POOL_HASH, 4 + 3 * s
 _STATE = _hash_steps(_STATE_HASH, 0, 8)
 
 
+@functools.cache
+def _word_steps(width: int):
+    """(xor, mult) of the hash steps that mix `width` entropy words past the first
+    four into the pool, shaped (width, 4, 1): word i takes steps 16 + 4i.., one per
+    lane.  Built once per width, as _FIRST, _CROSS and _STATE are once, and read-only."""
+    steps = tuple(c.reshape(width, 4, 1) for c in _hash_steps(_POOL_HASH, 16, 4 * width))
+    for c in steps:
+        c.setflags(write=False)
+    return steps
+
+
 def _u32_words(*ints) -> list[int]:
     """SeedSequence's entropy words of nonnegative ints: each one's 32-bit words, low first."""
     out = []
@@ -148,7 +163,7 @@ def _mixed_words(pool: np.ndarray, words: np.ndarray, lengths: np.ndarray) -> np
     one round of array operations over the stacked (4, k) lanes per row."""
     width, k = words.shape
     pool = np.broadcast_to(pool, (4, k))
-    xor, mult = (c.reshape(width, 4, 1) for c in _hash_steps(_POOL_HASH, 16, 4 * width))
+    xor, mult = _word_steps(width)
     hashed = _hashmix(words[:, None, :], xor, mult)  # each word into every lane
     every = lengths.min(initial=width)  # rows that every key takes
     for i in range(width):
@@ -805,8 +820,8 @@ class EnlargedSet(SetRep):
         return self.base.convex  # enlargement preserves convexity in a normed space
 
     def _dists(self, space, ys):
-        inner = self.base._dists(space, ys)
-        return inner._replace(value=np.fmax(inner.value - self.margin, _ZERO))
+        value, *rest = self.base._dists(space, ys)
+        return Distances(np.fmax(value - self.margin, _ZERO), *rest)
 
     def outer_radius(self, space, p):
         inner = outer_radius(space, self.base, p)
@@ -836,6 +851,12 @@ class EnlargedSet(SetRep):
         return EnlargedSet(self.base.affine_image(space_in, space_out, mat, off), lam * self.margin)
 
 
+# _ball_image_factor's answers, kept: a map's images ask for the factor on every
+# evaluation, and the orthogonality test alone takes tens of microseconds
+_FACTORS: dict = {}
+_FACTORS_KEPT = 4096
+
+
 def _ball_image_factor(space_in: NormedSpace, space_out: NormedSpace, mat: np.ndarray) -> float:
     """lam with ||M v||_out = lam ||v||_in for every v, so that M maps each ball of
     space_in onto a ball of space_out; raises ValueError where no such lam is known.
@@ -844,10 +865,18 @@ def _ball_image_factor(space_in: NormedSpace, space_out: NormedSpace, mat: np.nd
     p-norm on both sides with M = lam times a signed permutation.  Any other matrix
     or norm pair maps a ball to a set that is not a ball of space_out.
     """
-    lam = None
-    if (space_in.norm, space_in.p) == (space_out.norm, space_out.p):
-        lam = (_scaled_orthogonal_factor(mat) if space_in.norm == "euclidean"
-               else _signed_permutation_factor(mat))
+    # the norm selectors and the matrix by value and layout (the products below may
+    # round differently for another memory order)
+    key = (space_in.norm, space_in.p, space_out.norm, space_out.p, mat.dtype.str, mat.shape,
+           mat.strides, mat.tobytes())
+    lam = _FACTORS.get(key, False)
+    if lam is False:
+        lam = None
+        if (space_in.norm, space_in.p) == (space_out.norm, space_out.p):
+            lam = (_scaled_orthogonal_factor(mat) if space_in.norm == "euclidean"
+                   else _signed_permutation_factor(mat))
+        if len(_FACTORS) < _FACTORS_KEPT:
+            _FACTORS[key] = lam
     if lam is None:
         raise ValueError("ball images need a scaled-orthogonal matrix to stay in the catalog "
                          "(euclidean norms), or a scaled signed permutation (the same max or "
@@ -1130,7 +1159,8 @@ class Rounds(Family):
         return Rounds(centers, lam * self.radii, self.sphere)
 
     def excesses(self, space, b):
-        """excess's closed forms of a ball or sphere over a ball or sphere, elementwise."""
+        """The closed forms of a ball or sphere over a ball or sphere, elementwise (excess
+        of one such pair is one row of them); other rows by the pair's own excess."""
         if not isinstance(b, Rounds):
             return super().excesses(space, b)
         m = space.norms(self.centers - b.centers)
@@ -1177,6 +1207,8 @@ def _check_set(space: NormedSpace, s: SetRep) -> None:
 
 
 def _exact(value: np.ndarray) -> Distances:
+    if value.shape == (1,):  # one point (dist_point): no arrays to allocate
+        return Distances(value, *_EXACT_ROW)
     return Distances(value, np.zeros(value.shape), np.zeros(value.shape, dtype=bool),
                      ("",) * value.size)
 
@@ -1436,14 +1468,8 @@ def excess(space: NormedSpace, a: SetRep, b: SetRep,
     if isinstance(a, Box) and b.convex and 2**a.dim <= BOX_CORNER_CAP:
         return _max_distance(space, a.corners(), b)
     if isinstance(a, (Ball, Sphere)):
-        if isinstance(b, Ball):
-            return Distance(max(0.0, space.dist(a.center, b.center) + a.radius - b.radius))
-        if isinstance(b, Sphere):
-            # distances from b's center over a form a band; |t - r_b| peaks at its ends
-            m = space.dist(a.center, b.center)
-            hi_end = m + a.radius
-            lo_end = max(0.0, m - a.radius) if isinstance(a, Ball) else abs(m - a.radius)
-            return Distance(max(abs(hi_end - b.radius), abs(lo_end - b.radius)))
+        if isinstance(b, (Ball, Sphere)):
+            return Distance(Family.of([a]).excesses(space, Family.of([b])).item(0))
         if isinstance(b, PointCloud) and b.points.shape[0] == 1:
             return outer_radius(space, a, b.points[0])
     if isinstance(a, Orthant):

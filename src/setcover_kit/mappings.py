@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    Ball,
     Family,
     FormGroup,
     NormedSpace,
@@ -28,7 +27,6 @@ from .geometry import (
     Regions,
     Rounds,
     SetRep,
-    Sphere,
     SublevelRegion,
     DimensionMismatchError,
     boundedness,
@@ -37,7 +35,6 @@ from .geometry import (
     excess,
     rng_for,
     sample_enlargement,
-    translate_set,
     _freeze,
     _memo,
     _positive,
@@ -70,6 +67,7 @@ __all__ = [
     "BallValued",
     "eval_map",
     "eval_maps",
+    "image_excesses",
     "alpha_of",
     "beta_of",
     "cover_witness",
@@ -218,33 +216,31 @@ class MapConstants:
 class MapSpec:
     """Base class; concrete variants declare their domain/range spaces.
 
-    Each variant carries its rules: image and images, constants, lipschitz,
-    witness, respond, inverse_distances and shell_center, which eval_map,
-    eval_maps, alpha_of, beta_of, cover_witness and the certificates call
-    on checked arguments.  witness computes along the last axis: a point
+    Each variant carries its rules: images, constants, lipschitz, witness,
+    respond, inverse_distances and shell_center, which eval_maps, alpha_of,
+    beta_of, cover_witness and the certificates call on checked arguments.
+    A kind has one image rule, over a (k, dim) array of points: eval_map
+    is its one-row call.  witness computes along the last axis: a point
     with a float radius, or a (k, dim) stack with (k, 1) radii.  So does
     respond: points x (..., dim_x) with radii r (...) and targets y
     (..., dim_y), broadcast against each other, as check_covering asks it
     for every target of every trial at once.  inverse_distances takes a
     family of test sets, one per point.  A variant without a rule raises
-    their error (respond returns None); the images of a kind without a
-    batched rule go row by row.
+    their error (respond returns None).
     """
 
     space_x: NormedSpace
     space_y: NormedSpace
 
-    def image(self, x: np.ndarray) -> SetRep:
-        raise TypeError(f"unknown map variant {type(self).__name__}")
-
     def images(self, xs: np.ndarray) -> Family:
-        """The image of each row of a (k, dim) array; row i is image(xs[i]).
+        """The image of each row of a (k, dim) array, as a family of k sets.
 
-        A row whose image raises ValueError is missing from the family.
-        The ball- and sphere-valued kinds return Rounds and the sublinear
-        kind Regions, each built for all rows at once.
+        A row whose image cannot be built (a ValueError) is missing from
+        the family.  The ball- and sphere-valued kinds return Rounds and
+        the sublinear kind Regions, each built for all rows at once; the
+        epigraphical and process kinds build their sets row by row.
         """
-        return Family.build(lambda i: self.image(xs[i]), xs.shape[0])
+        raise TypeError(f"unknown map variant {type(self).__name__}")
 
     def constants(self) -> MapConstants:
         raise NotSetCoveringError(f"no covering rule for {type(self).__name__}")
@@ -315,15 +311,10 @@ class Dilation(MapSpec):
         object.__setattr__(self, "space_x", _space_of(self.space_x, self.anchor.shape[0]))
         object.__setattr__(self, "space_y", _space_of(self.space_y, self.y0.shape[0]))
 
-    def radius_at(self, x) -> float:
-        return self.a * self.space_x.dist(x, self.anchor) + self.b
-
-    def image(self, x):
-        return Ball(self.y0, self.radius_at(x))
-
     def images(self, xs):
         radii = self.a * self.space_x.norms(xs - self.anchor) + self.b
-        return Rounds(np.broadcast_to(self.y0, (xs.shape[0], self.y0.shape[0])), radii)
+        # a copy of y0 per row: on a few rows np.broadcast_to costs more than the copy
+        return Rounds(self.y0[None].repeat(xs.shape[0], axis=0), radii)
 
     def constants(self):
         return MapConstants(alpha=self.a, beta=self.a, gamma=1.0,
@@ -367,9 +358,6 @@ class SphereScale(_CoveringOnly):
         object.__setattr__(self, "space_x", _space_of(self.space_x, 1))
         object.__setattr__(self, "space_y", _space_of(self.space_y, 2))
 
-    def image(self, x):
-        return Sphere(np.zeros(2), abs(float(x[0])))
-
     def images(self, xs):
         return Rounds(np.zeros((xs.shape[0], 2)), np.abs(xs[:, 0]), sphere=True)
 
@@ -407,9 +395,6 @@ class UnitBallTranslate(_CoveringOnly):
     def __post_init__(self):
         object.__setattr__(self, "space_x", _space_of(self.space_x, self.dim))
         object.__setattr__(self, "space_y", _space_of(self.space_y, self.dim))
-
-    def image(self, x):
-        return Ball(x, 1.0)
 
     def images(self, xs):
         return Rounds(xs, np.ones(xs.shape[0]))
@@ -457,9 +442,6 @@ class SublinearSystem(MapSpec):
     def dual_norm_max(self) -> float:
         """max_{i,j} ||a_ij|| in the dual of the range norm (vertex max of each subdifferential)."""
         return max(self.space_y.dual_norm_of(row) for g in self.groups for row in g)
-
-    def image(self, x):
-        return SublevelRegion(tuple(FormGroup(g, abs(float(xi))) for g, xi in zip(self.groups, x)))
 
     def images(self, xs):
         # one region holds the stacked form rows; row i's bounds are |x_i| per group
@@ -521,8 +503,8 @@ class Epigraphical(MapSpec):
             return 1.0 / worst
         return _memo(self, "_alpha_f", solve)
 
-    def image(self, x):
-        return Orthant(self.matrix @ x)
+    def images(self, xs):
+        return Family.build(lambda i: Orthant(self.matrix @ xs[i]), xs.shape[0])
 
     def constants(self):
         alpha_f = self.alpha_f()
@@ -566,18 +548,19 @@ class PolyhedralProcess(MapSpec):
         object.__setattr__(self, "space_x", _space_of(self.space_x, cx.shape[1]))
         object.__setattr__(self, "space_y", _space_of(self.space_y, cy.shape[1]))
 
-    def image(self, x):
-        rhs = -(self.cx @ x)
-        groups = []
-        for row, b in zip(self.cy, rhs):
-            if np.all(row == 0.0):
-                if b < -1e-12:
-                    raise ValueError("point lies outside the domain of the process")
-                continue
-            groups.append(FormGroup(row.reshape(1, -1), float(b)))
-        if not groups:
-            raise ValueError("process image is the whole space; not representable")
-        return SublevelRegion(tuple(groups))
+    def images(self, xs):
+        def region(i):
+            groups = []
+            for row, b in zip(self.cy, -(self.cx @ xs[i])):
+                if np.all(row == 0.0):
+                    if b < -1e-12:
+                        raise ValueError("point lies outside the domain of the process")
+                    continue
+                groups.append(FormGroup(row.reshape(1, -1), float(b)))
+            if not groups:
+                raise ValueError("process image is the whole space; not representable")
+            return SublevelRegion(tuple(groups))
+        return Family.build(region, xs.shape[0])
 
     def constants(self):
         from .certify import interior_radius
@@ -612,9 +595,6 @@ class Sum(MapSpec):
 
     def g_lipschitz(self) -> float:
         return self.g.lipschitz(self.space_x, self.space_y)
-
-    def image(self, x):
-        return translate_set(eval_map(self.base, x), self.g.evaluate(x, self.space_x))
 
     def images(self, xs):
         return self.base.images(xs).translate(self.g.evaluate(xs, self.space_x))
@@ -657,10 +637,6 @@ class Composed(MapSpec):
     def inner_space(self) -> NormedSpace:
         return self.base.space_y
 
-    def image(self, x):
-        return eval_map(self.base, x).affine_image(self.inner_space, self.space_z,
-                                                   self.g.matrix, self.g.offset)
-
     def images(self, xs):
         return self.base.images(xs).affine_image(self.inner_space, self.space_z,
                                                  self.g.matrix, self.g.offset)
@@ -701,12 +677,6 @@ class BallValued(MapSpec):
         _freeze(self, "xhat", xhat)
         self.center.check_spaces(self.space_x, self.space_y)
 
-    def radius_at(self, x) -> float:
-        return self.c0 + self.c1 * self.space_x.dist(x, self.xhat)
-
-    def image(self, x):
-        return Ball(self.center.evaluate(x, self.space_x), self.radius_at(x))
-
     def images(self, xs):
         return Rounds(self.center.evaluate(xs, self.space_x),
                       self.c0 + self.c1 * self.space_x.norms(xs - self.xhat))
@@ -720,21 +690,29 @@ class BallValued(MapSpec):
 
 
 def eval_map(m: MapSpec, x) -> SetRep:
-    """Image of x under the mapping, as a closed set representation."""
-    return m.image(m.space_x.check_point(x))
+    """Image of x under the mapping, as a closed set representation: one row of eval_maps."""
+    return eval_maps(m, m.space_x.check_point(x)[None]).row(0)
 
 
 def eval_maps(m: MapSpec, xs) -> Family:
-    """Images of the rows of a (k, dim) point array, in one call.
+    """Images of the rows of a (k, dim) point array, in one call of the kind's
+    images rule.
 
-    Row i is eval_map(m, xs[i]) bit for bit; a row whose image cannot be
-    built is missing (inf distances) instead of raising.
+    eval_map(m, x) is the one-row call; a row whose image cannot be built
+    is missing (inf distances) instead of raising.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != m.space_x.dim:
         raise DimensionMismatchError(
             f"expected a (k, {m.space_x.dim}) point array, got shape {xs.shape}")
     return m.images(xs)
+
+
+def image_excesses(phi: MapSpec, psi: MapSpec, xs) -> np.ndarray:
+    """excess(phi(x), psi(x)) at each row of a (k, dim) array, the residual of the
+    inclusion phi(x) in psi(x): one closed form for all rows where both maps have
+    ball or sphere images, else row by row."""
+    return eval_maps(phi, xs).excesses(phi.space_y, eval_maps(psi, xs))
 
 
 def alpha_of(m: MapSpec) -> MapConstants:

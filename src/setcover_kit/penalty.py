@@ -23,8 +23,8 @@ import numpy as np
 
 from . import mappings as mp
 from .certify import Certificate, Violation
-from .geometry import NormedSpace, excess, rng_for
-from .search import PatternTrace, pattern_search, pattern_searches
+from .geometry import NormedSpace, rng_for
+from .search import PatternTrace, pattern_searches
 from .solver import InclusionInstance, solve_inclusions
 
 # largest dimension minimize_penalty searches: each poll round costs 2 * dim penalty values
@@ -155,11 +155,9 @@ class PenaltyProblem:
 
 
 def penalty_value(prob: PenaltyProblem, x) -> float:
-    """objective(x) + l * excess residual; the +inf sentinel propagates."""
-    resid = prob.inst.residual(x)
-    if math.isinf(resid):
-        return math.inf
-    return prob.objective_at(x) + prob.l * resid
+    """objective(x) + l * excess residual; the +inf sentinel propagates.  One row of
+    penalty_values."""
+    return penalty_values(prob, prob.space.check_point(x)[None]).item(0)
 
 
 def penalty_values(prob: PenaltyProblem, xs) -> np.ndarray:
@@ -202,13 +200,14 @@ def minimize_penalty(prob: PenaltyProblem, x0,
     """Coordinate pattern search on the penalty functional.
 
     Hyperparameters (start step 1.0, halving, floor 1e-7) are fixed and
-    recorded in the trace; the run is deterministic given x0.
+    recorded in the trace; the run is deterministic given x0.  Each poll
+    round is one penalty_values call.
     """
     _check_search_cap(prob)
     x0 = prob.space.check_point(x0)
-    x, val, trace = pattern_search(lambda u: penalty_value(prob, u), x0,
-                                   initial_step=initial_step, step_floor=step_floor,
-                                   max_evals=max_evals)
+    ((x, val, trace),) = pattern_searches(lambda xs: penalty_values(prob, np.array(xs)), [x0],
+                                          initial_step=initial_step, step_floor=step_floor,
+                                          max_evals=max_evals)
     return MinimizeResult(x=x, value=val, trace=trace)
 
 
@@ -369,7 +368,7 @@ class ParamFamily:
     def residual(self, p, x) -> float:
         p = self.param_space.check_point(p)
         phi, psi = self.phi_of_p(p), self.psi_of_p(p)
-        return float(excess(phi.space_y, mp.eval_map(phi, x), mp.eval_map(psi, x)))
+        return mp.image_excesses(phi, psi, phi.space_x.check_point(x)[None]).item(0)
 
 
 @dataclass(frozen=True)

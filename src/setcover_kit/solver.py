@@ -32,7 +32,6 @@ from .geometry import (
     boundedness,
     dist_point,  # noqa: F401  (perfbench/test_checks.py checks the tracer rebinds it here)
     dists,
-    excess,
     sample,
 )
 
@@ -99,13 +98,12 @@ class InclusionInstance:
         return self.phi.space_y
 
     def residual(self, x) -> float:
-        return float(excess(self.space_y, mp.eval_map(self.phi, x),
-                            mp.eval_map(self.psi, x)))
+        """excess(phi(x), psi(x)): one row of residuals."""
+        return self.residuals(self.space_x.check_point(x)[None]).item(0)
 
     def residuals(self, xs) -> np.ndarray:
-        """residual(x) for each row of a (k, dim) array: one closed form for all
-        rows where both maps have ball or sphere images, else row by row."""
-        return mp.eval_maps(self.phi, xs).excesses(self.space_y, mp.eval_maps(self.psi, xs))
+        """The residual at each row of a (k, dim) array (see mappings.image_excesses)."""
+        return mp.image_excesses(self.phi, self.psi, xs)
 
 
 @dataclass(frozen=True)
@@ -177,9 +175,9 @@ def solve_inclusions(inst: InclusionInstance, starts, polish: bool = True) -> li
     """solve_inclusion from each start, run in lockstep; trace i is that of starts[i].
 
     Each step makes one witness, residual and step-length call over the
-    solves still running: batched, or scalar once only one runs.  The
-    contraction test, budget, polish step and re-check stay per solve, so
-    trace i equals solve_inclusion(inst, starts[i], polish) bit for bit.
+    solves still running, one row per solve.  The contraction test, budget,
+    polish step and re-check stay per solve, so trace i equals
+    solve_inclusion(inst, starts[i], polish) bit for bit.
     """
     return _solves(inst, starts, polish)
 
@@ -187,7 +185,7 @@ def solve_inclusions(inst: InclusionInstance, starts, polish: bool = True) -> li
 def _solves(inst: InclusionInstance, starts, polish: bool) -> list[SolveTrace]:
     """The solve loop of both public names (each of which is then one traced span)."""
     xs = [inst.space_x.check_point(x0) for x0 in starts]  # each solve's current iterate
-    rs = [inst.residual(x) for x in xs] if len(xs) < 2 else inst.residuals(np.array(xs)).tolist()
+    rs = inst.residuals(np.reshape(xs, (len(xs), inst.space_x.dim))).tolist()
     steps = [[SolveStep(tuple(x), r, 0.0, "start")] for x, r in zip(xs, rs)]
     violations = [None] * len(rs)
     ratio = inst.beta / inst.alpha_used
@@ -221,11 +219,7 @@ def _solves(inst: InclusionInstance, starts, polish: bool) -> list[SolveTrace]:
 
 
 def _witness_steps(inst: InclusionInstance, xs: list, radii: list[float]):
-    """(witness, its residual, step length) from each point of xs at its radius:
-    the scalar rules when one solve is running, the batched rules for more."""
-    if len(xs) == 1:
-        u = mp.cover_witness(inst.psi, xs[0], radii[0])
-        return ((u, inst.residual(u), inst.space_x.dist(u, xs[0])),)
+    """(witness, its residual, step length) from each point of xs at its radius."""
     points = np.array(xs)
     us = inst.psi.witness(points, np.array(radii)[:, None])
     return zip(us, inst.residuals(us).tolist(), inst.space_x.norms(us - points).tolist())

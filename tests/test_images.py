@@ -1,13 +1,16 @@
-"""Batched map images: every batched rule against its scalar call, by float hex.
+"""Batched map images: every batched rule against the scalar rule it replaced, by float hex.
 
-`eval_maps` (the per-kind `images` rule), the families' distances and
-excesses, the inclusion inverses and `penalty_values` are checked row by
-row against the scalar rules they batch.  The inclusion inverses, the
-catalog functions and the objectives each have one rule, computed along
-the last axis; it is checked on one point and on a stack against the
-scalar twin it replaced, kept here as a reference.  The certificate and
-witness callers that switched to the batch are checked against the
-scalar loops they replaced, kept here as references.
+Each map kind has one image rule, `images`, called through `eval_maps`;
+`eval_map` is its one-row call.  Likewise the inclusion residual
+(`InclusionInstance.residuals`, `residual` its one-row call), the
+penalty (`penalty_values`, `penalty_value` its one-row call), the
+ball and sphere excesses (`Rounds.excesses`, which the scalar `excess`
+of such a pair calls with one row), the inclusion inverses, the catalog
+functions and the objectives.  Each is checked on one point and on a
+stack against the scalar twin it replaced, kept here as a reference
+(`old_image`, `old_excess`, `old_residual`, `old_penalty_value`, ...).
+The certificate and witness callers that switched to the batch are
+checked against the scalar loops they replaced, kept here as references.
 """
 
 import math
@@ -21,6 +24,7 @@ from setcover_kit.certify import _draw_trials, _scale_tol
 from setcover_kit.geometry import outer_radius, rng_for
 from setcover_kit.penalty import _feasible_grid_minimum, _multi_start
 from setcover_kit.search import ball_search
+from test_search import ref_pattern_search
 
 NORMS = (("euclidean", None), ("max", None), ("p", 3.0))
 KINDS = ("dilation", "sphere_scale", "unit_ball_translate", "ball_valued", "sum", "composed",
@@ -99,9 +103,72 @@ def same_set(a, b):
         raise AssertionError(type(a).__name__)
 
 
+def old_image(m, x):
+    """The scalar image rule of each map kind, as eval_map ran it before it became
+    one row of eval_maps."""
+    x = m.space_x.check_point(x)
+    if isinstance(m, sk.Dilation):
+        return sk.Ball(m.y0, m.a * m.space_x.dist(x, m.anchor) + m.b)
+    if isinstance(m, sk.SphereScale):
+        return sk.Sphere(np.zeros(2), abs(float(x[0])))
+    if isinstance(m, sk.UnitBallTranslate):
+        return sk.Ball(x, 1.0)
+    if isinstance(m, sk.SublinearSystem):
+        return sk.SublevelRegion(tuple(sk.FormGroup(g, abs(float(xi)))
+                                       for g, xi in zip(m.groups, x)))
+    if isinstance(m, sk.Epigraphical):
+        return sk.Orthant(m.matrix @ x)
+    if isinstance(m, sk.PolyhedralProcess):
+        groups = []
+        for row, b in zip(m.cy, -(m.cx @ x)):
+            if np.all(row == 0.0):
+                if b < -1e-12:
+                    raise ValueError("point lies outside the domain of the process")
+                continue
+            groups.append(sk.FormGroup(row.reshape(1, -1), float(b)))
+        if not groups:
+            raise ValueError("process image is the whole space; not representable")
+        return sk.SublevelRegion(tuple(groups))
+    if isinstance(m, sk.Sum):
+        return sk.translate_set(old_image(m.base, x), m.g.evaluate(x, m.space_x))
+    if isinstance(m, sk.Composed):
+        return old_image(m.base, x).affine_image(m.inner_space, m.space_z, m.g.matrix,
+                                                 m.g.offset)
+    if isinstance(m, sk.BallValued):
+        return sk.Ball(m.center.evaluate(x, m.space_x), m.c0 + m.c1 * m.space_x.dist(x, m.xhat))
+    raise TypeError(f"unknown map variant {type(m).__name__}")
+
+
+def old_excess(space, a, b) -> float:
+    """excess as it was before its ball and sphere closed forms became one row of
+    Rounds.excesses: those forms written out, every other pair by sk.excess."""
+    if isinstance(a, (sk.Ball, sk.Sphere)) and isinstance(b, sk.Ball):
+        return max(0.0, space.dist(a.center, b.center) + a.radius - b.radius)
+    if isinstance(a, (sk.Ball, sk.Sphere)) and isinstance(b, sk.Sphere):
+        # distances from b's center over a form a band; |t - r_b| peaks at its ends
+        m = space.dist(a.center, b.center)
+        hi_end = m + a.radius
+        lo_end = max(0.0, m - a.radius) if isinstance(a, sk.Ball) else abs(m - a.radius)
+        return max(abs(hi_end - b.radius), abs(lo_end - b.radius))
+    return float(sk.excess(space, a, b))
+
+
+def old_residual(inst, x) -> float:
+    """InclusionInstance.residual before it became one row of residuals."""
+    return old_excess(inst.space_y, old_image(inst.phi, x), old_image(inst.psi, x))
+
+
+def old_penalty_value(prob, x) -> float:
+    """penalty_value before it became one row of penalty_values."""
+    resid = old_residual(prob.inst, x)
+    if math.isinf(resid):
+        return math.inf
+    return prob.objective_at(x) + prob.l * resid
+
+
 def scalar_image(m, x):
     try:
-        return sk.eval_map(m, x)
+        return old_image(m, x)
     except ValueError:
         return None
 
@@ -125,8 +192,11 @@ def test_images_equal_their_scalar_calls(kind, norm, dx, dy, k, n, seed):
             assert np.all(np.isinf(dist_rows[i]))
             with pytest.raises(ValueError):
                 family.row(i)
+            with pytest.raises(ValueError):
+                sk.eval_map(m, x)
             continue
         same_set(family.row(i), image)
+        same_set(sk.eval_map(m, x), image)
         assert hexes(dist_rows[i]) == hexes(sk.dists(m.space_y, ys, image).value)
 
 
@@ -161,7 +231,8 @@ def test_affine_rows_each_run_the_one_point_product(d):
     for m in maps:
         family = sk.eval_maps(m, xs)
         for i, x in enumerate(xs):
-            same_set(family.row(i), sk.eval_map(m, x))
+            same_set(family.row(i), old_image(m, x))
+            same_set(sk.eval_map(m, x), old_image(m, x))
     assert_catalog_functions_equal_their_old_rule(
         [sk.Affine(rng.standard_normal((d, d)), rng.standard_normal(d)), sk.Affine(q, np.zeros(d)),
          sk.ScaledNormRadial(float(rng.normal()), rng.standard_normal(d))], eu, xs)
@@ -211,8 +282,9 @@ def test_round_excesses_equal_the_scalar_excess(norm, d, k, a_sphere, b_sphere, 
     a, b = rounds(rng, k, d, a_sphere), rounds(rng, k, d, b_sphere)
     if rng.uniform() < 0.3:  # coinciding centers: the band's lower end at zero
         b = sk.Rounds(a.centers.copy(), b.radii, b_sphere)
-    scalar = [float(sk.excess(sp, a.row(i), b.row(i))) for i in range(k)]
+    scalar = [old_excess(sp, a.row(i), b.row(i)) for i in range(k)]
     assert hexes(a.excesses(sp, b)) == hexes(scalar)
+    assert hexes([sk.excess(sp, a.row(i), b.row(i)) for i in range(k)]) == hexes(scalar)
     # against a family of the same sets held one by one: the per-row rule
     assert hexes(sk.Family([a.row(i) for i in range(k)]).excesses(sp, b)) == hexes(scalar)
 
@@ -337,13 +409,18 @@ def test_penalty_values_equal_penalty_value(norm, d, k, psi_kind, objective, see
     prob = sk.PenaltyProblem(OBJECTIVES[objective](rng, d), inst, float(rng.uniform(0.0, 3.0)))
     xs = 2.0 * rng.standard_normal((k, d))
     try:
-        scalar = [sk.penalty_value(prob, x) for x in xs]
-    except ValueError as exc:  # an image that cannot be built raises in both
+        scalar = [old_penalty_value(prob, x) for x in xs]
+    except ValueError as exc:  # an image that cannot be built raises in each
         with pytest.raises(type(exc)):
             sk.penalty_values(prob, xs)
+        with pytest.raises(type(exc)):
+            [sk.penalty_value(prob, x) for x in xs]
         return
     assert hexes(sk.penalty_values(prob, xs)) == hexes(scalar)
-    assert hexes(inst.residuals(xs)) == hexes([inst.residual(x) for x in xs])
+    assert hexes([sk.penalty_value(prob, x) for x in xs]) == hexes(scalar)
+    residuals = hexes([old_residual(inst, x) for x in xs])
+    assert hexes(inst.residuals(xs)) == residuals
+    assert hexes([inst.residual(x) for x in xs]) == residuals
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +435,7 @@ def violations_hex(cert):
 def ref_verify_exactness(prob, x_bar, radius, grid_n, tol=1e-9):
     space = prob.space
     x_bar = space.check_point(x_bar)
-    ref = sk.penalty_value(prob, x_bar)
+    ref = old_penalty_value(prob, x_bar)
     violations, n_grid = [], 0
     axes = [np.linspace(x_bar[i] - radius, x_bar[i] + radius, grid_n) for i in range(space.dim)]
     pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
@@ -366,7 +443,7 @@ def ref_verify_exactness(prob, x_bar, radius, grid_n, tol=1e-9):
         if space.dist(pt, x_bar) > radius * (1.0 + 1e-12):
             continue
         n_grid += 1
-        val = sk.penalty_value(prob, pt)
+        val = old_penalty_value(prob, pt)
         if ref > val + tol:
             violations.append(sk.Violation(n_grid, tuple(x_bar), radius, tuple(pt), ref - val))
     violations.sort(key=lambda v: (-v.margin, v.point))
@@ -396,16 +473,32 @@ def test_verify_exactness_equals_the_scalar_loop(l, radius, d, forced):
 def test_feasible_grid_minimum_and_multi_start_equal_the_scalar_loops(t1_problem):
     prob = t1_problem(2.5)
     pts = np.linspace(0.5 - 4.0, 0.5 + 4.0, 301)
-    feasible = [prob.objective_at([p]) for p in pts if prob.inst.residual([p]) <= 1e-6]
+    feasible = [prob.objective_at([p]) for p in pts if old_residual(prob.inst, [p]) <= 1e-6]
     assert _feasible_grid_minimum(prob, np.array([0.5]), 4.0, 301, 1e-6) == min(feasible)
     assert _feasible_grid_minimum(prob, np.array([0.0]), 0.5, 11, 1e-6) is None
     runs = _multi_start(prob, [0.3], 6, seed=5)
     starts = [np.array([0.3])] + [0.3 + rng_for(5, k).uniform(-3.0, 3.0, size=1)
                                   for k in range(1, 6)]
-    solo = sorted((sk.minimize_penalty(prob, s) for s in starts),
-                  key=lambda res: (res.value, tuple(res.x)))
+    solo = sorted((ref_minimize_penalty(prob, s) for s in starts),
+                  key=lambda res: (res[1], tuple(res[0])))
     assert [(hexes(r.x), hexes(r.value), r.trace.to_jsonable()) for r in runs] == \
-        [(hexes(r.x), hexes(r.value), r.trace.to_jsonable()) for r in solo]
+        [(hexes(x), hexes(value), trace.to_jsonable()) for x, value, trace in solo]
+
+
+def ref_minimize_penalty(prob, x0):
+    """minimize_penalty before each poll round became one penalty_values call: a
+    one-start pattern search of the scalar penalty."""
+    return ref_pattern_search(lambda u: old_penalty_value(prob, u), prob.space.check_point(x0),
+                              initial_step=1.0, step_floor=1e-7, max_evals=200_000)
+
+
+@pytest.mark.parametrize("l, x0", [(2.5, [0.3]), (0.5, [-1.7]), (4.0, [3.2])])
+def test_minimize_penalty_equals_the_scalar_search(t1_problem, l, x0):
+    prob = t1_problem(l)
+    res = sk.minimize_penalty(prob, x0)
+    x, value, trace = ref_minimize_penalty(prob, x0)
+    assert (hexes(res.x), hexes(res.value), res.trace.to_jsonable()) == \
+        (hexes(x), hexes(value), trace.to_jsonable())
 
 
 def old_inverse_distance(m, s, x):
@@ -432,8 +525,8 @@ def old_inverse_distance(m, s, x):
 
 def old_inverse_errorbound_sides(m, alpha, s, x):
     lhs = old_inverse_distance(m, s, x)
-    rhs_exc = sk.excess(m.space_y, s, sk.eval_map(m, x))
-    rhs = math.inf if rhs_exc.is_infinite else float(rhs_exc) / alpha
+    rhs_exc = old_excess(m.space_y, s, old_image(m, x))
+    rhs = math.inf if math.isinf(rhs_exc) else rhs_exc / alpha
     return lhs, rhs
 
 
@@ -503,7 +596,7 @@ def ref_inverse_hausdorff(m, alpha, trials, seed, tol=1e-9):
         a_set, b_set = sk.Ball(c1, float(r1)), sk.Ball(c2, float(r2))
         h_inv = abs(old_inverse_distance(m, a_set, center)
                     - old_inverse_distance(m, b_set, center))
-        h_sets = float(sk.hausdorff(m.space_y, a_set, b_set))
+        h_sets = max(old_excess(m.space_y, a_set, b_set), old_excess(m.space_y, b_set, a_set))
         if h_inv > h_sets / alpha + _scale_tol(tol, c1, h_sets):
             out.append((t, hexes(np.append(c1, r1)), hexes(r2), hexes(np.append(c2, r2)),
                         hexes(h_inv - h_sets / alpha), "violation"))
@@ -527,14 +620,14 @@ def test_inverse_hausdorff_equals_the_per_trial_loop(norm, dx, dy, scale, trials
 
 def ref_fallback_witness(m, x, rho, alpha, n_points=64, seed=0, budget=150, search_targets=8):
     x = m.space_x.check_point(x)
-    targets = sk.sample_enlargement(m.space_y, sk.eval_map(m, x), alpha * rho, n_points, seed)
+    targets = sk.sample_enlargement(m.space_y, old_image(m, x), alpha * rho, n_points, seed)
     probe = targets[:: max(1, n_points // search_targets)]
 
     def worst_violation(us):
         values = []
         for u in us:
             try:
-                img_u = sk.eval_map(m, u)
+                img_u = old_image(m, u)
             except ValueError:
                 values.append(math.inf)
                 continue
@@ -543,7 +636,7 @@ def ref_fallback_witness(m, x, rho, alpha, n_points=64, seed=0, budget=150, sear
 
     best_u, _ = ball_search(worst_violation, m.space_x, x, rho, rng_for(seed, 2), n_draws=4,
                             max_evals=max(25, budget // 5))
-    margins = sk.dists(m.space_y, targets, sk.eval_map(m, best_u)).value
+    margins = sk.dists(m.space_y, targets, old_image(m, best_u)).value
     covered = int(np.count_nonzero(margins <= 1e-9 * (1.0 + alpha * rho))) / len(margins)
     return hexes(best_u), hexes(margins.max()), covered
 

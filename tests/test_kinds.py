@@ -12,6 +12,7 @@ import setcover_kit as sk
 from setcover_kit.codec import TABLES, decode, encode
 from setcover_kit.geometry import outer_radius, rng_for
 from setcover_kit.mappings import LipschitzRuleError
+from test_images import old_image
 
 EU2 = sk.NormedSpace(2)
 ROT = 2.0 * np.array([[0.6, -0.8], [0.8, 0.6]])  # scaled orthogonal: images stay in the catalog
@@ -143,8 +144,9 @@ def test_every_codec_map_kind_has_an_example():
 def test_map_kind_answers_each_rule(kind):
     m = MAPS[kind]()
     x = np.full(m.space_x.dim, 0.75)
-    image = m.image(x)
+    image = old_image(m, x)
     assert isinstance(image, sk.SetRep) and image.dim == m.space_y.dim
+    assert type(sk.eval_maps(m, x[None]).row(0)) is type(image)
     y = np.full(m.space_y.dim, 0.5)
     test_set = sk.Ball(np.full(m.space_y.dim, 0.1), 0.5)
     rules = {
@@ -165,7 +167,7 @@ def test_map_kind_answers_each_rule(kind):
             else:
                 u, dist = answer
                 assert m.space_x.dist(u, x) <= 0.5 + 1e-12
-                assert dist == pytest.approx(float(sk.dist_point(m.space_y, y, m.image(u))))
+                assert dist == pytest.approx(float(sk.dist_point(m.space_y, y, old_image(m, u))))
         elif error == "answers":
             assert rule() is True, name
         else:

@@ -3,7 +3,9 @@
 `ref_solve_inclusion` is the one-start solve loop as it was before
 `solve_inclusion` became the one-start call of the lockstep loop, kept
 as the reference: one scalar witness, residual and distance call per
-step.  Every trace of `solve_inclusion` and of `solve_inclusions` must
+step, the residual by the scalar rule `old_residual` that
+`InclusionInstance.residual` ran before it became one row of
+`residuals`.  Every trace of `solve_inclusion` and of `solve_inclusions` must
 equal the reference's from the same start: status, every step, the
 displacement bound, the re-check and the violation record.  The witness
 rule of each map kind, on one point and on a stack, is checked against
@@ -20,6 +22,7 @@ import setcover_kit as sk
 from setcover_kit._lp import max_norm_fit
 from setcover_kit.penalty import _inverse_param_distance
 from setcover_kit.solver import CONTRACTION_SLACK, SolveStep, SolveTrace
+from test_images import old_excess, old_image, old_residual
 
 NORMS = (("euclidean", None), ("max", None), ("p", 3.0))
 PSI_KINDS = ("dilation", "sublinear_system", "sum", "composed", "epigraphical")
@@ -104,7 +107,7 @@ def ref_solve_inclusion(inst, x0, polish=True):
     """The one-start solve loop, with the step, polish and trace rules written out."""
     space = inst.space_x
     x = space.check_point(x0).copy()
-    r = inst.residual(x)
+    r = old_residual(inst, x)
     steps = [SolveStep(tuple(x), r, 0.0, "start")]
     violation = None
     ratio = inst.beta / inst.alpha_used
@@ -112,7 +115,7 @@ def ref_solve_inclusion(inst, x0, polish=True):
         if r <= inst.tol:
             break
         u = sk.cover_witness(inst.psi, x, (r + 1e-12) / inst.alpha_used)
-        r_next = inst.residual(u)
+        r_next = old_residual(inst, u)
         if r_next > ratio * r + CONTRACTION_SLACK * (1.0 + r):
             violation = {"x": x.tolist(), "u": u.tolist(), "residual": r,
                          "residual_next": r_next, "allowed": ratio * r,
@@ -122,7 +125,7 @@ def ref_solve_inclusion(inst, x0, polish=True):
         x, r = u, r_next
     if polish and violation is None and 0.0 < r <= inst.tol:
         u = sk.cover_witness(inst.psi, x, r / (inst.alpha_used - inst.beta))
-        r_pol = inst.residual(u)
+        r_pol = old_residual(inst, u)
         if r_pol <= min(inst.tol, steps[-1].residual):
             steps.append(SolveStep(tuple(u), r_pol, space.dist(u, x), "polish"))
     x, r = np.array(steps[-1].x), steps[-1].residual
@@ -132,8 +135,8 @@ def ref_solve_inclusion(inst, x0, polish=True):
         status = "converged" if r <= inst.tol else "budget-exhausted"
     recheck = None
     if status == "converged":  # the sampled re-check: 64 points of phi(x), seed 17
-        pts = sk.sample(inst.space_y, sk.eval_map(inst.phi, x), 64, 17)
-        recheck = float(sk.dists(inst.space_y, pts, sk.eval_map(inst.psi, x)).value.max())
+        pts = sk.sample(inst.space_y, old_image(inst.phi, x), 64, 17)
+        recheck = float(sk.dists(inst.space_y, pts, old_image(inst.psi, x)).value.max())
     return SolveTrace(steps=steps, status=status, alpha_used=inst.alpha_used, beta=inst.beta,
                       tol=inst.tol,
                       bound_check=(space.dist(np.array(steps[0].x), x),
@@ -289,8 +292,10 @@ def old_inverse_param_distance(fam, x, p_radius, grid_n, member_tol):
     p_bar = float(fam.p_bar[0])
     grid = np.linspace(p_bar - p_radius, p_bar + p_radius, grid_n)
 
-    def member(p_val):
-        return fam.residual(np.array([p_val]), x) <= member_tol
+    def member(p_val):  # ParamFamily.residual before it became one row of image_excesses
+        p = np.array([p_val])
+        phi, psi = fam.phi_of_p(p), fam.psi_of_p(p)
+        return old_excess(phi.space_y, old_image(phi, x), old_image(psi, x)) <= member_tol
 
     if member(p_bar):
         return 0.0
