@@ -31,7 +31,6 @@ from .geometry import (
     boundedness,
     contains_point,
     dist_point,
-    dist_to_each,
     dists,
     enlarge,
     excess,

@@ -300,7 +300,8 @@ def _sub_seed(seed: int, trial: int, k: int) -> int:
 def _search_cover_point(m: mp.MapSpec, x, r: float, y, seed: int, budget: int):
     def objective(us):
         """dist(y, F(u)) for each point u; inf where F(u) cannot be built."""
-        return mp.eval_maps(m, np.array(us)).dists_from(m.space_y, y[None])[:, 0]
+        ys = np.broadcast_to(y, (len(us), 1, y.shape[0]))
+        return mp.eval_maps(m, np.array(us)).row_dists(m.space_y, ys).value[:, 0]
 
     return ball_search(objective, m.space_x, x, r, rng_for(seed, 0), n_draws=3,
                        max_evals=max(30, budget // 4))
@@ -365,6 +366,8 @@ def recheck_violation(m: mp.MapSpec, cert: Certificate, v: Violation,
         d = dist_point(m.space_y, np.array(v.point), mp.eval_map(m, np.array(v.witness)))
         return float(d) - d.error > atol
     if cert.property == "inverse-errorbound":
+        if v.point is None:  # a supplied test set that is no ball leaves no record to replay
+            return False
         ball = np.array(v.point)  # the test ball's center, then its radius
         lhs, rhs = _inverse_errorbound_rows(m, cert.parameters["alpha"],
                                             Rounds(ball[None, :-1], ball[-1:]), x[None])
@@ -501,6 +504,8 @@ def check_inverse_errorbound(m: mp.MapSpec, alpha: float, trials: int, seed: int
     Every trial is drawn first, from its own generator, and then all are
     evaluated in one pass.
     """
+    if test_sets is not None and not test_sets:
+        raise ValueError("test_sets must hold at least one set")
     x_box = x_box or _default_box(m.space_x.dim)
     dy = m.space_y.dim if test_sets is None else 0
     xs, rs, centers = _draw_trials(_TrialSeeds(seed, trials).rngs(), x_box, (1e-2, 1e1), dy)

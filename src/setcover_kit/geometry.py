@@ -64,7 +64,6 @@ __all__ = [
     "contains_point",
     "dist_point",
     "dists",
-    "dist_to_each",
     "outer_radius",
     "excess",
     "hausdorff",
@@ -461,8 +460,10 @@ class Ball(_Round):
             taken = cand[space.norms(cand) <= radius][:n - filled]
             pts[filled:filled + len(taken)] = center + taken
             filled += len(taken)
-        if filled < n:
-            raise SamplingBudgetError("rejection budget exhausted sampling a ball")
+        if filled < n:  # rejection starves in high dimension: radial draws fill the rest
+            g = rng.standard_normal((n - filled, d))
+            t = radius * rng.uniform(size=(n - filled, 1)) ** (1.0 / d)
+            pts[filled:n] = center + t * space.unit(g)
         return pts[:n]
 
     def enlarge(self, space, r):
@@ -976,38 +977,6 @@ def dists(space: NormedSpace, ys, s: SetRep) -> Distances:
     return s._dists(space, ys)
 
 
-def dist_to_each(space: NormedSpace, y, sets) -> Distances:
-    """Distances from one point to each of several sets, in one call.
-
-    Row i is dist_point(space, y, sets[i]) bit for bit.  Sublevel regions
-    whose stacked form rows are equal byte for byte are measured in one
-    region call, each with its own right-hand side; any other set is
-    measured on its own.
-    """
-    y = space.check_point(y)
-    k = len(sets)
-    value, error, approx = np.zeros(k), np.zeros(k), np.zeros(k, dtype=bool)
-    note = [""] * k
-    batches: dict = {}  # a region's form rows as bytes, or the position of any other set
-    for i, s in enumerate(sets):
-        _check_set(space, s)
-        if isinstance(s, SublevelRegion):
-            batches.setdefault(s.forms()[0].tobytes(), []).append(i)
-        else:
-            batches[i] = [i]
-    for rows in batches.values():
-        s = sets[rows[0]]
-        if len(rows) == 1:
-            d = s._dists(space, y[None])
-        else:
-            d = _dists_region(space, np.tile(y, (len(rows), 1)), s,
-                              np.array([sets[i].forms()[1] for i in rows]))
-        value[rows], error[rows], approx[rows] = d.value, d.error, d.approximate
-        for i, text in zip(rows, d.note):
-            note[i] = text
-    return Distances(value, error, approx, tuple(note))
-
-
 class Family:
     """k sets, one per row of a point array: a map's images at k points, say.
 
@@ -1015,10 +984,11 @@ class Family:
     errors: its distances are inf, and row(i) raises the error.  This base
     family applies each set's own rules row by row.  Rounds and Regions
     hold many balls, spheres or regions in arrays and compute every row at
-    once; each row is bit for bit the rule of its own set.
+    once; each row is bit for bit the rule of its own set.  row_dists is
+    the one distance rule of every family.
     """
 
-    errors = ()  # the array families (Rounds, Regions) build every row
+    errors = ()  # Rounds builds every row
 
     def __init__(self, sets, errors=None):
         self.sets = list(sets)
@@ -1072,24 +1042,12 @@ class Family:
     def row_dists(self, space: NormedSpace, ys: np.ndarray) -> Distances:
         """The distances of each row's own points, ys of shape (k, n, dim): value[i],
         error[i] and approximate[i] are those of dists(space, ys[i], row i), shape (k, n),
-        and note runs over the rows in turn."""
-        rows = [dists(space, ys[i], self.row(i)) for i in range(len(self))]
-        shape = ys.shape[:2]
-        return Distances(*(np.array([getattr(d, f) for d in rows]).reshape(shape)
-                           for f in ("value", "error", "approximate")),
-                         tuple(text for d in rows for text in d.note))
-
-    def dists_from(self, space: NormedSpace, ys: np.ndarray) -> np.ndarray:
-        """(k, n) array: dists(space, ys, set i).value in row i, inf for a missing set."""
-        out = np.full((len(self), ys.shape[0]), math.inf)
-        built = [i for i, s in enumerate(self.sets) if s is not None]
-        if not built:
-            return out
-        if ys.shape[0] == 1:  # one point: regions sharing their form rows take one call
-            out[built, 0] = dist_to_each(space, ys[0], [self.sets[i] for i in built]).value
-        else:
-            out[built] = [dists(space, ys, self.sets[i]).value for i in built]
-        return out
+        and note runs over the rows in turn.  A missing row's distances are inf, exact."""
+        live = [i for i, s in enumerate(self.sets) if s is not None]
+        rows = [dists(space, ys[i], self.sets[i]) for i in live]
+        return _live_rows(ys.shape[:2], live, Distances(
+            *(np.array([getattr(d, f) for d in rows]) for f in ("value", "error", "approximate")),
+            tuple(text for d in rows for text in d.note)))
 
     def outer_radii(self, space: NormedSpace, p: np.ndarray) -> np.ndarray:
         """float(outer_radius(space, row i, p)) for each row; raises a missing row's error."""
@@ -1133,10 +1091,6 @@ class Rounds(Family):
         _axis_points(self.centers, self.radii, pts[:, first:])
         return pts[:, :n]
 
-    def dists_from(self, space, ys):
-        gaps = space.norms(ys[None, :, :] - self.centers[:, None, :]) - self.radii[:, None]
-        return self.kind._gap(gaps)
-
     def row_dists(self, space, ys):
         return _exact(self.kind._gap(space.norms(ys - self.centers[:, None, :])
                                      - self.radii[:, None]))
@@ -1175,35 +1129,49 @@ class Rounds(Family):
 
 class Regions(Family):
     """k sublevel regions sharing their form rows: row i is {y : A y <= b[i]}, where A
-    is the stacked form rows of region and b has one right-hand side per row."""
+    is the stacked form rows of region and b has one right-hand side per row.  A row
+    with a ValueError in errors is missing."""
 
-    def __init__(self, region: SublevelRegion, b: np.ndarray):
+    def __init__(self, region: SublevelRegion, b: np.ndarray, errors=None):
         self.region, self.b = region, b
+        self.errors = [None] * b.shape[0] if errors is None else errors
 
     def __len__(self):
         return self.b.shape[0]
 
     def row(self, i):
+        if self.errors[i] is not None:
+            raise self.errors[i]
         starts = np.cumsum([0] + [g.a.shape[0] for g in self.region.groups])
         return SublevelRegion(tuple(FormGroup(g.a, self.b.item(i, j))
                                     for g, j in zip(self.region.groups, starts)))
 
-    def dists_from(self, space, ys):
-        k = self.b.shape[0]
-        return np.stack([_dists_region(space, np.tile(y, (k, 1)), self.region, self.b).value
-                         for y in ys], axis=1)
-
     def row_dists(self, space, ys):
         k, n, d = ys.shape
-        flat = _dists_region(space, ys.reshape(k * n, d), self.region,
-                             np.repeat(self.b, n, axis=0))
-        return flat._replace(value=flat.value.reshape(k, n), error=flat.error.reshape(k, n),
-                             approximate=flat.approximate.reshape(k, n))
+        live = [i for i, exc in enumerate(self.errors) if exc is None]
+        return _live_rows((k, n), live, _dists_region(
+            space, ys[live].reshape(len(live) * n, d), self.region,
+            np.repeat(self.b[live], n, axis=0)))
 
 
 def _check_set(space: NormedSpace, s: SetRep) -> None:
     if s.dim != space.dim:
         raise DimensionMismatchError(f"set lives in dim {s.dim}, space is dim {space.dim}")
+
+
+def _live_rows(shape: tuple[int, int], live: list[int], d: Distances) -> Distances:
+    """(k, n) distances whose rows in live take d's values, n per row in turn; any
+    other row, a missing set's, is inf, exact, with note ""."""
+    k, n = shape
+    if len(live) == k:
+        return Distances(*(np.reshape(f, shape) for f in d[:3]), d.note)
+    value, error = np.full(shape, math.inf), np.zeros(shape)
+    approx = np.zeros(shape, dtype=bool)
+    value[live], error[live], approx[live] = (np.reshape(f, (len(live), n)) for f in d[:3])
+    note = [("",) * n] * k
+    for j, i in enumerate(live):
+        note[i] = d.note[j * n:(j + 1) * n]
+    return Distances(value, error, approx, tuple(text for row in note for text in row))
 
 
 def _exact(value: np.ndarray) -> Distances:

@@ -237,8 +237,8 @@ class MapSpec:
 
         A row whose image cannot be built (a ValueError) is missing from
         the family.  The ball- and sphere-valued kinds return Rounds and
-        the sublinear kind Regions, each built for all rows at once; the
-        epigraphical and process kinds build their sets row by row.
+        the sublinear and process kinds Regions, each built for all rows
+        at once; the epigraphical kind builds its sets row by row.
         """
         raise TypeError(f"unknown map variant {type(self).__name__}")
 
@@ -549,18 +549,18 @@ class PolyhedralProcess(MapSpec):
         object.__setattr__(self, "space_y", _space_of(self.space_y, cy.shape[1]))
 
     def images(self, xs):
-        def region(i):
-            groups = []
-            for row, b in zip(self.cy, -(self.cx @ xs[i])):
-                if np.all(row == 0.0):
-                    if b < -1e-12:
-                        raise ValueError("point lies outside the domain of the process")
-                    continue
-                groups.append(FormGroup(row.reshape(1, -1), float(b)))
-            if not groups:
-                raise ValueError("process image is the whole space; not representable")
-            return SublevelRegion(tuple(groups))
-        return Family.build(region, xs.shape[0])
+        # one region holds the nonzero C_y rows; row i's bounds are -C_x xs[i], each
+        # row's own gemv; a zero row bounds nothing, but marks points outside the domain
+        b = -np.matmul(self.cx, xs[:, :, None])[:, :, 0]
+        zero = ~self.cy.any(axis=1)
+        errors = [ValueError("point lies outside the domain of the process") if out else None
+                  for out in (b[:, zero] < -1e-12).any(axis=1).tolist()]
+        if zero.all():
+            return Family([None] * len(errors), [exc or ValueError(
+                "process image is the whole space; not representable") for exc in errors])
+        region = _memo(self, "_region", lambda: SublevelRegion(
+            tuple(FormGroup(row[None], 0.0) for row in self.cy[~zero])))
+        return Regions(region, b[:, ~zero], errors)
 
     def constants(self):
         from .certify import interior_radius
@@ -781,8 +781,9 @@ def fallback_witness(m: MapSpec, x, rho: float, alpha: float,
     targets = sample_enlargement(m.space_y, image, alpha * rho, n_points, seed)
     probe = targets[:: max(1, n_points // search_targets)]
 
-    def worst_violation(us):  # (k, probe) distances, inf where an image cannot be built
-        return eval_maps(m, np.array(us)).dists_from(m.space_y, probe).max(axis=1)
+    def worst_violation(us):  # the worst probe distance of each image, inf if it is missing
+        ys = np.broadcast_to(probe, (len(us), *probe.shape))
+        return eval_maps(m, np.array(us)).row_dists(m.space_y, ys).value.max(axis=1)
 
     best_u, _ = ball_search(worst_violation, m.space_x, x, rho, rng_for(seed, 2), n_draws=4,
                             max_evals=max(25, budget // 5))

@@ -183,6 +183,19 @@ class TestInverseBounds:
                                             seed=12, test_sets=[sk.Ball(np.zeros(1), 1.5)])
         assert cert2.falsified
 
+    def test_records_without_a_test_ball_do_not_replay(self):
+        # a box test set leaves no ball to record: the record's point is None
+        m = sk.Dilation(y0=np.zeros(2), a=1.0, anchor=np.zeros(1), space_y=EU2)
+        box = sk.Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+        cert = sk.check_inverse_errorbound(m, alpha=50.0, trials=20, seed=0, test_sets=[box])
+        assert cert.violations and all(v.point is None for v in cert.violations)
+        assert not any(recheck_violation(m, cert, v) for v in cert.violations)
+
+    def test_an_empty_test_set_list_is_refused(self):
+        with pytest.raises(ValueError, match="at least one set"):
+            sk.check_inverse_errorbound(dilation_plane(1.0), alpha=0.99, trials=4, seed=0,
+                                        test_sets=[])
+
     def test_infinite_excess_passes_trivially(self):
         m = sk.Dilation(y0=np.zeros(2), a=1.0, anchor=np.zeros(1), space_y=EU2)
         unbounded = sk.Orthant(np.zeros(2))

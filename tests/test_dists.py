@@ -392,51 +392,77 @@ def test_region_rows_property(seed, norm, dim, n, scale):
 
 
 # ---------------------------------------------------------------------------
-# one point against many sets: dist_to_each
+# image families: Regions.row_dists, each row's own points against its own region
 
 
-def assert_each_set_equals_dist_point(space, y, sets):
-    """dist_to_each's rows equal dist_point per set by float hex; returns them."""
-    d = sk.dist_to_each(space, y, sets)
-    assert d.value.shape == d.error.shape == d.approximate.shape == (len(sets),)
-    for i, s in enumerate(sets):
-        one = sk.dist_point(space, y, s)
-        assert hexed(d.value[i], d.error[i], d.approximate[i], d.note[i]) == \
-            hexed(one, one.error, one.approximate, one.note), i
+def assert_rows_equal_dist_point(space, family, ys):
+    """row_dists's rows equal dist_point per point by float hex, a missing row's being
+    inf and exact; returns them."""
+    d = family.row_dists(space, ys)
+    k, n = ys.shape[:2]
+    assert d.value.shape == d.error.shape == d.approximate.shape == (k, n)
+    assert len(d.note) == k * n
+    for i in range(k):
+        try:
+            s = family.row(i)
+        except ValueError:
+            s = None
+        for j in range(n):
+            got = hexed(d.value[i, j], d.error[i, j], d.approximate[i, j], d.note[i * n + j])
+            if s is None:
+                assert got == hexed(np.inf, 0.0, False, ""), (i, j)
+                continue
+            one = sk.dist_point(space, ys[i, j], s)
+            assert got == hexed(one, one.error, one.approximate, one.note), (i, j)
     return d
 
 
-def sublinear_images(rng, dim, space, n):
-    """n images of one sublinear map: one form matrix, a zero form row in it, n right-hand sides."""
+def sublinear_family(rng, dim, space, k):
+    """k images of one sublinear map: one form matrix, a zero form row in it, k right-hand sides."""
     groups = [np.vstack([np.eye(dim)[i], -np.eye(dim)[i]]) + 0.3 * rng.standard_normal((2, dim))
               for i in range(dim)]
     groups[0] = np.vstack([groups[0], np.zeros(dim)])
     sub = sk.SublinearSystem(tuple(groups), space_y=space)
-    us = rng.choice([0.0, 0.05, 1.0, 20.0], size=(n, 1)) * rng.standard_normal((n, dim))
-    return [sk.eval_map(sub, u) for u in us]
+    us = rng.choice([0.0, 0.05, 1.0, 20.0], size=(k, 1)) * rng.standard_normal((k, dim))
+    return sk.eval_maps(sub, us)
+
+
+def process_family(rng, dim, space, k):
+    """k images of one process {y : Cy y <= -Cx x}: Cy is -I perturbed, so each image is
+    a nonempty cone, plus a zero row, so that points with Cx x > 0 in that row leave the
+    domain (missing rows)."""
+    cy = np.vstack([-(np.eye(dim) + rng.uniform(-0.25, 0.25, size=(dim, dim))), np.zeros(dim)])
+    proc = sk.PolyhedralProcess(rng.standard_normal((dim + 1, 2)), cy, space_y=space)
+    family = sk.eval_maps(proc, rng.choice([0.0, 1.0, 10.0], size=(k, 1))
+                          * rng.standard_normal((k, 2)))
+    assert isinstance(family, sk.Regions)
+    return family
+
+
+def family_points(rng, k, dim, n):
+    scale = rng.choice([0.0, 0.5, 5.0], size=(k, n, 1))
+    return scale * rng.standard_normal((k, n, dim))
 
 
 @pytest.mark.parametrize("norm,p", NORMS)
-def test_dist_to_each_equals_dist_point_per_set(norm, p):
+def test_region_rows_equal_dist_point_per_point(norm, p):
     rng = np.random.default_rng([31, NORMS.index((norm, p))])
-    image_values = []
+    values, missing = [], 0
     for dim in (1, 2, 3, 5):
         space = sk.NormedSpace(dim, norm, p)
-        images = sublinear_images(rng, dim, space, 8)
-        others = [make_set(kind, dim, rng) for kind in CLOSED_KINDS + ITERATIVE_KINDS]
-        others += [enlarged(images[0], [0.3]), random_region(rng, dim), images[1]]
-        order = rng.permutation(len(images) + len(others))
-        sets = [(images + others)[i] for i in order]
-        for y in (np.zeros(dim), 0.5 * rng.standard_normal(dim), 5.0 * rng.standard_normal(dim)):
-            d = assert_each_set_equals_dist_point(space, y, sets)
-            image_values.extend(d.value[np.argsort(order)[:len(images)]])
-    assert min(image_values) == 0.0 < max(image_values)  # rows inside and outside
-    assert sk.dist_to_each(sk.NormedSpace(2), np.zeros(2), []).value.shape == (0,)
+        for make in (sublinear_family, process_family):
+            family = make(rng, dim, space, 8)
+            d = assert_rows_equal_dist_point(space, family, family_points(rng, 8, dim, 3))
+            values.extend(d.value[np.isfinite(d.value)])
+            missing += int(np.isinf(d.value).all(axis=1).sum())
+            # the same point for every row, as the searches ask it
+            y = 5.0 * rng.standard_normal(dim)
+            assert_rows_equal_dist_point(space, family, np.broadcast_to(y, (8, 1, dim)))
+    assert min(values) == 0.0 < max(values)  # points inside and outside
+    assert missing > 0  # process points outside the domain
 
 
-def test_dist_to_each_measures_one_form_matrix_in_one_region_call(monkeypatch):
-    from setcover_kit import geometry
-
+def test_row_dists_measure_a_family_in_one_region_call(monkeypatch):
     calls = []
     real = geometry._dists_region
 
@@ -447,26 +473,26 @@ def test_dist_to_each_measures_one_form_matrix_in_one_region_call(monkeypatch):
     monkeypatch.setattr(geometry, "_dists_region", counted)
     rng = np.random.default_rng(41)
     space = sk.NormedSpace(2)
-    sets = sublinear_images(rng, 2, space, 6) + [random_region(rng, 2), sk.Ball(np.zeros(2), 1.0)]
-    assert_each_set_equals_dist_point(space, np.array([3.0, -4.0]), sets)
-    calls.clear()
-    sk.dist_to_each(space, np.array([3.0, -4.0]), sets)
-    assert sorted(calls) == [1, 6]
+    for family in (sublinear_family(rng, 2, space, 6), process_family(rng, 2, space, 6)):
+        ys = family_points(rng, 6, 2, 4)
+        live = sum(exc is None for exc in family.errors)
+        calls.clear()
+        family.row_dists(space, ys)
+        assert calls == [4 * live]
+        assert_rows_equal_dist_point(space, family, ys)
 
 
 @pytest.mark.parametrize("norm,p", (("euclidean", None), ("p", 3.0)))
-def test_dist_to_each_rows_that_hit_the_sweep_cap(monkeypatch, norm, p):
+def test_row_dists_rows_that_hit_the_sweep_cap(monkeypatch, norm, p):
     from functools import partial
-
-    from setcover_kit import geometry
 
     rng = np.random.default_rng(37)
     space = sk.NormedSpace(3, norm, p)
-    images = sublinear_images(rng, 3, space, 12)
-    y = 5.0 * rng.standard_normal(3)
-    full = sk.dist_to_each(space, y, images)
+    family = sublinear_family(rng, 3, space, 12)
+    ys = np.broadcast_to(5.0 * rng.standard_normal(3), (12, 1, 3))
+    full = family.row_dists(space, ys)
     monkeypatch.setattr(geometry, "_dists_region", partial(geometry._dists_region, max_sweeps=2))
-    capped = assert_each_set_equals_dist_point(space, y, images)
+    capped = assert_rows_equal_dist_point(space, family, ys)
     assert (capped.value != full.value).any()  # some rows stopped at the cap
 
 
@@ -513,7 +539,9 @@ def axis_points(space, center, radius):
     return pts
 
 
-def ref_sample_ball(space, center, radius, n, seed):
+def ref_sample_ball(space, center, radius, n, seed, fill=True):
+    """The one-candidate rejection loop; once its budget is spent, radial draws fill the
+    rest (fill) or the loop raises (not fill)."""
     rng = rng_for(seed, 0)
     pts = [center.copy()] + axis_points(space, center, radius)
     budget = 200 * n + 1000
@@ -522,8 +550,12 @@ def ref_sample_ball(space, center, radius, n, seed):
         budget -= 1
         if ref_norm(space, cand) <= radius:
             pts.append(center + cand)
-    if len(pts) < n:
+    if len(pts) < n and not fill:
         raise sk.SamplingBudgetError("rejection budget exhausted sampling a ball")
+    if len(pts) < n:
+        g = rng.standard_normal((n - len(pts), space.dim))
+        t = radius * rng.uniform(size=n - len(pts)) ** (1.0 / space.dim)
+        pts += [center + ti * ref_unit(space, gi) for ti, gi in zip(t, g)]
     return np.array(pts[:n])
 
 
@@ -583,27 +615,28 @@ def test_samplers_equal_scalar_loops(norm, p):
 
 
 def test_ball_sampler_budget_error_matches_scalar_loop():
+    # where the rejection loop runs out of budget, the sampler keeps the points it
+    # accepted and fills the rest by radial draws from the same generator
     space = sk.NormedSpace(10)
     ball = sk.Ball(np.zeros(10), 1.0)
     with pytest.raises(sk.SamplingBudgetError):
-        ref_sample_ball(space, ball.center, 1.0, 64, 0)
-    with pytest.raises(sk.SamplingBudgetError, match="rejection budget"):
-        sk.sample(space, ball, 64, 0)
+        ref_sample_ball(space, ball.center, 1.0, 64, 0, fill=False)
+    pts = sk.sample(space, ball, 64, 0)
+    assert np.array_equal(pts, ref_sample_ball(space, ball.center, 1.0, 64, 0))
+    assert all(sk.contains_point(space, ball, y, 1e-12) for y in pts)
     # n = 50 needs 29 of the 11,000 candidates the budget allows; for these seeds the
-    # 29th acceptance is candidate 10,997 or 10,998 (sampled) or 11,003 or 11,013 (raises),
+    # 29th acceptance is candidate 10,997 or 10,998 (sampled) or 11,003 or 11,013 (filled),
     # so a chunk that overran the budget would change the outcome
     outcomes = []
     for seed in (339, 593, 711, 986):
+        assert np.array_equal(sk.sample(space, ball, 50, seed),
+                              ref_sample_ball(space, ball.center, 1.0, 50, seed))
         try:
-            want = ref_sample_ball(space, ball.center, 1.0, 50, seed)
-        except sk.SamplingBudgetError:
-            with pytest.raises(sk.SamplingBudgetError):
-                sk.sample(space, ball, 50, seed)
-            outcomes.append("raised")
-        else:
-            assert np.array_equal(sk.sample(space, ball, 50, seed), want)
+            ref_sample_ball(space, ball.center, 1.0, 50, seed, fill=False)
             outcomes.append("sampled")
-    assert outcomes == ["sampled", "sampled", "raised", "raised"]
+        except sk.SamplingBudgetError:
+            outcomes.append("filled")
+    assert outcomes == ["sampled", "sampled", "filled", "filled"]
     # at n = 20 the center and the 20 axis points suffice
     assert np.array_equal(sk.sample(space, ball, 20, 0),
                           ref_sample_ball(space, ball.center, 1.0, 20, 0))

@@ -14,6 +14,7 @@ checked against the scalar loops they replaced, kept here as references.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,15 +185,19 @@ def test_images_equal_their_scalar_calls(kind, norm, dx, dy, k, n, seed):
     xs[rng.uniform(size=xs.shape) < 0.1] = 0.0
     ys = 2.0 * rng.standard_normal((n, m.space_y.dim))
     family = sk.eval_maps(m, xs)
-    dist_rows = family.dists_from(m.space_y, ys)
+    d = family.row_dists(m.space_y, np.broadcast_to(ys, (k, n, m.space_y.dim)))
+    dist_rows = d.value
     assert len(family) == k and dist_rows.shape == (k, n)
     for i, x in enumerate(xs):
         image = scalar_image(m, x)
-        if image is None:  # a missing row: inf distances, and row(i) raises the image's error
-            assert np.all(np.isinf(dist_rows[i]))
-            with pytest.raises(ValueError):
+        if image is None:  # a missing row: inf exact distances, and row(i) raises its error
+            assert np.all(np.isinf(dist_rows[i])) and not d.error[i].any()
+            assert not d.approximate[i].any() and d.note[i * n:(i + 1) * n] == ("",) * n
+            with pytest.raises(ValueError) as want:
+                old_image(m, x)
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
                 family.row(i)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
                 sk.eval_map(m, x)
             continue
         same_set(family.row(i), image)

@@ -195,7 +195,7 @@ def test_affine_image_across_norms_is_refused():
     m = sk.Composed(sk.Affine(2.0 * np.eye(2), np.zeros(2)), dil, space_z=MAX2)
     with pytest.raises(ValueError, match="scaled-orthogonal"):
         sk.eval_map(m, [1.0])
-    assert sk.eval_maps(m, [[1.0], [2.0]]).dists_from(MAX2, np.zeros((1, 2))).tolist() \
+    assert sk.eval_maps(m, [[1.0], [2.0]]).row_dists(MAX2, np.zeros((2, 1, 2))).value.tolist() \
         == [[np.inf], [np.inf]]
 
 
@@ -419,3 +419,26 @@ def test_samples_are_members_within_the_radius_and_map_into_the_image(kind, norm
     off = rng.standard_normal(d)
     image = s.affine_image(space, space, mat, off)
     assert all(sk.contains_point(space, image, mat @ y + off, 1e-7) for y in pts)
+
+
+@pytest.mark.parametrize("norm", (("euclidean", None), ("max", None), ("p", 3.0)))
+def test_ball_samples_are_members_in_twelve_dimensions(norm):
+    # cube rejection accepts about 3e-4 of its candidates for the euclidean 12-d ball,
+    # so radial draws fill what the budget leaves
+    space = sk.NormedSpace(12, *norm)
+    ball = sk.Ball(np.linspace(-1.0, 1.0, 12), 2.5)
+    pts = sk.sample(space, ball, 64, 5)
+    assert pts.shape == (64, 12) and len(np.unique(pts, axis=0)) == 64
+    assert all(sk.contains_point(space, ball, y, 1e-12) for y in pts)
+    assert np.array_equal(sk.sample(space, ball, 64, 5), pts)
+
+
+def test_fourteen_dimensional_ball_valued_solve_converges():
+    # the converged re-check samples phi's 14-d ball image: 64 points, 29 of them free
+    sy = sk.NormedSpace(14)
+    psi = sk.Dilation(np.zeros(14), 2.0)
+    phi = sk.BallValued(sk.Affine(np.zeros((14, 1)), np.zeros(14)), 1.0, 0.5,
+                        space_x=psi.space_x, space_y=sy)
+    trace = sk.solve_inclusion(sk.InclusionInstance(psi, phi), np.array([0.1]))
+    assert trace.status == "converged" and trace.n_iterations > 0
+    assert trace.residual_recheck == 0.0

@@ -12,8 +12,10 @@ own seed 0) and writes its exit code and `result` the same way, under the
 workload name `builtin`.  Last, for each seed, it writes the `forced`
 certificates: rates above what the maps have, so that covering,
 set-covering and inverse-errorbound violation records get compared too
-(every such job of the workloads finds none).  Every float is written by its hex form, so two
-dumps are equal only when every value is equal bit for bit; a job that
+(every such job of the workloads finds none), and so that the covering
+search over polyhedral process images, which no workload job reaches,
+runs too.  Every float is written by its hex form, so two dumps are
+equal only when every value is equal bit for bit; a job that
 raises is written as its exception.  With --reverse each workload's jobs,
 and the built-ins, run last to first, each still written under its list
 position, so the sorted dump equals the sorted forward dump unless an
@@ -106,9 +108,12 @@ def forced_jobs(seed: int) -> list:
     """Certificates run at rates their maps do not have, so that each records violations:
     covering at alpha 2 on the four covering-only maps (rate 1), inverse-errorbound at
     three times the rate of a euclidean and a max-norm dilation, set-covering of the
-    sphere scaling (no rate at all)."""
+    sphere scaling (no rate at all), and covering at three times the constant of one
+    set-covering polyhedral process per shape (k, m) of workloads.process_matrices, 6
+    trials each: the one run of the pattern search over process images."""
     import numpy as np
     import setcover_kit as sk
+    import workloads
 
     cover_only = {"sphere_scale": sk.SphereScale(), **{
         f"unit_ball_translate_{d}": sk.UnitBallTranslate(d) for d in (1, 2, 3)}}
@@ -121,6 +126,14 @@ def forced_jobs(seed: int) -> list:
                      partial(sk.check_inverse_errorbound, m, 4.5, 40, seed)))
     jobs.append(("set-covering-sphere_scale",
                  partial(sk.check_set_covering, cover_only["sphere_scale"], 0.5, 40, seed)))
+
+    def covering_3a(proc):
+        return sk.check_covering(proc, 3.0 * sk.alpha_of(proc).alpha, 6, seed)
+
+    rng = np.random.default_rng(seed)
+    for k, m in ((1, 2), (2, 2), (2, 3), (3, 3)):
+        proc = sk.PolyhedralProcess(*workloads.process_matrices(rng, k, m, covering=True))
+        jobs.append((f"covering-3a-process-{k}x{m}", partial(covering_3a, proc)))
     return jobs
 
 
