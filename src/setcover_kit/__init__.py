@@ -98,6 +98,7 @@ from .solver import (
 )
 from .penalty import (
     AbsCoord,
+    BallRadiusFamily,
     CalmnessEstimate,
     ConverseRecord,
     Linear,

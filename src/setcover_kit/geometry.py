@@ -240,6 +240,20 @@ def _rng(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
+@functools.lru_cache(maxsize=1024)
+def _stream_words(seed: int, stream: int) -> np.ndarray:
+    """The four PCG64 seed words of rng_for(seed, stream), hashed once per key and kept."""
+    words = np.random.SeedSequence(entropy=seed, spawn_key=(stream,)).generate_state(4, np.uint64)
+    words.setflags(write=False)
+    return words
+
+
+def _pristine_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """A new generator in the initial state of rng_for(seed, stream), without hashing a
+    key seen before again: each call is a fresh copy of that one generator."""
+    return _rng(_stream_words(seed, stream))
+
+
 class Distance(float):
     """A nonnegative float that can carry approximation metadata.
 
@@ -417,6 +431,10 @@ class _Round(SetRep):
     def translate(self, v):
         return type(self)(self.center + v, self.radius)
 
+    def sample(self, space, n, seed, rng, box):
+        return Rounds(self.center[None], np.array([self.radius]), type(self) is Sphere).sample(
+            space, n, [seed], lambda i, stream: rng, box)[0]
+
     def _dists(self, space, ys):
         return _exact(self._gap(space.norms(ys - self.center) - self.radius))
 
@@ -445,26 +463,24 @@ class Ball(_Round):
     def contains(self, space, y, tol):
         return space.dist(y, self.center) <= self.radius + tol * max(1.0, self.radius)
 
-    def sample(self, space, n, seed, rng, box):
-        center, radius, d = self.center, self.radius, space.dim
-        pts = np.empty((max(n, 2 * d + 1), d))
-        pts[0] = center
-        _axis_points(center, radius, pts[1:2 * d + 1])
-        filled = 2 * d + 1
-        budget = 200 * n + 1000  # candidates
-        while filled < n and budget > 0:
+    @staticmethod
+    def _draw(space, out, center, radius, budget, rng):
+        """Fill out (m, dim) with random points of the ball: cube candidates in chunks,
+        at most budget of them, then radial draws."""
+        m, d = out.shape
+        filled = 0
+        while filled < m and budget > 0:
             # one chunk draws the candidates one-at-a-time draws would; they are taken in order
-            k = min(budget, 2 * (n - filled) + 16)
+            k = min(budget, 2 * (m - filled) + 16)
             cand = rng.uniform(-radius, radius, size=(k, d))
             budget -= k
-            taken = cand[space.norms(cand) <= radius][:n - filled]
-            pts[filled:filled + len(taken)] = center + taken
+            taken = cand[space.norms(cand) <= radius][:m - filled]
+            out[filled:filled + len(taken)] = center + taken
             filled += len(taken)
-        if filled < n:  # rejection starves in high dimension: radial draws fill the rest
-            g = rng.standard_normal((n - filled, d))
-            t = radius * rng.uniform(size=(n - filled, 1)) ** (1.0 / d)
-            pts[filled:n] = center + t * space.unit(g)
-        return pts[:n]
+        if filled < m:  # rejection starves in high dimension: radial draws fill the rest
+            g = rng.standard_normal((m - filled, d))
+            t = radius * rng.uniform(size=(m - filled, 1)) ** (1.0 / d)
+            out[filled:] = center + t * space.unit(g)
 
     def enlarge(self, space, r):
         return Ball(self.center, self.radius + r)
@@ -481,14 +497,10 @@ class Sphere(_Round):
     def contains(self, space, y, tol):
         return abs(space.dist(y, self.center) - self.radius) <= tol * max(1.0, self.radius)
 
-    def sample(self, space, n, seed, rng, box):
-        d = space.dim
-        pts = np.empty((max(n, 2 * d), d))
-        _axis_points(self.center, self.radius, pts[:2 * d])
-        if 2 * d < n:
-            dirs = rng.standard_normal((n - 2 * d, d))
-            pts[2 * d:] = self.center + self.radius * space.unit(dirs)
-        return pts[:n]
+    @staticmethod
+    def _draw(space, out, center, radius, budget, rng):
+        """Fill out (m, dim) with random points of the sphere, by normalised normal draws."""
+        out[:] = center + radius * space.unit(rng.standard_normal(out.shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -1081,14 +1093,18 @@ class Rounds(Family):
         return self.kind(self.centers[i], self.radii.item(i))
 
     def sample(self, space, n, seeds, rng, box=None):
-        # a ball's centre, then the axis points of every row; a row draws only past them
+        """Row i is the sample of its ball or sphere: a ball's centre, then the axis
+        points, written for every row at once; past them each row draws from rng(i, 0)."""
         first, d = int(not self.sphere), space.dim
-        if n > first + 2 * d:
-            return super().sample(space, n, seeds, rng, box)
-        pts = np.empty((len(self), first + 2 * d, d))
+        fixed = first + 2 * d
+        pts = np.empty((len(self), max(n, fixed), d))
         if first:
             pts[:, 0] = self.centers
-        _axis_points(self.centers, self.radii, pts[:, first:])
+        _axis_points(self.centers, self.radii, pts[:, first:fixed])
+        if n > fixed:
+            for i in range(len(self)):
+                self.kind._draw(space, pts[i, fixed:n], self.centers[i], self.radii.item(i),
+                                200 * n + 1000, rng(i, 0))  # at most 200 n + 1000 candidates
         return pts[:, :n]
 
     def row_dists(self, space, ys):
@@ -1533,7 +1549,7 @@ def sample(space: NormedSpace, s: SetRep, n: int, seed: int,
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    return s.sample(space, n, seed, rng_for(seed, 0), box)
+    return s.sample(space, n, seed, _pristine_rng(seed), box)
 
 
 def sample_enlargement(space: NormedSpace, s: SetRep, rho: float, n: int, seed: int,

@@ -30,7 +30,7 @@ from .certify import (
     interior_radius,
 )
 from .codec import InstanceError, Kind, Table, decode, one_of
-from .geometry import DimensionMismatchError, NormedSpace
+from .geometry import DimensionMismatchError
 from .solver import InclusionInstance, NotExpandingError, solve_inclusion, strongly_fixed
 
 VERSION_TAG = "setcover-kit/1"
@@ -292,20 +292,15 @@ def _run_sfix(decoded: dict, seed: int, tol: float) -> tuple[int, dict]:
 
 
 def _run_family(decoded: dict, seed: int, tol: float) -> tuple[int, dict]:
+    """The calmness and semiregularity diagnostics; they run at their own fixed
+    tolerances (1e-9 for solves, 1e-6 and 1e-7 for membership), so tol is unused."""
     blk = decoded["family"]
-    psi_fixed = blk["psi"]
-    c1 = blk["c1"]
-    space_x = psi_fixed.space_x
-    space_y = psi_fixed.space_y
-    zero_center = mp.Affine(np.zeros((space_y.dim, space_x.dim)), np.zeros(space_y.dim))
-
-    def phi_of_p(p):
-        return mp.BallValued(zero_center, c0=float(p[0]), c1=c1,
-                             space_x=space_x, space_y=space_y)
-
-    fam = pen.ParamFamily(param_space=NormedSpace(blk["p_bar"].shape[0]),
-                          p_bar=blk["p_bar"], phi_of_p=phi_of_p,
-                          psi_of_p=lambda p: psi_fixed)
+    if not blk["p_bar"][0] > 0:
+        raise InstanceError("$.family.p_bar", f"p_bar[0] is phi's ball radius at the reference: "
+                                              f"it must be > 0, got {blk['p_bar'][0]}")
+    # c1 < 0, or phi's rate c1 not below psi's alpha_used; psi with no covering constant
+    with _refused_at("$.family.c1"), _refused_at("$.family.psi", mp.NotSetCoveringError):
+        fam = pen.BallRadiusFamily(blk["psi"], blk["c1"], blk["p_bar"])
     cal = pen.calmness_diagnostic(fam, blk["objective"], blk["x_bar"],
                                   radii=blk["radii"], seed=seed)
     semi = pen.semiregularity_estimate(fam, blk["x_bar"], radius=max(blk["radii"]),

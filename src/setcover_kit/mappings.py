@@ -14,6 +14,7 @@ factor (0.99 by default) before using one.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -268,6 +269,12 @@ class MapSpec:
         """The point c whose distance to every inclusion-inverse image is the
         image's radius: each inverse image is a shell {u : d(u, c) >= t}."""
         raise NotImplementedError("closed-form inverse Hausdorff check needs a dilation")
+
+    def at_rows(self, rows) -> MapSpec:
+        """This map narrowed to the given rows of its per-row data, which gives row i of a
+        point stack its own map (a BallValued with one c0 per row); a map without such data
+        is the same at every row and is itself."""
+        return self
 
 
 def _space_of(space: NormedSpace | None, dim: int) -> NormedSpace:
@@ -657,17 +664,20 @@ class Composed(MapSpec):
 
 @dataclass(frozen=True, eq=False)
 class BallValued(MapSpec):
-    """x -> ball(center(x), c0 + c1*||x - xhat||): the bounded Lipschitz role."""
+    """x -> ball(center(x), c0 + c1*||x - xhat||): the bounded Lipschitz role.
+
+    c0 may be a (k,) array, one per row of a k-point stack: row i's image is then that of
+    the map with c0[i], bit for bit (a parameter column of ball radii, say)."""
 
     center: CatalogFn
-    c0: float
+    c0: float | np.ndarray
     c1: float = 0.0
     xhat: np.ndarray | None = None
     space_x: NormedSpace = None
     space_y: NormedSpace = None
 
     def __post_init__(self):
-        if self.c0 <= 0:
+        if np.any(np.less_equal(self.c0, 0)):
             raise ValueError("c0 must be > 0")
         if self.c1 < 0:
             raise ValueError("c1 must be >= 0")
@@ -683,6 +693,13 @@ class BallValued(MapSpec):
 
     def lipschitz(self):
         return self.center.lipschitz(self.space_x, self.space_y) + self.c1
+
+    def at_rows(self, rows):
+        if np.ndim(self.c0) == 0:
+            return self
+        out = copy.copy(self)  # the fields were checked when the whole column was
+        object.__setattr__(out, "c0", self.c0[rows])
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from . import mappings as mp
 from .certify import Certificate, Violation
 from .geometry import NormedSpace, rng_for
 from .search import PatternTrace, pattern_searches
-from .solver import InclusionInstance, solve_inclusions
+from .solver import InclusionInstance, SolveTrace, solve_inclusion, solve_inclusions
 
 # largest dimension minimize_penalty searches: each poll round costs 2 * dim penalty values
 PENALTY_SEARCH_CAP = 6
@@ -48,6 +48,7 @@ __all__ = [
     "ConverseRecord",
     "converse_check",
     "ParamFamily",
+    "BallRadiusFamily",
     "CalmnessEstimate",
     "calmness_diagnostic",
     "SemiregularityEstimate",
@@ -347,7 +348,14 @@ class ParamFamily:
     phi_of_p / psi_of_p build the pair at a parameter; constants are
     rederived per parameter (the family must keep beta_p below the
     safety-scaled alpha_p near p_bar, which construction verifies at
-    p_bar).
+    p_bar).  A parameter whose instance cannot be built (a ValueError,
+    as a ball-valued phi with radius c0 <= 0 raises) lies outside the
+    family: it holds no point, and the diagnostics skip it.
+
+    The diagnostics ask about many (p, x) rows at once: a parameter
+    column ps (k, pdim) beside points (k, dim).  members, residuals and
+    solves build each distinct parameter's instance once and run the rows
+    one by one; BallRadiusFamily runs a whole column in one call.
     """
 
     param_space: NormedSpace
@@ -358,7 +366,8 @@ class ParamFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "p_bar", self.param_space.check_point(self.p_bar))
-        self.instance(self.p_bar)  # validates alpha_p > beta_p at the reference
+        # validates alpha_p > beta_p at the reference
+        object.__setattr__(self, "space_x", self.instance(self.p_bar).space_x)
 
     def instance(self, p, tol: float | None = None) -> InclusionInstance:
         p = self.param_space.check_point(p)
@@ -366,9 +375,106 @@ class ParamFamily:
                                  tol=tol if tol is not None else self.tol)
 
     def residual(self, p, x) -> float:
-        p = self.param_space.check_point(p)
-        phi, psi = self.phi_of_p(p), self.psi_of_p(p)
-        return mp.image_excesses(phi, psi, phi.space_x.check_point(x)[None]).item(0)
+        """excess(phi_p(x), psi_p(x)), inf for p outside the family: one row of residuals."""
+        return self.residuals(self.param_space.check_point(p)[None],
+                              self.space_x.check_point(x)[None]).item(0)
+
+    def members(self, ps) -> np.ndarray:
+        """Whether each parameter of a (k, pdim) column lies in the family."""
+        return np.array([inst is not None for inst in self._instances(ps)], dtype=bool)
+
+    def residuals(self, ps, xs) -> np.ndarray:
+        """The residual of each (ps[i], xs[i]) row, inf where ps[i] lies outside the family."""
+        return np.array([math.inf if inst is None else inst.residual(x)
+                         for inst, x in zip(self._instances(ps), xs)])
+
+    def solves(self, ps, starts, tol: float) -> list[SolveTrace]:
+        """solve_inclusion(instance(ps[i], tol), starts[i]) for each row, every ps[i] in the
+        family."""
+        return [solve_inclusion(inst, x0) for inst, x0 in zip(self._instances(ps, tol), starts)]
+
+    def _instances(self, ps, tol: float | None = None) -> list:
+        """instance(p, tol) for each row of ps, None outside the family; one per distinct p."""
+        built, out = {}, []
+        for p in np.asarray(ps, dtype=float):
+            key = p.tobytes()
+            if key not in built:
+                try:
+                    built[key] = self.instance(p, tol)
+                except ValueError:
+                    built[key] = None
+            out.append(built[key])
+        return out
+
+
+class BallRadiusFamily(ParamFamily):
+    """phi_p(x) = ball(0, p[0] + c1*||x||) against a psi that does not depend on p: the
+    family kind of instance files (`ball_radius_family`).
+
+    Parameters are 1-d, and p lies in the family when p[0] > 0.  Over a
+    parameter column phi is one BallValued with a per-row c0, so the
+    column's residuals and solves are one stacked call each, row i bit
+    for bit that of the instance at ps[i].
+    """
+
+    def __init__(self, psi: mp.MapSpec, c1: float, p_bar):
+        space_x, space_y = psi.space_x, psi.space_y
+        center = mp.Affine(np.zeros((space_y.dim, space_x.dim)), np.zeros(space_y.dim))
+
+        def phi_of_c0(c0):
+            return mp.BallValued(center, c0=c0, c1=c1, space_x=space_x, space_y=space_y)
+
+        object.__setattr__(self, "phi_of_c0", phi_of_c0)
+        super().__init__(param_space=NormedSpace(1), p_bar=p_bar,
+                         phi_of_p=lambda p: phi_of_c0(float(p[0])), psi_of_p=lambda p: psi)
+        object.__setattr__(self, "psi", psi)
+
+    def members(self, ps):
+        return np.asarray(ps, dtype=float)[:, 0] > 0.0
+
+    def residuals(self, ps, xs):
+        out = np.full(len(xs), math.inf)
+        rows = self.members(ps)
+        if rows.any():
+            out[rows] = mp.image_excesses(self.phi_of_c0(ps[rows, 0]), self.psi, xs[rows])
+        return out
+
+    def solves(self, ps, starts, tol):
+        if not len(starts):
+            return []
+        return solve_inclusions(InclusionInstance(psi=self.psi, phi=self.phi_of_c0(ps[:, 0]),
+                                                  tol=tol), starts)
+
+
+def _per_param(call, ps: list, blocks: list) -> list:
+    """call(column, points) over every parameter's block of points (n_k, dim) at once, the
+    column repeating ps[k] n_k times; its output split back into one slice per block."""
+    if not blocks:
+        return []
+    counts = [len(block) for block in blocks]
+    out = call(np.repeat(np.array(ps), counts, axis=0), np.concatenate(blocks))
+    ends = np.cumsum(counts)
+    return [out[a:b] for a, b in zip((ends - counts).tolist(), ends.tolist())]
+
+
+def _draw_params(fam: ParamFamily, rng, radius: float, n_params: int, draw_points):
+    """Of n_params parameters p_bar + U(-radius, radius)^pdim, those off p_bar and in the
+    family, with d(p, p_bar) and the points draw_points() draws from rng after each."""
+    ps, d_ps, blocks = [], [], []
+    for _ in range(n_params):
+        p = fam.p_bar + rng.uniform(-radius, radius, size=fam.param_space.dim)
+        d_p = fam.param_space.dist(p, fam.p_bar)
+        if d_p <= 1e-12 or not fam.members(p[None])[0]:
+            continue
+        ps.append(p)
+        d_ps.append(d_p)
+        blocks.append(draw_points())
+    return ps, d_ps, blocks
+
+
+def _converged_ends(traces, dim: int) -> np.ndarray:
+    return np.reshape([trace.x_final for trace in traces if trace.status == "converged"],
+                      (-1, dim))
 
 
 @dataclass(frozen=True)
@@ -397,36 +503,33 @@ def calmness_diagnostic(fam: ParamFamily, objective: ObjectiveSpec, x_bar,
     solver projections onto the region), the infimum of
     (f(x) - f(x_bar)) / d(p, p_bar) lower-bounds -zeta.  Estimates are
     reported per radius; sample sets nest, so the inf is nonincreasing
-    under radius refinement.
+    under radius refinement.  Parameters outside the family are skipped.
+    Every parameter and candidate is drawn first (no draw depends on a
+    solve); then one solve call runs every parameter's projections and one
+    residual call tests every candidate.
     """
     radii = sorted(radii)
     r_max = radii[-1]
-    space_x = fam.phi_of_p(fam.p_bar).space_x
+    space_x = fam.space_x
     x_bar = space_x.check_point(x_bar)
     f_bar = objective_value(objective, space_x, x_bar)
-    pairs = []  # (d(p, p_bar), radius_needed, ratio)
     rng = rng_for(seed, 0)
-    for k in range(n_params):
-        offset = rng.uniform(-r_max, r_max, size=fam.param_space.dim)
-        p = fam.p_bar + offset
-        d_p = fam.param_space.dist(p, fam.p_bar)
-        if d_p <= 1e-12:
-            continue
-        candidates = [x_bar + rng.uniform(-r_max, r_max, size=space_x.dim)
-                      for _ in range(n_points)]
-        inst = fam.instance(p, tol=1e-9)
-        traces = solve_inclusions(inst, [x_bar] + candidates[: max(2, n_points // 8)])
-        candidates += [trace.x_final for trace in traces if trace.status == "converged"]
-        d_xs = [space_x.dist(x, x_bar) for x in candidates]
-        near = [i for i, d_x in enumerate(d_xs) if d_x <= r_max]
-        if not near:
-            continue
-        residuals = inst.residuals(np.array([candidates[i] for i in near]))
-        for i, res in zip(near, residuals.tolist()):
-            if res > member_tol:
-                continue
-            ratio = (objective_value(objective, space_x, candidates[i]) - f_bar) / d_p
-            pairs.append((d_p, d_xs[i], ratio))
+    ps, d_ps, cands = _draw_params(
+        fam, rng, r_max, n_params,
+        lambda: x_bar + rng.uniform(-r_max, r_max, size=(n_points, space_x.dim)))
+    n_starts = max(2, n_points // 8)
+    solved = _per_param(lambda column, starts: fam.solves(column, starts, 1e-9), ps,
+                        [np.vstack([x_bar, c[:n_starts]]) for c in cands])
+    cands = [np.vstack([c, _converged_ends(traces, space_x.dim)])
+             for c, traces in zip(cands, solved)]
+    d_xs = [space_x.norms(c - x_bar) for c in cands]
+    near = [c[d_x <= r_max] for c, d_x in zip(cands, d_xs)]
+    pairs = []  # (d(p, p_bar), radius_needed, ratio)
+    for d_p, xs, d_x, res in zip(d_ps, near, d_xs, _per_param(fam.residuals, ps, near)):
+        member = ~(res > member_tol)
+        ratios = (objective.values(space_x, xs[member]) - f_bar) / d_p
+        pairs += [(d_p, d, ratio) for d, ratio in zip(d_x[d_x <= r_max][member].tolist(),
+                                                      ratios.tolist())]
     per_radius = []
     for r in radii:
         sub = [ratio for d_p, d_x, ratio in pairs if d_p <= r and d_x <= r]
@@ -442,28 +545,25 @@ def calmness_diagnostic(fam: ParamFamily, objective: ObjectiveSpec, x_bar,
 
 def _value_slope(fam: ParamFamily, objective: ObjectiveSpec, x_bar,
                  radius: float, seed: int, n_params: int, member_tol: float) -> float:
-    space_x = fam.phi_of_p(fam.p_bar).space_x
+    """inf over sampled p of (v(p) - f(x_bar)) / d(p, p_bar), v(p) the least objective of
+    the feasible converged ends of five solves near x_bar (one solve call for all p)."""
+    space_x = fam.space_x
     f_bar = objective_value(objective, space_x, x_bar)
-    worst = math.inf
     rng = rng_for(seed, 1)
-    for _ in range(n_params):
-        p = fam.p_bar + rng.uniform(-radius, radius, size=fam.param_space.dim)
-        d_p = fam.param_space.dist(p, fam.p_bar)
-        if d_p <= 1e-12:
-            continue
-        inst = fam.instance(p, tol=1e-9)
+    ps, d_ps, starts = _draw_params(
+        fam, rng, radius, n_params,
+        lambda: np.vstack([x_bar, x_bar + rng.uniform(-radius, radius, size=(4, space_x.dim))]))
+    solved = _per_param(lambda column, xs: fam.solves(column, xs, 1e-9), ps, starts)
+    near = []
+    for traces in solved:
+        ends = _converged_ends(traces, space_x.dim)
+        near.append(ends[space_x.norms(ends - x_bar) <= radius])
+    worst = math.inf
+    for d_p, xs, res in zip(d_ps, near, _per_param(fam.residuals, ps, near)):
         best = None
-        starts = [x_bar] + [x_bar + rng.uniform(-radius, radius, size=space_x.dim)
-                            for _ in range(4)]
-        near = [trace.x_final for trace in solve_inclusions(inst, starts)
-                if trace.status == "converged"]
-        near = [x for x in near if space_x.dist(x, x_bar) <= radius]
-        if not near:
-            continue
-        for x, res in zip(near, inst.residuals(np.array(near)).tolist()):
-            if res > member_tol:
+        for val, r in zip(objective.values(space_x, xs).tolist(), res.tolist()):
+            if r > member_tol:
                 continue
-            val = objective_value(objective, space_x, x)
             best = val if best is None else min(best, val)
         if best is not None:
             worst = min(worst, (best - f_bar) / d_p)
@@ -494,29 +594,25 @@ def semiregularity_estimate(fam: ParamFamily, x_bar, radius: float = 0.5,
 
     Numerators come from solver projections onto the reference region;
     denominators from a parameter grid refined by bisection toward
-    p_bar (membership by excess).  Points already in the reference
-    region are excluded; samples whose inverse membership the grid
-    cannot certify are skipped and counted.  No finite ratios at all
-    yield the +inf sentinel (kappa = 0).
+    p_bar (membership by excess; a parameter outside the family is no
+    member).  Points already in the reference region are excluded;
+    samples whose inverse membership the grid cannot certify are skipped
+    and counted.  No finite ratios at all yield the +inf sentinel
+    (kappa = 0).  The samples are drawn first, and each step runs over
+    all of them at once.
     """
-    space_x = fam.phi_of_p(fam.p_bar).space_x
+    space_x = fam.space_x
     x_bar = space_x.check_point(x_bar)
     inst_bar = fam.instance(fam.p_bar, tol=1e-10)
-    rng = rng_for(seed, 2)
+    xs = x_bar + rng_for(seed, 2).uniform(-radius, radius, size=(max(n_samples, 0), space_x.dim))
+    xs = xs[~(inst_bar.residuals(xs) <= member_tol)]  # numerator zero: excluded from the liminf
     ratios = []
     skipped = 0
-    produced = 0
-    while produced < n_samples:
-        produced += 1
-        x = x_bar + rng.uniform(-radius, radius, size=space_x.dim)
-        if inst_bar.residual(x) <= member_tol:
-            continue  # numerator zero: excluded from the liminf sample
-        num = _region_distance(fam, inst_bar, x, seed=seed)
-        den = _inverse_param_distance(fam, x, p_radius, p_grid_n, member_tol)
+    for num, den in zip(_region_distances(inst_bar, xs, seed),
+                        _inverse_param_distances(fam, xs, p_radius, p_grid_n, member_tol)):
         if den is None:
             skipped += 1
-            continue
-        if den <= 1e-12:
+        elif den <= 1e-12:
             ratios.append(math.inf)
         else:
             ratios.append(num / den)
@@ -529,45 +625,66 @@ def semiregularity_estimate(fam: ParamFamily, x_bar, radius: float = 0.5,
                                   n_samples=len(ratios), n_skipped=skipped, seed=seed)
 
 
-def _region_distance(fam: ParamFamily, inst: InclusionInstance, x, seed: int) -> float:
-    best = math.inf
+def _region_distances(inst: InclusionInstance, xs: np.ndarray, seed: int) -> list[float]:
+    """Upper bound on dist(x, R) for each row x of xs: the nearest converged end of three
+    solves, from x and from x plus two seeded offsets (the same for every row), all in one
+    lockstep call; the a-priori error bound where none of a row's solves converges."""
     space_x = inst.space_x
-    rng = rng_for(seed, 3)
-    starts = [x] + [np.asarray(x) + 0.05 * rng.standard_normal(space_x.dim)
-                    for _ in range(2)]
-    for trace in solve_inclusions(inst, starts):
-        if trace.status == "converged":
-            best = min(best, space_x.dist(trace.x_final, x))
-    if math.isinf(best):
-        # fall back to the a-priori error bound
-        best = inst.residual(x) / (inst.alpha_used - inst.beta)
+    offsets = 0.05 * rng_for(seed, 3).standard_normal((2, space_x.dim))
+    starts = np.stack([xs, xs + offsets[0], xs + offsets[1]], axis=1)
+    traces = solve_inclusions(inst, starts.reshape(-1, space_x.dim))
+    best = []
+    for i, x in enumerate(xs):
+        d = math.inf
+        for trace in traces[3 * i:3 * i + 3]:
+            if trace.status == "converged":
+                d = min(d, space_x.dist(trace.x_final, x))
+        best.append(d)
+    fallback = [i for i, d in enumerate(best) if math.isinf(d)]
+    if fallback:  # the a-priori error bound
+        bounds = inst.residuals(xs[fallback]) / (inst.alpha_used - inst.beta)
+        for i, bound in zip(fallback, bounds.tolist()):
+            best[i] = bound
     return best
 
 
-def _inverse_param_distance(fam: ParamFamily, x, p_radius: float,
-                            grid_n: int, member_tol: float) -> float | None:
-    """Upper bound on dist(p_bar, {p : x in R(p)}), or None if no member found."""
+def _inverse_param_distances(fam: ParamFamily, xs: np.ndarray, p_radius: float,
+                             grid_n: int, member_tol: float) -> list[float | None]:
+    """Upper bound on dist(p_bar, {p : x in R(p)}) for each row x of xs, or None where no
+    grid member is found; each step one membership call over the rows still searching."""
     if fam.param_space.dim != 1:
         raise ValueError("the parameter grid search is implemented for 1-d parameter spaces")
     p_bar = float(fam.p_bar[0])
     grid = np.linspace(p_bar - p_radius, p_bar + p_radius, grid_n)
 
-    def member(p_val: float) -> bool:
-        return fam.residual(np.array([p_val]), x) <= member_tol
+    def member(p_vals, rows):  # membership of xs[rows[j]] in R(p_vals[j])
+        return fam.residuals(np.reshape(p_vals, (-1, 1)), xs[rows]) <= member_tol
 
-    if member(p_bar):
-        return 0.0
+    at_bar = member(np.full(len(xs), p_bar), np.arange(len(xs)))
+    out = [0.0 if hit else None for hit in at_bar.tolist()]
+    searching = np.flatnonzero(~at_bar)
     # nearest first, ties in grid order: the first member is the nearest one
-    order = sorted(range(grid_n), key=lambda i: abs(grid[i] - p_bar))
-    nearest = next((grid[i] for i in order if member(grid[i])), None)
-    if nearest is None:
-        return None
+    scan = grid[sorted(range(grid_n), key=lambda i: abs(grid[i] - p_bar))]
+    hits = member(np.tile(scan, len(searching)),
+                  np.repeat(searching, grid_n)).reshape(len(searching), grid_n)
+    found = hits.any(axis=1)
+    rows = searching[found]
+    if not rows.size:
+        return out
     # bisection toward p_bar tightens the upper bound while membership persists
-    inner, outer = p_bar, float(nearest)
+    inner, outer = np.full(len(rows), p_bar), scan[hits[found].argmax(axis=1)]
     for _ in range(60):
         mid = 0.5 * (inner + outer)
-        if member(mid):
-            outer = mid
-        else:
-            inner = mid
-    return abs(outer - p_bar)
+        hit = member(mid, rows)
+        outer, inner = np.where(hit, mid, outer), np.where(hit, inner, mid)
+    for i, d in zip(rows.tolist(), np.abs(outer - p_bar).tolist()):
+        out[i] = d
+    return out
+
+
+def _inverse_param_distance(fam: ParamFamily, x, p_radius: float,
+                            grid_n: int, member_tol: float) -> float | None:
+    """Upper bound on dist(p_bar, {p : x in R(p)}), or None if no member found: one row
+    of _inverse_param_distances."""
+    return _inverse_param_distances(fam, fam.space_x.check_point(x)[None], p_radius, grid_n,
+                                    member_tol)[0]

@@ -20,6 +20,7 @@ instead of a tolerance short of it.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .geometry import (
     dist_point,  # noqa: F401  (perfbench/test_checks.py checks the tracer rebinds it here)
     dists,
     sample,
+    _pristine_rng,
 )
 
 __all__ = [
@@ -61,7 +63,9 @@ class InclusionInstance:
     semantics) and alpha_used the safety-scaled value actually consumed;
     beta is the Lipschitz constant of phi and must stay below
     alpha_used.  phi must be bounded-valued for the residual to be
-    finite.
+    finite.  A map with per-row data (see MapSpec.at_rows) makes this k
+    instances that share their constants, one per row of a k-point stack:
+    solve_inclusions then takes k starts, row i solving with row i's maps.
     """
 
     psi: mp.MapSpec
@@ -85,7 +89,7 @@ class InclusionInstance:
         object.__setattr__(self, "alpha_used", alpha_used)
         if not beta < alpha_used:
             raise ValueError(f"need beta < alpha_used, got beta={beta}, alpha_used={alpha_used}")
-        probe = mp.eval_map(self.phi, np.zeros(self.phi.space_x.dim))
+        probe = mp.eval_map(self.phi.at_rows([0]), np.zeros(self.phi.space_x.dim))
         if not boundedness(self.phi.space_y, probe).bounded:
             raise ValueError("phi must be bounded-valued")
 
@@ -104,6 +108,16 @@ class InclusionInstance:
     def residuals(self, xs) -> np.ndarray:
         """The residual at each row of a (k, dim) array (see mappings.image_excesses)."""
         return mp.image_excesses(self.phi, self.psi, xs)
+
+    def at_rows(self, rows) -> InclusionInstance:
+        """This instance with its maps narrowed to the given rows (itself without per-row data)."""
+        phi, psi = self.phi.at_rows(rows), self.psi.at_rows(rows)
+        if phi is self.phi and psi is self.psi:
+            return self
+        out = copy.copy(self)  # the constants hold for every row
+        object.__setattr__(out, "phi", phi)
+        object.__setattr__(out, "psi", psi)
+        return out
 
 
 @dataclass(frozen=True)
@@ -175,9 +189,10 @@ def solve_inclusions(inst: InclusionInstance, starts, polish: bool = True) -> li
     """solve_inclusion from each start, run in lockstep; trace i is that of starts[i].
 
     Each step makes one witness, residual and step-length call over the
-    solves still running, one row per solve.  The contraction test, budget,
-    polish step and re-check stay per solve, so trace i equals
-    solve_inclusion(inst, starts[i], polish) bit for bit.
+    solves still running, one row per solve, and the converged solves share
+    one re-check call.  The contraction test, budget and polish step stay
+    per solve, so trace i equals solve_inclusion(inst, starts[i], polish)
+    bit for bit.
     """
     return _solves(inst, starts, polish)
 
@@ -190,12 +205,17 @@ def _solves(inst: InclusionInstance, starts, polish: bool) -> list[SolveTrace]:
     violations = [None] * len(rs)
     ratio = inst.beta / inst.alpha_used
     live = [i for i, r in enumerate(rs) if not r <= inst.tol]
+
+    def narrowed(rows):  # the instance over the given solves (ascending; all of them: inst)
+        return inst if len(rows) == len(xs) else inst.at_rows(rows)
+
     for _ in range(inst.max_iter):
         if not live:
             break
         radii = [(rs[i] + 1e-12) / inst.alpha_used for i in live]  # boundary inflation of the premise
         running = []
-        for i, (u, r_next, length) in zip(live, _witness_steps(inst, [xs[i] for i in live], radii)):
+        steps_live = _witness_steps(narrowed(live), [xs[i] for i in live], radii)
+        for i, (u, r_next, length) in zip(live, steps_live):
             if r_next > ratio * rs[i] + CONTRACTION_SLACK * (1.0 + rs[i]):
                 violations[i] = {"x": xs[i].tolist(), "u": u.tolist(), "residual": rs[i],
                                  "residual_next": r_next, "allowed": ratio * rs[i],
@@ -211,11 +231,17 @@ def _solves(inst: InclusionInstance, starts, polish: bool) -> list[SolveTrace]:
                  if polish and v is None and 0.0 < r <= inst.tol]
     if polishing:
         radii = [rs[i] / (inst.alpha_used - inst.beta) for i in polishing]
-        for i, (u, r_pol, length) in zip(polishing,
-                                         _witness_steps(inst, [xs[i] for i in polishing], radii)):
+        polished = _witness_steps(narrowed(polishing), [xs[i] for i in polishing], radii)
+        for i, (u, r_pol, length) in zip(polishing, polished):
             if r_pol <= min(inst.tol, rs[i]):
                 steps[i].append(SolveStep(tuple(u), r_pol, length, "polish"))
-    return [_trace(inst, s, v) for s, v in zip(steps, violations)]
+    traces = [_trace(inst, s, v) for s, v in zip(steps, violations)]
+    converged = [i for i, trace in enumerate(traces) if trace.status == "converged"]
+    if converged:
+        finals = np.array([traces[i].steps[-1].x for i in converged])
+        for i, recheck in zip(converged, _rechecks(narrowed(converged), finals)):
+            traces[i].residual_recheck = recheck
+    return traces
 
 
 def _witness_steps(inst: InclusionInstance, xs: list, radii: list[float]):
@@ -225,8 +251,19 @@ def _witness_steps(inst: InclusionInstance, xs: list, radii: list[float]):
     return zip(us, inst.residuals(us).tolist(), inst.space_x.norms(us - points).tolist())
 
 
+def _rechecks(inst: InclusionInstance, xs: np.ndarray) -> list[float]:
+    """The sampled excess at each converged point, row by row of xs: the max over 64
+    points of phi(x) of d(., psi(x)), the points drawn as sample(space_y, phi(x), 64, 17)
+    draws them, each row from its own copy of that generator."""
+    space = inst.space_y
+    pts = mp.eval_maps(inst.phi, xs).sample(space, 64, [17] * len(xs),
+                                            lambda i, stream: _pristine_rng(17))
+    return mp.eval_maps(inst.psi, xs).row_dists(space, pts).value.max(axis=1).tolist()
+
+
 def _trace(inst: InclusionInstance, steps: list, violation) -> SolveTrace:
-    """The trace of a finished solve: its status, displacement bound and re-check."""
+    """The trace of a finished solve, its status and displacement bound (the re-check of a
+    converged one comes after, from _rechecks)."""
     x, r = np.array(steps[-1].x), steps[-1].residual
     if violation is not None:
         status = "contraction-violated"
@@ -234,15 +271,9 @@ def _trace(inst: InclusionInstance, steps: list, violation) -> SolveTrace:
         status = "converged" if r <= inst.tol else "budget-exhausted"
     displacement = inst.space_x.dist(np.array(steps[0].x), x)
     bound = steps[0].residual / (inst.alpha_used - inst.beta)
-    recheck = None
-    if status == "converged":  # sampled excess at x: max over 64 points of phi(x) of d(., psi(x))
-        phi_img, psi_img = mp.eval_map(inst.phi, x), mp.eval_map(inst.psi, x)
-        pts = sample(inst.space_y, phi_img, 64, 17)
-        recheck = float(dists(inst.space_y, pts, psi_img).value.max())
     return SolveTrace(steps=steps, status=status, alpha_used=inst.alpha_used,
                       beta=inst.beta, tol=inst.tol,
-                      bound_check=(displacement, bound),
-                      residual_recheck=recheck, violation=violation)
+                      bound_check=(displacement, bound), violation=violation)
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,12 @@ MALFORMED = {
     "unread-block": ("t1", ("sfix",), builtin_instances()["sfix"]["sfix"], "$.sfix"),
     "unread-map": ("sfix", ("maps", "phi"), _PHI, "$.maps.phi"),
     "family-with-maps": ("family", ("maps",), {"psi": _PHI}, "$.maps"),
+    "family-c1-not-below-alpha_used": ("family", ("family", "c1"), 5.0, "$.family.c1"),
+    "family-c1-negative": ("family", ("family", "c1"), -0.5, "$.family.c1"),
+    "family-p_bar-zero": ("family", ("family", "p_bar"), [0.0], "$.family.p_bar"),
+    "family-p_bar-negative": ("family", ("family", "p_bar"), [-1.0], "$.family.p_bar"),
+    "family-psi-not-set-covering": ("family", ("family", "psi"), {"kind": "sphere_scale"},
+                                    "$.family.psi"),
     "seed-negative": ("t1", ("parameters", "seed"), -1, "$.parameters.seed"),
     "tol-negative": ("t1", ("parameters", "tol"), -1, "$.parameters.tol"),
     "tol-zero": ("t1", ("parameters", "tol"), 0, "$.parameters.tol"),

@@ -14,7 +14,11 @@ certificates: rates above what the maps have, so that covering,
 set-covering and inverse-errorbound violation records get compared too
 (every such job of the workloads finds none), and so that the covering
 search over polyhedral process images, which no workload job reaches,
-runs too.  Every float is written by its hex form, so two dumps are
+runs too; and the `forced` family runs, which take the calmness and
+semiregularity diagnostics where the built-in family does not go: a
+max-norm psi, a 2-d x, region solves that all fail and fall back to the
+error bound, and a family whose phi does not depend on the parameter.
+Every float is written by its hex form, so two dumps are
 equal only when every value is equal bit for bit; a job that
 raises is written as its exception.  With --reverse each workload's jobs,
 and the built-ins, run last to first, each still written under its list
@@ -134,6 +138,48 @@ def forced_jobs(seed: int) -> list:
     for k, m in ((1, 2), (2, 2), (2, 3), (3, 3)):
         proc = sk.PolyhedralProcess(*workloads.process_matrices(rng, k, m, covering=True))
         jobs.append((f"covering-3a-process-{k}x{m}", partial(covering_3a, proc)))
+    return jobs + forced_family_jobs(seed)
+
+
+def forced_family_jobs(seed: int) -> list:
+    """family runs at the seed beside the built-in one: as instance files, a max-norm psi
+    from R into R^3, a 2-d x, and a reference at p_bar = 1e12, where a step shorter than
+    the float spacing about |x| = 2e12 leaves x in place, so that every region solve stops
+    with its contraction violated and the a-priori error bound stands in; and through the
+    library, a family whose phi is the same at every parameter: about a point inside
+    its region semiregularity finds no sample outside it (the inf sentinel), and about
+    a point on its boundary no parameter takes a sample in (every one skipped)."""
+    import numpy as np
+    import setcover_kit as sk
+    from setcover_kit.instances import builtin_instances, decode_instance, run_instance
+
+    def run_family(**changes):
+        data = builtin_instances()["family"]
+        data["family"].update(changes)
+        code, result = run_instance(decode_instance(data), seed=seed)
+        return {"exit_code": code, "result": result}
+
+    max3 = {"dim": 3, "norm": "max"}
+    eu2 = {"dim": 2}
+    jobs = [
+        ("family-max-norm-psi", partial(
+            run_family, c1=0.3, psi={"kind": "dilation", "y0": [0.0, 0.5, -0.5], "a": 1.5,
+                                     "b": 0.25, "anchor": [0.0], "space_y": max3})),
+        ("family-2d-x", partial(
+            run_family, x_bar=[1.5, 1.0], objective={"kind": "norm_to_point", "target": [3.0, 0.0]},
+            psi={"kind": "dilation", "y0": [0.0, 0.0], "a": 1.0, "anchor": [0.25, 0.0],
+                 "space_x": eu2, "space_y": eu2})),
+        ("family-region-solves-fail", partial(run_family, p_bar=[1e12], x_bar=[2e12])),
+    ]
+    space1, space2 = sk.NormedSpace(1), sk.NormedSpace(2)
+    phi = sk.BallValued(sk.Affine(np.zeros((2, 1)), np.zeros(2)), c0=1.0, c1=0.5,
+                        space_x=space1, space_y=space2)
+    psi = sk.Dilation(np.zeros(2), 1.0, 0.0, np.zeros(1), space1, space2)
+    constant = sk.ParamFamily(space1, np.array([1.0]), lambda p: phi, lambda p: psi)
+    for x_bar in (3.0, 2.0):
+        jobs.append((f"family-constant-x{x_bar:g}", partial(
+            lambda x: (sk.calmness_diagnostic(constant, sk.AbsCoord(0), [x], [0.25, 0.5], seed),
+                       sk.semiregularity_estimate(constant, [x], 0.5, 16, seed)), x_bar)))
     return jobs
 
 
