@@ -31,6 +31,7 @@ from .geometry import (
     SetRep,
     _freeze,
     _memo,
+    _pristine_rng,
     _rng,
     _sample_enlargement,
     _sampling_words,
@@ -38,7 +39,7 @@ from .geometry import (
     dist_point,
     rng_for,
 )
-from .search import ball_search
+from .search import ball_searches
 
 __all__ = [
     "Violation",
@@ -211,22 +212,18 @@ def _trial_points(m: mp.MapSpec, xs: np.ndarray) -> np.ndarray:
     return xs.reshape(-1, m.space_x.dim)
 
 
-def _witnesses(m: mp.MapSpec, xs: np.ndarray, rs: list, fallback) -> list:
-    """Each trial's witness: one stacked witness call, or, where that raises for
-    want of a witness, cover_witness trial by trial, with fallback(t) for each
-    trial that has none."""
-    if all(r > 0.0 for r in rs):  # else cover_witness refuses the radius
-        try:
-            return list(m.witness(xs, np.array(rs)[:, None]))
-        except (mp.WitnessUnavailableError, mp.NotSetCoveringError):
-            pass
-    out = []
-    for t, (x, r) in enumerate(zip(xs, rs)):
-        try:
-            out.append(mp.cover_witness(m, x, r))
-        except (mp.WitnessUnavailableError, mp.NotSetCoveringError):
-            out.append(fallback(t))
-    return out
+def _witnesses(m: mp.MapSpec, xs: np.ndarray, rs: list) -> np.ndarray | None:
+    """Each trial's witness from one stacked witness call; None where the kind has no
+    witness, for a stacked call raises for want of one only when every trial's would."""
+    try:
+        return m.witness(xs, np.array(rs)[:, None])
+    except (mp.WitnessUnavailableError, mp.NotSetCoveringError):
+        return None
+
+
+def _check_rate(alpha: float) -> None:
+    if not alpha > 0:
+        raise ValueError("covering rate alpha must be > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +240,9 @@ def check_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
     drawn and a response u inside the r-ball is sought: by closed form
     where the variant has one, by the set-covering witness when it
     exists, and by budgeted pattern search otherwise.  The trials run as
-    rows of stacked calls; only the searches go one target at a time.
+    rows of stacked calls, and the searches of every target in one lockstep call.
     """
+    _check_rate(alpha)
     x_box = x_box or _default_box(m.space_x.dim)
     violations: list[Violation] = []
     seeds = _TrialSeeds(seed, trials, sub=1)
@@ -273,38 +271,24 @@ def check_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
 
 
 def _searched_violations(m: mp.MapSpec, xs, rs, targets, atol, seed: int, budget: int):
-    """The covering records of a map without a responder: a target within atol of
-    its trial's witness image is covered; each other target, in trial order, is
-    searched for, and a failed search is an inconclusive record."""
-    covered = np.zeros(targets.shape[:2], dtype=bool)
-    witnesses = _witnesses(m, xs, rs, lambda t: None)
-    have = [t for t, u in enumerate(witnesses) if u is not None]
-    if have:
-        image_u = mp.eval_maps(m, np.array([witnesses[t] for t in have])).built()
-        d = image_u.row_dists(m.space_y, targets[have]).value
-        covered[have] = d <= atol[have, None]
-    violations = []
-    for t, j in np.argwhere(~covered).tolist():
-        u, val = _search_cover_point(m, xs[t], rs[t], targets[t, j], seed=_sub_seed(seed, t, 2),
-                                     budget=budget)
-        if val > atol[t]:
-            violations.append(Violation(t, tuple(xs[t]), rs[t], tuple(targets[t, j]), val,
-                                        "inconclusive", tuple(u)))
-    return violations
+    """The covering records of a map without a responder: a target within atol of its
+    trial's witness image is covered; the others are searched for in one call, each
+    from a fresh copy of its trial's generator, and a failed search is inconclusive."""
+    witnesses = _witnesses(m, xs, rs)
+    covered = np.zeros(targets.shape[:2], dtype=bool) if witnesses is None else \
+        mp.eval_maps(m, witnesses).built().row_dists(m.space_y, targets).value <= atol[:, None]
+    ts, js = (a.tolist() for a in np.nonzero(~covered))
+    if not ts:
+        return []
+    found = ball_searches(mp._farthest(m, targets[ts, js][:, None]), m.space_x, xs[ts],
+                          [rs[t] for t in ts], [_pristine_rng(_sub_seed(seed, t, 2)) for t in ts],
+                          3, max(30, budget // 4))
+    return [Violation(t, tuple(xs[t]), rs[t], tuple(targets[t, j]), val, "inconclusive",
+                      tuple(u)) for t, j, (u, val) in zip(ts, js, found) if val > atol[t]]
 
 
 def _sub_seed(seed: int, trial: int, k: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(trial, k)).generate_state(1)[0])
-
-
-def _search_cover_point(m: mp.MapSpec, x, r: float, y, seed: int, budget: int):
-    def objective(us):
-        """dist(y, F(u)) for each point u; inf where F(u) cannot be built."""
-        ys = np.broadcast_to(y, (len(us), 1, y.shape[0]))
-        return mp.eval_maps(m, np.array(us)).row_dists(m.space_y, ys).value[:, 0]
-
-    return ball_search(objective, m.space_x, x, r, rng_for(seed, 0), n_draws=3,
-                       max_evals=max(30, budget // 4))
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +305,9 @@ def check_set_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
     best candidate of a budgeted search; the inclusion is tested on
     construction-guaranteed members of the enlargement, so failures are
     genuine counterexamples for that u.  The trials run as rows of stacked
-    calls; only the witness searches go trial by trial.
+    calls, the witness searches of every trial included.
     """
+    _check_rate(alpha)
     x_box = x_box or _default_box(m.space_x.dim)
     violations: list[Violation] = []
     seeds = _TrialSeeds(seed, trials, sub=4)
@@ -330,12 +315,11 @@ def check_set_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
     xs = _trial_points(m, xs)
     if trials:
         images = mp.eval_maps(m, xs).built()
-
-        def searched(t):
-            return mp.fallback_witness(m, xs[t], rs[t], alpha, n_points=min(n_inclusion, 32),
-                                       seed=_sub_seed(seed, t, 3)).u
-
-        us = np.array(_witnesses(m, xs, rs, searched)).reshape(xs.shape)
+        us = _witnesses(m, xs, rs)
+        if us is None:
+            us = np.array([rec.u for rec in mp.fallback_witnesses(
+                m, xs, rs, alpha, min(n_inclusion, 32),
+                [_sub_seed(seed, t, 3) for t in range(trials)], 150, 8)])
         image_u = mp.eval_maps(m, us).built()
         rhos = alpha * np.array(rs)
         targets = seeds.enlargements(m.space_y, images, rhos, n_inclusion)
@@ -504,6 +488,7 @@ def check_inverse_errorbound(m: mp.MapSpec, alpha: float, trials: int, seed: int
     Every trial is drawn first, from its own generator, and then all are
     evaluated in one pass.
     """
+    _check_rate(alpha)
     if test_sets is not None and not test_sets:
         raise ValueError("test_sets must hold at least one set")
     x_box = x_box or _default_box(m.space_x.dim)
@@ -539,6 +524,7 @@ def check_inverse_hausdorff(m: mp.MapSpec, alpha: float, trials: int, seed: int,
     Implemented for the dilation family, whose inverse images are the
     closed-form super-threshold shells of the radius function.
     """
+    _check_rate(alpha)
     center = m.shell_center()
     dy = m.space_y.dim
 

@@ -59,7 +59,7 @@ def _build_parser() -> _Parser:
 
 def _common_flags(cmd):
     cmd.add_argument("--seed", type=int, default=None, help="root seed (default: parameters.seed)")
-    cmd.add_argument("--tol", type=float, default=None, help="override tolerance")
+    cmd.add_argument("--tol", type=float, default=None, help="override parameters.tol (> 0)")
     cmd.add_argument("--out", default=None, help="write the report to this path")
     cmd.add_argument("--format", choices=("json", "text"), default="json",
                      dest="fmt", help="report format (default json)")
@@ -134,6 +134,8 @@ def main(argv=None) -> int:
                                         "(certify, solve, penalize, sfix, family, demo)")
         if args.seed is not None and args.seed < 0:
             raise InstanceError("argv", "--seed must be a nonnegative integer")
+        if args.tol is not None and not args.tol > 0:  # the rule of parameters.tol
+            raise InstanceError("argv", "--tol must be a number > 0")
         if args.command == "demo":
             return _run_demo(args)
         return _run_single(args)

@@ -1577,6 +1577,8 @@ def _sample_enlargement(space: NormedSpace, sets: Family, rhos: np.ndarray, n: i
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
+    if np.any(rhos < 0):
+        raise ValueError("enlargement radius must be >= 0")
     base_pts = sets.sample(space, n, seeds, rng, box)
     outward = base_pts - np.mean(base_pts, axis=1, keepdims=True)
     pushed = (np.arange(n) % 4 != 3) & (space.norms(outward) > 1e-12)

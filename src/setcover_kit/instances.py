@@ -115,7 +115,7 @@ Table("instance", "instance",
                                  ("property", one_of("covering", "set-covering",
                                                      "inverse-errorbound", "inverse-hausdorff",
                                                      "interior-radius")),
-                                 ("alpha", one_of("auto", other="number"), "opt"),
+                                 ("alpha", one_of("auto", other="positive"), "opt"),
                                  ("safety", "positive", "opt"), ("trials", "count", "opt"),
                                  ("expect", one_of(*_VERDICTS, *_PROCESS_VERDICTS), "opt"),
                                  ("x_box_halfwidth", "positive", "opt")))),

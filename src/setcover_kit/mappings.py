@@ -32,15 +32,14 @@ from .geometry import (
     DimensionMismatchError,
     boundedness,
     dist_point,  # noqa: F401  (perfbench/test_checks.py checks the tracer rebinds it here)
-    dists,
     excess,
     rng_for,
-    sample_enlargement,
     _freeze,
     _memo,
     _positive,
+    _sample_enlargement,
 )
-from .search import ball_search
+from .search import ball_searches
 
 DEFAULT_SAFETY = 0.99
 
@@ -73,6 +72,7 @@ __all__ = [
     "beta_of",
     "cover_witness",
     "fallback_witness",
+    "fallback_witnesses",
     "CoverageRecord",
     "LipschitzEstimate",
     "empirical_lipschitz",
@@ -787,29 +787,40 @@ class CoverageRecord:
 def fallback_witness(m: MapSpec, x, rho: float, alpha: float,
                      n_points: int = 64, seed: int = 0,
                      budget: int = 150, search_targets: int = 8) -> CoverageRecord:
-    """Budgeted random + local search for a witness over the rho-ball at x.
+    """The searched witness over the rho-ball at x: one row of fallback_witnesses."""
+    return fallback_witnesses(m, m.space_x.check_point(x)[None], [rho], alpha, n_points,
+                              [seed], budget, search_targets)[0]
 
-    The search minimizes the worst violation over a small target subset;
-    the returned record re-scores the winner on the full target set, so
-    it never claims more than the sampled margins show.
+
+def fallback_witnesses(m: MapSpec, xs: np.ndarray, rhos, alpha: float, n_points: int, seeds,
+                       budget: int, search_targets: int) -> list[CoverageRecord]:
+    """Budgeted random + local search for a witness over each row's rhos[i]-ball, from
+    seeds[i], the searches of every row in one lockstep call.
+
+    Each search minimizes the worst violation over a subset of its row's
+    enlargement sample; the record re-scores the winner on the whole sample,
+    so it never claims more than the sampled margins show.
     """
-    x = m.space_x.check_point(x)
-    image = eval_map(m, x)
-    targets = sample_enlargement(m.space_y, image, alpha * rho, n_points, seed)
-    probe = targets[:: max(1, n_points // search_targets)]
+    rhos = np.asarray(rhos, dtype=float)
+    if not np.all(rhos > 0):
+        raise ValueError("witness radius rho must be > 0")
+    targets = _sample_enlargement(m.space_y, eval_maps(m, xs).built(), alpha * rhos, n_points,
+                                  seeds, lambda i, stream: rng_for(seeds[i], stream))
+    found = ball_searches(_farthest(m, targets[:, :: max(1, n_points // search_targets)]),
+                          m.space_x, xs, rhos, [rng_for(seed, 2) for seed in seeds], 4,
+                          max(25, budget // 5))
+    us = np.array([u for u, _ in found]).reshape(xs.shape)
+    margins = eval_maps(m, us).built().row_dists(m.space_y, targets).value
+    covered = np.count_nonzero(margins <= 1e-9 * (1.0 + alpha * rhos)[:, None], axis=1)
+    return [CoverageRecord(u, float(row.max()), int(c) / n_points, n_points, seed)
+            for u, row, c, seed in zip(us, margins, covered, seeds)]
 
-    def worst_violation(us):  # the worst probe distance of each image, inf if it is missing
-        ys = np.broadcast_to(probe, (len(us), *probe.shape))
-        return eval_maps(m, np.array(us)).row_dists(m.space_y, ys).value.max(axis=1)
 
-    best_u, _ = ball_search(worst_violation, m.space_x, x, rho, rng_for(seed, 2), n_draws=4,
-                            max_evals=max(25, budget // 5))
-    tol = 1e-9 * (1.0 + alpha * rho)
-    img_best = eval_map(m, best_u)
-    margins = dists(m.space_y, targets, img_best).value
-    covered = int(np.count_nonzero(margins <= tol)) / len(margins)
-    return CoverageRecord(u=best_u, worst_margin=float(margins.max()),
-                          covered_fraction=covered, n_points=n_points, seed=seed)
+def _farthest(m: MapSpec, probes: np.ndarray):
+    """The witness searches' objective f(us, balls): the largest distance from the probe
+    points probes[balls[i]] to F(us[i]), inf where F(u) cannot be built."""
+    return lambda us, balls: eval_maps(m, np.reshape(us, (len(us), m.space_x.dim))).row_dists(
+        m.space_y, probes[balls]).value.max(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from . import mappings as mp
 from .certify import Certificate, Violation
 from .geometry import NormedSpace, rng_for
 from .search import PatternTrace, pattern_searches
-from .solver import InclusionInstance, SolveTrace, solve_inclusion, solve_inclusions
+from .solver import InclusionInstance, SolveTrace, solve_inclusions
 
 # largest dimension minimize_penalty searches: each poll round costs 2 * dim penalty values
 PENALTY_SEARCH_CAP = 6
@@ -206,7 +206,7 @@ def minimize_penalty(prob: PenaltyProblem, x0,
     """
     _check_search_cap(prob)
     x0 = prob.space.check_point(x0)
-    ((x, val, trace),) = pattern_searches(lambda xs: penalty_values(prob, np.array(xs)), [x0],
+    ((x, val, trace),) = pattern_searches(lambda xs, _: penalty_values(prob, np.array(xs)), [x0],
                                           initial_step=initial_step, step_floor=step_floor,
                                           max_evals=max_evals)
     return MinimizeResult(x=x, value=val, trace=trace)
@@ -227,7 +227,7 @@ def _multi_start(prob: PenaltyProblem, x0, n_starts: int, seed: int,
     x0 = prob.space.check_point(x0)
     starts = [x0] + [x0 + rng_for(seed, k).uniform(-spread, spread, size=prob.space.dim)
                      for k in range(1, n_starts)]
-    runs = pattern_searches(lambda xs: penalty_values(prob, np.array(xs)), starts,
+    runs = pattern_searches(lambda xs, _: penalty_values(prob, np.array(xs)), starts,
                             initial_step=1.0, step_floor=1e-7, max_evals=200_000)
     results = [MinimizeResult(x=x, value=val, trace=trace) for x, val, trace in runs]
     # schedule-independent selection
@@ -354,8 +354,8 @@ class ParamFamily:
 
     The diagnostics ask about many (p, x) rows at once: a parameter
     column ps (k, pdim) beside points (k, dim).  members, residuals and
-    solves build each distinct parameter's instance once and run the rows
-    one by one; BallRadiusFamily runs a whole column in one call.
+    solves build each distinct parameter's instance once and run its rows
+    in one call; BallRadiusFamily runs a whole column in one call.
     """
 
     param_space: NormedSpace
@@ -381,29 +381,35 @@ class ParamFamily:
 
     def members(self, ps) -> np.ndarray:
         """Whether each parameter of a (k, pdim) column lies in the family."""
-        return np.array([inst is not None for inst in self._instances(ps)], dtype=bool)
+        inside = {i for inst, rows in self._groups(ps) if inst is not None for i in rows}
+        return np.array([i in inside for i in range(len(ps))], dtype=bool)
 
     def residuals(self, ps, xs) -> np.ndarray:
         """The residual of each (ps[i], xs[i]) row, inf where ps[i] lies outside the family."""
-        return np.array([math.inf if inst is None else inst.residual(x)
-                         for inst, x in zip(self._instances(ps), xs)])
+        out = np.full(len(xs), math.inf)
+        for inst, rows in self._groups(ps):
+            if inst is not None:
+                out[rows] = inst.residuals(xs[rows])
+        return out
 
     def solves(self, ps, starts, tol: float) -> list[SolveTrace]:
         """solve_inclusion(instance(ps[i], tol), starts[i]) for each row, every ps[i] in the
         family."""
-        return [solve_inclusion(inst, x0) for inst, x0 in zip(self._instances(ps, tol), starts)]
+        traces = {i: trace for inst, rows in self._groups(ps, tol)
+                  for i, trace in zip(rows, solve_inclusions(inst, starts[rows]))}
+        return [traces[i] for i in range(len(starts))]
 
-    def _instances(self, ps, tol: float | None = None) -> list:
-        """instance(p, tol) for each row of ps, None outside the family; one per distinct p."""
-        built, out = {}, []
-        for p in np.asarray(ps, dtype=float):
-            key = p.tobytes()
-            if key not in built:
-                try:
-                    built[key] = self.instance(p, tol)
-                except ValueError:
-                    built[key] = None
-            out.append(built[key])
+    def _groups(self, ps, tol: float | None = None) -> list:
+        """(instance(p, tol), the rows of ps at p) for each distinct p of ps: the instance
+        is None outside the family."""
+        groups, out = {}, []
+        for i, p in enumerate(np.asarray(ps, dtype=float)):
+            groups.setdefault(p.tobytes(), (p, []))[1].append(i)
+        for p, rows in groups.values():
+            try:
+                out.append((self.instance(p, tol), rows))
+            except ValueError:
+                out.append((None, rows))
         return out
 
 
@@ -680,11 +686,3 @@ def _inverse_param_distances(fam: ParamFamily, xs: np.ndarray, p_radius: float,
     for i, d in zip(rows.tolist(), np.abs(outer - p_bar).tolist()):
         out[i] = d
     return out
-
-
-def _inverse_param_distance(fam: ParamFamily, x, p_radius: float,
-                            grid_n: int, member_tol: float) -> float | None:
-    """Upper bound on dist(p_bar, {p : x in R(p)}), or None if no member found: one row
-    of _inverse_param_distances."""
-    return _inverse_param_distances(fam, fam.space_x.check_point(x)[None], p_radius, grid_n,
-                                    member_tol)[0]

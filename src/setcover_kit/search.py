@@ -5,24 +5,22 @@ poll (lexicographically smallest point on ties), and halves the step
 when no poll improves.  Fully deterministic for a fixed starting point,
 so traces replay bit-identically.
 
-The objective is batched: it maps a list of k points to k values.
-`pattern_searches` runs one search per start in lockstep, so each poll
-round makes one objective call over the 2n polls of every search still
-running; each search applies the rule above to its own polls alone, so
-its result and trace are those of a run on its own.  `pattern_search`
-is the one-start call of a scalar objective, and `ball_search` the
-multi-start search over a ball that the witness searches share.
+`pattern_searches` runs one search per start in lockstep, each with its
+own step and step floor: each poll round makes one call of the batched
+objective over the 2n polls of every search still running, and each
+search applies the rule above to its own polls alone, so its result and
+trace are those of a run on its own.  `ball_searches`, the witness
+searches' multi-start search, runs every search of every ball in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import islice
 
 import numpy as np
 
-__all__ = ["PatternStep", "PatternTrace", "pattern_search", "pattern_searches", "ball_search"]
+__all__ = ["PatternStep", "PatternTrace", "pattern_searches", "ball_searches"]
 
 
 @dataclass(frozen=True)
@@ -55,35 +53,29 @@ class PatternTrace:
         }
 
 
-def pattern_search(f, x0, initial_step: float = 1.0, step_floor: float = 1e-7,
-                   max_evals: int = 100_000, project=None):
-    """Minimize a scalar f from x0; returns (x, f(x), PatternTrace)."""
-    (result,) = pattern_searches(partial(map, f), [x0], initial_step, step_floor, max_evals,
-                                 project)
-    return result
-
-
-def pattern_searches(f, starts, initial_step: float = 1.0, step_floor: float = 1e-7,
+def pattern_searches(f, starts, initial_step=1.0, step_floor=1e-7,
                      max_evals: int = 100_000, project=None) -> list:
     """Minimize f from each start in lockstep; returns one (x, f(x), PatternTrace) per start.
 
-    f maps a list of k points (the arrays a one-start search would pass
-    it one at a time) to k values.  A search stops when its step falls
-    below step_floor or when another poll round would take it past
-    max_evals evaluations.
+    f(points, owners) maps a list of k points to k values, points[i] being
+    one of search owners[i]; project(x, i) pulls a point of search i back
+    onto its domain.  initial_step and step_floor are one number or one per
+    search.  A search stops when its step falls below its floor or when
+    another poll round would take it past max_evals evaluations.
     """
     xs = [np.asarray(x0, dtype=float).copy() for x0 in starts]
     if project is not None:
-        xs = [np.asarray(project(x), dtype=float) for x in xs]
-    fxs = [float(v) for v in f(xs)]
-    traces = [PatternTrace([PatternStep(tuple(x), fx, initial_step, 1)], n_evals=1,
-                           initial_step=initial_step, step_floor=step_floor)
-              for x, fx in zip(xs, fxs)]
-    steps = [initial_step] * len(xs)
+        xs = [np.asarray(project(x, i), dtype=float) for i, x in enumerate(xs)]
+    steps = np.broadcast_to(np.asarray(initial_step, dtype=float), (len(xs),)).tolist()
+    floors = np.broadcast_to(np.asarray(step_floor, dtype=float), (len(xs),)).tolist()
+    fxs = [float(v) for v in f(xs, list(range(len(xs))))]
+    traces = [PatternTrace([PatternStep(tuple(x), fx, step, 1)], n_evals=1,
+                           initial_step=step, step_floor=floor)
+              for x, fx, step, floor in zip(xs, fxs, steps, floors)]
     while True:
         polling, polls = [], []
         for i, x in enumerate(xs):  # a search that stopped stays stopped: x, step and budget stay
-            if steps[i] < step_floor:
+            if steps[i] < floors[i]:
                 continue
             if traces[i].n_evals + 2 * x.shape[0] > max_evals:
                 traces[i].budget_exhausted = True
@@ -95,11 +87,12 @@ def pattern_searches(f, starts, initial_step: float = 1.0, step_floor: float = 1
                     cand = x.copy()
                     cand[j] += sign * step
                     if project is not None:
-                        cand = np.asarray(project(cand), dtype=float)
+                        cand = np.asarray(project(cand, i), dtype=float)
                     polls.append(cand)
         if not polls:
             return list(zip(xs, fxs, traces))
-        results = zip(polls, f(polls))
+        owners = [i for i in polling for _ in range(2 * xs[i].shape[0])]
+        results = zip(polls, f(polls, owners))
         for i in polling:
             trace, width = traces[i], 2 * xs[i].shape[0]
             best_cand, best_val = None, fxs[i]
@@ -118,25 +111,31 @@ def pattern_searches(f, starts, initial_step: float = 1.0, step_floor: float = 1
                                                trace.n_evals))
 
 
-def ball_search(f, space, x, r: float, rng: np.random.Generator, n_draws: int,
-                max_evals: int) -> tuple[np.ndarray, float]:
-    """The best (u, f(u)) of lockstep pattern searches kept in the r-ball at x.
+def ball_searches(f, space, xs, rs, rngs, n_draws: int, max_evals: int) -> list:
+    """The best (u, f(u)) of the pattern searches kept in each ball, the rs[b]-ball at
+    xs[b], every search of every ball in one lockstep call.
 
-    The searches start at x and at n_draws points x + r * t * unit(g), g ~ N(0, I)
-    then t ~ U(0, 1) from rng; polls are pulled back onto the ball radially, and
-    each search steps from r/2 down to 1e-9 * max(1, r) in at most max_evals
-    evaluations of the batched f.  Of equal values the first search's wins.
-    """
-    starts = [np.asarray(x, dtype=float)]
-    for _ in range(n_draws):
-        g = rng.standard_normal(space.dim)
-        starts.append(x + r * float(rng.uniform()) * space.unit(g))
+    Ball b's searches start at xs[b] and at n_draws points x + r * t * unit(g),
+    g ~ N(0, I) then t ~ U(0, 1) from rngs[b]; polls are pulled back onto the ball
+    radially, and each search steps from r/2 down to 1e-9 * max(1, r) in at most
+    max_evals evaluations of f(points, balls), each point's value in its ball.
+    Of equal values the ball's first search wins."""
+    per = n_draws + 1
+    centres = np.repeat(np.asarray(xs, dtype=float), per, axis=0)
+    radii = np.repeat(np.asarray(rs, dtype=float), per).tolist()
+    starts = centres.copy()
+    for i, rng in zip(range(0, len(starts), per), rngs):
+        for k in range(i + 1, i + per):
+            g = rng.standard_normal(space.dim)
+            starts[k] += radii[k] * float(rng.uniform()) * space.unit(g)
 
-    def clip(u):
+    def clip(u, i):
+        x, r = centres[i], radii[i]
         d = space.dist(u, x)
         return u if d <= r else x + (r / d) * (u - x)
 
-    results = pattern_searches(f, starts, initial_step=r / 2, step_floor=1e-9 * max(1.0, r),
-                               max_evals=max_evals, project=clip)
-    u, v, _ = min(results, key=lambda res: res[1])
-    return u, v
+    results = pattern_searches(lambda us, owners: f(us, [i // per for i in owners]), starts,
+                               [r / 2 for r in radii], [1e-9 * max(1.0, r) for r in radii],
+                               max_evals, clip)
+    return [min(results[i:i + per], key=lambda res: res[1])[:2]
+            for i in range(0, len(results), per)]

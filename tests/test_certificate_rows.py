@@ -22,12 +22,13 @@ from setcover_kit.certify import (
     Certificate,
     Violation,
     _default_box,
-    _search_cover_point,
     _sub_seed,
 )
 from setcover_kit.codec import map_to_json
 from setcover_kit.geometry import Family, Rounds, _sample_enlargement, rng_for
 from test_dists import ref_norm, ref_sample_enlargement, ref_unit
+from test_images import ref_fallback_search
+from test_search import ref_ball_search
 
 EU2, MAX2 = sk.NormedSpace(2), sk.NormedSpace(2, "max")
 TRIAL_COUNTS = (0, 1, 2, 3, 4, 5, 37)
@@ -73,6 +74,19 @@ def ref_enlargement(space, s, rho, n, seed, t, sub):
     return ref_sample_enlargement(space, s, rho, n, _sub_seed(seed, t, sub))
 
 
+def ref_search_cover_point(m, x, r, y, seed, budget):
+    """The covering search for one target y, on the scalar searches: the u of the r-ball
+    at x nearest y by dist(y, F(u)), inf where F(u) cannot be built."""
+    def objective(u):
+        try:
+            image = mp.eval_map(m, u)
+        except ValueError:
+            return math.inf
+        return float(sk.dist_point(m.space_y, y, image))
+
+    return ref_ball_search(objective, m.space_x, x, r, rng_for(seed, 0), 3, max(30, budget // 4))
+
+
 def ref_check_covering(m, alpha, trials, seed, x_box=None, r_range=R_RANGE_DEFAULT,
                        n_targets=4, tol=1e-9, search_budget=600):
     x_box = x_box or _default_box(m.space_x.dim)
@@ -99,8 +113,7 @@ def ref_check_covering(m, alpha, trials, seed, x_box=None, r_range=R_RANGE_DEFAU
                 d = float(sk.dist_point(m.space_y, y, mp.eval_map(m, witness_u)))
                 if d <= atol:
                     continue
-            u, val = _search_cover_point(m, x, r, y, seed=_sub_seed(seed, t, 2),
-                                         budget=search_budget)
+            u, val = ref_search_cover_point(m, x, r, y, _sub_seed(seed, t, 2), search_budget)
             if val > atol:
                 violations.append(Violation(t, tuple(x), r, tuple(y), val,
                                             "inconclusive", tuple(u)))
@@ -122,9 +135,8 @@ def ref_check_set_covering(m, alpha, trials, seed, x_box=None, r_range=R_RANGE_D
         try:
             u = mp.cover_witness(m, x, r)
         except (mp.WitnessUnavailableError, mp.NotSetCoveringError):
-            rec = mp.fallback_witness(m, x, r, alpha, n_points=min(n_inclusion, 32),
-                                      seed=_sub_seed(seed, t, 3))
-            u = rec.u
+            u, _ = ref_fallback_search(m, x, r, alpha, n_points=min(n_inclusion, 32),
+                                       seed=_sub_seed(seed, t, 3))
         image_u = mp.eval_map(m, u)
         targets = ref_enlargement(m.space_y, image, alpha * r, n_inclusion, seed, t, 4)
         atol = ref_scale_tol(tol, x, alpha * r)

@@ -17,6 +17,15 @@ def dilation_plane(a=1.0):
     return sk.Dilation(y0=np.zeros(2), a=a, anchor=np.zeros(1), space_y=EU2)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+def test_certificates_refuse_a_rate_not_above_zero(alpha):
+    m = dilation_plane()
+    for check in (sk.check_covering, sk.check_set_covering, sk.check_inverse_errorbound,
+                  sk.check_inverse_hausdorff):
+        with pytest.raises(ValueError, match="alpha must be > 0"):
+            check(m, alpha, 3, 0)
+
+
 class TestCoveringSplit:
     def test_sphere_scale_covering_at_one(self):
         cert = sk.check_covering(sk.SphereScale(), alpha=1.0, trials=200, seed=0)

@@ -359,6 +359,13 @@ class TestSample:
         enlarged = sk.enlarge(EU2, s, rho)
         assert all(sk.contains_point(EU2, enlarged, p, tol=1e-9) for p in pts)
 
+    def test_enlargement_samples_refuse_a_negative_radius(self):
+        ball = sk.Ball(np.zeros(2), 1.0)
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            sk.sample_enlargement(EU2, ball, -0.5, 40, seed=6)
+        pts = sk.sample_enlargement(EU2, ball, 0.0, 40, seed=6)  # the set's own points
+        assert all(sk.contains_point(EU2, ball, p, tol=1e-12) for p in pts)
+
     def test_thin_set_budget_error_advises(self):
         # a degenerate box is fine (corners), but a thin region without box hits Dykstra
         region = sk.SublevelRegion((

@@ -24,8 +24,7 @@ import setcover_kit as sk
 from setcover_kit.certify import _draw_trials, _scale_tol
 from setcover_kit.geometry import outer_radius, rng_for
 from setcover_kit.penalty import _feasible_grid_minimum, _multi_start
-from setcover_kit.search import ball_search
-from test_search import ref_pattern_search
+from test_search import ref_ball_search, ref_pattern_search
 
 NORMS = (("euclidean", None), ("max", None), ("p", 3.0))
 KINDS = ("dilation", "sphere_scale", "unit_ball_translate", "ball_valued", "sum", "composed",
@@ -623,27 +622,31 @@ def test_inverse_hausdorff_equals_the_per_trial_loop(norm, dx, dy, scale, trials
                                             np.random.default_rng(seed)), 1.0, trials, seed)
 
 
-def ref_fallback_witness(m, x, rho, alpha, n_points=64, seed=0, budget=150, search_targets=8):
+def ref_fallback_search(m, x, rho, alpha, n_points=64, seed=0, budget=150, search_targets=8):
+    """fallback_witness as a scalar loop on the scalar searches: the searched u, and
+    its distances from every point of the enlargement sample."""
     x = m.space_x.check_point(x)
     targets = sk.sample_enlargement(m.space_y, old_image(m, x), alpha * rho, n_points, seed)
     probe = targets[:: max(1, n_points // search_targets)]
 
-    def worst_violation(us):
-        values = []
-        for u in us:
-            try:
-                img_u = old_image(m, u)
-            except ValueError:
-                values.append(math.inf)
-                continue
-            values.append(float(sk.dists(m.space_y, probe, img_u).value.max()))
-        return values
+    def worst_violation(u):
+        img_u = scalar_image(m, u)
+        return math.inf if img_u is None else float(sk.dists(m.space_y, probe, img_u).value.max())
 
-    best_u, _ = ball_search(worst_violation, m.space_x, x, rho, rng_for(seed, 2), n_draws=4,
-                            max_evals=max(25, budget // 5))
-    margins = sk.dists(m.space_y, targets, old_image(m, best_u)).value
+    best_u, _ = ref_ball_search(worst_violation, m.space_x, x, rho, rng_for(seed, 2), 4,
+                                max(25, budget // 5))
+    return best_u, sk.dists(m.space_y, targets, old_image(m, best_u)).value
+
+
+def ref_fallback_witness(m, x, rho, alpha, n_points=64, seed=0, budget=150, search_targets=8):
+    best_u, margins = ref_fallback_search(m, x, rho, alpha, n_points, seed, budget,
+                                          search_targets)
     covered = int(np.count_nonzero(margins <= 1e-9 * (1.0 + alpha * rho))) / len(margins)
     return hexes(best_u), hexes(margins.max()), covered
+
+
+def hexed_record(rec):
+    return hexes(rec.u), hexes(rec.worst_margin), rec.covered_fraction, rec.n_points, rec.seed
 
 
 @pytest.mark.parametrize("kind", ["sphere_scale", "unit_ball_translate", "ball_valued",
@@ -661,3 +664,12 @@ def test_fallback_witness_equals_the_scalar_loop(kind, norm):
         assert (hexes(rec.u), hexes(rec.worst_margin), rec.covered_fraction) == ref
     if kind == "sphere_scale":  # no point's sphere absorbs an enlargement: a violation
         assert rec.worst_margin > 0.0
+    # row i of the lockstep call is its one-row call, whatever the other rows are
+    xs = np.array([x for x in (np.full(m.space_x.dim, v) for v in (0.8, -0.3, 1.7, 0.8))
+                   if scalar_image(m, x) is not None])
+    rhos, seeds = [0.5, 2.0, 0.05, 1.0][:len(xs)], [1, 4, 9, 4][:len(xs)]
+    rows = sk.fallback_witnesses(m, xs, rhos, 0.7, 24, seeds, 150, 8)
+    assert [hexed_record(rec) for rec in rows] == \
+        [hexed_record(sk.fallback_witness(m, x, rho, 0.7, n_points=24, seed=seed))
+         for x, rho, seed in zip(xs, rhos, seeds)]
+    assert sk.fallback_witnesses(m, xs[:0], [], 0.7, 24, [], 150, 8) == []

@@ -158,6 +158,9 @@ MALFORMED = {
     "grid_n-negative": ("t1_penalty", ("penalty", "verify", "grid_n"), -1,
                         "$.penalty.verify.grid_n"),
     "trials-negative": ("sphere_scale_covering", ("certify", "trials"), -3, "$.certify.trials"),
+    "certify-alpha-negative": ("sphere_scale_covering", ("certify", "alpha"), -1.0,
+                               "$.certify.alpha"),
+    "certify-alpha-zero": ("sphere_scale_covering", ("certify", "alpha"), 0.0, "$.certify.alpha"),
     "safety-negative": ("sphere_scale_covering", ("certify", "safety"), -1.0, "$.certify.safety"),
     "x_box_halfwidth-negative": ("sphere_scale_covering", ("certify", "x_box_halfwidth"), -5.0,
                                  "$.certify.x_box_halfwidth"),
@@ -316,6 +319,18 @@ class TestCli:
         assert results[0] == results[1]
         assert results[2] == results[3]
         assert results[0]["certificate"] != results[3]["certificate"]
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "0", "-0.0"])
+    def test_a_tolerance_flag_not_above_zero_is_an_input_error(self, tmp_path, capsys, tol):
+        # the rule of parameters.tol, refused before any instance runs
+        assert main(["demo", "--tol", tol]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: argv: --tol must be")
+        path = self.write(tmp_path, builtin_instances()["t1"])
+        assert main(["solve", "--instance", path, "--tol", tol]) == EXIT_INPUT
+
+    def test_a_tolerance_flag_above_zero_runs(self, tmp_path, capsys):
+        path = self.write(tmp_path, builtin_instances()["t1"])
+        assert main(["solve", "--instance", path, "--tol", "1e-3"]) == EXIT_OK
 
     def test_kind_mismatch(self, tmp_path, capsys):
         path = self.write(tmp_path, builtin_instances()["t1"])

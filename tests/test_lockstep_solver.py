@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import setcover_kit as sk
 from setcover_kit._lp import max_norm_fit
-from setcover_kit.penalty import _inverse_param_distance
+from setcover_kit.penalty import _inverse_param_distances
 from setcover_kit.solver import CONTRACTION_SLACK, SolveStep, SolveTrace
 from test_images import old_excess, old_image, old_residual
 
@@ -337,6 +337,6 @@ def test_nearest_first_scan_finds_the_nearest_member(grid_n):
                 radius_family(1.0, lopsided)]
     for fam in families:
         for x in np.linspace(-3.0, 3.0, 13):
-            new = _inverse_param_distance(fam, np.array([x]), 0.75, grid_n, 1e-7)
+            new = _inverse_param_distances(fam, np.array([[x]]), 0.75, grid_n, 1e-7)[0]
             old = old_inverse_param_distance(fam, np.array([x]), 0.75, grid_n, 1e-7)
             assert (new is None and old is None) or hexes(new) == hexes(old)

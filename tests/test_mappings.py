@@ -276,6 +276,14 @@ class TestWitness:
         with pytest.raises(ValueError):
             sk.cover_witness(dilation_plane(), [1.0], 0.0)
 
+    @pytest.mark.parametrize("rho", [0.0, -0.5, math.nan])
+    def test_fallback_search_requires_positive_radius(self, rho):
+        with pytest.raises(ValueError, match="rho must be > 0"):
+            sk.fallback_witness(sk.SphereScale(), [1.0], rho, alpha=0.5, n_points=8)
+        with pytest.raises(ValueError, match="rho must be > 0"):
+            sk.fallback_witnesses(sk.SphereScale(), np.array([[1.0], [2.0]]), [1.0, rho], 0.5,
+                                  8, [0, 1], 150, 8)
+
     def test_fallback_signal(self):
         with pytest.raises(sk.WitnessUnavailableError):
             sk.cover_witness(sk.SphereScale(), [1.0], 1.0)

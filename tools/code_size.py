@@ -23,7 +23,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 TWINS = (("image", "images"), ("witness", "witnesses"),
          ("inverse_distance", "inverse_distances"), ("value", "values"),
          ("evaluate", "evaluate_rows"), ("residual", "residuals"),
-         ("penalty_value", "penalty_values"), ("excess", "excesses"))
+         ("penalty_value", "penalty_values"), ("excess", "excesses"),
+         ("pattern_search", "pattern_searches"), ("ball_search", "ball_searches"),
+         ("fallback_witness", "fallback_witnesses"))
 
 
 def main() -> None:
