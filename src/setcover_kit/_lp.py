@@ -4,8 +4,14 @@ All programs here are dense and tiny (dimensions <= ~8, rows <= ~64):
 coordinate extents of halfspace intersections, min-norm preimages, and
 inscribed-slack problems for polyhedral graphs.  Callers that query one
 frozen object repeatedly keep the derived data on that object (a
-region's extent, a process's interior report), so each object pays for
-its LPs once.
+region's extent, a process's interior report, an epigraphical map's unit
+witness shift), so each object pays for its LPs once.  The images of a
+sublinear system or a process share one form matrix A and differ only in
+the right-hand side b; their family's form region keeps the optimal bases
+of the extent programs (`extent_bases`, 2*dim LPs once per map), and each
+image's extent is then one stacked linear solve (`basis_extents`) wherever
+those bases stay optimal, and its own 2*dim LPs (`coordinate_extent`)
+elsewhere.
 
 `linprog` hands each program to HiGHS (Huangfu & Hall, Math. Prog. Comp.
 2018) through scipy's own binding, `scipy.optimize._highspy` (scipy 1.15
@@ -20,8 +26,8 @@ Each thread keeps one HiGHS solver, which gets its options once, and the
 last model passed to it, under a key of the constraint matrix, the row
 split and the variable bounds, compared by bytes.  Most programs share
 that key with the one just before: the 2*dim LPs of a coordinate extent
-differ only in the cost, the max-norm LPs of one region distance only in
-the right-hand side.  Such a program sets the cost and row bounds of the
+(or of a form matrix's bases) differ only in the cost, the max-norm LPs of
+one region distance only in the right-hand side.  Such a program sets the cost and row bounds of the
 kept `HighsLp`; any other program builds a new one.  Either way the model
 goes to the thread's solver through `passModel`, which clears the
 solver's model and all it derived from it, so that HiGHS solves from
@@ -290,6 +296,42 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None) -> LPRe
     return res
 
 
+def _extent_end(a_mat: np.ndarray, b_vec: np.ndarray, c: np.ndarray) -> LPResult | None:
+    """The optimum of min c.y over {y : A y <= b}, or None where it is -inf.
+
+    Raises as `coordinate_extent` does.
+    """
+    n = a_mat.shape[1]
+    res = linprog(c, A_ub=a_mat, b_ub=b_vec, bounds=[(None, None)] * n)
+    if res.status in (2, 4):
+        if linprog(np.zeros(n), A_ub=a_mat, b_ub=b_vec, bounds=[(None, None)] * n).status == 2:
+            raise LPAnomalyError("halfspace intersection is empty")
+        ray = linprog(c, A_ub=a_mat, b_ub=np.zeros(b_vec.shape[0]), bounds=(-1.0, 1.0))
+        if ray.status == 0 and ray.fun < 0.0:
+            return None  # a recession direction: this end is infinite
+        raise LPAnomalyError(f"LP solver failure: status={res.status} ({res.message}), "
+                             "and no recession direction proves the end infinite")
+    if res.status == 0:
+        return res
+    if res.status != 3:
+        raise LPAnomalyError(f"LP solver failure: status={res.status} ({res.message})")
+    return None
+
+
+def _costs(n: int) -> np.ndarray:
+    """The costs of the 2*n extent programs in solve order, e_i then -e_i for each i:
+    row 2*i + 1 is the max of coordinate i."""
+    costs = np.zeros((2 * n, n))  # +0.0 off the coordinate, as a cost of zeros with one set
+    costs[np.arange(2 * n), np.arange(2 * n) // 2] = np.tile([1.0, -1.0], n)
+    return costs
+
+
+def _frozen(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 def coordinate_extent(a_mat: np.ndarray, b_vec: np.ndarray):
     """(lo, hi, argpoints) of {y : A y <= b} from one pass of 2*dim LPs.
 
@@ -307,32 +349,110 @@ def coordinate_extent(a_mat: np.ndarray, b_vec: np.ndarray):
     -1 <= d <= 1 proves the end infinite.
     """
     n = a_mat.shape[1]
-    lo = np.full(n, -np.inf)
-    hi = np.full(n, np.inf)
+    ends = np.tile([-np.inf, np.inf], n)  # lo, hi of each coordinate in solve order
     pts = []
-    for i in range(n):
-        for sign, ends in ((1.0, lo), (-1.0, hi)):
-            c = np.zeros(n)
-            c[i] = sign
-            res = linprog(c, A_ub=a_mat, b_ub=b_vec, bounds=[(None, None)] * n)
-            if res.status in (2, 4):
-                if linprog(np.zeros(n), A_ub=a_mat, b_ub=b_vec,
-                           bounds=[(None, None)] * n).status == 2:
-                    raise LPAnomalyError("halfspace intersection is empty")
-                ray = linprog(c, A_ub=a_mat, b_ub=np.zeros(b_vec.shape[0]), bounds=(-1.0, 1.0))
-                if ray.status == 0 and ray.fun < 0.0:
-                    continue  # a recession direction: this end is infinite
-                raise LPAnomalyError(f"LP solver failure: status={res.status} ({res.message}), "
-                                     "and no recession direction proves the end infinite")
-            if res.status == 0:
-                ends[i] = sign * res.fun
-                pts.append(res.x)
-            elif res.status != 3:
-                raise LPAnomalyError(f"LP solver failure: status={res.status} ({res.message})")
-    pts = np.array(pts, dtype=float).reshape(-1, n)
-    for arr in (lo, hi, pts):
-        arr.setflags(write=False)
-    return lo, hi, pts
+    for e, c in enumerate(_costs(n)):
+        res = _extent_end(a_mat, b_vec, c)
+        if res is not None:
+            ends[e] = c[e // 2] * res.fun
+            pts.append(res.x)
+    return _frozen(ends[0::2].copy(), ends[1::2].copy(), np.array(pts, dtype=float).reshape(-1, n))
+
+
+class ExtentBases(NamedTuple):
+    """The optimal bases of the finite extent programs of {y : A y <= b}, for any b.
+
+    ends[j] is the solve-order index (2*coordinate, +1 for the max) of the
+    j-th finite end, and rows[j] the n active rows of A of its basis, so that
+    basis[j] = A[rows[j]] and the end's optimum at b is y = basis[j]^-1 b[rows[j]]
+    wherever that y is feasible.
+    """
+
+    ends: np.ndarray  # (D,) int
+    rows: np.ndarray  # (D, n) int
+    basis: np.ndarray  # (D, n, n)
+
+
+_BASIS_COND = 1e6  # the largest 1-norm condition number of a kept basis
+_RANGE_TOL = 1e-12  # the relative slack of a basis point's feasibility and duality checks
+
+
+def _active_rows(m: int) -> np.ndarray | None:
+    """The rows at their upper bound in the optimal basis that this thread's last
+    `linprog` call reached, which has free variables and m inequality rows: None
+    unless the basis is valid and every variable in it is basic."""
+    basis = _KEPT.model.solver.getBasis()
+    basic = highs.HighsBasisStatus.kBasic
+    if not basis.valid or any(s != basic for s in basis.col_status):
+        return None
+    rows = [j for j, s in enumerate(basis.row_status[:m]) if s == highs.HighsBasisStatus.kUpper]
+    return np.array(rows, dtype=int)
+
+
+def extent_bases(a_mat: np.ndarray) -> ExtentBases | None:
+    """The extent programs' optimal bases for every {y : A y <= b}, from one pass of
+    2*dim LPs at b = 1; None where they cannot serve any b.
+
+    The origin is inside {y : A y <= 1}, so every program there is feasible.
+    All nonempty {y : A y <= b} share one recession cone, so an end that is
+    infinite at b = 1 is infinite at every b with a nonempty region, and a
+    finite one is finite.  Each finite end keeps the n rows HiGHS's optimal
+    basis holds at their bound; the basis must be square, conditioned below
+    _BASIS_COND and dual feasible, lambda = -basis^-T c >= 0, so that it
+    stays optimal at every b where its vertex is feasible (right-hand-side
+    ranging; Bertsimas & Tsitsiklis, Introduction to Linear Optimization,
+    1997, section 5.1).  None when some finite end's basis fails that, when
+    no end is finite (no basis point proves a region nonempty), or when an
+    LP at b = 1 does not solve.
+    """
+    m, n = a_mat.shape
+    costs = _costs(n)
+    ends, rows = [], []
+    try:
+        for e, c in enumerate(costs):
+            if _extent_end(a_mat, np.ones(m), c) is None:
+                continue
+            active = _active_rows(m)
+            if active is None or active.shape[0] != n:
+                return None
+            ends.append(e)
+            rows.append(active)
+    except LPAnomalyError:
+        return None
+    if not ends:
+        return None
+    rows = np.array(rows)
+    basis = a_mat[rows]
+    if not (np.linalg.cond(basis, 1) <= _BASIS_COND).all():  # from the inverse; inf if singular
+        return None
+    lam = np.linalg.solve(basis.transpose(0, 2, 1), -costs[ends][:, :, None])
+    if not (lam >= -_RANGE_TOL * np.maximum(1.0, np.abs(lam).max())).all():
+        return None
+    return ExtentBases(*_frozen(np.array(ends), rows, basis))
+
+
+def basis_extents(bases: ExtentBases, a_mat: np.ndarray, b_rows: np.ndarray) -> list:
+    """`coordinate_extent` of {y : A y <= b} for each row b of b_rows, (k, m), read
+    from the kept bases by one stacked solve: None for a row where some basis point
+    is infeasible by more than _RANGE_TOL relative, or b is not finite.
+
+    Each (basis, right-hand side) pair is its own solve, so a row's extent does
+    not depend on the rows beside it.  A served row's argpoints are its basis
+    points, one per finite end in solve order, and its lo and hi their coordinates.
+    """
+    n = a_mat.shape[1]
+    y = np.linalg.solve(bases.basis, b_rows[:, bases.rows, None])[..., 0]  # (k, D, n)
+    ay = np.vecdot(a_mat, y[:, :, None, :])  # (k, D, m)
+    b = b_rows[:, None, :]
+    slack = _RANGE_TOL * np.maximum(1.0, np.maximum(np.abs(ay), np.abs(b)))
+    # a finite b with a finite A y rules out an overflowing basis point
+    served = ((ay <= b + slack) & np.isfinite(ay) & np.isfinite(b)).all(axis=(1, 2))
+    out = []
+    for row, ok in zip(y, served.tolist()):
+        ends = np.tile([-np.inf, np.inf], n)
+        ends[bases.ends] = row[np.arange(bases.ends.shape[0]), bases.ends // 2]
+        out.append(_frozen(ends[0::2].copy(), ends[1::2].copy(), row.copy()) if ok else None)
+    return out
 
 
 def max_norm_fit(mat: np.ndarray, y=None, a_ub=None, b_ub=None, a_eq=None, b_eq=None,

@@ -319,7 +319,7 @@ def check_set_covering(m: mp.MapSpec, alpha: float, trials: int, seed: int,
         if us is None:
             us = np.array([rec.u for rec in mp.fallback_witnesses(
                 m, xs, rs, alpha, min(n_inclusion, 32),
-                [_sub_seed(seed, t, 3) for t in range(trials)], 150, 8)])
+                [_sub_seed(seed, t, 3) for t in range(trials)], 150, 8, images)])
         image_u = mp.eval_maps(m, us).built()
         rhos = alpha * np.array(rs)
         targets = seeds.enlargements(m.space_y, images, rhos, n_inclusion)

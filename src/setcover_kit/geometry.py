@@ -687,12 +687,21 @@ class SublevelRegion(SetRep):
     def extent(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Coordinate bounds (lo, hi) and the extreme points attaining them.
 
-        Solved by 2*dim small LPs on first use and kept on the region.
+        Found on first use and kept on the region.  A row of a `Regions`
+        family reads it from the optimal bases its family's form region
+        keeps, by one linear solve per end, where every basis point is
+        feasible (`_lp.basis_extents`); a region that is no such row, or a
+        row the bases do not serve, solves 2*dim small LPs
+        (`_lp.coordinate_extent`).  Either way the extent depends only on
+        the form rows and bounds.
         """
         def solve():
             from ._lp import coordinate_extent
 
-            return coordinate_extent(*self.forms())
+            a, b = self.forms()
+            form = self.__dict__.get("_form_region")
+            served = None if form is None else _basis_extents(form, b[None])[0]
+            return coordinate_extent(a, b) if served is None else served
         return _memo(self, "_extent", solve)
 
     def _dists(self, space, ys):
@@ -1156,11 +1165,28 @@ class Regions(Family):
         return self.b.shape[0]
 
     def row(self, i):
+        """Row i's region, which reads its extent from the form region's kept bases."""
         if self.errors[i] is not None:
             raise self.errors[i]
         starts = np.cumsum([0] + [g.a.shape[0] for g in self.region.groups])
-        return SublevelRegion(tuple(FormGroup(g.a, self.b.item(i, j))
-                                    for g, j in zip(self.region.groups, starts)))
+        row = SublevelRegion(tuple(FormGroup(g.a, self.b.item(i, j))
+                                   for g, j in zip(self.region.groups, starts)))
+        object.__setattr__(row, "_form_region", self.region)
+        return row
+
+    def rows(self) -> list[SublevelRegion]:
+        """row(i) for every row, raising the first missing row's error; the extents the
+        kept bases serve are read for all rows in one stacked solve."""
+        rows = [self.row(i) for i in range(len(self))]
+        if rows:
+            b = np.array([row.forms()[1] for row in rows])
+            for row, served in zip(rows, _basis_extents(self.region, b)):
+                if served is not None:
+                    object.__setattr__(row, "_extent", served)
+        return rows
+
+    def sample(self, space, n, seeds, rng, box=None):
+        return Family(self.rows()).sample(space, n, seeds, rng, box)
 
     def row_dists(self, space, ys):
         k, n, d = ys.shape
@@ -1168,6 +1194,17 @@ class Regions(Family):
         return _live_rows((k, n), live, _dists_region(
             space, ys[live].reshape(len(live) * n, d), self.region,
             np.repeat(self.b[live], n, axis=0)))
+
+
+def _basis_extents(form: SublevelRegion, b: np.ndarray) -> list:
+    """The extent of {y : A y <= b[i]} for each row of b, A the form rows of form, read
+    from the optimal bases kept on form (found on first use); None for a row they do
+    not serve."""
+    from ._lp import basis_extents, extent_bases
+
+    a = form.forms()[0]
+    bases = _memo(form, "_bases", lambda: extent_bases(a))
+    return [None] * b.shape[0] if bases is None else basis_extents(bases, a, b)
 
 
 def _check_set(space: NormedSpace, s: SetRep) -> None:

@@ -524,16 +524,17 @@ class Epigraphical(MapSpec):
                                                                              self.space_y)
 
     def witness(self, x, rho):
-        from ._lp import max_norm_fit
+        # a shortest z (max norm) with A z = -alpha_f * 1, one LP kept on the map: by
+        # positive homogeneity rho * z is a shortest shift onto -alpha_f * rho * 1
+        def solve():
+            from ._lp import max_norm_fit
 
-        if x.ndim == 2:  # one LP per radius
-            return np.array([self.witness(xi, ri) for xi, ri in zip(x, rho[:, 0].tolist())],
-                            dtype=float).reshape(x.shape)
-        target = -self.alpha_f() * rho * np.ones(self.space_y.dim)
-        res = max_norm_fit(np.eye(self.matrix.shape[1]), a_eq=self.matrix, b_eq=target)
-        if res is None:
-            raise NotSetCoveringError("lost surjectivity on the witness shift")
-        return x + res.x[:-1]
+            target = -self.alpha_f() * np.ones(self.space_y.dim)
+            res = max_norm_fit(np.eye(self.matrix.shape[1]), a_eq=self.matrix, b_eq=target)
+            if res is None:
+                raise NotSetCoveringError("lost surjectivity on the witness shift")
+            return res.x[:-1]
+        return x + rho * _memo(self, "_unit_shift", solve)
 
 
 @dataclass(frozen=True, eq=False)
@@ -793,18 +794,22 @@ def fallback_witness(m: MapSpec, x, rho: float, alpha: float,
 
 
 def fallback_witnesses(m: MapSpec, xs: np.ndarray, rhos, alpha: float, n_points: int, seeds,
-                       budget: int, search_targets: int) -> list[CoverageRecord]:
+                       budget: int, search_targets: int,
+                       images: Family | None = None) -> list[CoverageRecord]:
     """Budgeted random + local search for a witness over each row's rhos[i]-ball, from
     seeds[i], the searches of every row in one lockstep call.
 
     Each search minimizes the worst violation over a subset of its row's
     enlargement sample; the record re-scores the winner on the whole sample,
-    so it never claims more than the sampled margins show.
+    so it never claims more than the sampled margins show.  images, when
+    given, is eval_maps(m, xs).built(), which the caller already holds.
     """
     rhos = np.asarray(rhos, dtype=float)
     if not np.all(rhos > 0):
         raise ValueError("witness radius rho must be > 0")
-    targets = _sample_enlargement(m.space_y, eval_maps(m, xs).built(), alpha * rhos, n_points,
+    if images is None:
+        images = eval_maps(m, xs).built()
+    targets = _sample_enlargement(m.space_y, images, alpha * rhos, n_points,
                                   seeds, lambda i, stream: rng_for(seeds[i], stream))
     found = ball_searches(_farthest(m, targets[:, :: max(1, n_points // search_targets)]),
                           m.space_x, xs, rhos, [rng_for(seed, 2) for seed in seeds], 4,

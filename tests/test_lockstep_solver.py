@@ -224,16 +224,17 @@ def witness_or_error(witness, m, x, rho):
 
 def old_witness(m, x, rho):
     """The one-point witness rules that changed when witness took stacks: Sum and
-    Composed called cover_witness of their base; the epigraphical LP is copied.
+    Composed called cover_witness of their base; the epigraphical rule (x plus rho
+    times the shortest shift onto -alpha_f * 1) is copied, its LP solved afresh.
     Every other kind's one-point rule is the kind's own."""
     if isinstance(m, (sk.Sum, sk.Composed)):
         return sk.cover_witness(m.base, x, rho)
     if isinstance(m, sk.Epigraphical):
-        target = -m.alpha_f() * rho * np.ones(m.space_y.dim)
+        target = -m.alpha_f() * np.ones(m.space_y.dim)
         res = max_norm_fit(np.eye(m.matrix.shape[1]), a_eq=m.matrix, b_eq=target)
         if res is None:
             raise sk.NotSetCoveringError("lost surjectivity on the witness shift")
-        return x + res.x[:-1]
+        return x + rho * res.x[:-1]
     return m.witness(x, rho)
 
 

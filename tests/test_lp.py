@@ -695,9 +695,9 @@ def max_norm_callers():
                                                for s in sk.mappings._sign_corners(2)])
     epi.alpha_f()  # kept on the map, so the witness runs one LP
     x, rho = np.array([0.5, -0.0, 2.0]), 0.75
-    yield "epigraphical-witness", (
+    yield "epigraphical-witness", (  # the fit at rho = 1, which serves every radius
         lambda: epi.witness(x, rho),
-        lambda calls: [solution_program(matrix, -epi.alpha_f() * rho * np.ones(2))])
+        lambda calls: [solution_program(matrix, -epi.alpha_f() * np.ones(2))])
     proc = sk.PolyhedralProcess(cx=[[1.0, 0.0], [1.0, -1.0], [0.0, 2.0]],
                                 cy=[[-1.0, 0.0], [0.0, -1.0], [-0.5, -0.5]])
 

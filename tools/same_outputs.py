@@ -14,10 +14,12 @@ certificates: rates above what the maps have, so that covering,
 set-covering and inverse-errorbound violation records get compared too
 (every such job of the workloads finds none), and so that the covering
 search over polyhedral process images, which no workload job reaches,
-runs too; and the `forced` family runs, which take the calmness and
+runs too; the `forced` family runs, which take the calmness and
 semiregularity diagnostics where the built-in family does not go: a
 max-norm psi, a 2-d x, region solves that all fail and fall back to the
-error bound, and a family whose phi does not depend on the parameter.
+error bound, and a family whose phi does not depend on the parameter;
+and the `forced` extents of every row of a sublinear and a process
+family, read through the family and then row by row in reverse.
 Every float is written by its hex form, so two dumps are
 equal only when every value is equal bit for bit; a job that
 raises is written as its exception.  With --reverse each workload's jobs,
@@ -138,7 +140,7 @@ def forced_jobs(seed: int) -> list:
     for k, m in ((1, 2), (2, 2), (2, 3), (3, 3)):
         proc = sk.PolyhedralProcess(*workloads.process_matrices(rng, k, m, covering=True))
         jobs.append((f"covering-3a-process-{k}x{m}", partial(covering_3a, proc)))
-    return jobs + forced_family_jobs(seed)
+    return jobs + forced_family_jobs(seed) + forced_extent_jobs(seed)
 
 
 def forced_family_jobs(seed: int) -> list:
@@ -181,6 +183,40 @@ def forced_family_jobs(seed: int) -> list:
             lambda x: (sk.calmness_diagnostic(constant, sk.AbsCoord(0), [x], [0.25, 0.5], seed),
                        sk.semiregularity_estimate(constant, [x], 0.5, 16, seed)), x_bar)))
     return jobs
+
+
+def forced_extent_jobs(seed: int) -> list:
+    """The extents of every row of a 3-d sublinear family and of a 2x3 process family
+    (workloads.process_matrices, with a row that bounds the images; some are empty),
+    read through the family and then row by row in reverse order, on one map: each
+    row's extent depends only on its form rows and bounds, so the two readings are
+    equal, and equal in a reverse-order dump."""
+    import numpy as np
+    import setcover_kit as sk
+    import workloads
+
+    rng = np.random.default_rng(seed)
+    sublinear = sk.SublinearSystem(tuple(rng.standard_normal((2, 3)) for _ in range(3)))
+    cx, cy = workloads.process_matrices(rng, 2, 3, covering=True)
+    process = sk.PolyhedralProcess(np.vstack([cx, rng.standard_normal((1, 2))]),
+                                   np.vstack([cy, np.ones((1, 3))]))
+
+    def extent(row):
+        try:
+            return row.extent()
+        except Exception as exc:  # an empty row raises, read either way
+            return {"raised": type(exc).__name__, "message": str(exc)}
+
+    def extents(m, xs):
+        family = sk.eval_maps(m, xs)
+        # a source tree whose Regions has no rows() reads each row alone
+        rows = family.rows() if hasattr(family, "rows") else [
+            family.row(i) for i in range(len(family))]
+        return {"family": [extent(row) for row in rows],
+                "rows_reversed": [extent(family.row(i)) for i in reversed(range(len(family)))]}
+
+    return [("extents-sublinear-3d", partial(extents, sublinear, 2.0 * rng.standard_normal((5, 3)))),
+            ("extents-process-2x3", partial(extents, process, 2.0 * rng.standard_normal((5, 2))))]
 
 
 def compare(other: Path, seeds: list[int]) -> int:
