@@ -381,12 +381,12 @@ class SetRep:
 
     Each kind carries its rules, which the module functions call once they
     have checked their arguments: convex, _dists(space, ys) for dists,
-    outer_radius(space, p), contains(space, y, tol), sample(space, n, seed,
-    rng, box) with rng = rng_for(seed, 0), translate(v), enlarge(space, r)
-    and affine_image(space_in, space_out, mat, off).  A kind without its own rule raises
-    TypeError, except that contains falls back to the distance, enlarge to
-    EnlargedSet and affine_image to a ValueError.  Only the pair rules of
-    excess stay in one table.
+    _excess(space, b, n_samples, seed) for excess over b, outer_radius(space,
+    p), contains(space, y, tol), sample(space, n, seed, rng, box) with rng =
+    rng_for(seed, 0), translate(v), enlarge(space, r) and affine_image(space_in,
+    space_out, mat, off).  A kind without its own rule raises TypeError, except
+    that contains falls back to the distance, _excess to the sampled supremum,
+    enlarge to EnlargedSet and affine_image to a ValueError.
     """
 
     dim: int
@@ -401,6 +401,14 @@ class SetRep:
         """dist <= tol, where the kind has no exact membership test."""
         d = dist_point(space, y, self)
         return d <= tol + d.error
+
+    def _excess(self, space: NormedSpace, b: SetRep, n_samples: int, seed: int) -> Distance:
+        """The sampled supremum, where the kind has no closed form; +inf where the set
+        is not certified bounded."""
+        flag = boundedness(space, self)
+        if not flag.bounded:
+            return Distance(math.inf, note="region not certified bounded; excess sentinel")
+        return _sampled_excess(space, self, b, n_samples, seed, flag)
 
     def enlarge(self, space: NormedSpace, r: float) -> SetRep:
         """The implicit wrapper, where the kind has no exact enlargement."""
@@ -437,6 +445,13 @@ class _Round(SetRep):
 
     def _dists(self, space, ys):
         return _exact(self._gap(space.norms(ys - self.center) - self.radius))
+
+    def _excess(self, space, b, n_samples, seed):
+        if isinstance(b, _Round):
+            return Distance(Family.of([self]).excesses(space, Family.of([b])).item(0))
+        if isinstance(b, PointCloud) and b.points.shape[0] == 1:
+            return outer_radius(space, self, b.points[0])
+        return super()._excess(space, b, n_samples, seed)
 
     def affine_image(self, space_in, space_out, mat, off):
         lam = _ball_image_factor(space_in, space_out, mat)
@@ -542,6 +557,11 @@ class Box(SetRep):
     def _dists(self, space, ys):
         return _exact(space.norms(np.clip(ys, self.lo, self.hi) - ys))
 
+    def _excess(self, space, b, n_samples, seed):
+        if b.convex and 2**self.dim <= BOX_CORNER_CAP:  # as VPolytope; above the cap, sampled
+            return _max_distance(space, self.corners(), b)
+        return super()._excess(space, b, n_samples, seed)
+
     def outer_radius(self, space, p):
         return Distance(_box_radius(space, self.lo, self.hi, p))
 
@@ -584,6 +604,11 @@ class VPolytope(SetRep):
                          np.array([d.approximate for d in rows], dtype=bool),
                          tuple(d.note for d in rows))
 
+    def _excess(self, space, b, n_samples, seed):
+        if b.convex:  # dist(., convex) is convex: its vertex max is exact
+            return _max_distance(space, self.vertices, b)
+        return super()._excess(space, b, n_samples, seed)
+
     def outer_radius(self, space, p):
         return Distance(float(space.norms(self.vertices - p).max()))
 
@@ -621,6 +646,9 @@ class PointCloud(SetRep):
 
     def _dists(self, space, ys):
         return _exact(space.norms(ys[:, None, :] - self.points).min(axis=1))
+
+    def _excess(self, space, b, n_samples, seed):
+        return _max_distance(space, self.points, b)
 
     def outer_radius(self, space, p):
         return Distance(float(space.norms(self.points - p).max()))
@@ -799,6 +827,11 @@ class Orthant(SetRep):
     def _dists(self, space, ys):
         return _exact(space.norms(np.maximum(0.0, self.apex - ys)))
 
+    def _excess(self, space, b, n_samples, seed):
+        if isinstance(b, Orthant):
+            return Distance(space.norm_of(np.maximum(0.0, b.apex - self.apex)))
+        return Distance(math.inf, note="unbounded orthant over a non-absorbing target")
+
     def outer_radius(self, space, p):
         return Distance(math.inf, note="orthant is unbounded")
 
@@ -844,6 +877,19 @@ class EnlargedSet(SetRep):
     def _dists(self, space, ys):
         value, *rest = self.base._dists(space, ys)
         return Distances(np.fmax(value - self.margin, _ZERO), *rest)
+
+    def _excess(self, space, b, n_samples, seed):
+        if isinstance(b, Ball):
+            rad = outer_radius(space, self, b.center)
+            return Distance(max(0.0, float(rad) - b.radius),
+                            approximate=rad.approximate, error=rad.error)
+        inner = excess(space, self.base, b, n_samples=n_samples, seed=seed)
+        if inner.is_infinite:
+            return inner
+        # sup over the enlargement is within [inner, inner + margin], inner within its error
+        return Distance(float(inner) + self.margin, approximate=True,
+                        error=inner.error + self.margin,
+                        note="enlargement excess bracketed by its margin")
 
     def outer_radius(self, space, p):
         inner = outer_radius(space, self.base, p)
@@ -1463,59 +1509,15 @@ def outer_radius(space: NormedSpace, s: SetRep, p) -> Distance:
 
 def excess(space: NormedSpace, a: SetRep, b: SetRep,
            n_samples: int = 256, seed: int = 0) -> Distance:
-    """Excess of a over b: sup over a of dist_point(., b).
-
-    Exact closed forms: ball over ball (and sphere sources), finite
-    vertex/point sources over any convex target, orthant over orthant,
-    and any source over an enlargement of a target with a known excess.
-    Unbounded sources that no bounded target can absorb yield the +inf
-    sentinel.  Remaining pairs fall back to a seeded sampled supremum
-    flagged approximate.
-    """
+    """Excess of a over b: sup over a of dist_point(., b), by the source kind's _excess
+    rule; over an enlarged target, the excess over its base less the margin."""
     if a.dim != space.dim or b.dim != space.dim:
         raise DimensionMismatchError("excess operands must live in the ambient space")
-
     if isinstance(b, EnlargedSet):
         inner = excess(space, a, b.base, n_samples=n_samples, seed=seed)
         val = max(0.0, float(inner) - b.margin)
         return Distance(val, approximate=inner.approximate, error=inner.error, note=inner.note)
-
-    if isinstance(a, PointCloud):
-        return _max_distance(space, a.points, b)
-    # dist(., convex) is convex: its vertex max is exact; boxes above the corner
-    # cap fall through to the sampled supremum
-    if isinstance(a, VPolytope) and b.convex:
-        return _max_distance(space, a.vertices, b)
-    if isinstance(a, Box) and b.convex and 2**a.dim <= BOX_CORNER_CAP:
-        return _max_distance(space, a.corners(), b)
-    if isinstance(a, (Ball, Sphere)):
-        if isinstance(b, (Ball, Sphere)):
-            return Distance(Family.of([a]).excesses(space, Family.of([b])).item(0))
-        if isinstance(b, PointCloud) and b.points.shape[0] == 1:
-            return outer_radius(space, a, b.points[0])
-    if isinstance(a, Orthant):
-        if isinstance(b, Orthant):
-            gap = np.maximum(0.0, b.apex - a.apex)
-            return Distance(space.norm_of(gap))
-        return Distance(math.inf, note="unbounded orthant over a non-absorbing target")
-    if isinstance(a, EnlargedSet):
-        if isinstance(b, Ball):
-            rad = outer_radius(space, a, b.center)
-            return Distance(max(0.0, float(rad) - b.radius),
-                            approximate=rad.approximate, error=rad.error)
-        inner = excess(space, a.base, b, n_samples=n_samples, seed=seed)
-        if inner.is_infinite:
-            return inner
-        # sup over the enlargement is within [inner, inner + margin]
-        return Distance(float(inner) + a.margin, approximate=True, error=a.margin,
-                        note="enlargement excess bracketed by its margin")
-    if isinstance(a, SublevelRegion):
-        flag = boundedness(space, a)
-        if not flag.bounded:
-            return Distance(math.inf, note="region not certified bounded; excess sentinel")
-        return _sampled_excess(space, a, b, n_samples, seed)
-    # bounded source without a closed form: sampled supremum
-    return _sampled_excess(space, a, b, n_samples, seed)
+    return a._excess(space, b, n_samples, seed)
 
 
 def _max_distance(space: NormedSpace, pts: np.ndarray, b: SetRep) -> Distance:
@@ -1527,14 +1529,11 @@ def _max_distance(space: NormedSpace, pts: np.ndarray, b: SetRep) -> Distance:
 
 
 def _sampled_excess(space: NormedSpace, a: SetRep, b: SetRep,
-                    n_samples: int, seed: int) -> Distance:
+                    n_samples: int, seed: int, flag: BoundednessFlag) -> Distance:
     d = dists(space, sample(space, a, n_samples, seed), b)
-    val = float(d.value.max(initial=0.0))
-    err = float(d.error.max(initial=0.0))
-    flag = boundedness(space, a)
-    spread = (flag.radius_hint or 1.0)
-    density_err = 4.0 * spread / max(1, n_samples) ** (1.0 / max(1, space.dim))
-    return Distance(val, approximate=True, error=err + density_err,
+    density_err = 4.0 * (flag.radius_hint or 1.0) / max(1, n_samples) ** (1.0 / space.dim)
+    return Distance(float(d.value.max(initial=0.0)), approximate=True,
+                    error=float(d.error.max(initial=0.0)) + density_err,
                     note="sampled supremum (lower estimate)")
 
 

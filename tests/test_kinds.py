@@ -86,7 +86,7 @@ def test_a_set_kind_without_rules_raises_type_error():
              lambda: s.sample(EU2, 1, 0, rng_for(0, 0), None), lambda: s.translate(np.zeros(2)),
              lambda: sk.dist_point(EU2, [0.0, 0.0], s), lambda: sk.boundedness(EU2, s),
              lambda: sk.contains_point(EU2, s, [0.0, 0.0]), lambda: sk.sample(EU2, s, 1, 0),
-             lambda: sk.translate_set(s, [0.0, 0.0])]
+             lambda: sk.translate_set(s, [0.0, 0.0]), lambda: sk.excess(EU2, s, s)]
     for rule in rules:
         with pytest.raises(TypeError, match=msg):
             rule()

@@ -1,11 +1,14 @@
-"""Print the size of the kit's sources: lines, lines that hold `isinstance`,
-and the definitions of each rule that has a scalar and a batched twin.
+"""Print the size of the kit's sources: lines, lines that hold `isinstance`
+(in all and per module), and the definitions of each rule that has a
+scalar and a batched twin.
 
     python3 tools/code_size.py
 
 Counts every line of every .py file under src/, blank lines and comments
 included (what `wc -l` counts), and the lines among them that contain
 the word `isinstance`: the two figures ROADMAP.md tracks for the design.
+The `isinstance` lines are also split by module, for information: most
+of `codec.py`'s are input checks, so the split shows which are dispatch.
 The third figure counts, for each rule below, the `def` lines of its
 scalar name against those of its batched twin (`image` against
 `images`, say), methods and module functions alike: a rule written once
@@ -29,10 +32,15 @@ TWINS = (("image", "images"), ("witness", "witnesses"),
 
 
 def main() -> None:
-    lines = [line for path in sorted(SRC.rglob("*.py"))
-             for line in path.read_text().splitlines()]
+    modules = {path.relative_to(SRC).as_posix(): path.read_text().splitlines()
+               for path in sorted(SRC.rglob("*.py"))}
+    lines = [line for text in modules.values() for line in text]
     print(f"src/ lines: {len(lines)}")
-    print(f"src/ lines with isinstance: {sum('isinstance' in line for line in lines)}")
+    per_module = {name: sum("isinstance" in line for line in text)
+                  for name, text in modules.items()}
+    print(f"src/ lines with isinstance: {sum(per_module.values())}")
+    print("src/ lines with isinstance per module: "
+          + ", ".join(f"{name} {n}" for name, n in per_module.items() if n))
     defs = [m.group(1) for line in lines if (m := re.match(r"\s*def (\w+)\(", line))]
     counts = ", ".join(f"{one} {defs.count(one)}/{defs.count(many)}" for one, many in TWINS)
     print(f"src/ scalar/batched twin definitions: {counts}")

@@ -18,8 +18,10 @@ runs too; the `forced` family runs, which take the calmness and
 semiregularity diagnostics where the built-in family does not go: a
 max-norm psi, a 2-d x, region solves that all fail and fall back to the
 error bound, and a family whose phi does not depend on the parameter;
-and the `forced` extents of every row of a sublinear and a process
-family, read through the family and then row by row in reverse.
+the `forced` extents of every row of a sublinear and a process
+family, read through the family and then row by row in reverse; and the
+`forced` excesses over every ordered pair of a fixed catalog of sets
+under three norms, so that every pair rule of excess runs.
 Every float is written by its hex form, so two dumps are
 equal only when every value is equal bit for bit; a job that
 raises is written as its exception.  With --reverse each workload's jobs,
@@ -140,7 +142,7 @@ def forced_jobs(seed: int) -> list:
     for k, m in ((1, 2), (2, 2), (2, 3), (3, 3)):
         proc = sk.PolyhedralProcess(*workloads.process_matrices(rng, k, m, covering=True))
         jobs.append((f"covering-3a-process-{k}x{m}", partial(covering_3a, proc)))
-    return jobs + forced_family_jobs(seed) + forced_extent_jobs(seed)
+    return jobs + forced_family_jobs(seed) + forced_extent_jobs(seed) + forced_excess_jobs(seed)
 
 
 def forced_family_jobs(seed: int) -> list:
@@ -217,6 +219,38 @@ def forced_extent_jobs(seed: int) -> list:
 
     return [("extents-sublinear-3d", partial(extents, sublinear, 2.0 * rng.standard_normal((5, 3)))),
             ("extents-process-2x3", partial(extents, process, 2.0 * rng.standard_normal((5, 2))))]
+
+
+def forced_excess_jobs(seed: int) -> list:
+    """excess at the seed over every ordered pair of a fixed 2-d catalog, one set of
+    each kind with a one-point cloud, an unbounded region, a second orthant and two
+    enlargements beside them, under the euclidean, max and 3-norms: each pair rule of
+    excess has a pair that reaches it, and the sampled pairs draw 64 points."""
+    import numpy as np
+    import setcover_kit as sk
+
+    square = sk.SublevelRegion((sk.FormGroup(np.vstack([np.eye(2), -np.eye(2)]), 1.0),
+                                sk.FormGroup(np.ones((1, 2)), 1.5)))
+    polytope = sk.VPolytope(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]) - 0.25)
+    sets = {
+        "ball": sk.Ball(np.array([1.0, -0.5]), 0.75),
+        "sphere": sk.Sphere(np.array([0.0, 2.0]), 1.5),
+        "box": sk.Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0])),
+        "v_polytope": polytope,
+        "point_cloud": sk.PointCloud(np.array([[1.0, 1.0], [-2.0, 0.5]])),
+        "point": sk.PointCloud(np.array([[0.5, -1.0]])),
+        "region": square,
+        "half_space": sk.SublevelRegion((sk.FormGroup(np.array([[1.0, -0.5]]), 0.5),)),
+        "orthant": sk.Orthant(np.array([0.5, -1.0])),
+        "orthant_2": sk.Orthant(np.array([1.0, -2.0])),
+        "enlarged_region": sk.EnlargedSet(square, 0.25),
+        "enlarged_polytope": sk.EnlargedSet(polytope, 0.5),
+    }
+    spaces = {"euclidean": sk.NormedSpace(2), "max": sk.NormedSpace(2, "max"),
+              "p3": sk.NormedSpace(2, "p", 3.0)}
+    return [(f"excess-{norm}-{na}-{nb}", partial(sk.excess, space, a, b, 64, seed))
+            for norm, space in spaces.items() for na, a in sets.items()
+            for nb, b in sets.items()]
 
 
 def compare(other: Path, seeds: list[int]) -> int:
