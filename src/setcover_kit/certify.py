@@ -22,15 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mappings as mp
-from ._lp import max_norm_fit, solve_lp
 from .codec import map_to_json
 from .geometry import (
     Ball,
     Family,
     Rounds,
     SetRep,
-    _freeze,
-    _memo,
     _pristine_rng,
     _rng,
     _sample_enlargement,
@@ -39,6 +36,7 @@ from .geometry import (
     dist_point,
     rng_for,
 )
+from .mappings import InteriorReport, ProcessAnomalyError, interior_radius  # re-exported
 from .search import ball_searches
 
 __all__ = [
@@ -57,10 +55,6 @@ __all__ = [
 ]
 
 R_RANGE_DEFAULT = (1e-3, 1e2)
-
-
-class ProcessAnomalyError(RuntimeError):
-    """An LP step of the process analysis failed in a way valid cones should not."""
 
 
 @dataclass(frozen=True)
@@ -357,102 +351,6 @@ def recheck_violation(m: mp.MapSpec, cert: Certificate, v: Violation,
                                             Rounds(ball[None, :-1], ball[-1:]), x[None])
         return bool(lhs[0] > rhs[0] + atol)
     raise ValueError(f"no replay rule for property {cert.property!r}")
-
-
-# ---------------------------------------------------------------------------
-# convex process interior analysis
-
-
-@dataclass(frozen=True)
-class InteriorReport:
-    """Inscribed-slack analysis of a polyhedral process at the origin.
-
-    One of two consistent states: no interior (everything zero/absent) or
-    a certified witness direction u0 whose image contains a ball of
-    radius alpha around the origin.
-    """
-
-    t_star: float
-    u0: np.ndarray | None
-    alpha: float
-    y_interior: np.ndarray | None = None
-
-    def __post_init__(self):
-        present = self.u0 is not None
-        if present != (self.t_star > 0) or present != (self.alpha > 0):
-            raise ValueError("inconsistent interior report")
-        for name in ("u0", "y_interior"):
-            if getattr(self, name) is not None:
-                _freeze(self, name, getattr(self, name))
-
-    def to_jsonable(self) -> dict:
-        return {
-            "t_star": self.t_star,
-            "alpha": self.alpha,
-            "u0": None if self.u0 is None else self.u0.tolist(),
-            "y_interior": None if self.y_interior is None else self.y_interior.tolist(),
-        }
-
-
-def interior_radius(proc: mp.PolyhedralProcess) -> InteriorReport:
-    """Classify a polyhedral process by the interior of its image at zero.
-
-    Step 1 maximizes the constraint slack t of Cy y + t <= 0 over the
-    unit box (cap t <= 1; positive homogeneity makes any positive slack
-    scalable).  If t* > 0, step 2 takes a min-norm u solving
-    Cx u + Cy (-y_hat) <= 0, normalizes it into the unit ball, and
-    reports the inscribed radius of the image of u at the origin.
-
-    The analysis runs once per process; later calls return the kept report.
-    """
-    return _memo(proc, "_interior_report", lambda: _analyse_interior(proc))
-
-
-def _analyse_interior(proc: mp.PolyhedralProcess) -> InteriorReport:
-    cy_norms = np.array([proc.space_y.dual_norm_of(row) for row in proc.cy])
-    active = [i for i in range(proc.cy.shape[0]) if np.any(proc.cy[i] != 0.0)]
-    m_dim = proc.space_y.dim
-    if not active:
-        raise ProcessAnomalyError("process has no constraint rows involving the range variable")
-    # step 1: max t  s.t.  cy_i y + t <= 0 (active rows), |y| <= 1, t <= 1
-    n_var = m_dim + 1
-    c = np.zeros(n_var)
-    c[-1] = -1.0
-    rows = []
-    rhs = []
-    for i in active:
-        row = np.zeros(n_var)
-        row[:m_dim] = proc.cy[i]
-        row[-1] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-    bounds = [(-1.0, 1.0)] * m_dim + [(None, 1.0)]
-    res = solve_lp(c, a_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds)
-    if res is None:
-        raise ProcessAnomalyError("interior slack LP infeasible for a nonempty cone")
-    t_star = float(res.x[-1])
-    if t_star <= 1e-9:
-        return InteriorReport(t_star=0.0, u0=None, alpha=0.0)
-    y_hat = np.asarray(res.x[:m_dim], dtype=float)
-    # step 2: min-norm u with Cx u <= Cy y_hat
-    sol = max_norm_fit(np.eye(proc.cx.shape[1]), a_ub=proc.cx, b_ub=proc.cy @ y_hat)
-    if sol is None:
-        raise ProcessAnomalyError(
-            "interior point found but no reachable witness direction: "
-            "the process is not onto, hence not set-covering")
-    u = sol.x[:-1]
-    u0 = u / max(1.0, proc.space_x.norm_of(u))
-    margins = []
-    for i in range(proc.cx.shape[0]):
-        slack = -float(proc.cx[i] @ u0)
-        if i in active:
-            margins.append(slack / cy_norms[i])
-        elif slack < -1e-12:
-            return InteriorReport(t_star=0.0, u0=None, alpha=0.0)
-    alpha = min(margins)
-    if alpha <= 0:
-        return InteriorReport(t_star=0.0, u0=None, alpha=0.0)
-    return InteriorReport(t_star=t_star, u0=u0, alpha=float(alpha), y_interior=y_hat)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from ._lp import basis_extents, coordinate_extent, extent_bases, max_norm_fit
+
 DEFAULT_TOL = 1e-9
 BOX_CORNER_CAP = 256  # largest corner count a box's exact excess enumerates
 # a one-element 0.0 operand: numpy converts a Python float operand on every
@@ -724,8 +726,6 @@ class SublevelRegion(SetRep):
         the form rows and bounds.
         """
         def solve():
-            from ._lp import coordinate_extent
-
             a, b = self.forms()
             form = self.__dict__.get("_form_region")
             served = None if form is None else _basis_extents(form, b[None])[0]
@@ -1246,8 +1246,6 @@ def _basis_extents(form: SublevelRegion, b: np.ndarray) -> list:
     """The extent of {y : A y <= b[i]} for each row of b, A the form rows of form, read
     from the optimal bases kept on form (found on first use); None for a row they do
     not serve."""
-    from ._lp import basis_extents, extent_bases
-
     a = form.forms()[0]
     bases = _memo(form, "_bases", lambda: extent_bases(a))
     return [None] * b.shape[0] if bases is None else basis_extents(bases, a, b)
@@ -1336,8 +1334,6 @@ def _hull_project_euclidean(vertices: np.ndarray, y: np.ndarray,
 
 def _dist_polytope(space: NormedSpace, y: np.ndarray, s: VPolytope) -> Distance:
     if space.norm == "max":  # min t subject to |V^T w - y| <= t, w in the simplex
-        from ._lp import max_norm_fit
-
         res = max_norm_fit(s.vertices.T, y, a_eq=np.ones((1, s.vertices.shape[0])),
                            b_eq=np.array([1.0]), bounds=(0, None))
         if res is not None:
@@ -1374,8 +1370,9 @@ def _positive(v: np.ndarray) -> np.ndarray:
 def _bound_divisors(space: NormedSpace, a: np.ndarray) -> np.ndarray:
     """Dual norms of the form rows, a zero row's taken as inf.
 
-    A zero form is never violated (b >= 0, as the region is nonempty), so
-    its single-halfspace bound max(0, -b) / inf adds the term 0.
+    A zero form with b >= 0 is never violated, and one with b < 0 leaves
+    the region empty, which the distance's LP proves; either way its
+    single-halfspace bound max(0, -b) / inf adds the term 0.
     """
     dual = space.dual_norms(a)
     dual[dual == 0.0] = math.inf
@@ -1388,6 +1385,7 @@ def _dists_region(space: NormedSpace, ys: np.ndarray, s: SublevelRegion, b: np.n
 
     b has a right-hand side per row, shape (n, rows of A); row i is the
     one-row call's arithmetic elementwise, whatever the other rows hold.
+    A row whose set is empty reads +inf, exact.
     """
     a = s.forms()[0]
     n = ys.shape[0]
@@ -1397,23 +1395,22 @@ def _dists_region(space: NormedSpace, ys: np.ndarray, s: SublevelRegion, b: np.n
     out = np.nonzero(~np.logical_and.reduce(viol <= _ZERO, axis=1))[0]
     if out.size == 0:
         return Distances(value, error, approx, tuple(note))
+    if space.norm == "max":  # min t subject to a z <= b[i], |z - y_i| <= t; none: empty
+        eye = np.eye(ys.shape[1])
+        for i in out:
+            res = max_norm_fit(eye, ys[i], a_ub=a, b_ub=b[i])
+            value[i] = math.inf if res is None else float(res.fun)
+            if res is None:
+                note[i] = "empty region"
+        return Distances(value, error, approx, tuple(note))
     y_out, b_out = ys, b
     if out.size < n:  # the rows outside; with none inside, that is every row as it is
         viol, y_out, b_out = viol[out], ys[out], b[out]
     # single-halfspace distances give an exact lower bound under any norm
     lower = np.maximum.reduce(_positive(viol) / _memo(
         s, f"_dual_norms_{space.norm}_{space.p}", lambda: _bound_divisors(space, a)), axis=1)
-    if space.norm == "max":  # min t subject to a z <= b[i], |z - y_i| <= t
-        from ._lp import max_norm_fit
-
-        eye = np.eye(ys.shape[1])
-        lp = [max_norm_fit(eye, ys[i], a_ub=a, b_ub=b[i]) for i in out]
-        solved = np.array([res is not None for res in lp], dtype=bool)
-        value[out[solved]] = [float(res.fun) for res in lp if res is not None]
-        out, lower, y_out, b_out = out[~solved], lower[~solved], y_out[~solved], b_out[~solved]
-        if out.size == 0:
-            return Distances(value, error, approx, tuple(note))
-    gap = _dykstra(a, b_out, y_out, max_sweeps) - y_out
+    z = _dykstra(a, b_out, y_out, max_sweeps)
+    gap = z - y_out
     if space.norm == "euclidean":
         # converged Dykstra iterates are near-exact; the single-halfspace
         # lower bound keeps the reported bracket honest regardless
@@ -1428,6 +1425,19 @@ def _dists_region(space: NormedSpace, ys: np.ndarray, s: SublevelRegion, b: np.n
         value[out], error[out], approx[out] = upper, _positive(upper - lower), True
         for i in out:
             note[i] = "region distance under this norm is a bracketed estimate"
+    # a row the polish left outside its region by more than rounding: one LP finds a
+    # point of the region, an upper bound, or proves the region empty
+    size = np.vecdot(np.abs(z)[:, None, :], np.abs(a)) + np.abs(b_out)
+    outside = np.vecdot(z[:, None, :], a) - b_out > DEFAULT_TOL * size
+    for j in np.flatnonzero(outside.any(axis=1)).tolist():
+        res = max_norm_fit(np.eye(ys.shape[1]), y_out[j], a_ub=a, b_ub=b_out[j])
+        i = out[j]
+        if res is None:
+            value[i], error[i], approx[i], note[i] = math.inf, 0.0, False, "empty region"
+        else:
+            upper = space.norm_of(res.x[:-1] - y_out[j])
+            value[i], error[i], approx[i] = upper, max(0.0, upper - lower[j]), True
+            note[i] = "feasible-point bracket: the projection did not converge"
     return Distances(value, error, approx, tuple(note))
 
 

@@ -27,7 +27,6 @@ from .certify import (
     check_inverse_errorbound,
     check_inverse_hausdorff,
     check_set_covering,
-    interior_radius,
 )
 from .codec import InstanceError, Kind, Table, decode, one_of
 from .geometry import DimensionMismatchError
@@ -196,6 +195,10 @@ def _refused_at(path: str, error: type = ValueError):
         raise InstanceError(path, str(exc)) from exc
 
 
+# a psi without the covering constant or the witness that a solve needs
+_NO_RULE = (mp.NotSetCoveringError, mp.WitnessUnavailableError)
+
+
 def _resolve_alpha(psi: mp.MapSpec, spec_alpha, safety: float) -> float:
     if spec_alpha == "auto":
         return safety * mp.alpha_of(psi).alpha
@@ -209,7 +212,8 @@ def _run_certify(decoded: dict, seed: int, tol: float) -> tuple[int, dict]:
     if prop == "interior-radius":
         if not isinstance(psi, mp.PolyhedralProcess):
             raise InstanceError("$.maps.psi", "interior-radius needs a polyhedral process")
-        report = interior_radius(psi)
+        with _refused_at("$.maps.psi", mp.ProcessAnomalyError):  # a cone that is not onto
+            report = mp.interior_radius(psi)
         verdict = "set-covering" if report.alpha > 0 else "not-set-covering"
         code = EXIT_OK
         if blk["expect"] is not None and blk["expect"] != verdict:
@@ -244,12 +248,13 @@ def _run_certify(decoded: dict, seed: int, tol: float) -> tuple[int, dict]:
 
 def _run_inclusion(decoded: dict, seed: int, tol: float) -> tuple[int, dict]:
     blk = decoded["solve"]
-    with _refused_at("$.solve"):
+    with _refused_at("$.solve"), _refused_at("$.maps.psi", _NO_RULE):
         inst = InclusionInstance(psi=decoded["psi"], phi=decoded["phi"],
                                  alpha=blk["alpha"], beta=blk["beta"],
                                  alpha_used=blk["alpha_used"], tol=tol,
                                  max_iter=blk["max_iter"])
-    trace = solve_inclusion(inst, blk["x0"], polish=blk["polish"])
+    with _refused_at("$.maps.psi", _NO_RULE):
+        trace = solve_inclusion(inst, blk["x0"], polish=blk["polish"])
     code = EXIT_OK if trace.status == "converged" else EXIT_FALSIFIED
     return code, {"kind": "inclusion", "trace": trace.to_jsonable(), "seed": seed}
 
@@ -278,8 +283,8 @@ def _run_penalty(decoded: dict, seed: int, tol: float) -> tuple[int, dict]:
 def _run_sfix(decoded: dict, seed: int, tol: float) -> tuple[int, dict]:
     blk = decoded["sfix"]
     try:
-        with _refused_at("$.maps.psi", DimensionMismatchError), \
-                _refused_at("$.sfix", NotExpandingError):  # both checked before any solve runs
+        with _refused_at("$.maps.psi", (DimensionMismatchError, *_NO_RULE)), \
+                _refused_at("$.sfix", NotExpandingError):
             res = strongly_fixed(decoded["psi"], blk["x0"], blk["r_grid"],
                                  alpha=blk["alpha"], alpha_used=blk["alpha_used"],
                                  tol=tol, seed=seed)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lp import max_norm_fit, solve_lp
 from .geometry import (
     Family,
     FormGroup,
@@ -90,6 +91,10 @@ class ConstantExhaustedError(ValueError):
 
 class WitnessUnavailableError(LookupError):
     """No witness rule for this variant; fallback search required."""
+
+
+class ProcessAnomalyError(RuntimeError):
+    """An LP step of the process analysis failed in a way valid cones should not."""
 
 
 class LipschitzRuleError(LookupError):
@@ -202,7 +207,6 @@ class MapConstants:
     alpha: float
     beta: float | None = None
     gamma: float = 1.0
-    exactness: str = "formula"  # "formula" | "empirical"
     rule: str = ""
 
     def __post_init__(self):
@@ -497,8 +501,6 @@ class Epigraphical(MapSpec):
         attained at a corner.  Computed once per map and kept on it.
         """
         def solve():
-            from ._lp import max_norm_fit
-
             worst = 0.0
             for s in _sign_corners(self.matrix.shape[0]):
                 res = max_norm_fit(np.eye(self.matrix.shape[1]), a_eq=self.matrix, b_eq=s)
@@ -527,8 +529,6 @@ class Epigraphical(MapSpec):
         # a shortest z (max norm) with A z = -alpha_f * 1, one LP kept on the map: by
         # positive homogeneity rho * z is a shortest shift onto -alpha_f * rho * 1
         def solve():
-            from ._lp import max_norm_fit
-
             target = -self.alpha_f() * np.ones(self.space_y.dim)
             res = max_norm_fit(np.eye(self.matrix.shape[1]), a_eq=self.matrix, b_eq=target)
             if res is None:
@@ -539,7 +539,10 @@ class Epigraphical(MapSpec):
 
 @dataclass(frozen=True, eq=False)
 class PolyhedralProcess(MapSpec):
-    """Graph {(x, y) : Cx x + Cy y <= 0}: a closed polyhedral convex cone."""
+    """Graph {(x, y) : Cx x + Cy y <= 0}: a closed polyhedral convex cone.
+
+    Cy needs a nonzero row: with none, every image would be the whole space.
+    """
 
     cx: np.ndarray
     cy: np.ndarray
@@ -551,6 +554,8 @@ class PolyhedralProcess(MapSpec):
         cy = np.atleast_2d(np.asarray(self.cy, dtype=float))
         if cx.shape[0] != cy.shape[0]:
             raise DimensionMismatchError("Cx and Cy must have the same row count")
+        if not cy.any():
+            raise ValueError("Cy has no nonzero row: every image would be the whole space")
         _freeze(self, "cx", cx)
         _freeze(self, "cy", cy)
         object.__setattr__(self, "space_x", _space_of(self.space_x, cx.shape[1]))
@@ -563,17 +568,12 @@ class PolyhedralProcess(MapSpec):
         zero = ~self.cy.any(axis=1)
         errors = [ValueError("point lies outside the domain of the process") if out else None
                   for out in (b[:, zero] < -1e-12).any(axis=1).tolist()]
-        if zero.all():
-            return Family([None] * len(errors), [exc or ValueError(
-                "process image is the whole space; not representable") for exc in errors])
         region = _memo(self, "_region", lambda: SublevelRegion(
             tuple(FormGroup(row[None], 0.0) for row in self.cy[~zero])))
         return Regions(region, b[:, ~zero], errors)
 
     def constants(self):
-        from .certify import interior_radius
-
-        report = interior_radius(self)
+        report = self._interior()
         if report.alpha <= 0:
             raise NotSetCoveringError(
                 "process image at the certified witness has no inscribed ball")
@@ -581,12 +581,95 @@ class PolyhedralProcess(MapSpec):
                             rule="inscribed radius of the image of the interior witness")
 
     def witness(self, x, rho):
-        from .certify import interior_radius
-
-        report = interior_radius(self)
+        report = self._interior()
         if report.u0 is None:
             raise NotSetCoveringError("process has no interior witness direction")
         return x + rho * report.u0
+
+    def _interior(self) -> InteriorReport:
+        """interior_radius of the process; a cone that is not onto is not set-covering."""
+        try:
+            return interior_radius(self)
+        except ProcessAnomalyError as exc:
+            raise NotSetCoveringError(str(exc)) from exc
+
+
+@dataclass(frozen=True)
+class InteriorReport:
+    """Inscribed-slack analysis of a polyhedral process at the origin.
+
+    One of two consistent states: no interior (everything zero/absent) or
+    a certified witness direction u0 whose image contains a ball of
+    radius alpha around the origin.
+    """
+
+    t_star: float
+    u0: np.ndarray | None
+    alpha: float
+    y_interior: np.ndarray | None = None
+
+    def __post_init__(self):
+        present = self.u0 is not None
+        if present != (self.t_star > 0) or present != (self.alpha > 0):
+            raise ValueError("inconsistent interior report")
+        for name in ("u0", "y_interior"):
+            if getattr(self, name) is not None:
+                _freeze(self, name, getattr(self, name))
+
+    def to_jsonable(self) -> dict:
+        return {
+            "t_star": self.t_star,
+            "alpha": self.alpha,
+            "u0": None if self.u0 is None else self.u0.tolist(),
+            "y_interior": None if self.y_interior is None else self.y_interior.tolist(),
+        }
+
+
+def interior_radius(proc: PolyhedralProcess) -> InteriorReport:
+    """Classify a polyhedral process by the interior of its image at zero.
+
+    Step 1 maximizes the constraint slack t of Cy y + t <= 0 over the
+    unit box (cap t <= 1; positive homogeneity makes any positive slack
+    scalable).  If t* > 0, step 2 takes a min-norm u solving
+    Cx u + Cy (-y_hat) <= 0, normalizes it into the unit ball, and
+    reports the inscribed radius of the image of u at the origin.
+
+    The analysis runs once per process; later calls return the kept report.
+    Raises ProcessAnomalyError for a cone that is not onto.
+    """
+    return _memo(proc, "_interior_report", lambda: _analyse_interior(proc))
+
+
+def _analyse_interior(proc: PolyhedralProcess) -> InteriorReport:
+    cx, cy, m_dim = proc.cx, proc.cy, proc.space_y.dim
+    active = cy.any(axis=1)  # the rows involving the range variable
+    # step 1: max t  s.t.  cy_i y + t <= 0 (active rows), |y| <= 1, t <= 1
+    c = np.zeros(m_dim + 1)
+    c[-1] = -1.0
+    rows = np.hstack([cy[active], np.ones((np.count_nonzero(active), 1))])
+    res = solve_lp(c, a_ub=rows, b_ub=np.zeros(rows.shape[0]),
+                   bounds=[(-1.0, 1.0)] * m_dim + [(None, 1.0)])
+    if res is None:
+        raise ProcessAnomalyError("interior slack LP infeasible for a nonempty cone")
+    t_star = float(res.x[-1])
+    if t_star <= 1e-9:
+        return InteriorReport(t_star=0.0, u0=None, alpha=0.0)
+    y_hat = np.asarray(res.x[:m_dim], dtype=float)
+    # step 2: min-norm u with Cx u <= Cy y_hat
+    sol = max_norm_fit(np.eye(cx.shape[1]), a_ub=cx, b_ub=cy @ y_hat)
+    if sol is None:
+        raise ProcessAnomalyError(
+            "interior point found but no reachable witness direction: "
+            "the process is not onto, hence not set-covering")
+    u = sol.x[:-1]
+    u0 = u / max(1.0, proc.space_x.norm_of(u))
+    slack = -np.vecdot(cx, u0)  # each row's -cx_i . u0, a one-row dot
+    if (slack[~active] < -1e-12).any():  # u0 leaves the domain
+        return InteriorReport(t_star=0.0, u0=None, alpha=0.0)
+    alpha = float((slack[active] / proc.space_y.dual_norms(cy[active])).min())
+    if alpha <= 0:
+        return InteriorReport(t_star=0.0, u0=None, alpha=0.0)
+    return InteriorReport(t_star=t_star, u0=u0, alpha=alpha, y_interior=y_hat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -615,7 +698,6 @@ class Sum(MapSpec):
             raise ConstantExhaustedError(
                 f"perturbation Lipschitz constant {lip} exhausts base constant {base.alpha}")
         return MapConstants(alpha=remaining, beta=None, gamma=base.gamma,
-                            exactness=base.exactness,
                             rule=f"base constant minus perturbation Lipschitz ({base.rule})")
 
     def lipschitz(self):
@@ -653,7 +735,6 @@ class Composed(MapSpec):
         base = alpha_of(self.base)
         cov = self.g.covering_constant(self.inner_space, self.space_z)
         return MapConstants(alpha=base.alpha * cov, gamma=base.gamma,
-                            exactness=base.exactness,
                             rule=f"base constant times outer covering rate ({base.rule})")
 
     def lipschitz(self):

@@ -753,3 +753,30 @@ def test_orthant_sampler_equals_scalar_loop(dim):
         s = sk.Orthant(apex)
         for n, seed in ((1, 0), (2, 1), (33, 2)):
             assert same_bits(sk.sample(space, s, n, seed), ref_sample_orthant(space, s, n, seed))
+
+
+@pytest.mark.parametrize("norm,p", NORMS)
+def test_the_distance_to_an_empty_region_is_inf_exact(norm, p):
+    space = sk.NormedSpace(2, norm, p)
+    # {y : y_1 <= -1, -y_1 <= -1}: no point meets both forms
+    region = sk.SublevelRegion((sk.FormGroup(np.array([[1.0, 0.0]]), -1.0),
+                                sk.FormGroup(np.array([[-1.0, 0.0]]), -1.0)))
+    d = sk.dist_point(space, np.zeros(2), region)
+    assert (float(d), d.error, d.approximate) == (np.inf, 0.0, False)
+    # a zero form with a negative bound empties a region too
+    zero_row = sk.SublevelRegion((sk.FormGroup(np.array([[1.0, 0.0], [0.0, 0.0]]), -1.0),))
+    assert float(sk.dist_point(space, np.zeros(2), zero_row)) == np.inf
+    assert float(sk.excess(space, sk.Ball(np.zeros(2), 1.0), region)) == np.inf
+
+
+@pytest.mark.parametrize("norm,p", (("euclidean", None), ("p", 3.0)))
+def test_a_row_the_projection_leaves_outside_gets_a_sound_bracket(norm, p):
+    # a wedge |y_2| <= eps*y_1 whose sides are nearly parallel: the cyclic projections
+    # from (-1, 0) crawl toward the apex, the nearest point, at distance 1
+    space = sk.NormedSpace(2, norm, p)
+    eps = 1e-3
+    wedge = sk.SublevelRegion((sk.FormGroup(np.array([[-eps, 1.0]]), 0.0),
+                               sk.FormGroup(np.array([[-eps, -1.0]]), 0.0)))
+    d = sk.dist_point(space, np.array([-1.0, 0.0]), wedge)
+    assert d.approximate
+    assert float(d) - d.error <= 1.0 <= float(d)

@@ -84,7 +84,8 @@ def make_map(kind, dx, dy, norm, rng):
     if kind == "polyhedral_process":
         rows = int(rng.integers(1, 4))
         cy = rng.standard_normal((rows, dy))
-        cy[rng.uniform(size=rows) < 0.3] = 0.0  # zero rows: points outside the domain raise
+        zero = rng.uniform(size=rows) < 0.3  # zero rows: points outside the domain raise
+        cy[zero & ~zero.all()] = 0.0  # but not every row: the kind needs a nonzero C_y row
         return sk.PolyhedralProcess(rng.standard_normal((rows, dx)), cy, sx, sy)
     matrix = rng.standard_normal((dy, max(dx, dy)))
     matrix[:, :dy] += 10.0 * np.eye(dy)  # full row rank

@@ -378,3 +378,75 @@ class TestCli:
     def test_render_text_stable(self):
         text = render_text({"x": 1, "nested": {"y": [1, 2]}})
         assert text.splitlines()[0] == "x: 1"
+
+
+# psi kinds with no covering constant or no witness rule, and the process whose Cy has no
+# nonzero row (every image the whole space)
+NOT_ONTO = {"kind": "polyhedral_process", "cx": [[1.0], [-1.0]], "cy": [[-1.0], [-1.0]]}
+ZERO_CY = {"kind": "polyhedral_process", "cx": [[1.0], [-1.0]], "cy": [[0.0], [0.0]]}
+UNIT_BALL = {"kind": "unit_ball_translate", "dim": 1}
+_PHI_1D = {"kind": "ball_valued", "center": {"kind": "affine", "matrix": [[0.0]], "offset": [0.0]},
+           "c0": 1.0, "c1": 0.0, "space_x": {"dim": 1}, "space_y": {"dim": 1}}
+
+
+def _file(kind, maps, block, **fields):
+    return {"version": "setcover-kit/1", "kind": kind, "maps": maps, block: fields}
+
+
+def _certify(psi, prop, alpha="auto"):
+    return "certify", _file("certify", {"psi": psi}, "certify", property=prop, alpha=alpha,
+                            trials=4)
+
+
+def _solve(psi, **fields):
+    return "solve", _file("inclusion", {"psi": psi, "phi": _PHI_1D}, "solve",
+                          **{"x0": [0.0], **fields})
+
+
+def _sfix(psi, **fields):
+    return "sfix", _file("sfix", {"psi": psi}, "sfix", **{"x0": [0.0], "r_grid": [1.0], **fields})
+
+
+def _family(psi):
+    return "family", {"version": "setcover-kit/1", "kind": "family",
+                      "family": {"kind": "ball_radius_family", "psi": psi, "c1": 0.0,
+                                 "p_bar": [1.0], "x_bar": [0.0],
+                                 "objective": {"kind": "abs_coord", "i": 0}}}
+
+
+NO_RULE_CASES = {
+    "not-onto-covering-auto": (_certify(NOT_ONTO, "covering"), "$.certify.alpha"),
+    "not-onto-set-covering-auto": (_certify(NOT_ONTO, "set-covering"), "$.certify.alpha"),
+    "not-onto-interior-radius": (_certify(NOT_ONTO, "interior-radius"), "$.maps.psi"),
+    "not-onto-solve": (_solve(NOT_ONTO), "$.maps.psi"),
+    "not-onto-solve-with-alpha": (_solve(NOT_ONTO, alpha=1.0), "$.maps.psi"),
+    "not-onto-sfix": (_sfix(NOT_ONTO), "$.maps.psi"),
+    "not-onto-sfix-with-alpha": (_sfix(NOT_ONTO, alpha=2.0), "$.maps.psi"),
+    "not-onto-family": (_family(NOT_ONTO), "$.family.psi"),
+    "unit-ball-sfix": (_sfix(UNIT_BALL), "$.maps.psi"),
+    "unit-ball-sfix-with-alpha": (_sfix(UNIT_BALL, alpha=2.0, r_grid=[2.0]), "$.maps.psi"),
+    "unit-ball-solve-with-alpha": (_solve(UNIT_BALL, alpha=1.0, x0=[3.0]), "$.maps.psi"),
+    "zero-cy-interior-radius": (_certify(ZERO_CY, "interior-radius"), "$.maps.psi"),
+    "zero-cy-set-covering": (_certify(ZERO_CY, "set-covering"), "$.maps.psi"),
+    "zero-cy-solve": (_solve(ZERO_CY, alpha=1.0), "$.maps.psi"),
+    "zero-cy-sfix": (_sfix(ZERO_CY, alpha=2.0), "$.maps.psi"),
+    "zero-cy-family": (_family(ZERO_CY), "$.family.psi"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_RULE_CASES))
+def test_a_psi_without_the_rule_a_command_needs_exits_three_at_its_path(tmp_path, capsys, case):
+    (command, data), path = NO_RULE_CASES[case]
+    file = tmp_path / "inst.json"
+    file.write_text(json.dumps(data))
+    assert main([command, "--instance", str(file)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"input error: {path}: ")
+
+
+@pytest.mark.parametrize("prop", ["covering", "set-covering"])
+def test_a_certificate_at_a_given_rate_runs_on_searched_witnesses(tmp_path, capsys, prop):
+    # the cone is not onto, so it has no witness; the certificate searches for one
+    file = tmp_path / "inst.json"
+    file.write_text(json.dumps(_certify(NOT_ONTO, prop, 0.5)[1]))
+    assert main(["certify", "--instance", str(file)]) in (EXIT_OK, EXIT_FALSIFIED)
+    assert json.loads(capsys.readouterr().out)["result"]["certificate"]["trials"] == 4

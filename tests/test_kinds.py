@@ -293,7 +293,9 @@ def maps(draw, depth=1):
         return sk.Epigraphical(matrix)
     if kind == "polyhedral_process":
         rows = draw(st.integers(1, 4))
-        return sk.PolyhedralProcess(draw(matrices(rows, dx)), draw(matrices(rows, dy)),
+        # the kind needs a nonzero C_y row
+        return sk.PolyhedralProcess(draw(matrices(rows, dx)),
+                                    draw(matrices(rows, dy).filter(np.any)),
                                     draw(spaces(dx)), draw(spaces(dy)))
     if kind == "ball_valued":
         return sk.BallValued(draw(catalog_fns(dx, dy)), draw(st.floats(1e-3, 1e3)),

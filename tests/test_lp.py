@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 import setcover_kit as sk
 import setcover_kit._lp as lp
-import setcover_kit.certify as certify
+import setcover_kit.mappings as mappings
 
 
 def reference(c, **kwargs):
@@ -732,7 +732,7 @@ def test_max_norm_callers_build_the_parents_programs_byte_for_byte(monkeypatch, 
         return res
 
     monkeypatch.setattr(lp, "solve_lp", record)
-    monkeypatch.setattr(certify, "solve_lp", record)  # interior_radius's own slack LP
+    monkeypatch.setattr(mappings, "solve_lp", record)  # interior_radius's own slack LP
     run()
     want = parent_programs(calls)
     assert len(calls) == len(want)
