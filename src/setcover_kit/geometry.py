@@ -28,7 +28,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from ._lp import basis_extents, coordinate_extent, extent_bases, max_norm_fit
+from ._lp import (LPAnomalyError, basis_extents, coordinate_extent, extent_bases,
+                  max_norm_fit)
 
 DEFAULT_TOL = 1e-9
 BOX_CORNER_CAP = 256  # largest corner count a box's exact excess enumerates
@@ -383,7 +384,8 @@ class SetRep:
 
     Each kind carries its rules, which the module functions call once they
     have checked their arguments: convex, _dists(space, ys) for dists,
-    _excess(space, b, n_samples, seed) for excess over b, outer_radius(space,
+    _farthest(space, ys) for the largest of those distances, _excess(space, b,
+    n_samples, seed) for excess over b, outer_radius(space,
     p), contains(space, y, tol), sample(space, n, seed, rng, box) with rng =
     rng_for(seed, 0), translate(v), enlarge(space, r) and affine_image(space_in,
     space_out, mat, off).  A kind without its own rule raises TypeError, except
@@ -411,6 +413,16 @@ class SetRep:
         if not flag.bounded:
             return Distance(math.inf, note="region not certified bounded; excess sentinel")
         return _sampled_excess(space, self, b, n_samples, seed, flag)
+
+    def _farthest(self, space: NormedSpace, ys: np.ndarray) -> Distance:
+        """The largest distance of a row of ys to the set: the farthest row's value and
+        note (the first such row's; 0.0 and "" where no row is outside), with every
+        row's approximate flag and largest error."""
+        d = dists(space, ys, self)
+        i = int(np.argmax(d.value))
+        far = d.value[i] > 0.0
+        return Distance(float(d.value[i]) if far else 0.0, approximate=bool(d.approximate.any()),
+                        error=float(d.error.max(initial=0.0)), note=d.note[i] if far else "")
 
     def enlarge(self, space: NormedSpace, r: float) -> SetRep:
         """The implicit wrapper, where the kind has no exact enlargement."""
@@ -561,7 +573,7 @@ class Box(SetRep):
 
     def _excess(self, space, b, n_samples, seed):
         if b.convex and 2**self.dim <= BOX_CORNER_CAP:  # as VPolytope; above the cap, sampled
-            return _max_distance(space, self.corners(), b)
+            return b._farthest(space, self.corners())
         return super()._excess(space, b, n_samples, seed)
 
     def outer_radius(self, space, p):
@@ -608,7 +620,7 @@ class VPolytope(SetRep):
 
     def _excess(self, space, b, n_samples, seed):
         if b.convex:  # dist(., convex) is convex: its vertex max is exact
-            return _max_distance(space, self.vertices, b)
+            return b._farthest(space, self.vertices)
         return super()._excess(space, b, n_samples, seed)
 
     def outer_radius(self, space, p):
@@ -650,7 +662,7 @@ class PointCloud(SetRep):
         return _exact(space.norms(ys[:, None, :] - self.points).min(axis=1))
 
     def _excess(self, space, b, n_samples, seed):
-        return _max_distance(space, self.points, b)
+        return b._farthest(space, self.points)
 
     def outer_radius(self, space, p):
         return Distance(float(space.norms(self.points - p).max()))
@@ -735,6 +747,50 @@ class SublevelRegion(SetRep):
     def _dists(self, space, ys):
         b = self.forms()[1]
         return _dists_region(space, ys, self, np.broadcast_to(b, (ys.shape[0], b.shape[0])))
+
+    def _farthest(self, space, ys):
+        """Under the max norm, bounds first: a row outside the region costs one LP, and
+        is solved only while its upper bound can reach the largest value found.
+
+        The outside row with the largest single-halfspace lower bound is solved first;
+        where its LP is infeasible the region is empty, +inf exact.  Each other outside
+        row's upper bound is its distance along a segment to a member (`_exit_bounds`):
+        the extent's argpoints, their mean and the first LP's point.  The rows go in
+        decreasing order of bound, and stop at the first bound below the largest value
+        by more than 1e-6 relative, a margin over the members' feasibility slack and the
+        LP tolerances.  Each LP is the one `dists` solves for its row, from scratch, and
+        a row that can tie the largest value is solved, so the result is that of the
+        every-row maximum bit for bit.
+        """
+        if space.norm != "max":
+            return super()._farthest(space, ys)
+        a, b = self.forms()
+        viol = np.vecdot(ys[:, None, :], a) - b
+        out = np.flatnonzero(~np.logical_and.reduce(viol <= _ZERO, axis=1))
+        if out.size == 0:
+            return Distance(0.0)
+        eye, k = np.eye(self.dim), int(np.argmax(_halfspace_bounds(space, self, viol[out])))
+        res = max_norm_fit(eye, ys[out[k]], a_ub=a, b_ub=b)
+        if res is None:
+            return Distance(math.inf, note="empty region")
+        best = float(res.fun)
+        rest = np.delete(out, k)
+        if rest.size:
+            try:  # asked only now: the extent raises on an empty region
+                members = self.extent()[2]
+            except LPAnomalyError:  # an extent LP failed where the distance LP did not
+                members = np.zeros((0, self.dim))
+            if members.shape[0]:
+                members = np.vstack([members, members.mean(axis=0)])
+            bound = _exit_bounds(a, b, np.vstack([members, res.x[:-1]]), ys[rest])
+            for j in np.argsort(-bound, kind="stable").tolist():
+                if bound[j] < best - 1e-6 * (1.0 + best):
+                    break
+                res = max_norm_fit(eye, ys[rest[j]], a_ub=a, b_ub=b)
+                if res is None:
+                    return Distance(math.inf, note="empty region")
+                best = max(best, float(res.fun))
+        return Distance(best if best > 0.0 else 0.0)
 
     def outer_radius(self, space, p):
         lo, hi, _ = self.extent()
@@ -1379,6 +1435,14 @@ def _bound_divisors(space: NormedSpace, a: np.ndarray) -> np.ndarray:
     return dual
 
 
+def _halfspace_bounds(space: NormedSpace, s: SublevelRegion, viol: np.ndarray) -> np.ndarray:
+    """The single-halfspace lower bound on each row's distance to s, an exact one under
+    any norm, from the row's violations of the form rows: max(0, a.y - b) / ||a||_*."""
+    a = s.forms()[0]
+    return np.maximum.reduce(_positive(viol) / _memo(
+        s, f"_dual_norms_{space.norm}_{space.p}", lambda: _bound_divisors(space, a)), axis=1)
+
+
 def _dists_region(space: NormedSpace, ys: np.ndarray, s: SublevelRegion, b: np.ndarray,
                   max_sweeps: int = 2000) -> Distances:
     """Distance of each row i of ys to {y : A y <= b[i]}, A being s's stacked form rows.
@@ -1406,9 +1470,7 @@ def _dists_region(space: NormedSpace, ys: np.ndarray, s: SublevelRegion, b: np.n
     y_out, b_out = ys, b
     if out.size < n:  # the rows outside; with none inside, that is every row as it is
         viol, y_out, b_out = viol[out], ys[out], b[out]
-    # single-halfspace distances give an exact lower bound under any norm
-    lower = np.maximum.reduce(_positive(viol) / _memo(
-        s, f"_dual_norms_{space.norm}_{space.p}", lambda: _bound_divisors(space, a)), axis=1)
+    lower = _halfspace_bounds(space, s, viol)
     z = _dykstra(a, b_out, y_out, max_sweeps)
     gap = z - y_out
     if space.norm == "euclidean":
@@ -1439,6 +1501,17 @@ def _dists_region(space: NormedSpace, ys: np.ndarray, s: SublevelRegion, b: np.n
             value[i], error[i], approx[i] = upper, max(0.0, upper - lower[j]), True
             note[i] = "feasible-point bracket: the projection did not converge"
     return Distances(value, error, approx, tuple(note))
+
+
+def _exit_bounds(a: np.ndarray, b: np.ndarray, members: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """An upper bound on the max-norm distance of each row y of ys to {z : A z <= b}: the
+    least (1 - t) |y - p|_inf over the rows p of members, points of the region, where
+    t in [0, 1] is where the segment from p to y leaves the region, all in one array."""
+    step = ys[:, None, :] - members  # (rows, members, dim)
+    rate = np.vecdot(step[:, :, None, :], a)  # (rows, members, form rows)
+    room = b - np.vecdot(members[:, None, :], a)
+    t = np.divide(room, rate, out=np.full(rate.shape, np.inf), where=rate > 0.0).min(axis=2)
+    return ((1.0 - np.clip(t, 0.0, 1.0)) * np.abs(step).max(axis=2)).min(axis=1)
 
 
 def _dykstra(a_mat: np.ndarray, b: np.ndarray, ys: np.ndarray, max_sweeps: int) -> np.ndarray:
@@ -1530,20 +1603,13 @@ def excess(space: NormedSpace, a: SetRep, b: SetRep,
     return a._excess(space, b, n_samples, seed)
 
 
-def _max_distance(space: NormedSpace, pts: np.ndarray, b: SetRep) -> Distance:
-    d = dists(space, pts, b)
-    i = int(np.argmax(d.value))
-    far = d.value[i] > 0.0
-    return Distance(float(d.value[i]) if far else 0.0, approximate=bool(d.approximate.any()),
-                    error=float(d.error.max(initial=0.0)), note=d.note[i] if far else "")
-
-
 def _sampled_excess(space: NormedSpace, a: SetRep, b: SetRep,
                     n_samples: int, seed: int, flag: BoundednessFlag) -> Distance:
-    d = dists(space, sample(space, a, n_samples, seed), b)
+    far = b._farthest(space, sample(space, a, n_samples, seed))
+    if far.is_infinite:  # only an empty target is that far, and from every point: exact
+        return Distance(math.inf, note=far.note)
     density_err = 4.0 * (flag.radius_hint or 1.0) / max(1, n_samples) ** (1.0 / space.dim)
-    return Distance(float(d.value.max(initial=0.0)), approximate=True,
-                    error=float(d.error.max(initial=0.0)) + density_err,
+    return Distance(float(far), approximate=True, error=far.error + density_err,
                     note="sampled supremum (lower estimate)")
 
 

@@ -766,7 +766,10 @@ def test_the_distance_to_an_empty_region_is_inf_exact(norm, p):
     # a zero form with a negative bound empties a region too
     zero_row = sk.SublevelRegion((sk.FormGroup(np.array([[1.0, 0.0], [0.0, 0.0]]), -1.0),))
     assert float(sk.dist_point(space, np.zeros(2), zero_row)) == np.inf
-    assert float(sk.excess(space, sk.Ball(np.zeros(2), 1.0), region)) == np.inf
+    # a sampled supremum and a vertex maximum over it: +inf, exact, whatever the samples
+    for source in (sk.Ball(np.zeros(2), 1.0), sk.Box(-np.ones(2), np.ones(2))):
+        e = sk.excess(space, source, region, n_samples=16)
+        assert (float(e), e.error, e.approximate, e.note) == (np.inf, 0.0, False, "empty region")
 
 
 @pytest.mark.parametrize("norm,p", (("euclidean", None), ("p", 3.0)))

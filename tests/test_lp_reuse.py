@@ -12,6 +12,7 @@ import pytest
 
 import setcover_kit as sk
 import setcover_kit._lp as lp
+from setcover_kit import geometry
 from setcover_kit.geometry import outer_radius
 
 EU3 = sk.NormedSpace(3)
@@ -30,12 +31,15 @@ def lp_calls(monkeypatch):
     return calls
 
 
+# the forms of a sublinear system whose images are tilted, clipped boxes
+GROUPS = (np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+          np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.5, 0.5, 0.5]]),
+          np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+
+
 def sublinear_image():
     """A bounded 3-d image of a sublinear system: a tilted, clipped box."""
-    groups = (np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
-              np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.5, 0.5, 0.5]]),
-              np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
-    return sk.eval_map(sk.SublinearSystem(groups=groups), np.array([1.0, -0.5, 2.0]))
+    return sk.eval_map(sk.SublinearSystem(groups=GROUPS), np.array([1.0, -0.5, 2.0]))
 
 
 def orthant_graph_process():
@@ -97,3 +101,36 @@ def test_epigraphical_constant_does_not_keep_its_map_alive(lp_calls):
     del m
     gc.collect()
     assert ref() is None
+
+
+@pytest.fixture()
+def max_norm_fits(monkeypatch):
+    fits = []
+    real = geometry.max_norm_fit
+
+    def counting(*args, **kwargs):
+        fits.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "max_norm_fit", counting)
+    return fits
+
+
+def test_a_max_norm_excess_solves_only_the_rows_that_can_be_largest(max_norm_fits):
+    max3 = sk.NormedSpace(3, "max")
+    sub = sk.SublinearSystem(groups=GROUPS, space_y=max3)
+    source, target = (sk.eval_map(sub, x) for x in ([2.0, -1.5, 2.5], [1.0, -0.5, 2.0]))
+    pts = sk.sample(max3, source, 48, seed=4)
+    outside = int((sk.dists(max3, pts, target).value > 0.0).sum())
+    max_norm_fits.clear()
+    e = sk.excess(max3, source, target, n_samples=48, seed=4)
+    assert float(e) > 0.0
+    assert 0 < len(max_norm_fits) < outside
+
+
+def test_an_empty_target_costs_one_program(lp_calls, max_norm_fits):
+    empty = sk.SublevelRegion((sk.FormGroup(np.array([[1.0, 0.0]]), -1.0),
+                               sk.FormGroup(np.array([[-1.0, 0.0]]), -1.0)))
+    e = sk.excess(sk.NormedSpace(2, "max"), sk.Box(-np.ones(2), np.ones(2)), empty)
+    assert float(e) == np.inf and not e.approximate
+    assert len(max_norm_fits) == len(lp_calls) == 1

@@ -21,7 +21,8 @@ error bound, and a family whose phi does not depend on the parameter;
 the `forced` extents of every row of a sublinear and a process
 family, read through the family and then row by row in reverse; and the
 `forced` excesses over every ordered pair of a fixed catalog of sets
-under three norms, so that every pair rule of excess runs.
+under three norms, so that every pair rule of excess runs, and over an
+empty region under each norm.
 Every float is written by its hex form, so two dumps are
 equal only when every value is equal bit for bit; a job that
 raises is written as its exception.  With --reverse each workload's jobs,
@@ -225,7 +226,8 @@ def forced_excess_jobs(seed: int) -> list:
     """excess at the seed over every ordered pair of a fixed 2-d catalog, one set of
     each kind with a one-point cloud, an unbounded region, a second orthant and two
     enlargements beside them, under the euclidean, max and 3-norms: each pair rule of
-    excess has a pair that reaches it, and the sampled pairs draw 64 points."""
+    excess has a pair that reaches it, and the sampled pairs draw 64 points.  Last, under
+    each norm, the sampled excess of the square region over an empty region."""
     import numpy as np
     import setcover_kit as sk
 
@@ -248,9 +250,14 @@ def forced_excess_jobs(seed: int) -> list:
     }
     spaces = {"euclidean": sk.NormedSpace(2), "max": sk.NormedSpace(2, "max"),
               "p3": sk.NormedSpace(2, "p", 3.0)}
+    # {y : y_1 <= -1, -y_1 <= -1}: no point meets both forms
+    empty = sk.SublevelRegion((sk.FormGroup(np.array([[1.0, 0.0]]), -1.0),
+                               sk.FormGroup(np.array([[-1.0, 0.0]]), -1.0)))
     return [(f"excess-{norm}-{na}-{nb}", partial(sk.excess, space, a, b, 64, seed))
             for norm, space in spaces.items() for na, a in sets.items()
-            for nb, b in sets.items()]
+            for nb, b in sets.items()] + [
+        (f"excess-{norm}-region-empty", partial(sk.excess, space, square, empty, 64, seed))
+        for norm, space in spaces.items()]
 
 
 def compare(other: Path, seeds: list[int]) -> int:
