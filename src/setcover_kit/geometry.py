@@ -10,16 +10,19 @@ pure function of its arguments plus an explicit seed, so concurrent use
 is safe and results are schedule-independent.
 
 Closed forms are used wherever they exist (balls, boxes, spheres,
-orthants, finite vertex sets).  Where only an iterative scheme is
-available (polytope projection, halfspace intersections) the result
-carries an ``approximate`` flag and an error estimate instead of a
-silently wrong value; ``+inf`` is the sentinel for an excess that no
-bounded target can absorb.
+orthants, finite vertex sets); euclidean distances to halfspace
+intersections come from a projection checked by its KKT conditions.
+Where only an iterative scheme or a bracket is available (polytope
+projection, region distances under p-norms) the result carries an
+``approximate`` flag and an error estimate instead of a silently wrong
+value; ``+inf`` is the sentinel for an excess that no bounded target can
+absorb.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -27,12 +30,17 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
+from scipy.optimize import nnls
 
 from ._lp import (LPAnomalyError, basis_extents, coordinate_extent, extent_bases,
                   max_norm_fit)
 
 DEFAULT_TOL = 1e-9
 BOX_CORNER_CAP = 256  # largest corner count a box's exact excess enumerates
+# most form-row subsets a region's projection enumerates as active sets; rows past it
+# solve a least-distance program each
+PROJECTION_SUBSET_CAP = 1024
+_PAIR_CHUNK = 1 << 14  # (row, subset) pairs evaluated at once by the projection
 # a one-element 0.0 operand: numpy converts a Python float operand on every
 # call, which costs more than the arithmetic on a few rows
 _ZERO = np.zeros(1)
@@ -829,7 +837,7 @@ class SublevelRegion(SetRep):
         if len(pts) < n:
             # thin region: project box samples onto it instead of rejecting forever
             state = rng.bit_generator.state
-            z = _dykstra(a, b, rng.uniform(lo, hi, size=(n - len(pts), lo.shape[0])), 500)
+            z = _project_region(self, b, rng.uniform(lo, hi, size=(n - len(pts), lo.shape[0])))[0]
             slack = 1e-9 * np.maximum(1.0, np.abs(b))
             inside = (np.vecdot(a, z[:, None, :]) <= b + slack).all(axis=1)
             j = int(np.argmin(inside)) if not inside.all() else z.shape[0]
@@ -1087,10 +1095,11 @@ def dists(space: NormedSpace, ys, s: SetRep) -> Distances:
 
     Row i is dist_point(space, ys[i], s) bit for bit.  Closed forms (balls,
     spheres, boxes, orthants, finite point sets, enlargements of any of
-    these) are computed for all rows at once.  Polytopes and halfspace
-    intersections run a budgeted convex projection per row; those rows
-    carry an error bracket and are flagged approximate when the bracket
-    exceeds the default tolerance.
+    these) are computed for all rows at once, and so are the certified
+    euclidean projections onto halfspace intersections.  Polytopes run a
+    budgeted convex projection per row, and region distances under p-norms
+    are brackets; those rows carry an error bracket and are flagged
+    approximate when the bracket exceeds the default tolerance.
     """
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 2 or ys.shape[1] != space.dim:
@@ -1443,8 +1452,8 @@ def _halfspace_bounds(space: NormedSpace, s: SublevelRegion, viol: np.ndarray) -
         s, f"_dual_norms_{space.norm}_{space.p}", lambda: _bound_divisors(space, a)), axis=1)
 
 
-def _dists_region(space: NormedSpace, ys: np.ndarray, s: SublevelRegion, b: np.ndarray,
-                  max_sweeps: int = 2000) -> Distances:
+def _dists_region(space: NormedSpace, ys: np.ndarray, s: SublevelRegion,
+                  b: np.ndarray) -> Distances:
     """Distance of each row i of ys to {y : A y <= b[i]}, A being s's stacked form rows.
 
     b has a right-hand side per row, shape (n, rows of A); row i is the
@@ -1471,27 +1480,25 @@ def _dists_region(space: NormedSpace, ys: np.ndarray, s: SublevelRegion, b: np.n
     if out.size < n:  # the rows outside; with none inside, that is every row as it is
         viol, y_out, b_out = viol[out], ys[out], b[out]
     lower = _halfspace_bounds(space, s, viol)
-    z = _dykstra(a, b_out, y_out, max_sweeps)
+    z, g, certified = _project_region(s, b_out, y_out)
     gap = z - y_out
     if space.norm == "euclidean":
-        # converged Dykstra iterates are near-exact; the single-halfspace
-        # lower bound keeps the reported bracket honest regardless
+        # the Lagrangian lower bound sqrt(2 g) meets the value at rounding level on a
+        # certified row
         d2_upper = np.sqrt(np.vecdot(gap, gap))  # np.linalg.norm of each row
-        err = _positive(d2_upper - lower)
+        err = _positive(d2_upper - np.sqrt(_positive(2.0 * g)))
         flag = err > 1e-7 * np.fmax(d2_upper, 1.0)
         value[out], error[out], approx[out] = d2_upper, err, flag
         for i in out[flag]:
-            note[i] = "halfspace projection bracket"
+            note[i] = "Lagrangian bracket"
     else:
         upper = space.norms(gap)
         value[out], error[out], approx[out] = upper, _positive(upper - lower), True
         for i in out:
             note[i] = "region distance under this norm is a bracketed estimate"
-    # a row the polish left outside its region by more than rounding: one LP finds a
-    # point of the region, an upper bound, or proves the region empty
-    size = np.vecdot(np.abs(z)[:, None, :], np.abs(a)) + np.abs(b_out)
-    outside = np.vecdot(z[:, None, :], a) - b_out > DEFAULT_TOL * size
-    for j in np.flatnonzero(outside.any(axis=1)).tolist():
+    # a row the projection did not certify: one LP finds a point of the region, an
+    # upper bound, or proves the region empty
+    for j in np.flatnonzero(~certified).tolist():
         res = max_norm_fit(np.eye(ys.shape[1]), y_out[j], a_ub=a, b_ub=b_out[j])
         i = out[j]
         if res is None:
@@ -1499,7 +1506,7 @@ def _dists_region(space: NormedSpace, ys: np.ndarray, s: SublevelRegion, b: np.n
         else:
             upper = space.norm_of(res.x[:-1] - y_out[j])
             value[i], error[i], approx[i] = upper, max(0.0, upper - lower[j]), True
-            note[i] = "feasible-point bracket: the projection did not converge"
+            note[i] = "feasible-point bracket: the projection was not certified"
     return Distances(value, error, approx, tuple(note))
 
 
@@ -1514,62 +1521,113 @@ def _exit_bounds(a: np.ndarray, b: np.ndarray, members: np.ndarray, ys: np.ndarr
     return ((1.0 - np.clip(t, 0.0, 1.0)) * np.abs(step).max(axis=2)).min(axis=1)
 
 
-def _dykstra(a_mat: np.ndarray, b: np.ndarray, ys: np.ndarray, max_sweeps: int) -> np.ndarray:
-    """Nearest point of {z : A z <= b[i]} to each row i of ys (Dykstra's cyclic projections).
+def _factors(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For a stack of row sets A_S (T, k, d), with A_S^T = Q R: which sets are linearly
+    independent (T,), and for those (A_S A_S^T)^-1 = R^-1 R^-T, Q and R^-T.  The
+    multipliers of the nearest point of {z : A_S z = b_S} are
+    lam = (A_S A_S^T)^-1 (A_S y - b_S), and its step A_S^T lam is Q w with
+    w = R^-T (A_S y - b_S): through Q the step is as well conditioned as A_S, not as
+    A_S A_S^T.  A set is independent when every |R_jj| passes max(d, k) eps max|R_jj|,
+    the rank rule of `np.linalg.matrix_rank` on R's diagonal."""
+    q, r = np.linalg.qr(rows.transpose(0, 2, 1))
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    keep = np.all(diag > max(rows.shape[1:]) * np.finfo(float).eps * diag.max(axis=1,
+                  initial=0.0)[:, None], axis=1)
+    r_inv = np.linalg.inv(r[keep])
+    r_inv_t = np.ascontiguousarray(r_inv.transpose(0, 2, 1))
+    return keep, r_inv @ r_inv_t, np.ascontiguousarray(q[keep]), r_inv_t
 
-    b holds a right-hand side per row of ys, shape (n, m), or one for
-    every row, shape (m,).  Every row sweeps the halfspaces in one block,
-    and each update does a lone row's arithmetic elementwise (vecdot is
-    the one-row dot), so a row's result does not depend on the others.  A
-    row leaves the block after the sweep in which its own largest step
-    falls below tolerance, or after max_sweeps.
+
+def _active_sets(a: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """Every linearly independent k-subset S of the rows of a, in combination order: its
+    indices (T, k) and the `_factors` of its rows."""
+    idx = np.array(list(itertools.combinations(range(a.shape[0]), k)), dtype=np.intp)
+    keep, *factors = _factors(a[idx])
+    return (idx[keep], *factors)
+
+
+def _set_points(a: np.ndarray, b: np.ndarray, ys: np.ndarray, rows, resid: np.ndarray,
+                lam: np.ndarray, q: np.ndarray, r_inv_t: np.ndarray):
+    """For pairs of a row of ys (rows) and an independent set S of form rows, given
+    A_S y - b_S (resid), lam and S's factors: z = y - A_S^T lam, the dual value
+    g = lam.(A_S y - b_S) - |A_S^T lam|^2 / 2, and whether z is certified, lam >= 0 and
+    A z <= b[row] within 1e-12 relative to |a_j|_1 max(|y| + |z|) + |b_j| for each form
+    row a_j: the terms that make up z set the scale of its rounding (with b = 0 at an
+    apex, |z| alone would set none)."""
+    step = np.vecdot(np.vecdot(r_inv_t, resid[:, None, :])[:, None, :], q)
+    y, b = ys[rows], b[rows]
+    z = y - step
+    reach = np.maximum.reduce(np.abs(y) + np.abs(z), axis=1)[:, None]
+    size = np.add.reduce(np.abs(a), axis=1) * reach + np.abs(b)
+    ok = np.logical_and.reduce(np.vecdot(z[:, None, :], a) - b <= 1e-12 * size, axis=1)
+    ok &= np.logical_and.reduce(lam >= _ZERO, axis=1)
+    return z, np.vecdot(lam, resid) - 0.5 * np.vecdot(step, step), ok
+
+
+def _project_region(s: SublevelRegion, b: np.ndarray, ys: np.ndarray):
+    """Exact euclidean nearest point of {z : A z <= b[i]} to each row i of ys, A being
+    s's stacked form rows and b a right-hand side per row, shape (n, m), or one, (m,).
+
+    Returns (z, g, certified).  A row is certified when multipliers lam >= 0 give
+    z = y - A^T lam inside the region within 1e-12 relative, lam vanishing off an
+    active set that z meets with equality: the KKT conditions, so z is the nearest
+    point.  g = lam.(A y - b) - |A^T lam|^2 / 2 is the Lagrangian dual value, so
+    sqrt(2 g) is a lower bound on the distance (about |z - y| when certified).
+
+    Active sets come first: for k = 1, 2, ... every independent k-subset S of the
+    form rows gives lam_S = (A_S A_S^T)^-1 (A_S y - b_S), and a row takes the first S
+    in combination order that certifies it.  The subsets of a size are kept on the
+    form region (a `Regions` row's family's, as its extent bases are) and built only
+    while some row is uncertified; the sizes end at min(m, dim), or before the
+    subsets counted would pass PROJECTION_SUBSET_CAP.  A row no subset certifies
+    solves one least-distance program, min |x| subject to -A x >= A y - b, as a
+    nonnegative least-squares problem (Lawson and Hanson 1974, ch. 23); y is projected
+    onto its active rows as onto a subset's, and checked the same way.  Where that
+    fails too, z is that point or y.  Each row's arithmetic is elementwise or a
+    one-row dot (vecdot), so it does not depend on the other rows.
     """
-    m = a_mat.shape[0]
-    sq = (a_mat * a_mat).sum(axis=1)
-    sq[sq == 0.0] = 1.0
-    out = ys.astype(float)
-    live = np.arange(out.shape[0])
-    iterates = np.empty((m + 1, *out.shape))  # z before and after each halfspace's step
-    iterates[m] = out
-    corr = np.zeros((m, *out.shape))
-    b = np.broadcast_to(b, (out.shape[0], m))
-    bounds = b.T  # (m, rows): each halfspace's right-hand side for every row
-
-    def steps():  # views into the live rows' arrays; q as a one-element array
-        return list(zip(iterates, iterates[1:], corr, a_mat, bounds, sq[:, None]))
-
-    block = steps()
-    for _ in range(max_sweeps):
-        iterates[0] = iterates[m]
-        for z, z_new, c, a, bound, q in block:
-            w = z + c
-            t = _positive(np.vecdot(w, a) - bound)[:, None]
-            np.subtract(w, t / q * a, out=z_new)
-            np.subtract(w, z_new, out=c)
-        # a row's delta is the scalar loop's max(delta, step) from 0.0 over its steps
-        delta = np.fmax.reduce(np.maximum.reduce(np.abs(iterates[1:] - iterates[:-1]), axis=2),
-                               axis=0, initial=0.0)
-        z = iterates[m]
-        done = delta <= 1e-13 * (1.0 + np.maximum.reduce(np.abs(z), axis=1))
-        if done.all():
+    a = s.forms()[0]
+    form = s.__dict__.get("_form_region", s)
+    (n, d), m = ys.shape, a.shape[0]
+    b = np.broadcast_to(b, (n, m))
+    viol = np.vecdot(ys[:, None, :], a) - b
+    z, g, done = ys.copy(), np.zeros(n), np.zeros(n, dtype=bool)
+    counted = 0
+    for k in range(1, min(m, d) + 1):
+        counted += math.comb(m, k)
+        todo = np.flatnonzero(~done)
+        if counted > PROJECTION_SUBSET_CAP or todo.size == 0:
             break
-        if done.any():
-            out[live[done]] = z[done]
-            keep = ~done
-            live, iterates, corr = live[keep], iterates[:, keep], corr[:, keep]
-            bounds = bounds[:, keep]
-            block = steps()
-    out[live] = iterates[m]
-    # final feasibility polish, row by row (plain cyclic projections keep z in the set)
-    for z, b_vec in zip(out, b):
-        for _ in range(50):
-            viols = a_mat @ z - b_vec
-            worst = float(viols.max())
-            if worst <= 1e-12 * (1.0 + abs(worst)):
-                break
-            i = int(np.argmax(viols))
-            z -= (viols[i] / sq[i]) * a_mat[i]
-    return out
+        idx, g_inv, q, r_inv_t = _memo(form, f"_active_sets_{k}", lambda: _active_sets(a, k))
+        pairs = todo.size * idx.shape[0]
+        for part in [todo] if pairs <= _PAIR_CHUNK else np.array_split(todo, -(-pairs // _PAIR_CHUNK)):
+            resid = viol[part[:, None, None], idx]  # (rows, subsets, k): A_S y - b_S, C order
+            lam = np.vecdot(g_inv, resid[:, :, None, :])
+            pr, ps = np.nonzero(np.logical_and.reduce(lam >= _ZERO, axis=2))
+            zs, gs, ok = _set_points(a, b, ys, part[pr], resid[pr, ps], lam[pr, ps], q[ps],
+                                     r_inv_t[ps])
+            hit = np.flatnonzero(ok)
+            hit = hit[np.diff(pr[hit], prepend=-1) != 0]  # each row's first subset
+            i = part[pr[hit]]
+            z[i], g[i], done[i] = zs[hit], gs[hit], True
+    f = np.eye(d + 1)[d]
+    for i in np.flatnonzero(~done).tolist():
+        try:
+            u = nnls(np.vstack([-a.T, viol[i]]), f)[0]
+        except RuntimeError:  # the iteration budget ran out
+            continue
+        act = np.flatnonzero(u)
+        if not float(np.vecdot(viol[i], u)) < 1.0 or act.size > d:  # 1: the region is empty
+            continue
+        # the program's active rows, projected onto as a subset is: more accurate than
+        # the program's own multipliers u / (1 - (A y - b).u)
+        keep, g_inv, q, r_inv_t = _factors(a[act][None])
+        if keep[0]:
+            resid = viol[i, act][None]
+            zs, gs, ok = _set_points(a, b, ys, [i], resid, np.vecdot(g_inv, resid[:, None, :]),
+                                     q, r_inv_t)
+            z[i], g[i], done[i] = zs[0], gs[0], ok[0]
+    return z, g, done
 
 
 def _box_radius(space: NormedSpace, lo: np.ndarray, hi: np.ndarray, p: np.ndarray) -> float:

@@ -5,16 +5,20 @@ would pin one CPU's BLAS rounding.  The references are the per-point
 rules the kernel replaced: np.linalg.norm / max|.| / sum(|.|**p)**(1/p)
 on one point at a time, the one-candidate-at-a-time samplers, and the
 one-row halfspace-region rule (membership, bound, max-norm LP and a
-Dykstra projection per point).
+brute-force KKT projection per point).
 """
+
+import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import nnls
 
 import setcover_kit as sk
 from setcover_kit import geometry
-from setcover_kit.geometry import _dykstra, rng_for
+from setcover_kit.geometry import rng_for
 
 NORMS = (("euclidean", None), ("max", None), ("p", 3.0))
 CLOSED_KINDS = ("ball", "sphere", "box", "orthant", "point_cloud")
@@ -194,37 +198,54 @@ def test_dists_shape_checks():
 # halfspace regions: the one-row rule the batched kernel replaced
 
 
-def ref_dykstra(rows, y, max_sweeps):
-    """Nearest point of a halfspace intersection, one point at a time (Dykstra).
+def ref_kkt(a_mat, b_vec, y, z, tol=1e-9):
+    """Whether z is the nearest point of {z : A z <= b} to y: z is feasible within 1e-12
+    relative to |A| (|y| + |z|) + |b|, and y - z is a nonnegative combination of the rows
+    active at z (one NNLS fit), within tol relative."""
+    size = np.abs(a_mat) @ (np.abs(y) + np.abs(z)) + np.abs(b_vec)
+    slack = a_mat @ z - b_vec
+    if (slack > 1e-12 * size).any():
+        return False
+    gap = y - z
+    active = a_mat[slack >= -tol * size]
+    if not active.shape[0]:
+        return not gap.any()
+    residual = nnls(active.T, gap)[1]
+    return residual <= tol * max(1.0, float(np.linalg.norm(gap)), float(np.max(size)))
 
-    Returns the point and the number of sweeps it took.
+
+def ref_project(rows, y):
+    """Nearest point of a halfspace intersection to one outside point, by brute force.
+
+    For k = 1, 2, ... every subset S of k rows gives the nearest point of the affine
+    set {a_S z = b_S} by a pseudoinverse, and multipliers by least squares; the first
+    subset whose multipliers are nonnegative and whose point passes ref_kkt is the
+    answer.  Where the subsets number more than 5,000, the least-distance program
+    min |x| subject to -A x >= A y - b is solved as one NNLS instead (Lawson and
+    Hanson, ch. 23), y is projected onto its active rows' affine set, and ref_kkt
+    checks that point too.  Returns the point and the
+    size of its subset (-1 for the NNLS answer); None where no point passes.
     """
-    m = len(rows)
     a_mat = np.array([a for a, _ in rows], dtype=float)
     b_vec = np.array([b for _, b in rows], dtype=float)
-    sq = np.sum(a_mat * a_mat, axis=1)
-    sq[sq == 0.0] = 1.0
-    z = y.astype(float).copy()
-    corr = np.zeros((m, y.shape[0]))
-    for sweep in range(max_sweeps):
-        delta = 0.0
-        for i in range(m):
-            w = z + corr[i]
-            viol = float(a_mat[i] @ w) - b_vec[i]
-            z_new = w - (max(0.0, viol) / sq[i]) * a_mat[i]
-            corr[i] = w - z_new
-            delta = max(delta, float(np.max(np.abs(z_new - z))))
-            z = z_new
-        if delta <= 1e-13 * (1.0 + float(np.max(np.abs(z)))):
-            break
-    for _ in range(50):
-        viols = a_mat @ z - b_vec
-        worst = float(np.max(viols))
-        if worst <= 1e-12 * (1.0 + abs(worst)):
-            break
-        i = int(np.argmax(viols))
-        z = z - (viols[i] / sq[i]) * a_mat[i]
-    return z, sweep + 1
+    m, d = a_mat.shape
+    if sum(math.comb(m, k) for k in range(1, min(m, d) + 1)) > 5000:
+        h = a_mat @ y - b_vec
+        u, rnorm = nnls(np.vstack([-a_mat.T, h]), np.eye(d + 1)[d])
+        if rnorm == 0.0 or 1.0 - h @ u <= 0.0:
+            return None
+        a_s = a_mat[u > 0.0]  # the program's active rows, projected onto as below
+        z = y + np.linalg.pinv(a_s) @ (b_vec[u > 0.0] - a_s @ y)
+        return (z, -1) if ref_kkt(a_mat, b_vec, y, z) else None
+    for k in range(1, min(m, d) + 1):
+        for s in itertools.combinations(range(m), k):
+            a_s = a_mat[list(s)]
+            z = y + np.linalg.pinv(a_s) @ (b_vec[list(s)] - a_s @ y)
+            lam = np.linalg.lstsq(a_s.T, y - z, rcond=None)[0]
+            if (lam >= -1e-12 * max(1.0, float(np.abs(lam).max()))).all() \
+                    and ref_kkt(a_mat, b_vec, y, z):
+                return z, k
+    return None
 
 
 def ref_lp_max_norm(rows, y):
@@ -264,8 +285,9 @@ def region_rows(s):
     return [(row, g.b) for g in s.groups for row in g.a]
 
 
-def ref_dist_region(space, y, s, max_sweeps=2000):
-    """One point's region distance, as (value, error, approximate, note, sweeps).
+def ref_dist_region(space, y, s):
+    """One point's region distance, as (value, error, approximate, note, k), k being
+    the size of the active set ref_project found (0 inside the region).
 
     A zero form is skipped in the lower bound: it is never violated in a
     nonempty region, and dividing by its dual norm 0 raised before.
@@ -280,15 +302,14 @@ def ref_dist_region(space, y, s, max_sweeps=2000):
         val = ref_lp_max_norm(rows, y)
         if val is not None:
             return val, 0.0, False, "", 0
-    z, sweeps = ref_dykstra(rows, y, max_sweeps)
-    d2_upper = float(np.linalg.norm(z - y))
+    found = ref_project(rows, y)
+    assert found is not None, y  # every region here is nonempty
+    z, k = found
     if space.norm == "euclidean":
-        err = max(0.0, d2_upper - lower_any)
-        approx = err > 1e-7 * max(1.0, d2_upper)
-        return d2_upper, err, approx, "halfspace projection bracket" if approx else "", sweeps
+        return float(np.linalg.norm(z - y)), 0.0, False, "", k
     upper = ref_norm(space, z - y)
     return (upper, max(0.0, upper - lower_any), True,
-            "region distance under this norm is a bracketed estimate", sweeps)
+            "region distance under this norm is a bracketed estimate", k)
 
 
 def ref_contains_region(s, y, tol=1e-9):
@@ -303,19 +324,39 @@ def hexed(value, error, approx, note):
     return float(value).hex(), float(error).hex(), bool(approx), note
 
 
+def assert_close(got, want, scale):
+    """A value, error, flag and note against the reference's: the flag and the note
+    equal, value and error within 1e-12 relative to the value and the scale."""
+    tol = 1e-12 * (abs(want[0]) + scale)
+    assert (bool(got[2]), got[3]) == (want[2], want[3])
+    assert abs(got[0] - want[0]) <= tol and abs(got[1] - want[1]) <= tol, (got, want)
+
+
+def assert_same_rows(got, want):
+    """Two Distances, row by row by float hex."""
+    assert [hexed(*f) for f in zip(*got)] == [hexed(*f) for f in zip(*want)]
+
+
 def assert_region_rows_match_reference(space, ys, s):
-    """Batched rows equal the one-row reference by float hex; returns the reference sweeps."""
+    """Batched rows equal dist_point by float hex, the same rows alone and in the
+    reversed batch too, and the one-row reference within 1e-12 relative (by float hex
+    under the max norm and inside the region); returns the reference active-set sizes."""
     d = sk.dists(space, ys, s)
-    sweeps = []
+    assert_same_rows(sk.dists(space, ys[::-1], s), [f[::-1] for f in d])
+    sizes = []
     for i, y in enumerate(ys):
-        *want, n_sweeps = ref_dist_region(space, y, s)
-        assert hexed(d.value[i], d.error[i], d.approximate[i], d.note[i]) == hexed(*want), i
-        if i < 2:  # a one-row call is the same kernel
-            one = sk.dist_point(space, y, s)
-            assert hexed(one, one.error, one.approximate, one.note) == hexed(*want), i
+        *want, k = ref_dist_region(space, y, s)
+        got = (d.value[i], d.error[i], d.approximate[i], d.note[i])
+        one = sk.dist_point(space, y, s)
+        assert hexed(*got) == hexed(one, one.error, one.approximate, one.note), i
+        assert_same_rows(sk.dists(space, y[None], s), [f[i:i + 1] for f in d])
+        if space.norm == "max" or k == 0:
+            assert hexed(*got) == hexed(*want), i
+        else:
+            assert_close(got, want, float(np.linalg.norm(y)))
         assert sk.contains_point(space, s, y) == ref_contains_region(s, y)
-        sweeps.append(n_sweeps)
-    return sweeps
+        sizes.append(k)
+    return sizes
 
 
 def random_region(rng, dim, scale=1.0):
@@ -343,17 +384,18 @@ def region_points(rng, s, scale=1.0):
 @pytest.mark.parametrize("norm,p", NORMS)
 def test_region_rows_equal_one_row_reference(norm, p):
     rng = np.random.default_rng([13, NORMS.index((norm, p))])
-    sweep_counts = set()
+    sizes = set()
     for dim in range(1, 9):
         space = sk.NormedSpace(dim, norm, p)
         for scale in ((1e-3, 1.0, 1e3) if dim <= 2 else ((1e-3, 1.0, 1e3)[dim % 3],)):
             s = random_region(rng, dim, scale)
             ys = region_points(rng, s, scale)
-            ys = ys[rng.permutation(len(ys))[:8]]  # the reference takes up to 2000 sweeps a row
-            sweep_counts.update(assert_region_rows_match_reference(space, ys, s))
+            ys = ys[rng.permutation(len(ys))[:8]]
+            sizes.update(assert_region_rows_match_reference(space, ys, s))
     if norm != "max":
-        # rows of one batch left the Dykstra block at different sweeps
-        assert len(sweep_counts - {0}) >= 5, sorted(sweep_counts)
+        # rows of one batch were certified at different active-set sizes, and some
+        # past the brute force's subset limit
+        assert len(sizes - {0, -1}) >= 3 and -1 in sizes, sorted(sizes)
 
 
 def test_region_rows_of_sublinear_images_equal_reference():
@@ -376,8 +418,8 @@ def test_zero_form_row_adds_no_bound_term(norm, p):
     image = sk.eval_map(sub, np.array([1.0, 1.0]))  # |y_1| <= 1, |y_2| <= 1 and 0 <= 1
     d = sk.dist_point(space, [3.0, 0.0], image)
     assert float(d) == 2.0
-    assert hexed(d, d.error, d.approximate, d.note) == \
-        hexed(*ref_dist_region(space, np.array([3.0, 0.0]), image)[:4])
+    assert_close((float(d), d.error, d.approximate, d.note),
+                 ref_dist_region(space, np.array([3.0, 0.0]), image)[:4], 3.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -389,6 +431,67 @@ def test_region_rows_property(seed, norm, dim, n, scale):
     s = random_region(rng, dim, scale)
     ys = scale * rng.choice([0.5, 2.0, 50.0], size=(n, 1)) * rng.standard_normal((n, dim))
     assert_region_rows_match_reference(space, ys, s)
+
+
+def sublinear_image(rng, dim, scale):
+    """One image of a sublinear map with tilted box forms, at a point whose coordinates
+    may be small, so that the image can be thin."""
+    groups = tuple(np.vstack([np.eye(dim)[i], -np.eye(dim)[i]]) + 0.3 * rng.standard_normal((2, dim))
+                   for i in range(dim))
+    x = scale * rng.choice([0.01, 1.0], dim) * rng.uniform(0.5, 2.5, dim)
+    return sk.eval_map(sk.SublinearSystem(groups), x)
+
+
+def assert_projections_certified(s, ys):
+    """The projection certifies every row of ys outside s, and each point passes ref_kkt;
+    returns the euclidean distances."""
+    a, b = s.forms()
+    z, g, certified = geometry._project_region(s, b, ys)
+    d = sk.dists(sk.NormedSpace(s.dim), ys, s)
+    out = np.flatnonzero((ys @ a.T > b).any(axis=1))
+    assert certified[out].all()
+    assert all(ref_kkt(a, b, ys[i], z[i]) for i in out)
+    assert not d.approximate.any() and set(d.note) <= {""}
+    return d.value
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5), image=st.booleans(),
+       n=st.integers(1, 8), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_projection_property(seed, dim, image, n, scale):
+    """Certified, no farther than any member of the region, no nearer than any single
+    halfspace, and +inf, exact, once a slab that no point meets is added."""
+    rng = np.random.default_rng(seed)
+    s = sublinear_image(rng, dim, scale) if image else random_region(rng, dim, scale)
+    ys = scale * rng.choice([0.5, 2.0, 50.0], size=(n, 1)) * rng.standard_normal((n, dim))
+    value = assert_projections_certified(s, ys)
+    members = sk.sample(sk.NormedSpace(dim), s, 32, seed=seed % 1000)
+    nearest = np.linalg.norm(ys[:, None, :] - members, axis=2).min(axis=1)
+    assert (value <= nearest * (1.0 + 1e-12)).all()
+    a, b = s.forms()
+    norms = np.linalg.norm(a, axis=1)
+    lower = np.max(np.maximum(0.0, ys @ a[norms > 0].T - b[norms > 0]) / norms[norms > 0], axis=1)
+    assert (value >= lower * (1.0 - 1e-12)).all()
+    c, width = rng.standard_normal((1, dim)), scale * float(rng.uniform(0.1, 1.0))
+    empty = sk.SublevelRegion(s.groups + (sk.FormGroup(c, -width), sk.FormGroup(-c, -width)))
+    d = sk.dists(sk.NormedSpace(dim), ys, empty)
+    assert np.isinf(d.value).all() and not d.error.any() and not d.approximate.any()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_region_past_the_subset_cap_is_projected_by_least_distance(monkeypatch, seed):
+    # 7-d, 21 rows: the subsets of one and two rows number 231, with three 1,561, past
+    # the cap; far points whose nearest points meet three or more rows solve the
+    # least-distance program, and every one is certified
+    calls = []
+    monkeypatch.setattr(geometry, "nnls", lambda *args: calls.append(1) or nnls(*args))
+    rng = np.random.default_rng([43, seed])
+    box = [sk.FormGroup(np.vstack([np.eye(7)[i], -np.eye(7)[i]]), 1.0) for i in range(7)]
+    s = sk.SublevelRegion(tuple(box) + (sk.FormGroup(rng.standard_normal((7, 7)), 1.5),))
+    assert s.forms()[0].shape == (21, 7) and geometry.PROJECTION_SUBSET_CAP < 1561
+    ys = rng.choice([2.0, 50.0], size=(12, 1)) * rng.standard_normal((12, 7))
+    assert_projections_certified(s, ys)
+    assert len(calls) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -483,21 +586,36 @@ def test_row_dists_measure_a_family_in_one_region_call(monkeypatch):
 
 
 @pytest.mark.parametrize("norm,p", (("euclidean", None), ("p", 3.0)))
-def test_row_dists_rows_that_hit_the_sweep_cap(monkeypatch, norm, p):
-    from functools import partial
-
+def test_row_dists_rows_past_the_subset_cap(monkeypatch, norm, p):
+    # with no active-set tables every outside row solves its least-distance program:
+    # the same distances within rounding, still certified, each row its dist_point
     rng = np.random.default_rng(37)
     space = sk.NormedSpace(3, norm, p)
     family = sublinear_family(rng, 3, space, 12)
     ys = np.broadcast_to(5.0 * rng.standard_normal(3), (12, 1, 3))
     full = family.row_dists(space, ys)
-    monkeypatch.setattr(geometry, "_dists_region", partial(geometry._dists_region, max_sweeps=2))
+    calls = []
+    monkeypatch.setattr(geometry, "nnls", lambda *args: calls.append(1) or nnls(*args))
+    monkeypatch.setattr(geometry, "PROJECTION_SUBSET_CAP", 0)
     capped = assert_rows_equal_dist_point(space, family, ys)
-    assert (capped.value != full.value).any()  # some rows stopped at the cap
+    assert len(calls) >= 11 and (capped.value > 0.0).sum() >= 11
+    assert np.allclose(capped.value, full.value, rtol=1e-12, atol=0.0)
+    assert np.array_equal(capped.approximate, full.approximate)
+    # where the least-distance program fails as well, each row keeps the bracket
+    # from one LP's point of its region, flagged approximate
+    def fails(*args):
+        raise RuntimeError("Maximum number of iterations reached.")
+    monkeypatch.setattr(geometry, "nnls", fails)
+    failed = assert_rows_equal_dist_point(space, family, ys)
+    out = full.value > 0.0
+    assert failed.approximate[out].all() and (failed.value >= full.value * (1.0 - 1e-12)).all()
+    assert (failed.value - failed.error <= full.value * (1.0 + 1e-12)).all()
+    assert {failed.note[i] for i in np.flatnonzero(out)} == \
+        {"feasible-point bracket: the projection was not certified"}
 
 
 def test_thin_region_sampling_projects_one_row():
-    # a slab of width 1e-7: rejection fails, so the samples come from one-row Dykstra
+    # a slab of width 1e-7: rejection fails, so the samples come from one-row
     # projections; every one must be a member of the slab
     a = np.array([[1.0, 1.0], [-1.0, -1.0]])
     s = sk.SublevelRegion((sk.FormGroup(a[:1], 1.0), sk.FormGroup(a[1:], -1.0 + 1e-7),
@@ -506,8 +624,12 @@ def test_thin_region_sampling_projects_one_row():
     pts = sk.sample(space, s, 40, seed=3)
     assert pts.shape == (40, 2)
     assert all(sk.contains_point(space, s, y, tol=1e-8) for y in pts)
-    z, _ = ref_dykstra(region_rows(s), np.array([5.0, -3.0]), 500)
-    assert np.array_equal(_dykstra(*s.forms(), np.array([[5.0, -3.0]]), 500)[0], z)
+    y = np.array([5.0, -3.0])
+    z, g, certified = geometry._project_region(s, s.forms()[1], y[None])
+    want, k = ref_project(region_rows(s), y)
+    assert certified[0] and k == 2
+    assert np.abs(z[0] - want).max() <= 1e-12 * np.abs(y).max()
+    assert abs(np.sqrt(2.0 * g[0]) - np.linalg.norm(z[0] - y)) <= 1e-12 * np.linalg.norm(y)
 
 
 @pytest.mark.parametrize("norm,p", NORMS + (("p", 1.0),))
@@ -654,7 +776,7 @@ def ref_sample_orthant(space, s, n, seed):
 def ref_sample_region(space, s, n, seed, box=None):
     """The one-candidate-at-a-time region sampler, and how many points each stage gave.
 
-    The stages are the LP argpoints, accepted candidates, Dykstra
+    The stages are the LP argpoints, accepted candidates, one-row
     projections, and Dirichlet combinations of the argpoints.
     """
     rng = rng_for(seed, 0)
@@ -677,7 +799,7 @@ def ref_sample_region(space, s, n, seed, box=None):
             pts.append(cand)
             stages[1] += 1
     while len(pts) < n:
-        z = _dykstra(a, b, rng.uniform(lo, hi)[None], 500)[0]
+        z = geometry._project_region(s, b, rng.uniform(lo, hi)[None])[0][0]
         if not (np.vecdot(a, z) <= b + 1e-9 * np.maximum(1.0, np.abs(b))).all():
             break
         pts.append(z)
@@ -735,11 +857,29 @@ def test_region_sampler_fallbacks_follow_the_spent_budget():
                               sk.FormGroup(np.vstack([np.eye(2), -np.eye(2)]), 2.0)))
     assert assert_region_sample_matches(sk.NormedSpace(2), slab, 40, 3)[1:] == [0, 36, 0]
     # thin 6-d images: a few candidates are accepted before the budget runs out,
-    # then Dykstra projections follow, and Dirichlet combinations where they end outside
+    # then projections follow, every one certified and inside
     space = sk.NormedSpace(6, "max")
     partial = tilted_sublinear_image([0.01, 0.114, -0.163, -1.751, 0.565, 1.411])
     _, accepted, projected, combined = assert_region_sample_matches(space, partial, 24, 6)
     assert accepted > 0 and projected > 0 and combined == 0
+    thin = tilted_sublinear_image([0.2, 0.23, 0.001, -0.3, 0.3, 1.87])
+    _, accepted, projected, combined = assert_region_sample_matches(space, thin, 24, 12)
+    assert accepted > 0 and projected > 0 and combined == 0
+
+
+def test_region_sampler_combines_argpoints_after_a_projection_ends_outside(monkeypatch):
+    # the projections above are certified and end inside; one that ends outside (here:
+    # any draw with a positive first coordinate is left where it is) stops them, and
+    # Dirichlet combinations of the argpoints fill the rest
+    real = geometry._project_region
+
+    def stops(s, b, ys):
+        z, g, certified = real(s, b, ys)
+        z[ys[:, 0] > 0.0] = ys[ys[:, 0] > 0.0]
+        return z, g, certified
+
+    monkeypatch.setattr(geometry, "_project_region", stops)
+    space = sk.NormedSpace(6, "max")
     thin = tilted_sublinear_image([0.2, 0.23, 0.001, -0.3, 0.3, 1.87])
     _, accepted, projected, combined = assert_region_sample_matches(space, thin, 24, 12)
     assert accepted > 0 and projected > 0 and combined > 0
@@ -774,12 +914,16 @@ def test_the_distance_to_an_empty_region_is_inf_exact(norm, p):
 
 @pytest.mark.parametrize("norm,p", (("euclidean", None), ("p", 3.0)))
 def test_a_row_the_projection_leaves_outside_gets_a_sound_bracket(norm, p):
-    # a wedge |y_2| <= eps*y_1 whose sides are nearly parallel: the cyclic projections
-    # from (-1, 0) crawl toward the apex, the nearest point, at distance 1
+    # a wedge |y_2| <= eps*y_1 whose sides are nearly parallel: from (-1, 0) the
+    # nearest point is the apex, at distance 1, where both sides are active; cyclic
+    # projections crawled toward it, the active set of both sides lands on it
     space = sk.NormedSpace(2, norm, p)
     eps = 1e-3
     wedge = sk.SublevelRegion((sk.FormGroup(np.array([[-eps, 1.0]]), 0.0),
                                sk.FormGroup(np.array([[-eps, -1.0]]), 0.0)))
     d = sk.dist_point(space, np.array([-1.0, 0.0]), wedge)
-    assert d.approximate
-    assert float(d) - d.error <= 1.0 <= float(d)
+    assert abs(float(d) - 1.0) <= 1e-12
+    if norm == "euclidean":
+        assert (d.error <= 1e-12, d.approximate, d.note) == (True, False, "")
+    else:  # the upper end is the apex's distance, the lower the single-halfspace bound
+        assert d.approximate and float(d) - d.error <= 1.0

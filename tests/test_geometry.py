@@ -367,7 +367,7 @@ class TestSample:
         assert all(sk.contains_point(EU2, ball, p, tol=1e-12) for p in pts)
 
     def test_thin_set_budget_error_advises(self):
-        # a degenerate box is fine (corners), but a thin region without box hits Dykstra
+        # a degenerate box is fine (corners), but a thin region without box is projected onto
         region = sk.SublevelRegion((
             sk.FormGroup(np.array([[1.0, 0.0], [-1.0, 0.0]]), 0.0),  # x == 0 slab
             sk.FormGroup(np.array([[0.0, 1.0], [0.0, -1.0]]), 1.0),

@@ -170,7 +170,7 @@ def test_each_lockstep_trace_equals_its_one_start_solve(kind, **case):
     check_lockstep(kind, **case)
 
 
-@settings(max_examples=15, deadline=None)  # each sublinear residual runs Dykstra projections
+@settings(max_examples=15, deadline=None)  # each sublinear residual projects onto its images
 @given(**LOCKSTEP_CASES)
 def test_each_sublinear_lockstep_trace_equals_its_one_start_solve(**case):
     check_lockstep("sublinear_system", **case)
