@@ -11,9 +11,10 @@ is safe and results are schedule-independent.
 
 Closed forms are used wherever they exist (balls, boxes, spheres,
 orthants, finite vertex sets); euclidean distances to halfspace
-intersections come from a projection checked by its KKT conditions.
-Where only an iterative scheme or a bracket is available (polytope
-projection, region distances under p-norms) the result carries an
+intersections come from a projection checked by its KKT conditions, and
+those to polytopes from one least-distance program with a
+separating-hyperplane bound.  Where only a bracket is available (region
+and polytope distances under p-norms) the result carries an
 ``approximate`` flag and an error estimate instead of a silently wrong
 value; ``+inf`` is the sentinel for an excess that no bounded target can
 absorb.
@@ -1096,10 +1097,10 @@ def dists(space: NormedSpace, ys, s: SetRep) -> Distances:
     Row i is dist_point(space, ys[i], s) bit for bit.  Closed forms (balls,
     spheres, boxes, orthants, finite point sets, enlargements of any of
     these) are computed for all rows at once, and so are the certified
-    euclidean projections onto halfspace intersections.  Polytopes run a
-    budgeted convex projection per row, and region distances under p-norms
-    are brackets; those rows carry an error bracket and are flagged
-    approximate when the bracket exceeds the default tolerance.
+    euclidean projections onto halfspace intersections.  Polytopes solve
+    one least-distance program per row, and region and polytope distances
+    under p-norms are brackets; those rows carry an error bracket and are
+    flagged approximate when the bracket exceeds the default tolerance.
     """
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 2 or ys.shape[1] != space.dim:
@@ -1343,58 +1344,23 @@ def _exact(value: np.ndarray) -> Distances:
                      ("",) * value.size)
 
 
-def _project_simplex(w: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    n = w.shape[0]
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, n + 1)
-    cond = u - css / ks > 0
-    k = ks[cond][-1]
-    tau = css[k - 1] / k
-    return np.maximum(w - tau, 0.0)
+def _least_distance(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The multipliers u >= 0 of the least-distance program min |x| subject to G x >= h,
+    from one nonnegative least-squares problem, min |[G^T; h^T] u - e_(d+1)| (Lawson and
+    Hanson 1974, ch. 23).  nnls raises RuntimeError where its iteration budget runs out."""
+    return nnls(np.vstack([g.T, h]), np.eye(g.shape[1] + 1)[-1])[0]
 
 
-def _hull_project_euclidean(vertices: np.ndarray, y: np.ndarray,
-                            max_iter: int = 10_000, tol: float = DEFAULT_TOL):
-    """Min-norm point of conv(vertices) - y by accelerated projected gradient.
-
-    Returns (point, dist, gap_error) where gap_error bounds dist minus the
-    true distance via the Frank-Wolfe gap of the squared objective.
-    """
-    v = vertices
-    k = v.shape[0]
-    if k == 1:
-        return v[0], float(np.linalg.norm(v[0] - y)), 0.0
-    lip = float(np.linalg.norm(v @ v.T, 2))
-    if lip == 0.0:  # all vertices equal to the origin shift
-        return v[0], float(np.linalg.norm(v[0] - y)), 0.0
-    w = np.full(k, 1.0 / k)
-    z = w.copy()
-    t_prev = 1.0
-    gap = math.inf
-    best_w, best_f = w, 0.5 * float(np.sum((w @ v - y) ** 2))
-    for _ in range(max_iter):
-        resid = z @ v - y
-        grad = v @ resid
-        w_next = _project_simplex(z - grad / lip)
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev))
-        z = w_next + ((t_prev - 1.0) / t_next) * (w_next - w)
-        w, t_prev = w_next, t_next
-        resid_w = w @ v - y
-        f = 0.5 * float(np.sum(resid_w**2))
-        if f < best_f:
-            best_f, best_w = f, w
-        grad_w = v @ resid_w
-        gap = float(w @ grad_w - np.min(grad_w))  # f(w) - f* <= gap on the simplex
-        d_up = math.sqrt(2.0 * best_f)
-        d_lo = math.sqrt(max(0.0, 2.0 * (best_f - max(gap, 0.0))))
-        if d_up - d_lo <= tol * max(1.0, d_up):
-            break
-    point = best_w @ v
-    d_up = math.sqrt(2.0 * best_f)
-    d_lo = math.sqrt(max(0.0, 2.0 * (best_f - max(gap, 0.0))))
-    return point, d_up, max(0.0, d_up - d_lo)
+def _euclidean_lower(space: NormedSpace, d2):
+    """A lower bound on a distance under the space norm from one, d2, on the euclidean
+    distance, elementwise: |x|_2 / sqrt(n) under the max norm, n^(1/p - 1/2) |x|_2 for
+    p > 2, and |x|_2 for p <= 2."""
+    n = space.dim
+    if space.norm == "max":
+        return d2 / math.sqrt(n)
+    if space.p is not None and space.p > 2:
+        return d2 * n ** (1.0 / space.p - 0.5)
+    return d2
 
 
 def _dist_polytope(space: NormedSpace, y: np.ndarray, s: VPolytope) -> Distance:
@@ -1403,22 +1369,24 @@ def _dist_polytope(space: NormedSpace, y: np.ndarray, s: VPolytope) -> Distance:
                            b_eq=np.array([1.0]), bounds=(0, None))
         if res is not None:
             return Distance(float(res.fun))
-    point, d2, err2 = _hull_project_euclidean(s.vertices, y)
-    if space.norm == "euclidean":
-        approx = err2 > DEFAULT_TOL * max(1.0, d2)
-        return Distance(d2, approximate=approx, error=err2,
-                        note="hull projection budget exhausted" if approx else "")
-    # other p-norms (or no max-norm LP answer): bracket from the euclidean solve plus candidates
-    upper = min(space.norm_of(point - y), float(space.norms(s.vertices - y).min()))
-    d2_lower = max(0.0, d2 - err2)
-    n = space.dim
-    if space.norm == "max":
-        lower = d2_lower / math.sqrt(n)
-    elif space.p is not None and space.p > 2:
-        lower = d2_lower * n ** (1.0 / space.p - 0.5)
-    else:
-        lower = d2_lower
+    # the nearest point y + p of the hull, p = W^T u / sum(u) for W = vertices - y: u
+    # solves min |x| subject to (W / c) x >= 1, c = max|W| keeping the rounding relative
+    w = s.vertices - y
+    nearest = space.norms(w)
+    try:
+        u = _least_distance(w / (np.abs(w).max() or 1.0), np.ones(w.shape[0]))
+        p, solved = (u / u.sum()) @ w, True
+    except RuntimeError:  # the iteration budget ran out
+        p, solved = w[np.argmin(nearest)], False
+    # every vertex, so the hull, lies beyond the hyperplane {x : x.p = min_i w_i.p}: a
+    # sound lower bound for any p, which meets |p| at rounding level on the nearest point
+    d2 = float(np.linalg.norm(p))
+    lower = _euclidean_lower(space, max(0.0, float((w @ p).min()) / d2) if d2 > 0.0 else 0.0)
+    upper = min(space.norm_of(p), float(nearest.min()))
     err = max(0.0, upper - lower)
+    if not solved:
+        return Distance(upper, approximate=True, error=err,
+                        note="nearest-vertex bracket: the least-distance program failed")
     approx = err > DEFAULT_TOL * max(1.0, upper)
     return Distance(upper, approximate=approx, error=err,
                     note="polytope distance under this norm is a bracketed estimate" if approx else "")
@@ -1482,17 +1450,19 @@ def _dists_region(space: NormedSpace, ys: np.ndarray, s: SublevelRegion,
     lower = _halfspace_bounds(space, s, viol)
     z, g, certified = _project_region(s, b_out, y_out)
     gap = z - y_out
+    # the Lagrangian lower bound on the euclidean distance, which meets it at rounding
+    # level on a certified row
+    d2_lower = np.sqrt(_positive(2.0 * g))
     if space.norm == "euclidean":
-        # the Lagrangian lower bound sqrt(2 g) meets the value at rounding level on a
-        # certified row
         d2_upper = np.sqrt(np.vecdot(gap, gap))  # np.linalg.norm of each row
-        err = _positive(d2_upper - np.sqrt(_positive(2.0 * g)))
+        err = _positive(d2_upper - d2_lower)
         flag = err > 1e-7 * np.fmax(d2_upper, 1.0)
         value[out], error[out], approx[out] = d2_upper, err, flag
         for i in out[flag]:
             note[i] = "Lagrangian bracket"
     else:
         upper = space.norms(gap)
+        lower = np.where(certified, np.fmax(lower, _euclidean_lower(space, d2_lower)), lower)
         value[out], error[out], approx[out] = upper, _positive(upper - lower), True
         for i in out:
             note[i] = "region distance under this norm is a bracketed estimate"
@@ -1610,10 +1580,9 @@ def _project_region(s: SublevelRegion, b: np.ndarray, ys: np.ndarray):
             hit = hit[np.diff(pr[hit], prepend=-1) != 0]  # each row's first subset
             i = part[pr[hit]]
             z[i], g[i], done[i] = zs[hit], gs[hit], True
-    f = np.eye(d + 1)[d]
     for i in np.flatnonzero(~done).tolist():
         try:
-            u = nnls(np.vstack([-a.T, viol[i]]), f)[0]
+            u = _least_distance(-a, viol[i])
         except RuntimeError:  # the iteration budget ran out
             continue
         act = np.flatnonzero(u)

@@ -157,9 +157,9 @@ def ref_lp_max_norm_polytope(vertices, y) -> float:
 
 def test_max_norm_polytope_distance_is_its_lp_alone(monkeypatch):
     """Under the max norm the simplex-weight LP gives a V-polytope distance; the
-    euclidean hull projection, whose answer the LP makes unnecessary, does not run."""
-    def no_projection(vertices, y):
-        raise AssertionError("the hull projection ran under the max norm")
+    euclidean least-distance program, whose answer the LP makes unnecessary, does not run."""
+    def no_projection(g, h):
+        raise AssertionError("the least-distance program ran under the max norm")
 
     rng = np.random.default_rng(29)
     cases = []
@@ -169,12 +169,97 @@ def test_max_norm_polytope_distance_is_its_lp_alone(monkeypatch):
                         s.vertices[0]])  # outside, inside and at a vertex
         cases.append((sk.NormedSpace(dim, "max"), s, ys,
                       [(ref_lp_max_norm_polytope(s.vertices, y).hex(), 0.0, False) for y in ys]))
-    monkeypatch.setattr(geometry, "_hull_project_euclidean", no_projection)
+    monkeypatch.setattr(geometry, "_least_distance", no_projection)
     for space, s, ys, want in cases:
         batch = sk.dists(space, ys, s)
         for i, y in enumerate(ys):
             for got in (sk.dist_point(space, y, s), batch.row(i)):
                 assert (float(got).hex(), got.error, got.approximate) == want[i]
+
+
+def ref_hull_dist(vertices, y) -> float:
+    """Euclidean distance from y to the convex hull of the vertices, by brute force: the
+    nearest point of the affine hull of every affinely independent vertex subset, kept
+    where its barycentric weights are nonnegative; the least distance kept."""
+    w = vertices - y
+    k, d = w.shape
+    best = float(np.linalg.norm(w, axis=1).min())
+    for m in range(2, min(k, d + 1) + 1):
+        for s in itertools.combinations(range(k), m):
+            base, dirs = w[s[0]], w[list(s[1:])] - w[s[0]]
+            if np.linalg.matrix_rank(dirs) < m - 1:
+                continue
+            t = np.linalg.lstsq(dirs.T, -base, rcond=None)[0]
+            if (t >= 0.0).all() and t.sum() <= 1.0:
+                best = min(best, float(np.linalg.norm(base + dirs.T @ t)))
+    return best
+
+
+def polytope_and_points(rng, dim, k, scale):
+    """k vertices in dim dimensions at the given scale, some of them repeated or on the
+    line through two earlier ones, and points inside (convex combinations), outside and
+    at a vertex."""
+    v = rng.standard_normal((k, dim))
+    for j in range(1, k):
+        kind = rng.integers(3)
+        if kind == 0:
+            v[j] = v[rng.integers(j)]
+        elif kind == 1 and j >= 2:
+            a, b = rng.choice(j, 2, replace=False)
+            v[j] = v[a] + rng.uniform(-1.0, 2.0) * (v[b] - v[a])
+    c = rng.standard_normal(dim)
+    vertices = scale * (c + v)
+    ys = np.vstack([rng.dirichlet(np.ones(k), 2) @ vertices,
+                    scale * (c + 3.0 * rng.standard_normal((3, dim))), vertices[-1]])
+    return vertices, ys
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5), k=st.integers(1, 6),
+       scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]))
+def test_euclidean_polytope_distance_is_exact(seed, dim, k, scale):
+    # the least-distance program's point is the nearest one: its value is the brute
+    # force's within 1e-9 relative, no vertex is nearer, and its bracket is sound and
+    # closed.
+    # Rounding sets a floor: 16 eps of |V - y| (a point inside a 1e6-scale polytope
+    # reads up to about 2 eps |V - y|, 1.7e-9), past 1e-9 only at that scale; such a
+    # row's error may pass 1e-9 and flag it, as the rule says
+    rng = np.random.default_rng(seed)
+    space = sk.NormedSpace(dim)
+    vertices, ys = polytope_and_points(rng, dim, k, scale)
+    d = sk.dists(space, ys, sk.VPolytope(vertices))
+    for i, y in enumerate(ys):
+        ref, floor = ref_hull_dist(vertices, y), 16 * np.finfo(float).eps * np.abs(vertices - y).max()
+        value, error = d.value[i], d.error[i]
+        assert abs(value - ref) <= 1e-9 * ref + floor, (i, value, ref)
+        assert value - error <= ref * (1.0 + 1e-9) + floor, (i, value, error, ref)
+        assert value <= float(sk.dist_point(space, y, sk.PointCloud(vertices)))
+        assert error <= max(1e-9 * max(1.0, value), floor), (i, error)
+        assert d.approximate[i] == (error > 1e-9 * max(1.0, value)), (i, error)
+
+
+@pytest.mark.parametrize("norm,p", (("euclidean", None), ("p", 3.0), ("p", 1.5)))
+def test_a_polytope_row_whose_program_fails_reads_its_nearest_vertex(monkeypatch, norm, p):
+    # where nnls's iteration budget runs out, the upper end is the nearest vertex's
+    # distance and the lower end the separating-hyperplane bound along it: sound,
+    # flagged approximate, with a note
+    rng = np.random.default_rng(47)
+    for dim, k in ((1, 3), (2, 5), (4, 6)):
+        space = sk.NormedSpace(dim, norm, p)
+        vertices, ys = polytope_and_points(rng, dim, k, 1.0)
+        s = sk.VPolytope(vertices)
+        full = sk.dists(space, ys, s)
+
+        def fails(*args):
+            raise RuntimeError("Maximum number of iterations reached.")
+        monkeypatch.setattr(geometry, "nnls", fails)
+        failed = sk.dists(space, ys, s)
+        monkeypatch.undo()
+        nearest = sk.dists(space, ys, sk.PointCloud(vertices)).value
+        assert np.array_equal(failed.value, nearest)
+        assert failed.approximate.all()
+        assert set(failed.note) == {"nearest-vertex bracket: the least-distance program failed"}
+        assert (failed.value - failed.error <= (full.value - full.error) * (1.0 + 1e-12) + 1e-15).all()
 
 
 def test_closed_form_dist_point_is_exact_row():
@@ -305,10 +390,13 @@ def ref_dist_region(space, y, s):
     found = ref_project(rows, y)
     assert found is not None, y  # every region here is nonempty
     z, k = found
+    d2 = float(np.linalg.norm(z - y))
     if space.norm == "euclidean":
-        return float(np.linalg.norm(z - y)), 0.0, False, "", k
+        return d2, 0.0, False, "", k
     upper = ref_norm(space, z - y)
-    return (upper, max(0.0, upper - lower_any), True,
+    # |x|_p >= |x|_2 for p <= 2 and >= n^(1/p - 1/2) |x|_2 for p > 2
+    lower = max(lower_any, d2 * min(1.0, space.dim ** (1.0 / space.p - 0.5)))
+    return (upper, max(0.0, upper - lower), True,
             "region distance under this norm is a bracketed estimate", k)
 
 
@@ -925,5 +1013,6 @@ def test_a_row_the_projection_leaves_outside_gets_a_sound_bracket(norm, p):
     assert abs(float(d) - 1.0) <= 1e-12
     if norm == "euclidean":
         assert (d.error <= 1e-12, d.approximate, d.note) == (True, False, "")
-    else:  # the upper end is the apex's distance, the lower the single-halfspace bound
+    else:  # the upper end is the apex's distance, the lower d_2 = 1 scaled to d_3 >= 2^(-1/6)
         assert d.approximate and float(d) - d.error <= 1.0
+        assert d.error <= 1.0 - 2.0 ** (-1.0 / 6.0) + 1e-12

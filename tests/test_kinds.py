@@ -402,9 +402,8 @@ def test_samples_are_members_within_the_radius_and_map_into_the_image(kind, norm
     rng = np.random.default_rng(seed)
     space = sk.NormedSpace(d, norm[0], norm[1])
     s = random_set(kind, d, rng)
-    # few points: a box's or polytope's image measures each by an iterative projection
-    pts = sk.sample(space, s, 6, int(rng.integers(1000)))
-    assert pts.shape == (6, d)
+    pts = sk.sample(space, s, 24, int(rng.integers(1000)))
+    assert pts.shape == (24, d)
     assert all(sk.contains_point(space, s, y, 1e-7) for y in pts)
     dist = sk.dists(space, pts, s)
     assert np.all(dist.value <= 1e-7 + dist.error)
