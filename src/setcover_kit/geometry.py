@@ -1463,8 +1463,10 @@ def _dists_region(space: NormedSpace, ys: np.ndarray, s: SublevelRegion,
     else:
         upper = space.norms(gap)
         lower = np.where(certified, np.fmax(lower, _euclidean_lower(space, d2_lower)), lower)
-        value[out], error[out], approx[out] = upper, _positive(upper - lower), True
-        for i in out:
+        err = _positive(upper - lower)
+        flag = err > DEFAULT_TOL * np.fmax(upper, 1.0)  # a closed bracket is exact
+        value[out], error[out], approx[out] = upper, err, flag
+        for i in out[flag]:
             note[i] = "region distance under this norm is a bracketed estimate"
     # a row the projection did not certify: one LP finds a point of the region, an
     # upper bound, or proves the region empty

@@ -905,8 +905,7 @@ def fallback_witnesses(m: MapSpec, xs: np.ndarray, rhos, alpha: float, n_points:
 def _farthest(m: MapSpec, probes: np.ndarray):
     """The witness searches' objective f(us, balls): the largest distance from the probe
     points probes[balls[i]] to F(us[i]), inf where F(u) cannot be built."""
-    return lambda us, balls: eval_maps(m, np.reshape(us, (len(us), m.space_x.dim))).row_dists(
-        m.space_y, probes[balls]).value.max(axis=1)
+    return lambda us, balls: eval_maps(m, us).row_dists(m.space_y, probes[balls]).value.max(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def minimize_penalty(prob: PenaltyProblem, x0,
     """
     _check_search_cap(prob)
     x0 = prob.space.check_point(x0)
-    ((x, val, trace),) = pattern_searches(lambda xs, _: penalty_values(prob, np.array(xs)), [x0],
+    ((x, val, trace),) = pattern_searches(lambda xs, _: penalty_values(prob, xs), [x0],
                                           initial_step=initial_step, step_floor=step_floor,
                                           max_evals=max_evals)
     return MinimizeResult(x=x, value=val, trace=trace)
@@ -227,7 +227,7 @@ def _multi_start(prob: PenaltyProblem, x0, n_starts: int, seed: int,
     x0 = prob.space.check_point(x0)
     starts = [x0] + [x0 + rng_for(seed, k).uniform(-spread, spread, size=prob.space.dim)
                      for k in range(1, n_starts)]
-    runs = pattern_searches(lambda xs, _: penalty_values(prob, np.array(xs)), starts,
+    runs = pattern_searches(lambda xs, _: penalty_values(prob, xs), starts,
                             initial_step=1.0, step_floor=1e-7, max_evals=200_000)
     results = [MinimizeResult(x=x, value=val, trace=trace) for x, val, trace in runs]
     # schedule-independent selection

@@ -396,8 +396,10 @@ def ref_dist_region(space, y, s):
     upper = ref_norm(space, z - y)
     # |x|_p >= |x|_2 for p <= 2 and >= n^(1/p - 1/2) |x|_2 for p > 2
     lower = max(lower_any, d2 * min(1.0, space.dim ** (1.0 / space.p - 0.5)))
-    return (upper, max(0.0, upper - lower), True,
-            "region distance under this norm is a bracketed estimate", k)
+    err = max(0.0, upper - lower)
+    approx = err > 1e-9 * max(1.0, upper)  # a closed bracket is exact
+    return (upper, err, approx,
+            "region distance under this norm is a bracketed estimate" if approx else "", k)
 
 
 def ref_contains_region(s, y, tol=1e-9):
@@ -998,6 +1000,22 @@ def test_the_distance_to_an_empty_region_is_inf_exact(norm, p):
     for source in (sk.Ball(np.zeros(2), 1.0), sk.Box(-np.ones(2), np.ones(2))):
         e = sk.excess(space, source, region, n_samples=16)
         assert (float(e), e.error, e.approximate, e.note) == (np.inf, 0.0, False, "empty region")
+
+
+def test_a_closed_p_norm_bracket_reads_exact():
+    # the orthant {y_1 <= 0, y_2 <= 0} from (1, 1) under p = 3: the upper end |(1, 1)|_3
+    # and the lower end, d_2 = sqrt(2) scaled by 2^(1/3 - 1/2), meet
+    space = sk.NormedSpace(2, "p", 3.0)
+    orthant = sk.SublevelRegion((sk.FormGroup(np.eye(2), 0.0),))
+    d = sk.dist_point(space, np.ones(2), orthant)
+    assert (float(d), d.error, d.approximate, d.note) == (2.0 ** (1.0 / 3.0), 0.0, False, "")
+    # a bracket left open keeps its flag and note (see the wedge below)
+    eps = 1e-3
+    wedge = sk.SublevelRegion((sk.FormGroup(np.array([[-eps, 1.0]]), 0.0),
+                               sk.FormGroup(np.array([[-eps, -1.0]]), 0.0)))
+    d = sk.dist_point(space, np.array([-1.0, 0.0]), wedge)
+    assert d.approximate and d.note == "region distance under this norm is a bracketed estimate"
+    assert abs(d.error - (1.0 - 2.0 ** (-1.0 / 6.0))) <= 1e-12
 
 
 @pytest.mark.parametrize("norm,p", (("euclidean", None), ("p", 3.0)))

@@ -7,7 +7,13 @@ point at a time and calls f once per poll.  Every search that
 that this reference gives from the same start, bit for bit.
 `ref_ball_search` is the one-ball multi-start search on that reference,
 as it was before every search of every ball ran in one lockstep call;
-`ball_searches` must give each ball's (u, f(u)) that it gives.
+`ball_searches` must give each ball's (u, f(u)) that it gives.  The
+lockstep calls take one-point objectives and projections through
+adapters to the stacked f(points, owners) and project(points, owners).
+The draws take in what can tell array arithmetic from the scalar rule:
+-0.0 start coordinates that no poll moves, values NaN on a half-space,
+-0.0 and 0.0 values that tie, a NaN step, and ball polls at exactly
+distance r and at NaN distance.
 """
 
 import math
@@ -92,11 +98,26 @@ def make_objective(rng, n, kind):
         return lambda x: float(weights @ (x - centre) ** 2)
     if kind == "integer":  # plateaus: many polls tie
         return lambda x: float(np.round(weights @ np.abs(x - centre)))
-    if kind == "inf":  # inf on a half-space, as an unbuildable image gives
+    if kind in ("inf", "nan"):  # inf (an unbuildable image) or NaN on a half-space
+        off = math.inf if kind == "inf" else math.nan
+
         def f(x):
-            return math.inf if x[0] > centre[0] + 0.3 else float(weights @ (x - centre) ** 2)
+            return off if x[0] > centre[0] + 0.3 else float(weights @ (x - centre) ** 2)
+        return f
+    if kind == "signed_zero":  # -0.0 and 0.0 on a plateau: equal values of either sign tie
+        def f(x):
+            excess = float(weights @ np.abs(x - centre)) - 1.0
+            return excess if excess > 0.0 else math.copysign(0.0, x[0] - centre[0])
         return f
     raise ValueError(kind)
+
+
+KINDS = ("smooth", "integer", "inf", "nan", "signed_zero")
+
+
+def stacked(project):
+    """The one-point projection project(u) as the lockstep searches' project(points, owners)."""
+    return None if project is None else lambda us, owners: np.array([project(u) for u in us])
 
 
 def make_projection(rng, n, kind):
@@ -114,27 +135,31 @@ def make_projection(rng, n, kind):
 
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), n=st.integers(1, 4),
-       kind=st.sampled_from(("smooth", "integer", "inf")),
-       projection=st.sampled_from((None, "ball", "box")),
+       kind=st.sampled_from(KINDS), projection=st.sampled_from((None, "ball", "box")),
        max_evals=st.one_of(st.integers(1, 60), st.just(100_000)),
-       initial_step=st.sampled_from((1.0, 0.5, 3.0)), step_floor=st.sampled_from((1e-7, 1e-2)))
+       initial_step=st.sampled_from((1.0, 0.5, 3.0, math.nan)),
+       step_floor=st.sampled_from((1e-7, 1e-2)), signed_zeros=st.booleans())
 def test_each_lockstep_search_is_its_solo_run(seed, k, n, kind, projection, max_evals,
-                                              initial_step, step_floor):
+                                              initial_step, step_floor, signed_zeros):
     rng = np.random.default_rng(seed)
     f = make_objective(rng, n, kind)
     project = make_projection(rng, n, projection)
     starts = [rng.uniform(-3.0, 3.0, n) for _ in range(k)]
+    if signed_zeros:  # a coordinate no poll moves must keep its -0.0
+        for s in starts:
+            s[rng.uniform(size=n) < 0.5] = -0.0
     if rng.uniform() < 0.3:
         starts[-1] = starts[0].copy()  # two searches on one start
     calls = []
 
     def batched(points, owners):
-        assert all(p.shape == (n,) for p in points) and len(owners) == len(points)
+        assert points.dtype == float and points.shape == (len(owners), n)
+        assert owners.dtype.kind == "i"
         calls.append(len(points))
         return np.array([f(p) for p in points])
 
     got = pattern_searches(batched, starts, initial_step, step_floor, max_evals,
-                           None if project is None else lambda u, i: project(u))
+                           stacked(project))
     want = [ref_pattern_search(f, s, initial_step, step_floor, max_evals, project)
             for s in starts]
     assert [hexed(r) for r in got] == [hexed(r) for r in want]
@@ -149,11 +174,14 @@ def test_each_lockstep_search_is_its_solo_run(seed, k, n, kind, projection, max_
     seen = []
 
     def owned(points, owners):
-        seen.extend(owners)
-        return [f(p) for p in points]
+        seen.extend(owners.tolist())
+        return np.array([f(p) for p in points])
 
-    mixed = pattern_searches(owned, starts, steps, floors, max_evals,
-                             lambda u, i: u if projects[i] is None else projects[i](u))
+    def owned_project(us, owners):
+        return np.array([u if projects[i] is None else projects[i](u)
+                         for u, i in zip(us, owners)])
+
+    mixed = pattern_searches(owned, starts, steps, floors, max_evals, owned_project)
     solo = [ref_pattern_search(f, s, steps[i], floors[i], max_evals, projects[i])
             for i, s in enumerate(starts)]
     assert [hexed(r) for r in mixed] == [hexed(r) for r in solo]
@@ -163,18 +191,28 @@ def test_each_lockstep_search_is_its_solo_run(seed, k, n, kind, projection, max_
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), n=st.integers(1, 3),
        norm=st.sampled_from((("euclidean", None), ("max", None), ("p", 3.0))),
-       kind=st.sampled_from(("smooth", "integer", "inf")),
-       n_draws=st.integers(0, 4), max_evals=st.sampled_from((1, 7, 30, 150)))
-def test_each_ball_search_is_its_solo_search(seed, k, n, norm, kind, n_draws, max_evals):
+       kind=st.sampled_from(KINDS), n_draws=st.integers(0, 4),
+       max_evals=st.sampled_from((1, 7, 30, 150)),
+       balls_drawn=st.sampled_from(("uniform", "dyadic", "nan")))
+def test_each_ball_search_is_its_solo_search(seed, k, n, norm, kind, n_draws, max_evals,
+                                             balls_drawn):
     rng = np.random.default_rng(seed)
     space = NormedSpace(n, *norm)
     fs = [make_objective(rng, n, kind) for _ in range(k)]  # each ball its own objective
-    xs = rng.uniform(-3.0, 3.0, (k, n))
-    rs = np.exp(rng.uniform(-7.0, 3.0, k)).tolist()
+    if balls_drawn == "dyadic":  # two steps of r/2 along an axis from an integer centre
+        # reach distance exactly r, where the ball keeps a poll as it is
+        xs = rng.integers(-2, 3, (k, n)).astype(float)
+        rs = (2.0 ** rng.integers(-2, 2, k)).tolist()
+    else:
+        xs = rng.uniform(-3.0, 3.0, (k, n))
+        rs = np.exp(rng.uniform(-7.0, 3.0, k)).tolist()
+    if balls_drawn == "nan":  # a NaN coordinate: every poll of the ball at NaN distance
+        xs[rng.integers(k), rng.integers(n)] = math.nan
     balls = []
 
     def batched(points, owners):
-        balls.extend(owners)
+        assert points.shape == (len(owners), n) and owners.dtype.kind == "i"
+        balls.extend(owners.tolist())
         return np.array([fs[b](p) for p, b in zip(points, owners)])
 
     rngs = [np.random.default_rng([seed, b]) for b in range(k)]
